@@ -37,7 +37,7 @@
 //! [`machine_recover`]: Recorder::machine_recover
 
 use flowsched_core::compact::ProcSetRef;
-use flowsched_core::fault::{FaultEventKind, FaultPlan, FaultyStream};
+use flowsched_core::fault::{FaultCursor, FaultEventKind, FaultPlan, FaultyStream};
 use flowsched_core::machine::MachineId;
 use flowsched_core::schedule::{Assignment, Schedule};
 use flowsched_core::shard::ShardPlan;
@@ -74,7 +74,9 @@ fn record_lifecycle<R: Recorder>(plan: &FaultPlan, rec: &mut R) {
 /// onto worker threads.
 #[derive(Debug)]
 pub struct FaultyEftState {
-    plan: FaultPlan,
+    /// Fit queries at `max(release, C_j)`, which never decreases per
+    /// machine: releases are non-decreasing and `C_j` only grows.
+    cursor: FaultCursor<FaultPlan>,
     completions: CompletionBank,
     breaker: Breaker,
     /// Scratch buffer for the tie set, reused across dispatches.
@@ -90,7 +92,7 @@ impl FaultyEftState {
         let m = plan.machines();
         assert!(m > 0, "need at least one machine");
         FaultyEftState {
-            plan,
+            cursor: FaultCursor::new(plan),
             completions: CompletionBank::new(m),
             breaker: policy.breaker(),
             ties: Vec::new(),
@@ -126,7 +128,7 @@ impl FaultyEftState {
             } else {
                 completions[j]
             };
-            let s = self.plan.earliest_fit(j, ready, task.ptime);
+            let s = self.cursor.earliest_fit(j, ready, task.ptime);
             if s < best {
                 best = s;
                 self.ties.clear();

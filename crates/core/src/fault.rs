@@ -36,6 +36,7 @@
 //! existing engine, bitwise" property in `tests/fault_injection.rs`
 //! possible.
 
+use std::borrow::Borrow;
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
@@ -249,27 +250,13 @@ impl FaultPlan {
         pos == 0 || list[pos - 1].up <= t
     }
 
-    /// The earliest instant `≥ t` at which machine `j` is alive (`t`
-    /// itself when alive, else the end of the outage chain covering it).
-    ///
-    /// [`with_outage`](FaultPlan::with_outage) permits exactly-touching
-    /// outages (`[a, b) + [b, c)` = contiguously down), so reaching the
-    /// end of the covering outage is not enough: the scan keeps skipping
-    /// while the next outage begins exactly where the previous one ended.
-    /// The returned instant always satisfies `is_alive`.
+    /// The earliest instant `≥ t` at which machine `j` is alive: `t`
+    /// itself when alive, else the end of the outage chain covering it.
+    /// This is [`earliest_fit`](FaultPlan::earliest_fit) with a zero
+    /// duration, so the returned instant always satisfies `is_alive`.
     #[inline]
     pub fn next_alive(&self, j: usize, t: Time) -> Time {
-        let list = &self.machines[j].outages;
-        let mut pos = list.partition_point(|o| o.down <= t);
-        if pos == 0 || list[pos - 1].up <= t {
-            return t;
-        }
-        let mut candidate = list[pos - 1].up;
-        while pos < list.len() && list[pos].down <= candidate {
-            candidate = list[pos].up;
-            pos += 1;
-        }
-        candidate
+        self.earliest_fit(j, t, 0.0)
     }
 
     /// The earliest start `s ≥ t` such that machine `j` is alive for
@@ -280,20 +267,7 @@ impl FaultPlan {
     /// finite, so the machine is alive forever after its last outage.
     pub fn earliest_fit(&self, j: usize, t: Time, duration: Time) -> Time {
         let list = &self.machines[j].outages;
-        let mut s = self.next_alive(j, t);
-        let mut pos = list.partition_point(|o| o.down <= s);
-        while pos < list.len() && list[pos].down < s + duration {
-            // Advance past the blocking outage and any chain of
-            // exactly-touching outages after it, so `s` is always a
-            // truly alive instant (even for zero durations).
-            s = list[pos].up;
-            pos += 1;
-            while pos < list.len() && list[pos].down <= s {
-                s = list[pos].up;
-                pos += 1;
-            }
-        }
-        s
+        fit(&list[list.partition_point(|o| o.up <= t)..], t, duration)
     }
 
     /// The earliest instant `≥ t` at which *some* member of `set` is
@@ -328,12 +302,11 @@ impl FaultPlan {
         t: Time,
         scratch: &'a mut Vec<usize>,
     ) -> ProcSetRef<'a> {
-        if set.iter().all(|j| self.is_alive(j, t)) {
-            return set;
+        if restrict(set, scratch, |j| self.is_alive(j, t)) {
+            set
+        } else {
+            ProcSetRef::Explicit(scratch)
         }
-        scratch.clear();
-        scratch.extend(set.iter().filter(|&j| self.is_alive(j, t)));
-        ProcSetRef::Explicit(scratch)
     }
 
     /// All crash/recover transitions of the plan, sorted by time (ties
@@ -373,6 +346,109 @@ impl FaultPlan {
             machines: self.machines[start..start + len].to_vec(),
             dispatch_latency: self.dispatch_latency,
         }
+    }
+}
+
+/// The seek-and-fit tail of every availability query: the earliest
+/// start `s ≥ t` whose window `[s, s + duration)` meets none of
+/// `ahead`, one machine's outages with `up > t` in order. An outage
+/// blocks when it covers `s` or begins before the window ends; the
+/// covering test skips a chain of exactly-touching outages
+/// (`[a, b) + [b, c)`) even for a zero duration.
+fn fit(ahead: &[Outage], mut s: Time, duration: Time) -> Time {
+    for o in ahead {
+        if o.covers(s) || o.down < s + duration {
+            s = o.up;
+        } else {
+            break;
+        }
+    }
+    s
+}
+
+/// Restricts `set` to the members `alive` accepts: `true` when all pass,
+/// else `false` with the passing members in `scratch`, ascending —
+/// possibly none, meaning the task is stranded.
+fn restrict(
+    set: ProcSetRef<'_>,
+    scratch: &mut Vec<usize>,
+    mut alive: impl FnMut(usize) -> bool,
+) -> bool {
+    if set.iter().all(&mut alive) {
+        return true;
+    }
+    scratch.clear();
+    scratch.extend(set.iter().filter(|&j| alive(j)));
+    false
+}
+
+/// Availability queries over a [`FaultPlan`] (owned or borrowed), in
+/// amortized O(1) when each machine's query times never decrease.
+///
+/// Per machine it keeps the index of the first outage with `up > t` for
+/// the last query `t`, and lanes hold the alive window `[floor,
+/// next_down)` before it: a query inside costs two loads. In any call
+/// order, answers are bitwise the stateless ones (for non-NaN `t`).
+#[derive(Debug)]
+pub struct FaultCursor<P> {
+    plan: P,
+    next: Vec<usize>,
+    floor: Vec<Time>,
+    next_down: Vec<Time>,
+}
+
+impl<P: Borrow<FaultPlan>> FaultCursor<P> {
+    /// A cursor over `plan`.
+    pub fn new(plan: P) -> Self {
+        let m = plan.borrow().machines();
+        FaultCursor {
+            plan,
+            next: vec![0; m],
+            floor: vec![Time::INFINITY; m],
+            next_down: vec![Time::NEG_INFINITY; m],
+        }
+    }
+
+    /// The plan the cursor answers for.
+    #[inline]
+    pub fn plan(&self) -> &FaultPlan {
+        self.plan.borrow()
+    }
+
+    /// [`FaultPlan::is_alive`]: whether a zero-length task fits at `t`.
+    #[inline]
+    pub fn is_alive(&mut self, j: usize, t: Time) -> bool {
+        self.earliest_fit(j, t, 0.0) == t
+    }
+
+    /// [`FaultPlan::earliest_fit`]; a task fits at `t` in the window
+    /// when `t + duration ≤ next_down`.
+    #[inline]
+    pub fn earliest_fit(&mut self, j: usize, t: Time, duration: Time) -> Time {
+        let next_down = self.next_down[j];
+        if self.floor[j] <= t && t < next_down && t + duration <= next_down {
+            return t;
+        }
+        self.refit(j, t, duration)
+    }
+
+    /// Outside the window: walks to the first outage with `up > t` (a
+    /// binary search when `t < floor`), refreshes the lanes (`±∞` past
+    /// the list's ends) and fits; out of line, so the fast path inlines.
+    #[inline(never)]
+    fn refit(&mut self, j: usize, t: Time, duration: Time) -> Time {
+        let list = &self.plan.borrow().machines[j].outages;
+        let mut pos = self.next[j];
+        if t < self.floor[j] {
+            pos = list.partition_point(|o| o.up <= t);
+        }
+        while list.get(pos).is_some_and(|o| o.up <= t) {
+            pos += 1;
+        }
+        self.next[j] = pos;
+        self.floor[j] = list[..pos].last().map_or(Time::NEG_INFINITY, |o| o.up);
+        self.next_down[j] = list.get(pos).map_or(Time::INFINITY, |o| o.down);
+        fit(&list[pos..], t, duration)
     }
 }
 
@@ -425,8 +501,12 @@ impl Ord for Deferred {
 /// non-decreasing (the engines assert this).
 pub struct FaultyStream<'p, S> {
     inner: S,
-    plan: &'p FaultPlan,
+    /// Alive queries at the shifted releases, which never decrease.
+    cursor: FaultCursor<&'p FaultPlan>,
     fault_free: bool,
+    /// Some machine runs below full speed; otherwise `p / 1.0 == p` and
+    /// the per-member speed scan is skipped.
+    degraded: bool,
     /// Next inner arrival (already latency-shifted), not yet emitted.
     lookahead: Option<(Task, CompactProcSet)>,
     inner_done: bool,
@@ -451,8 +531,9 @@ impl<'p, S: ArrivalStream> FaultyStream<'p, S> {
         );
         FaultyStream {
             fault_free: plan.is_fault_free(),
+            degraded: plan.machines.iter().any(|f| f.speed < 1.0),
             inner,
-            plan,
+            cursor: FaultCursor::new(plan),
             lookahead: None,
             inner_done: false,
             deferred: BinaryHeap::new(),
@@ -467,7 +548,7 @@ impl<'p, S: ArrivalStream> FaultyStream<'p, S> {
         if self.lookahead.is_none() && !self.inner_done {
             match self.inner.next_arrival() {
                 Some((t, set)) => {
-                    let shifted = Task::new(t.release + self.plan.dispatch_latency, t.ptime);
+                    let shifted = Task::new(t.release + self.cursor.plan().latency(), t.ptime);
                     self.lookahead = Some((shifted, CompactProcSet::from(set)));
                 }
                 None => self.inner_done = true,
@@ -510,25 +591,18 @@ impl<S: ArrivalStream> ArrivalStream for FaultyStream<'_, S> {
                 (t, seq)
             };
             // Restrict to the machines alive at the (shifted) release.
-            let all_alive = {
-                let plan = self.plan;
-                let view = self.current.as_view();
-                if view.iter().all(|j| plan.is_alive(j, task.release)) {
-                    true
-                } else {
-                    self.scratch.clear();
-                    self.scratch
-                        .extend(view.iter().filter(|&j| plan.is_alive(j, task.release)));
-                    false
-                }
-            };
+            let cursor = &mut self.cursor;
+            let all_alive = restrict(self.current.as_view(), &mut self.scratch, |j| {
+                cursor.is_alive(j, task.release)
+            });
             if !all_alive && self.scratch.is_empty() {
                 // Stranded: every member is down. Park until the first
                 // recovery of any member; at that instant the
                 // restriction is non-empty by construction, so a
                 // deferred task is never re-deferred.
                 let ready = self
-                    .plan
+                    .cursor
+                    .plan()
                     .next_alive_in(self.current.as_view(), task.release)
                     .expect("processing sets are non-empty");
                 let set = std::mem::replace(&mut self.current, CompactProcSet::Prefix { len: 1 });
@@ -545,12 +619,15 @@ impl<S: ArrivalStream> ArrivalStream for FaultyStream<'_, S> {
             } else {
                 ProcSetRef::Explicit(&self.scratch)
             };
-            let speed = self
-                .plan
-                .min_speed_in(view)
-                .expect("restricted set is non-empty");
-            let stretched = Task::new(task.release, task.ptime / speed);
-            return Some((stretched, view));
+            let mut ptime = task.ptime;
+            if self.degraded {
+                ptime /= self
+                    .cursor
+                    .plan()
+                    .min_speed_in(view)
+                    .expect("restricted set is non-empty");
+            }
+            return Some((Task::new(task.release, ptime), view));
         }
     }
 

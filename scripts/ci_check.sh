@@ -22,7 +22,9 @@
 #      Poisson stream under a 1% crash-rate fault plan, asserting
 #      bounded memory (VmHWM growth < 32 MiB) in-process; the stage
 #      asserts the schedule hash is identical under FLOWSCHED_THREADS=1
-#      and =4 (the faulty engine is thread-count invariant too)
+#      and =4 (the faulty engine is thread-count invariant too) and
+#      equals the pinned FAULT_SOAK_HASH, so a schedule change that is
+#      the same at both thread counts still fails
 #   9. competitive-ratio ladder: the ratio_ladder bin runs every
 #      registry policy (eft / weft / setup variants) over its
 #      adversarial stream and asserts the measured ratios stay inside
@@ -36,13 +38,18 @@
 #      m = 2^20 via FLOWSCHED_SMOKE_M/N — the SoA completion bank,
 #      SIMD tie scan, and branchless segment-tree descent at the
 #      million-machine scale (ISSUE 10)
-#  12. bench gate (warn-only): scripts/bench_gate.sh re-runs the benches
+#  12. performance-ledger smoke: perf_ledger's `--smoke` mode runs every
+#      ledger workload over 20k tasks with all of its output checks (no
+#      task of faulty_m256 runs across an outage, sharded and observed
+#      runs reproduce the sequential schedule) and exits non-zero on any
+#      failure
+#  13. bench gate (warn-only): scripts/bench_gate.sh re-runs the benches
 #      behind BENCH_PR1/PR3/PR4/PR5/PR6/PR9/PR10.json and reports
 #      medians that drifted past the noise tolerance — it never fails
 #      the build
 #
 # Usage:
-#   scripts/ci_check.sh                 # all twelve stages
+#   scripts/ci_check.sh                 # all thirteen stages
 #   scripts/ci_check.sh --no-clippy     # skip the lint stage (e.g. when
 #                                       # the toolchain lacks clippy)
 #   scripts/ci_check.sh --no-bench-gate # skip the (slow) bench stage
@@ -109,6 +116,11 @@ if [ -z "$FHASH1" ] || [ "$FHASH1" != "$FHASH4" ]; then
   echo "ci_check: faulty schedule hash diverges across thread counts" >&2
   exit 1
 fi
+FAULT_SOAK_HASH=0xbd8cc20a18264c9b
+if [ "$FHASH1" != "$FAULT_SOAK_HASH" ]; then
+  echo "ci_check: faulty schedule hash $FHASH1 differs from the pinned $FAULT_SOAK_HASH" >&2
+  exit 1
+fi
 
 echo
 echo "== competitive-ratio ladder (envelope gate) =="
@@ -122,6 +134,10 @@ echo
 echo "== 2^20-machine smoke run (SoA bank + branchless descent) =="
 FLOWSCHED_SMOKE_M=1048576 FLOWSCHED_SMOKE_N=200000 \
   cargo run -q --release -p flowsched-bench --bin smoke_scale
+
+echo
+echo "== performance-ledger smoke (every workload, every check) =="
+cargo run --release --offline --manifest-path perf_ledger/Cargo.toml -- --smoke
 
 if [ "$RUN_BENCH_GATE" = 1 ]; then
   echo

@@ -30,9 +30,12 @@
 //!
 //! The suite also carries ISSUE 7's satellite tests: the
 //! `restrict_alive` compact-view oracle equivalence, the re-queue
-//! arrival-order regression, and the report-balance invariant.
+//! arrival-order regression, and the report-balance invariant — plus
+//! `fault_cursor_matches_stateless_queries`, which holds the outage
+//! cursor of the hot paths to the stateless binary searches.
 
 use proptest::prelude::*;
+use rand::Rng;
 
 use flowsched::algos::eft::eft_stream;
 use flowsched::algos::engine::{DispatchSink, ShardedConfig};
@@ -40,7 +43,7 @@ use flowsched::algos::faulty::{faulty_schedule, faulty_schedule_sharded, run_imm
 use flowsched::algos::offline::optimal_unit_fmax;
 use flowsched::algos::tiebreak::TieBreak;
 use flowsched::core::compact::ProcSetRef;
-use flowsched::core::fault::FaultPlan;
+use flowsched::core::fault::{FaultCursor, FaultPlan};
 use flowsched::core::procset::ProcSet;
 use flowsched::core::schedule::Assignment;
 use flowsched::core::shard::DEFAULT_MAX_SHARDS;
@@ -49,6 +52,7 @@ use flowsched::core::task::Task;
 use flowsched::obs::{MemoryRecorder, NoopRecorder};
 use flowsched::sim::driver::simulate_stream_faulty;
 use flowsched::sim::report::ReportConfig;
+use flowsched::stats::rng::derive_rng;
 use flowsched::workloads::faults::{random_fault_plan, FaultPlanConfig};
 use flowsched::workloads::random::{
     random_instance, PoissonStream, PoissonStreamConfig, RandomInstanceConfig, StructureKind,
@@ -182,7 +186,9 @@ proptest! {
 
     /// Property 3: the sharded faulty engine is bitwise thread-count
     /// invariant under a fixed seed — including `Rand`, whose per-shard
-    /// RNGs are seeded by shard index, not by worker.
+    /// RNGs are seeded by shard index, not by worker — and for `Min` and
+    /// `Max` equals the sequential engine, whose single outage cursor
+    /// must answer as the per-shard cursors over plan slices do.
     #[test]
     fn faulty_schedule_is_thread_count_invariant(
         m_raw in 2usize..20,
@@ -213,6 +219,10 @@ proptest! {
         let one = run(1);
         let four = run(4);
         prop_assert_eq!(&one, &four, "{:?}: schedules differ across thread counts", tb);
+        if !matches!(tb, TieBreak::Rand { .. }) {
+            let seq = faulty_schedule(stream_for(kind, m, n, seed), &plan, tb, &mut NoopRecorder);
+            prop_assert_eq!(&one, &seq, "{:?}: sharded differs from sequential", tb);
+        }
     }
 
     /// Property 4: a fault-free plan reproduces the plain engine bitwise
@@ -248,6 +258,82 @@ proptest! {
             faulty_rec.trace().to_vec(),
             "{:?} {:?}: recorder traces differ", kind, tb
         );
+    }
+
+    /// Satellite: `FaultCursor` answers `is_alive` and `earliest_fit`
+    /// bitwise like the stateless `FaultPlan` searches — on sampled plans
+    /// (which include touching chains) and on hand-built `[a,b)+[b,c)`
+    /// chains, at outage endpoints, inside outages and between them,
+    /// with zero, tiny and positive durations and durations that end
+    /// exactly at the next crash, along per-machine query times that
+    /// mostly advance but sometimes step back, where the cursor must
+    /// re-seek rather than answer from its stale window.
+    #[test]
+    fn fault_cursor_matches_stateless_queries(
+        m in 1usize..6,
+        hand_built in any::<bool>(),
+        rate in 0.05f64..0.6,
+        steps in 1usize..400,
+        seed in any::<u64>(),
+    ) {
+        let mut rng = derive_rng(seed, 0xC5);
+        let plan = if hand_built {
+            // Dyadic lengths keep every endpoint exact. Each group is a
+            // chain of one to three touching outages; a zero gap joins
+            // it to the previous group.
+            let mut plan = FaultPlan::none(m);
+            for j in 0..m {
+                let mut t = 0.0;
+                for _ in 0..rng.random_range(0..12usize) {
+                    t += [0.0, 0.5, 1.0, 3.0][rng.random_range(0..4usize)];
+                    for _ in 0..rng.random_range(1..4usize) {
+                        let len = [0.25, 0.5, 1.0, 2.0][rng.random_range(0..4usize)];
+                        plan = plan.with_outage(j, t, t + len);
+                        t += len;
+                    }
+                }
+            }
+            plan
+        } else {
+            plan_for(m, rate, 0.0, false, seed)
+        };
+        // Per machine, sorted candidate query times: every endpoint, the
+        // middle of every outage and of every gap, and random instants.
+        let times: Vec<Vec<f64>> = (0..m)
+            .map(|j| {
+                let mut ts = vec![0.0];
+                let mut prev_up = 0.0;
+                for o in plan.faults(j).outages() {
+                    ts.extend([o.down, o.up, (o.down + o.up) / 2.0, (prev_up + o.down) / 2.0]);
+                    prev_up = o.up;
+                }
+                ts.extend((0..8).map(|_| rng.random_range(0.0..prev_up + 5.0)));
+                ts.sort_by(f64::total_cmp);
+                ts
+            })
+            .collect();
+        let mut at = vec![0usize; m];
+        let mut cursor = FaultCursor::new(&plan);
+        for _ in 0..steps {
+            let j = rng.random_range(0..m);
+            at[j] = if rng.random_bool(0.125) {
+                rng.random_range(0..at[j] + 1)
+            } else {
+                (at[j] + rng.random_range(0..3usize)).min(times[j].len() - 1)
+            };
+            let t = times[j][at[j]];
+            let outages = plan.faults(j).outages();
+            let to_next_down = outages.iter().find(|o| o.down > t).map_or(1.0, |o| o.down - t);
+            let d = [0.0, f64::MIN_POSITIVE, 0.5, 2.5, to_next_down][rng.random_range(0..5usize)];
+            if rng.random_bool(0.5) {
+                prop_assert_eq!(cursor.is_alive(j, t), plan.is_alive(j, t), "is_alive({j}, {t})");
+            }
+            prop_assert_eq!(
+                cursor.earliest_fit(j, t, d).to_bits(),
+                plan.earliest_fit(j, t, d).to_bits(),
+                "earliest_fit({j}, {t}, {d})"
+            );
+        }
     }
 
     /// Satellite: `FaultPlan::restrict_alive` over every compact view
