@@ -17,9 +17,10 @@
 //! and arrival they produce the same assignment and consume the same
 //! number of RNG draws (pinned by `tests/kernel_equivalence.rs` and the
 //! mixed-shape oracle tests). A switch moves the completion bank and
-//! the [`Breaker`] — *including its RNG state* — into the other core
-//! and rebuilds only derived index structures, so the dispatch sequence
-//! after a switch is indistinguishable from never having switched.
+//! the [`Breaker`](crate::tiebreak::Breaker) — *including its RNG
+//! state* — into the other core and rebuilds only derived index
+//! structures, so the dispatch sequence after a switch is
+//! indistinguishable from never having switched.
 //! `tests/simd_scan.rs` pins this end to end across families and
 //! tie-breaks.
 //!

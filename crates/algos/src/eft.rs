@@ -40,9 +40,9 @@ use crate::tiebreak::{Breaker, TieBreak};
 ///
 /// This is the scalar oracle behind [`ScanImpl::Scalar`]; the default
 /// [`ScanImpl::Simd`] path runs the two-pass vectorized
-/// [`scan_ties_simd`](crate::soa::scan_ties_simd) over the padded SoA
-/// bank, which produces the bitwise-identical tie set (proof sketch in
-/// the [`soa`](crate::soa) module docs, pinned by `tests/simd_scan.rs`).
+/// [`scan_ties_simd`] over the padded SoA bank, which produces the
+/// bitwise-identical tie set (proof sketch in the [`soa`](crate::soa)
+/// module docs, pinned by `tests/simd_scan.rs`).
 pub fn scan_ties(
     completions: &[Time],
     members: impl Iterator<Item = usize>,
@@ -340,7 +340,7 @@ pub fn eft_stream<S: ArrivalStream, R: Recorder>(
 }
 
 /// [`eft_stream`] with the dispatch kernel forced: `Scalar` is the
-/// member-scan oracle, `Indexed` the segment-tree/cluster-heap kernel,
+/// member-scan oracle, `Indexed` the lane-index/cluster-heap kernel,
 /// `Auto` (what [`eft_stream`] uses) selects from the stream's
 /// structure hint — set width as well as machine count, per the
 /// crossover model of

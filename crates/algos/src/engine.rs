@@ -13,7 +13,8 @@
 //!   generator from `flowsched-workloads` that never holds more than one
 //!   arrival;
 //! - the **recorder** (`R:` [`Recorder`]) — instrumentation hooks that
-//!   fold away entirely under [`NoopRecorder`];
+//!   fold away entirely under
+//!   [`NoopRecorder`](flowsched_obs::NoopRecorder);
 //! - the **sink** (`K:` [`DispatchSink`]) — what to do with each
 //!   committed assignment: collect a [`Schedule`], or fold it into a
 //!   streaming report without materializing anything.
@@ -340,13 +341,11 @@ impl Drop for ShardStatsFlush {
     }
 }
 
-/// [`run_policy_sharded`] with a wall-clock
-/// [`PipelineProbe`](flowsched_obs::pipeline::PipelineProbe) observing
-/// the transport (see
-/// [`run_sharded_probed`](flowsched_parallel::sharded::run_sharded_probed)
-/// for the stage map). The probe watches the pipeline only — routing,
-/// dispatch, and merge order are untouched, so schedules, recorder
-/// traces, and sink folds are identical to the unprobed run.
+/// [`run_policy_sharded`] with a wall-clock [`PipelineProbe`] observing
+/// the transport (see [`run_sharded_probed`] for the stage map). The
+/// probe watches the pipeline only — routing, dispatch, and merge order
+/// are untouched, so schedules, recorder traces, and sink folds are
+/// identical to the unprobed run.
 ///
 /// Like [`run_immediate`], kernel decision counters flush into `rec`
 /// after the run — summed across shards, since each worker's dispatcher
@@ -411,7 +410,7 @@ where
 /// The parallel counterpart of [`run_immediate`] for EFT: dispatches
 /// each shard of `plan` on its own worker
 /// ([`run_sharded`](flowsched_parallel::sharded::run_sharded)) with an
-/// [`EftKernelState`] per shard, and commits results on the calling
+/// [`EftKernelState`](crate::indexed::EftKernelState) per shard, and commits results on the calling
 /// thread in strict arrival order through the same `CommitTracker`
 /// path as the sequential engine.
 ///

@@ -8,12 +8,14 @@
 //! compact [`ProcSetRef`] shapes arrival streams now lend:
 //!
 //! - **Interval / prefix / ring sets** are one or two index ranges, so a
-//!   *leftmost-argmin segment tree* ([`MinTree`]) over the machine
-//!   completion times answers `min_{j∈Mᵢ} C_j` with a range-min query
-//!   and finds the picked machine by bound-pruned descent — O(log m)
-//!   per task for `Min`/`Max` tie-breaks, O(|U'ᵢ| log m) for `Rand`
-//!   (which must enumerate the whole tie set to reproduce the
-//!   `Breaker::pick` RNG contract: one `random_range(0..|U'ᵢ|)` draw).
+//!   *lane index* over the machine completion times — the
+//!   [`CompletionBank`] as its leaf level, and above it one level of
+//!   8-wide lane minima after another — answers `min_{j∈Mᵢ} C_j` with a
+//!   range-min walk and finds the picked machine by a bitmask descent:
+//!   O(log₈ m) lanes per task for `Min`/`Max` tie-breaks,
+//!   O(|U'ᵢ| log₈ m) for `Rand` (which must enumerate the whole tie set
+//!   to reproduce the `Breaker::pick` RNG contract: one
+//!   `random_range(0..|U'ᵢ|)` draw).
 //! - **Explicit sets** go through a cluster index: the first time a
 //!   member slice is seen, its machines are claimed and a per-cluster
 //!   binary min-heap of completions is built (the disjoint-family case,
@@ -28,12 +30,11 @@
 //! `tests/kernel_equivalence.rs`.
 //!
 //! Staleness discipline: machine completions only ever *increase*, so a
-//! heap entry is allowed to understate its machine's completion. Both
-//! lazy structures rely on this — the segment tree is updated eagerly
-//! on every commit, while cluster heap entries self-heal on peek
-//! (a stale top is re-keyed and re-sifted; an accurate top is the true
-//! minimum because every other entry understates or equals its own,
-//! later, completion).
+//! heap entry is allowed to understate its machine's completion. The
+//! lane index is updated eagerly on every commit, while cluster heap
+//! entries self-heal on peek (a stale top is re-keyed and re-sifted; an
+//! accurate top is the true minimum because every other entry
+//! understates or equals its own, later, completion).
 
 use flowsched_core::compact::ProcSetRef;
 use flowsched_core::machine::MachineId;
@@ -44,7 +45,7 @@ use flowsched_core::time::Time;
 
 use crate::adaptive::AdaptiveEftState;
 use crate::eft::{scan_ties, EftState, ImmediateDispatcher};
-use crate::soa::{scan_ties_simd, CompletionBank, ScanImpl, SoaMinHeap};
+use crate::soa::{scan_ties_simd, CompletionBank, ScanImpl, SoaMinHeap, LANE};
 use crate::tiebreak::{Breaker, TieBreak};
 
 /// Decision counters of the indexed kernel — which path served each
@@ -52,14 +53,16 @@ use crate::tiebreak::{Breaker, TieBreak};
 ///
 /// Monotone over a run; the engine flushes them into the recorder's
 /// `IndexedDescents` / `ScalarFallbackScans` / `HeapSelfHeals` counters
-/// after sequential runs (sharded workers consume their dispatchers on
-/// other threads, so their stats stay thread-local). A high
+/// at the end of a run. In a sharded run each worker's dispatcher
+/// flushes its counters into a shared accumulator when it drops, and
+/// the engine adds the sums across shards, so the recorder sees the
+/// same counters as after a sequential run. A high
 /// `scalar_fallback_scans` share means the workload's explicit sets
 /// overlap and defeat the cluster index; a high `heap_self_heals` rate
 /// means interval and explicit traffic interleave on the same machines.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct KernelStats {
-    /// Dispatches answered by the segment tree or a cluster heap.
+    /// Dispatches answered by the lane index or a cluster heap.
     pub indexed_descents: u64,
     /// Explicit-set dispatches that fell back to the scalar tie scan.
     pub scalar_fallback_scans: u64,
@@ -80,7 +83,7 @@ impl KernelStats {
 
 /// Machine count at which [`DispatchKernel::Auto`] switches to the
 /// indexed kernel. Below it the scalar scan's cache-friendly sweep wins;
-/// above it the O(log m) tree pays off even for moderate set widths.
+/// above it the O(log m) index pays off even for moderate set widths.
 pub const AUTO_INDEXED_MIN_MACHINES: usize = 64;
 
 /// Which EFT dispatch kernel to run. All choices produce
@@ -92,9 +95,8 @@ pub enum DispatchKernel {
     /// ([`AUTO_INDEXED_MIN_MACHINES`]), classify the arriving sets
     /// incrementally, and re-resolve through
     /// [`for_structure`](DispatchKernel::for_structure) after a warmup
-    /// window and on classification changes
-    /// ([`AdaptiveEftState`](crate::adaptive::AdaptiveEftState)).
-    /// When the stream offers a
+    /// window and on classification changes ([`AdaptiveEftState`]). When
+    /// the stream offers a
     /// [`structure_hint`](flowsched_core::stream::ArrivalStream::structure_hint),
     /// [`resolve_for_stream`](DispatchKernel::resolve_for_stream)
     /// settles the choice up front instead.
@@ -102,7 +104,7 @@ pub enum DispatchKernel {
     Auto,
     /// Force the member-scan oracle ([`EftState`]).
     Scalar,
-    /// Force the segment-tree / cluster-heap kernel
+    /// Force the lane-index / cluster-heap kernel
     /// ([`IndexedEftState`]).
     Indexed,
 }
@@ -133,7 +135,7 @@ impl DispatchKernel {
     /// below the crossover (m = 64: 614 µs indexed vs 348 µs scalar for
     /// k = 4; m = 256: 761 µs vs 575 µs for k = 16) and won above it
     /// (m = 1024: 1.11 ms vs 1.45 ms for k = 64) — scanning a handful
-    /// of members is cheaper than a tree descent, however large `m` is.
+    /// of members is cheaper than an index descent, however large `m` is.
     /// [`indexed_min_width`] places the cut between those measured
     /// points; families with no fixed width (mixed or unknown set
     /// sizes, `fixed_size == None`) keep the index, matching the
@@ -176,205 +178,261 @@ impl DispatchKernel {
 }
 
 /// Minimum fixed set width for which the indexed kernel is expected to
-/// beat the scalar scan on `m` machines: `2·⌈log₂ m⌉`-ish (two tree
+/// beat the scalar scan on `m` machines: `2·⌈log₂ m⌉`-ish (two binary
 /// descents' worth of nodes). A scalar dispatch touches `k` completion
-/// slots sequentially; an indexed one touches O(log m) scattered tree
-/// nodes for the query plus log m for the commit — so narrow sets on
+/// slots sequentially; an indexed one touches O(log m) scattered index
+/// entries for the query plus more for the commit — so narrow sets on
 /// huge machine counts still favor the sweep. The constant is pinned by
 /// the BENCH_PR5 medians quoted at
-/// [`for_structure`](DispatchKernel::for_structure).
+/// [`for_structure`](DispatchKernel::for_structure), measured when the
+/// index was a binary segment tree.
 pub fn indexed_min_width(m: usize) -> usize {
     2 * (usize::BITS - m.leading_zeros()) as usize
 }
 
-/// Upper bound on segment-tree depth (and canonical-decomposition node
-/// count per side): `leaves ≤ 2^63` on a 64-bit target, so fixed
-/// stack-allocated node buffers of this size never overflow.
-const MAX_TREE_DEPTH: usize = 64;
-
-/// A segment tree over machine completion times supporting point
-/// update, range minimum, and bound-pruned leftmost/rightmost/collect
-/// descent — the index behind [`IndexedEftState`].
+/// A lane index over the completion bank, the min index behind
+/// [`IndexedEftState`]. `levels[0]` *is* the bank; entry `i` of
+/// `levels[k + 1]` is the minimum of lane `i` (entries `8i .. 8i + 8`) of
+/// `levels[k]`, up to a level of one lane. Every level is a lane-aligned,
+/// `+∞`-padded [`CompletionBank`]: at m = 4096, three levels of 512, 64
+/// and 8 entries (4.6 KiB) above the 32 KiB bank; at m = 2²⁰, 1.1 MiB
+/// above an 8 MiB bank.
 ///
-/// Leaves are padded to a power of two with `+∞` so every internal node
-/// has two children; leaf `j` lives at `leaves + j` in the flattened
-/// 1-based array (parent `i`, children `2i`/`2i+1` — the
-/// prefetch-friendly Eytzinger layout, no pointers).
-///
-/// The descents are *branchless*: a query range `[lo, hi]` is first
-/// decomposed bottom-up into its O(log m) canonical nodes (pure index
-/// arithmetic, no value-dependent branches), and the in-subtree walk to
-/// a qualifying leaf is an arithmetic child-select —
-/// `node = 2·node + (vals[2·node] > bound)` — with no data-dependent
-/// branch for the hardware to mispredict on random completion data.
+/// Every query walks the levels bottom-up ([`walk`](Self::walk)). At
+/// each level the range has two edge lanes, read under slot masks, and
+/// the lanes strictly between them are the range one level up. The lane
+/// addresses depend only on `lo` and `hi`, so the loads of all levels
+/// issue at once and no branch depends on their bits.
 #[derive(Debug, Clone)]
-struct MinTree {
-    leaves: usize,
-    vals: Vec<Time>,
+struct LaneIndex {
+    levels: Vec<CompletionBank>,
 }
 
-impl MinTree {
-    /// Tree over `m` machines, all completions 0.
-    fn new(m: usize) -> Self {
-        let leaves = m.next_power_of_two();
-        let mut vals = vec![f64::INFINITY; 2 * leaves];
-        for v in &mut vals[leaves..leaves + m] {
-            *v = 0.0;
+impl LaneIndex {
+    /// Index whose leaf level is `bank`.
+    fn new(bank: CompletionBank) -> Self {
+        let mut levels = vec![bank];
+        while let Some(top) = levels.last().filter(|top| top.padded().len() > LANE) {
+            let lanes = top.padded().len() / LANE;
+            let mins: Vec<Time> = (0..lanes).map(|i| lane_min(*top.lane(i))).collect();
+            levels.push(CompletionBank::from_completions(&mins));
         }
-        for i in (1..leaves).rev() {
-            vals[i] = vals[2 * i].min(vals[2 * i + 1]);
-        }
-        MinTree { leaves, vals }
+        LaneIndex { levels }
     }
 
-    /// Tree seeded from an existing completion slice (what a mid-stream
-    /// kernel switch rebuilds the index from).
-    fn from_values(completions: &[Time]) -> Self {
-        let mut t = MinTree::new(completions.len());
-        for (j, &v) in completions.iter().enumerate() {
-            t.vals[t.leaves + j] = v;
-        }
-        for i in (1..t.leaves).rev() {
-            t.vals[i] = t.vals[2 * i].min(t.vals[2 * i + 1]);
-        }
-        t
-    }
-
-    /// Canonical-node decomposition of `[lo, hi]` (inclusive): the
-    /// disjoint maximal subtrees covering the range, written into
-    /// `nodes` in ascending leaf-position order. Pure index arithmetic —
-    /// the value-dependent work happens only after, on the O(log m)
-    /// canonical roots.
-    fn decompose(&self, lo: usize, hi: usize, nodes: &mut [usize; MAX_TREE_DEPTH]) -> usize {
-        let (mut l, mut r) = (self.leaves + lo, self.leaves + hi + 1);
-        let mut left = [0usize; MAX_TREE_DEPTH];
-        let mut right = [0usize; MAX_TREE_DEPTH];
-        let (mut ln, mut rn) = (0, 0);
-        // Standard bottom-up sweep: left-edge nodes come out in
-        // ascending position order, right-edge nodes in descending.
-        while l < r {
-            if l & 1 == 1 {
-                left[ln] = l;
-                ln += 1;
-                l += 1;
-            }
-            if r & 1 == 1 {
-                r -= 1;
-                right[rn] = r;
-                rn += 1;
-            }
-            l /= 2;
-            r /= 2;
-        }
-        nodes[..ln].copy_from_slice(&left[..ln]);
-        for i in 0..rn {
-            nodes[ln + i] = right[rn - 1 - i];
-        }
-        ln + rn
-    }
-
-    /// Leftmost qualifying leaf inside the subtree rooted at `node`
-    /// (whose min is known `≤ bound`): arithmetic child-select, no
-    /// data-dependent branches.
+    /// The completion bank (the leaf level).
     #[inline]
-    fn descend_leftmost(&self, mut node: usize, bound: Time) -> usize {
-        while node < self.leaves {
-            let l = 2 * node;
-            node = l + (self.vals[l] > bound) as usize;
-        }
-        node - self.leaves
+    fn bank(&self) -> &CompletionBank {
+        &self.levels[0]
     }
 
-    /// Rightmost counterpart of
-    /// [`descend_leftmost`](Self::descend_leftmost).
-    #[inline]
-    fn descend_rightmost(&self, mut node: usize, bound: Time) -> usize {
-        while node < self.leaves {
-            let r = 2 * node + 1;
-            node = r - (self.vals[r] > bound) as usize;
-        }
-        node - self.leaves
+    /// Gives the bank back, dropping the levels above it.
+    fn into_bank(mut self) -> CompletionBank {
+        self.levels.swap_remove(0)
     }
 
-    /// Sets machine `j`'s completion to `v` and refreshes its ancestors.
-    fn update(&mut self, j: usize, v: Time) {
-        let mut i = self.leaves + j;
-        self.vals[i] = v;
-        while i > 1 {
-            i /= 2;
-            self.vals[i] = self.vals[2 * i].min(self.vals[2 * i + 1]);
+    /// Sets machine `j`'s completion to `v` and refreshes one slot per
+    /// level, with no early exit. Each lane is read before its slot is
+    /// written, so no load waits on the store, and the minimum of the
+    /// other seven slots does not wait for `v`.
+    fn set(&mut self, j: usize, v: Time) {
+        let (top, below) = self.levels.split_last_mut().expect("a bank level");
+        let (mut pos, mut v) = (j, v);
+        for level in below {
+            let mut lane = *level.lane(pos / LANE);
+            level.set(pos, v);
+            lane[pos % LANE] = f64::INFINITY;
+            v = fmin(v, lane_min(lane));
+            pos /= LANE;
+        }
+        top.set(pos, v);
+    }
+
+    /// The bottom-up walk over `[lo, hi]` that `range_min` and `find_le`
+    /// share: calls `visit` with each level's number and [`Span`].
+    #[inline(always)]
+    fn walk<'a>(&'a self, lo: usize, hi: usize, mut visit: impl FnMut(usize, Span<'a>)) {
+        let (mut l, mut h) = (lo, hi);
+        for (k, level) in self.levels.iter().enumerate() {
+            let span = Span::new(level, l, h);
+            visit(k, span);
+            (l, h) = (span.a + 1, span.b.saturating_sub(1));
         }
     }
 
     /// `min_{lo ≤ j ≤ hi} C_j` (inclusive bounds).
     fn range_min(&self, lo: usize, hi: usize) -> Time {
-        let (mut l, mut r) = (self.leaves + lo, self.leaves + hi + 1);
-        let mut best = f64::INFINITY;
-        while l < r {
-            if l & 1 == 1 {
-                best = best.min(self.vals[l]);
-                l += 1;
+        let mut acc = [f64::INFINITY; LANE];
+        self.walk(lo, hi, |_, span| {
+            let (left, right) = (span.masked(span.a), span.masked(span.b));
+            for ((m, &l), &r) in acc.iter_mut().zip(&left).zip(&right) {
+                *m = fmin(*m, fmin(l, r));
             }
-            if r & 1 == 1 {
-                r -= 1;
-                best = best.min(self.vals[r]);
+        });
+        lane_min(acc)
+    }
+
+    /// Smallest `j ∈ [lo, hi]` with `C_j ≤ bound` (largest with `RIGHT`).
+    /// In position order the edge lanes run left lanes bottom-up, then
+    /// right lanes top-down: the leftmost hit lies in the lowest left lane
+    /// with one, else in the highest right lane with one (mirrored for
+    /// `RIGHT`). The walk only marks which edge lanes hold a hit, one bit
+    /// per level; the descent starts from the winning lane.
+    fn find_le<const RIGHT: bool>(&self, lo: usize, hi: usize, bound: Time) -> Option<usize> {
+        // Bit k set iff level k's near (far) edge lane holds a hit; the
+        // near edge is the left one unless `RIGHT`.
+        let (mut near, mut far) = (0u32, 0u32);
+        self.walk(lo, hi, |k, span| {
+            let hit = |lane| (lane_min(span.masked(lane)) <= bound) as u32;
+            let (n, f) = if RIGHT {
+                (span.b, span.a)
+            } else {
+                (span.a, span.b)
+            };
+            near |= hit(n) << k;
+            far |= hit(f) << k;
+        });
+        let (k, left) = match (near, far) {
+            (0, 0) => return None,
+            (0, _) => (31 - far.leading_zeros() as usize, RIGHT),
+            _ => (near.trailing_zeros() as usize, !RIGHT),
+        };
+        let mut edge = None;
+        self.walk(lo, hi, |j, span| {
+            if j == k {
+                edge = Some((span, if left { span.a } else { span.b }));
             }
-            l /= 2;
-            r /= 2;
+        });
+        let (span, lane) = edge.expect("level k is on the walk");
+        // Slot of the first hit in a nonempty lane mask.
+        let pick =
+            |mask: u32| [mask.trailing_zeros(), 31 ^ mask.leading_zeros()][RIGHT as usize] as usize;
+        let mut pos = lane * LANE + pick(span.hits(lane, bound));
+        for level in self.levels[..k].iter().rev() {
+            pos = pos * LANE + pick(le_mask(level.lane(pos), bound));
         }
-        best
+        Some(pos)
     }
 
-    /// Smallest `j ∈ [lo, hi]` with `C_j ≤ bound`: scan the canonical
-    /// nodes in ascending order for the first whose min qualifies, then
-    /// descend branchlessly inside it.
-    fn leftmost_le(&self, lo: usize, hi: usize, bound: Time) -> Option<usize> {
-        let mut nodes = [0usize; MAX_TREE_DEPTH];
-        let n = self.decompose(lo, hi, &mut nodes);
-        nodes[..n]
-            .iter()
-            .find(|&&node| self.vals[node] <= bound)
-            .map(|&node| self.descend_leftmost(node, bound))
+    /// Appends every `j ∈ [l, h]` of level `k` (level 0 from callers) with
+    /// `C_j ≤ bound` to `out`, ascending: the left edge lane, the levels
+    /// above, then the right edge lane — O(|result| · depth).
+    fn collect_le(&self, k: usize, l: usize, h: usize, bound: Time, out: &mut Vec<usize>) {
+        let span = Span::new(&self.levels[k], l, h);
+        self.expand(k, span.a, span.hits(span.a, bound), bound, out);
+        if span.a < span.b {
+            self.collect_le(k + 1, span.a + 1, span.b - 1, bound, out);
+            self.expand(k, span.b, span.hits(span.b, bound), bound, out);
+        }
     }
 
-    /// Largest `j ∈ [lo, hi]` with `C_j ≤ bound`.
-    fn rightmost_le(&self, lo: usize, hi: usize, bound: Time) -> Option<usize> {
-        let mut nodes = [0usize; MAX_TREE_DEPTH];
-        let n = self.decompose(lo, hi, &mut nodes);
-        nodes[..n]
-            .iter()
-            .rev()
-            .find(|&&node| self.vals[node] <= bound)
-            .map(|&node| self.descend_rightmost(node, bound))
-    }
-
-    /// Appends every `j ∈ [lo, hi]` with `C_j ≤ bound` to `out`, in
-    /// increasing order — O(|result| log m): an iterative bound-pruned
-    /// DFS (right child pushed first so leaves pop in ascending order)
-    /// over each canonical node, on an explicit stack whose depth is
-    /// bounded by the tree height.
-    fn collect_le(&self, lo: usize, hi: usize, bound: Time, out: &mut Vec<usize>) {
-        let mut nodes = [0usize; MAX_TREE_DEPTH];
-        let n = self.decompose(lo, hi, &mut nodes);
-        let mut stack = [0usize; MAX_TREE_DEPTH + 1];
-        for &root in &nodes[..n] {
-            stack[0] = root;
-            let mut sp = 1;
-            while sp > 0 {
-                sp -= 1;
-                let node = stack[sp];
-                if self.vals[node] > bound {
-                    continue;
-                }
-                if node >= self.leaves {
-                    out.push(node - self.leaves);
-                    continue;
-                }
-                stack[sp] = 2 * node + 1;
-                stack[sp + 1] = 2 * node;
-                sp += 2;
+    /// Appends, in increasing order, every machine with `C_j ≤ bound`
+    /// under the slots of `mask` in lane `lane` of level `k`.
+    fn expand(&self, k: usize, lane: usize, mut mask: u32, bound: Time, out: &mut Vec<usize>) {
+        while mask != 0 {
+            let pos = lane * LANE + mask.trailing_zeros() as usize;
+            mask &= mask - 1;
+            if k == 0 {
+                out.push(pos);
+            } else {
+                let below = le_mask(self.levels[k - 1].lane(pos), bound);
+                self.expand(k - 1, pos, below, bound, out);
             }
         }
+    }
+}
+
+/// One level of the bottom-up walk: the level, its share `[l, h]` of the
+/// query range (empty once `l > h`), and the edge lanes `a ≤ b` holding
+/// `l` and `h`, which stay valid lanes when the range is empty.
+#[derive(Clone, Copy)]
+struct Span<'a> {
+    level: &'a CompletionBank,
+    l: usize,
+    h: usize,
+    a: usize,
+    b: usize,
+}
+
+impl<'a> Span<'a> {
+    #[inline(always)]
+    fn new(level: &'a CompletionBank, l: usize, h: usize) -> Self {
+        let b = h / LANE;
+        let a = (l / LANE).min(b);
+        Span { level, l, h, a, b }
+    }
+
+    /// Slots `[from, to]` of `lane` inside `[l, h]` (none if `from > to`).
+    #[inline(always)]
+    fn slots(&self, lane: usize) -> (usize, usize) {
+        let base = lane * LANE;
+        let from = self.l.saturating_sub(base).min(LANE);
+        (from, (self.h - base).min(LANE - 1))
+    }
+
+    /// `lane` with every slot outside `[l, h]` set to `+∞`, by two
+    /// branch-free `max`es against windows of [`SLOT_MASKS`].
+    #[inline(always)]
+    fn masked(&self, lane: usize) -> [Time; LANE] {
+        let (from, to) = self.slots(lane);
+        let below = &SLOT_MASKS[LANE - from..][..LANE];
+        let above = &SLOT_MASKS[2 * LANE - 1 - to..][..LANE];
+        let mut vals = *self.level.lane(lane);
+        for ((v, &b), &a) in vals.iter_mut().zip(below).zip(above) {
+            *v = fmax(fmax(*v, b), a);
+        }
+        vals
+    }
+
+    /// Bit `s` set iff slot `s` of `lane` lies inside `[l, h]` and holds
+    /// a value `≤ bound`.
+    #[inline(always)]
+    fn hits(&self, lane: usize, bound: Time) -> u32 {
+        let (from, to) = self.slots(lane);
+        le_mask(self.level.lane(lane), bound) & (0xFF << from) & (0xFF >> (LANE - 1 - to))
+    }
+}
+
+/// `+∞` × 8, `−∞` × 8, `+∞` × 8: the 8-wide windows at `8 − from` and
+/// `15 − to` are `+∞` exactly on the slots below `from` and above `to`.
+const SLOT_MASKS: [Time; 3 * LANE] = {
+    let (i, n) = (f64::INFINITY, f64::NEG_INFINITY);
+    [
+        i, i, i, i, i, i, i, i, n, n, n, n, n, n, n, n, i, i, i, i, i, i, i, i,
+    ]
+};
+
+/// Bit `s` set iff `lane[s] ≤ bound`. LLVM compiles the fold to one
+/// scalar compare per slot, so [`find_le`](LaneIndex::find_le) tests
+/// lanes by their minimum and builds a mask only where it descends.
+#[inline(always)]
+fn le_mask(lane: &[Time; LANE], bound: Time) -> u32 {
+    (0..LANE).fold(0, |mask, s| mask | ((lane[s] <= bound) as u32) << s)
+}
+
+/// `min` over a lane as a tree of depth 3, not a dependent chain of 8.
+#[inline(always)]
+fn lane_min([a, b, c, d, e, f, g, h]: [Time; LANE]) -> Time {
+    fmin(fmin(fmin(a, b), fmin(c, d)), fmin(fmin(e, f), fmin(g, h)))
+}
+
+/// `min` for the index's non-NaN values, one `minsd`/`minpd` each.
+#[inline(always)]
+fn fmin(a: Time, b: Time) -> Time {
+    if a < b {
+        a
+    } else {
+        b
+    }
+}
+
+/// `max` counterpart of [`fmin`].
+#[inline(always)]
+fn fmax(a: Time, b: Time) -> Time {
+    if a > b {
+        a
+    } else {
+        b
     }
 }
 
@@ -391,13 +449,13 @@ struct Cluster {
 
 const UNOWNED: u32 = u32::MAX;
 
-/// The indexed EFT kernel. Maintains the same per-machine completion
-/// bank ([`CompletionBank`]) as [`EftState`] plus a [`MinTree`] over it
-/// and lazily-built per-cluster heaps for recurring explicit sets.
+/// The indexed EFT kernel. Keeps the same per-machine completion bank
+/// ([`CompletionBank`]) as [`EftState`], as the leaf level of a lane
+/// index, plus lazily-built per-cluster heaps for recurring explicit
+/// sets.
 #[derive(Debug)]
 pub struct IndexedEftState {
-    completions: CompletionBank,
-    tree: MinTree,
+    index: LaneIndex,
     breaker: Breaker,
     /// Which tie-scan implementation the overlap fallback runs.
     scan: ScanImpl,
@@ -407,14 +465,6 @@ pub struct IndexedEftState {
     owner: Vec<u32>,
     clusters: Vec<Cluster>,
     stats: KernelStats,
-}
-
-/// How the configured tie-break consumes the tie set — decides whether
-/// the kernel may shortcut to one descent or must enumerate `U'ᵢ`.
-enum Pick {
-    Leftmost,
-    Rightmost,
-    Enumerate,
 }
 
 impl IndexedEftState {
@@ -431,8 +481,8 @@ impl IndexedEftState {
     }
 
     /// Rebuilds a kernel around carried-over machine state — what a
-    /// mid-stream switch to the indexed kernel does. The tree is rebuilt
-    /// from the bank; clusters re-register lazily (they are a cache, not
+    /// mid-stream switch to the indexed kernel does. The index is rebuilt
+    /// over the bank; clusters re-register lazily (they are a cache, not
     /// state — rebuilding them empty changes no dispatch decision).
     pub(crate) fn from_parts(
         completions: CompletionBank,
@@ -441,8 +491,7 @@ impl IndexedEftState {
     ) -> Self {
         let m = completions.len();
         IndexedEftState {
-            tree: MinTree::from_values(completions.values()),
-            completions,
+            index: LaneIndex::new(completions),
             breaker,
             scan,
             ties: Vec::new(),
@@ -457,7 +506,7 @@ impl IndexedEftState {
     /// RNG state). The index structures stay behind — they are derived
     /// state.
     pub(crate) fn into_parts(self) -> (CompletionBank, Breaker, KernelStats) {
-        (self.completions, self.breaker, self.stats)
+        (self.index.into_bank(), self.breaker, self.stats)
     }
 
     /// Decision counters accumulated so far (see [`KernelStats`]).
@@ -467,12 +516,12 @@ impl IndexedEftState {
 
     /// Number of machines.
     pub fn machines(&self) -> usize {
-        self.completions.len()
+        self.index.bank().len()
     }
 
     /// Current completion time `C_{j,i−1}` of each machine.
     pub fn completions(&self) -> &[Time] {
-        self.completions.values()
+        self.index.bank().values()
     }
 
     /// Dispatches one task (Equation (2)) over a compact set view —
@@ -483,7 +532,7 @@ impl IndexedEftState {
     /// of range.
     pub fn dispatch_ref(&mut self, task: Task, set: ProcSetRef<'_>) -> Assignment {
         assert!(!set.is_empty(), "task has an empty processing set");
-        let m = self.completions.len();
+        let m = self.machines();
         assert!(
             set.max().is_some_and(|j| j < m),
             "processing set references a machine out of range"
@@ -498,32 +547,28 @@ impl IndexedEftState {
             }
             ProcSetRef::Explicit(slice) => self.pick_in_cluster(task.release, slice),
         };
-        let start = task.release.max(self.completions.get(u));
-        let done = start + task.ptime;
-        self.completions.set(u, done);
-        self.tree.update(u, done);
+        let start = task.release.max(self.index.bank().get(u));
+        self.index.set(u, start + task.ptime);
         Assignment::new(MachineId(u), start)
     }
 
-    /// Tie-break over one contiguous range via the tree.
+    /// Tie-break over one contiguous range via the lane index. `Min` and
+    /// `Max` consume no randomness and take the extreme tie machine, so
+    /// one search suffices; `Rand` draws `random_range(0..|U'ᵢ|)` and
+    /// needs the whole tie set.
     fn pick_in_range(&mut self, release: Time, lo: usize, hi: usize) -> usize {
         self.stats.indexed_descents += 1;
-        let t_min = release.max(self.tree.range_min(lo, hi));
-        match pick_mode(&self.breaker) {
-            Pick::Leftmost => self
-                .tree
-                .leftmost_le(lo, hi, t_min)
-                .expect("tie set is nonempty by construction"),
-            Pick::Rightmost => self
-                .tree
-                .rightmost_le(lo, hi, t_min)
-                .expect("tie set is nonempty by construction"),
-            Pick::Enumerate => {
+        let t_min = release.max(self.index.range_min(lo, hi));
+        let picked = match self.breaker {
+            Breaker::Min => self.index.find_le::<false>(lo, hi, t_min),
+            Breaker::Max => self.index.find_le::<true>(lo, hi, t_min),
+            Breaker::Rand(_) => {
                 self.ties.clear();
-                self.tree.collect_le(lo, hi, t_min, &mut self.ties);
-                self.breaker.pick(&self.ties)
+                self.index.collect_le(0, lo, hi, t_min, &mut self.ties);
+                Some(self.breaker.pick(&self.ties))
             }
-        }
+        };
+        picked.expect("tie set is nonempty by construction")
     }
 
     /// Tie-break over a wrapping ring segment: two contiguous runs,
@@ -535,29 +580,26 @@ impl IndexedEftState {
         high: (usize, usize),
     ) -> usize {
         self.stats.indexed_descents += 1;
-        let min_c = self
-            .tree
+        let index = &self.index;
+        let min_c = index
             .range_min(low.0, low.1)
-            .min(self.tree.range_min(high.0, high.1));
+            .min(index.range_min(high.0, high.1));
         let t_min = release.max(min_c);
-        match pick_mode(&self.breaker) {
-            Pick::Leftmost => self
-                .tree
-                .leftmost_le(low.0, low.1, t_min)
-                .or_else(|| self.tree.leftmost_le(high.0, high.1, t_min))
-                .expect("tie set is nonempty by construction"),
-            Pick::Rightmost => self
-                .tree
-                .rightmost_le(high.0, high.1, t_min)
-                .or_else(|| self.tree.rightmost_le(low.0, low.1, t_min))
-                .expect("tie set is nonempty by construction"),
-            Pick::Enumerate => {
+        let picked = match self.breaker {
+            Breaker::Min => index
+                .find_le::<false>(low.0, low.1, t_min)
+                .or_else(|| index.find_le::<false>(high.0, high.1, t_min)),
+            Breaker::Max => index
+                .find_le::<true>(high.0, high.1, t_min)
+                .or_else(|| index.find_le::<true>(low.0, low.1, t_min)),
+            Breaker::Rand(_) => {
                 self.ties.clear();
-                self.tree.collect_le(low.0, low.1, t_min, &mut self.ties);
-                self.tree.collect_le(high.0, high.1, t_min, &mut self.ties);
-                self.breaker.pick(&self.ties)
+                index.collect_le(0, low.0, low.1, t_min, &mut self.ties);
+                index.collect_le(0, high.0, high.1, t_min, &mut self.ties);
+                Some(self.breaker.pick(&self.ties))
             }
-        }
+        };
+        picked.expect("tie set is nonempty by construction")
     }
 
     /// Tie-break over an explicit member slice: cluster heap when the
@@ -575,13 +617,13 @@ impl IndexedEftState {
                 self.stats.scalar_fallback_scans += 1;
                 match self.scan {
                     ScanImpl::Simd => scan_ties_simd(
-                        self.completions.padded(),
+                        self.index.bank().padded(),
                         ProcSetRef::Explicit(slice),
                         release,
                         &mut self.ties,
                     ),
                     ScanImpl::Scalar => scan_ties(
-                        self.completions.values(),
+                        self.index.bank().values(),
                         slice.iter().copied(),
                         release,
                         &mut self.ties,
@@ -591,6 +633,7 @@ impl IndexedEftState {
             }
         };
         self.stats.indexed_descents += 1;
+        let completions = self.index.bank();
         let cluster = &mut self.clusters[cid];
         // Phase 1 — surface the true minimum completion: an accurate top
         // entry is the minimum (all others understate-or-match their own
@@ -599,7 +642,7 @@ impl IndexedEftState {
         // under the heap's strict (key, machine) total order).
         let min_c = loop {
             let (key, machine) = cluster.heap.peek().expect("cluster heaps are never empty");
-            let actual = self.completions.get(machine);
+            let actual = completions.get(machine);
             if key == actual {
                 break actual;
             }
@@ -611,7 +654,7 @@ impl IndexedEftState {
         // (corrected) top exceeds t'min, so does every remaining entry.
         self.ties.clear();
         while let Some((key, machine)) = cluster.heap.peek() {
-            let actual = self.completions.get(machine);
+            let actual = completions.get(machine);
             if key < actual {
                 self.stats.heap_self_heals += 1;
                 cluster.heap.rekey_top(actual);
@@ -631,7 +674,7 @@ impl IndexedEftState {
         // goes back with its pre-commit completion and self-heals as a
         // stale (understating) entry on a later peek.
         for &j in &self.ties {
-            cluster.heap.push(self.completions.get(j), j);
+            cluster.heap.push(completions.get(j), j);
         }
         u
     }
@@ -653,7 +696,8 @@ impl IndexedEftState {
         if cid >= UNOWNED as usize {
             return None;
         }
-        let heap = SoaMinHeap::from_entries(slice.iter().map(|&j| (self.completions.get(j), j)));
+        let completions = self.index.bank();
+        let heap = SoaMinHeap::from_entries(slice.iter().map(|&j| (completions.get(j), j)));
         for &j in slice {
             self.owner[j] = cid as u32;
         }
@@ -662,17 +706,6 @@ impl IndexedEftState {
             heap,
         });
         Some(cid)
-    }
-}
-
-/// See [`Pick`] — `Min`/`Max` consume no randomness and take the
-/// extreme tie machine, so a single descent suffices; `Rand` draws
-/// `random_range(0..|U'ᵢ|)` and needs the full enumeration.
-fn pick_mode(breaker: &Breaker) -> Pick {
-    match breaker {
-        Breaker::Min => Pick::Leftmost,
-        Breaker::Max => Pick::Rightmost,
-        Breaker::Rand(_) => Pick::Enumerate,
     }
 }
 
@@ -703,7 +736,7 @@ impl ImmediateDispatcher for IndexedEftState {
 pub enum EftKernelState {
     /// The member-scan oracle.
     Scalar(EftState),
-    /// The segment-tree / cluster-heap kernel.
+    /// The lane-index / cluster-heap kernel.
     Indexed(IndexedEftState),
     /// The self-reclassifying wrapper around both.
     Adaptive(AdaptiveEftState),
@@ -772,56 +805,96 @@ impl ImmediateDispatcher for EftKernelState {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::soa::min_in;
     use rand::{Rng, SeedableRng};
 
-    fn tree_of(vals: &[Time]) -> MinTree {
-        let mut t = MinTree::new(vals.len());
-        for (j, &v) in vals.iter().enumerate() {
-            t.update(j, v);
-        }
-        t
+    /// Machine counts at and around every lane and level boundary, up to
+    /// a four-level index.
+    const INDEX_SIZES: [usize; 11] = [1, 7, 8, 9, 63, 64, 65, 511, 512, 513, 4097];
+
+    /// Query ranges over `m` machines: a random one, one inside a single
+    /// lane, one whose ends sit on lane (or level) boundaries, and the
+    /// full range.
+    fn index_ranges(rng: &mut rand::rngs::StdRng, m: usize) -> [(usize, usize); 4] {
+        let lo = rng.random_range(0..m);
+        let random = (lo, rng.random_range(lo..m));
+        let one_lane = (lo, rng.random_range(lo..=(lo | (LANE - 1)).min(m - 1)));
+        let span = LANE.pow(rng.random_range(1..4));
+        let start = lo / span * span;
+        let end = (rng.random_range(lo..m) / span + 1) * span;
+        [random, one_lane, (start, end.min(m) - 1), (0, m - 1)]
     }
 
+    /// The lane index against plain scans of its own bank, after rounds
+    /// of random non-decreasing updates: `range_min`, the leftmost and
+    /// rightmost `≤ bound`, and the ascending collect, at bounds below,
+    /// at and between the completions.
     #[test]
-    fn tree_range_min_matches_scan_on_random_data() {
+    fn lane_index_matches_scans_after_updates() {
         let mut rng = rand::rngs::StdRng::seed_from_u64(7);
-        for m in [1usize, 2, 3, 5, 8, 13, 64, 100] {
-            let vals: Vec<Time> = (0..m).map(|_| rng.random_range(0..50) as f64).collect();
-            let t = tree_of(&vals);
-            for _ in 0..40 {
-                let lo = rng.random_range(0..m);
-                let hi = rng.random_range(lo..m);
-                let expect = vals[lo..=hi].iter().cloned().fold(f64::INFINITY, f64::min);
-                assert_eq!(t.range_min(lo, hi), expect, "m={m} [{lo},{hi}]");
+        for m in INDEX_SIZES {
+            let mut index = LaneIndex::new(CompletionBank::new(m));
+            for round in 0..30 {
+                for _ in 0..m.div_ceil(3) {
+                    let j = rng.random_range(0..m);
+                    let v = index.bank().get(j) + rng.random_range(0..3) as f64;
+                    index.set(j, v);
+                }
+                let vals = index.bank().values();
+                for (lo, hi) in index_ranges(&mut rng, m) {
+                    let min = vals[lo..=hi].iter().copied().fold(f64::INFINITY, f64::min);
+                    assert_eq!(
+                        index.range_min(lo, hi),
+                        min,
+                        "m={m} round {round} [{lo},{hi}]"
+                    );
+                    for bound in [min, min - 0.5, min + rng.random_range(0..4) as f64 + 0.5] {
+                        let expect: Vec<usize> = (lo..=hi).filter(|&j| vals[j] <= bound).collect();
+                        let at = format!("m={m} round {round} [{lo},{hi}] ≤{bound}");
+                        assert_eq!(
+                            index.find_le::<false>(lo, hi, bound),
+                            expect.first().copied(),
+                            "leftmost {at}"
+                        );
+                        assert_eq!(
+                            index.find_le::<true>(lo, hi, bound),
+                            expect.last().copied(),
+                            "rightmost {at}"
+                        );
+                        let mut got = vec![usize::MAX];
+                        index.collect_le(0, lo, hi, bound, &mut got);
+                        assert_eq!(got[1..], expect[..], "collect {at}");
+                    }
+                }
             }
         }
     }
 
+    /// Every level above the bank holds the lane minima of the one
+    /// below, whether the index was built over a seeded bank or updated
+    /// into the same state.
     #[test]
-    fn tree_descents_match_scans_on_random_data() {
+    fn lane_index_levels_hold_lane_minima() {
         let mut rng = rand::rngs::StdRng::seed_from_u64(8);
-        for m in [1usize, 3, 7, 16, 33, 90] {
-            let vals: Vec<Time> = (0..m).map(|_| rng.random_range(0..8) as f64).collect();
-            let t = tree_of(&vals);
-            for _ in 0..60 {
-                let lo = rng.random_range(0..m);
-                let hi = rng.random_range(lo..m);
-                let bound = rng.random_range(0..9) as f64 - 0.5;
-                let expect: Vec<usize> = (lo..=hi).filter(|&j| vals[j] <= bound).collect();
-                assert_eq!(
-                    t.leftmost_le(lo, hi, bound),
-                    expect.first().copied(),
-                    "leftmost m={m} [{lo},{hi}] ≤{bound}"
-                );
-                assert_eq!(
-                    t.rightmost_le(lo, hi, bound),
-                    expect.last().copied(),
-                    "rightmost m={m} [{lo},{hi}] ≤{bound}"
-                );
-                let mut got = Vec::new();
-                t.collect_le(lo, hi, bound, &mut got);
-                assert_eq!(got, expect, "collect m={m} [{lo},{hi}] ≤{bound}");
+        for m in INDEX_SIZES {
+            let vals: Vec<Time> = (0..m).map(|_| rng.random_range(0..50) as f64).collect();
+            let built = LaneIndex::new(CompletionBank::from_completions(&vals));
+            let mut updated = LaneIndex::new(CompletionBank::new(m));
+            for (j, &v) in vals.iter().enumerate() {
+                updated.set(j, v);
             }
+            for index in [&built, &updated] {
+                let top = index.levels.last().map(|top| top.padded().len());
+                assert_eq!(top, Some(LANE), "m={m}");
+                for pair in index.levels.windows(2) {
+                    let mins: Vec<Time> = pair[0].padded().chunks(LANE).map(min_in).collect();
+                    assert_eq!(pair[1].values(), &mins[..], "m={m}");
+                    assert!(pair[1].padded()[mins.len()..]
+                        .iter()
+                        .all(|&v| v == f64::INFINITY));
+                }
+            }
+            assert_eq!(updated.bank().values(), &vals[..]);
         }
     }
 
@@ -911,7 +984,7 @@ mod tests {
     }
 
     #[test]
-    fn cluster_heaps_self_heal_after_tree_path_commits() {
+    fn cluster_heaps_self_heal_after_index_path_commits() {
         // Interleave interval dispatches (which bump completions behind
         // the cluster heap's back) with cluster dispatches.
         let m = 8;

@@ -7,21 +7,21 @@
 //!   discrete-event engine per algorithm family (immediate dispatch and
 //!   central-queue FIFO), driving any
 //!   [`ArrivalStream`](flowsched_core::ArrivalStream) under any
-//!   [`Recorder`](flowsched_obs::Recorder) into any
-//!   [`DispatchSink`](engine::DispatchSink). Includes the sharded
-//!   engine ([`engine::run_immediate_sharded`]): when the stream's
-//!   processing sets partition the machines into clusters, each cluster
-//!   dispatches on its own worker thread and the decisions merge back
-//!   in arrival order, bitwise-identical to the sequential run.
+//!   [`Recorder`](flowsched_obs::Recorder) into any [`DispatchSink`].
+//!   Includes the sharded engine ([`engine::run_immediate_sharded`]):
+//!   when the stream's processing sets partition the machines into
+//!   clusters, each cluster dispatches on its own worker thread and the
+//!   decisions merge back in arrival order, bitwise-identical to the
+//!   sequential run.
 //! - [`tiebreak`]: the tie-break policies distinguishing EFT-Min
 //!   (Algorithm 3), EFT-Max, and EFT-Rand (Algorithm 4).
 //! - [`eft`](mod@eft): Earliest Finish Time — the immediate-dispatch scheduler of
 //!   Algorithm 2, with processing-set support (Equation (2)), both as a
 //!   whole-instance driver and as an incremental [`eft::EftState`] for
 //!   discrete-event simulation.
-//! - [`indexed`]: the structure-aware dispatch kernels — a
-//!   leftmost-argmin segment tree plus cluster heaps answering
-//!   Equation (2) in O(log m) per task over compact
+//! - [`indexed`]: the structure-aware dispatch kernels — an 8-ary
+//!   lane index of minima over the completion bank plus cluster heaps
+//!   answering Equation (2) in O(log m) per task over compact
 //!   [`ProcSetRef`](flowsched_core::ProcSetRef) views, bitwise-identical
 //!   to the scalar path.
 //! - [`faulty`]: availability-aware EFT over a
@@ -30,10 +30,10 @@
 //!   fault-free plan reproduces the plain engine bitwise
 //!   ([`run_immediate_faulty`], [`run_immediate_faulty_sharded`]).
 //! - [`registry`]: the name-addressable policy registry — a
-//!   [`PolicySpec`](registry::PolicySpec) parseable from strings like
-//!   `eft:min:indexed`, resolving kernels and shard-local seeds through
-//!   one construction path that every engine entry point, sim driver,
-//!   and bench bin shares.
+//!   [`PolicySpec`] parseable from strings like `eft:min:indexed`,
+//!   resolving kernels and shard-local seeds through one construction
+//!   path that every engine entry point, sim driver, and bench bin
+//!   shares.
 //! - [`weighted`]: weighted-EFT packing for the weighted max flow time
 //!   objective `max wᵢ·Fᵢ` (Azar–Touitou), with `weft@0` reproducing
 //!   plain EFT bitwise.

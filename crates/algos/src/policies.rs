@@ -192,7 +192,8 @@ pub fn dispatch(inst: &flowsched_core::Instance, rule: DispatchRule) -> Schedule
     )
 }
 
-/// Runs a dispatch rule over an arbitrary [`ArrivalStream`] — the
+/// Runs a dispatch rule over an arbitrary
+/// [`ArrivalStream`](flowsched_core::stream::ArrivalStream) — the
 /// canonical entry point, shared with EFT via
 /// [`engine::run_immediate`](crate::engine::run_immediate). Because the
 /// engine, not the rule, emits busy/idle transitions, `rec` sees the

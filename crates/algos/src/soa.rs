@@ -163,6 +163,12 @@ impl CompletionBank {
         assert!(j < len, "machine index {j} out of range for {len} machines");
         self.padded_mut()[j] = v;
     }
+
+    /// Lane `i` of the padded view (panics past the last lane).
+    #[inline]
+    pub(crate) fn lane(&self, i: usize) -> &[Time; LANE] {
+        &self.lanes[i].0
+    }
 }
 
 /// `min` over a completion slice, 8-wide: independent per-position

@@ -6,8 +6,8 @@
 //! `simulate_stream_with_kernel` with the kernel forced, so the measured
 //! difference is dispatch cost alone: the scalar oracle scans every
 //! member of each processing set, the indexed kernel answers the same
-//! Equation (2) query through the leftmost-argmin segment tree in
-//! O(log m). Three set shapes at m ∈ {2⁶, 2⁸, 2¹⁰, 2¹², 2¹⁴, 2¹⁶}:
+//! Equation (2) query through the 8-ary lane index over the completion
+//! bank in O(log m). Three set shapes at m ∈ {2⁶, 2⁸, 2¹⁰, 2¹², 2¹⁴, 2¹⁶}:
 //!
 //! - `interval`: fixed intervals of width m/2 — the Theorem 8 family,
 //!   and the worst case for the scalar scan;

@@ -2,18 +2,18 @@
 //!
 //! Streams 200,000 tasks over 100,000 machines — the fig11 shape pushed
 //! three orders of magnitude past the paper's m ≈ 10² — once per
-//! structured family that the compact-set / segment-tree path serves
+//! structured family that the compact-set / lane-index path serves
 //! (wide intervals, inclusive prefixes, disjoint blocks, replication
 //! rings). `DispatchKernel::Auto` selects the indexed kernel at this
 //! scale; the run exists to prove the whole pipeline (generator →
-//! compact `ProcSetRef` views → segment-tree dispatch → report fold)
+//! compact `ProcSetRef` views → lane-index dispatch → report fold)
 //! completes in seconds and constant memory where the scalar scan would
 //! need ~10¹⁰ machine visits. Prints one line per family and fails
 //! loudly (panics) if any report comes back degenerate.
 //!
 //! `FLOWSCHED_SMOKE_M` / `FLOWSCHED_SMOKE_N` override the machine and
 //! task counts — the ISSUE 10 CI stage runs the same binary at
-//! m = 2²⁰ to smoke the SoA bank and branchless descent at the
+//! m = 2²⁰ to smoke the SoA bank and the seven-level lane index at the
 //! hardware-limit scale.
 
 use std::time::Instant;

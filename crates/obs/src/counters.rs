@@ -36,8 +36,8 @@ pub enum Counter {
     MatchingAugmentations,
     /// Trace events overwritten because the ring buffer was full.
     TraceEventsDropped,
-    /// Index-tree descents taken by the indexed EFT kernel
-    /// (`leftmost_le`/`rightmost_le`/`collect_le` walks).
+    /// Index-tree descents taken by the indexed EFT kernel (lane-index
+    /// searches and cluster-heap dispatches).
     IndexedDescents,
     /// Dispatches where the indexed kernel fell back to a scalar scan
     /// (explicit sets that straddle cluster boundaries).

@@ -96,7 +96,7 @@ pub fn simulate_stream<S: ArrivalStream, R: Recorder>(
 
 /// [`simulate_stream`] with an explicit dispatch-kernel choice —
 /// `Scalar` forces the linear-scan oracle, `Indexed` forces the
-/// segment-tree kernel regardless of machine count (the scaling benches
+/// lane-index kernel regardless of machine count (the scaling benches
 /// compare the two this way); `Auto` consults the stream's
 /// [`structure_hint`](ArrivalStream::structure_hint) so narrow sets on
 /// moderate machine counts stay on the scalar path.

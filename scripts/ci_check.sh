@@ -4,14 +4,17 @@
 #   1. formatting (cargo fmt --check over the whole workspace,
 #      vendored stand-ins included)
 #   2. release build of the whole workspace
-#   3. the full test suite (unit + integration + doc tests), which
-#      includes the observability hardening suites
+#   3. the full test suite of every workspace member (unit +
+#      integration + doc tests; `--workspace`, because the root
+#      package is the only default member), which includes the member
+#      crates' unit tests and the observability hardening suites
 #      (tests/obs_invariants.rs, tests/report_consistency.rs,
 #      tests/prometheus_lint.rs) and the streaming-core suites
 #      (tests/streaming_equivalence.rs, tests/streaming_memory.rs)
 #   4. clippy with warnings promoted to errors
 #   5. rustdoc with warnings promoted to errors (broken intra-doc
-#      links, missing docs on public items)
+#      links, missing docs on public items) for the root package and
+#      flowsched-algos
 #   6. large-m smoke run: 100k-machine streams through the indexed
 #      dispatch kernel (cargo run --release -p flowsched-bench --bin
 #      smoke_scale), panicking on any degenerate report
@@ -36,8 +39,8 @@
 #      and printing the per-stage ns/task table
 #  11. hardware-limit smoke: the same smoke_scale bin re-run at
 #      m = 2^20 via FLOWSCHED_SMOKE_M/N — the SoA completion bank,
-#      SIMD tie scan, and branchless segment-tree descent at the
-#      million-machine scale (ISSUE 10)
+#      SIMD tie scan, and the seven-level lane index (1.1 MiB above an
+#      8 MiB bank) at the million-machine scale
 #  12. performance-ledger smoke: perf_ledger's `--smoke` mode runs every
 #      ledger workload over 20k tasks with all of its output checks (no
 #      task of faulty_m256 runs across an outage, sharded and observed
@@ -74,8 +77,8 @@ echo "== cargo build --release =="
 cargo build --release
 
 echo
-echo "== cargo test -q =="
-cargo test -q
+echo "== cargo test -q --workspace =="
+cargo test -q --workspace
 
 if [ "$RUN_CLIPPY" = 1 ]; then
   echo
@@ -84,8 +87,8 @@ if [ "$RUN_CLIPPY" = 1 ]; then
 fi
 
 echo
-echo "== RUSTDOCFLAGS=\"-D warnings\" cargo doc --no-deps =="
-RUSTDOCFLAGS="-D warnings" cargo doc --no-deps -q
+echo "== RUSTDOCFLAGS=\"-D warnings\" cargo doc --no-deps -p flowsched -p flowsched-algos =="
+RUSTDOCFLAGS="-D warnings" cargo doc --no-deps -q -p flowsched -p flowsched-algos
 
 echo
 echo "== 100k-machine smoke run (indexed dispatch) =="
@@ -131,7 +134,7 @@ echo "== pipeline-profile smoke (probe transparency + stage table) =="
 cargo run -q --release -p flowsched-bench --bin pipeline_profile -- --tasks 20000 --threads 4
 
 echo
-echo "== 2^20-machine smoke run (SoA bank + branchless descent) =="
+echo "== 2^20-machine smoke run (SoA bank + lane index) =="
 FLOWSCHED_SMOKE_M=1048576 FLOWSCHED_SMOKE_N=200000 \
   cargo run -q --release -p flowsched-bench --bin smoke_scale
 

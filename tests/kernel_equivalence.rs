@@ -233,7 +233,7 @@ fn warm_started_unit_fmax_matches_seed_binary_search_on_200_instances() {
 }
 
 // ---------------------------------------------------------------------------
-// Dispatch kernels: the indexed (segment-tree / cluster-heap) EFT state
+// Dispatch kernels: the indexed (lane-index / cluster-heap) EFT state
 // against the scalar linear-scan oracle.
 // ---------------------------------------------------------------------------
 
@@ -277,12 +277,18 @@ proptest! {
     fn indexed_dispatch_matches_scalar_oracle(
         family in 0usize..7,
         tb_idx in 0usize..3,
-        m in 2usize..48,
+        // Up to one level above an 8-wide bank, then the two-, three- and
+        // four-level lane indexes.
+        m in prop_oneof![2usize..48, 60usize..80, 500usize..530, 4090usize..4100],
         n in 1usize..160,
-        k_raw in 1usize..48,
+        k_raw in 1usize..4100,
         unit in any::<bool>(),
         seed in any::<u64>(),
     ) {
+        // The inclusive-chain skeleton costs O(m²) to build (seconds per
+        // instance at m = 4096 in debug builds), and its explicit sets go
+        // through the cluster heaps, not the lane index.
+        let m = if family == 4 { m.min(530) } else { m };
         let k = 1 + k_raw % m;
         let mut config = RandomInstanceConfig::unit_tasks(m, n, kind_for(family, k));
         config.unit = unit;
@@ -322,18 +328,21 @@ proptest! {
 #[test]
 fn stream_kernels_produce_identical_schedules_and_traces() {
     use flowsched::core::stream::InstanceStream;
-    for (family, k) in [
-        (0usize, 5usize),
-        (1, 7),
-        (2, 4),
-        (3, 1),
-        (4, 1),
-        (5, 1),
-        (6, 1),
+    for (m, n, family, k) in [
+        (24, 400, 0usize, 5usize),
+        (24, 400, 1, 7),
+        (24, 400, 2, 4),
+        (24, 400, 3, 1),
+        (24, 400, 4, 1),
+        (24, 400, 5, 1),
+        (24, 400, 6, 1),
+        // Four-level lane indexes: inclusive prefixes and wide intervals
+        // at the ledger's prefix_m4k machine count.
+        (4096, 4000, 3, 1),
+        (4096, 4000, 0, 1500),
     ] {
         for tb in [TieBreak::Min, TieBreak::Max, TieBreak::Rand { seed: 42 }] {
-            let m = 24;
-            let mut config = RandomInstanceConfig::unit_tasks(m, 400, kind_for(family, k));
+            let mut config = RandomInstanceConfig::unit_tasks(m, n, kind_for(family, k));
             config.unit = false;
             let inst = random_instance(&config, 0xD15);
 

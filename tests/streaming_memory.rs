@@ -175,7 +175,7 @@ fn million_wide_inclusive_tasks_never_materialize_machine_vectors() {
     // The PR-5 regime: m = 10,000 machines with inclusive-prefix sets
     // averaging m/2 ≈ 5,000 machines per task. The stream lends each set
     // as an O(1) `ProcSetRef::Prefix` and the auto-selected indexed
-    // kernel dispatches through the segment tree, so a million such
+    // kernel dispatches through the lane index, so a million such
     // tasks must not allocate a single per-task machine vector —
     // materializing them would commit ≈ 1M × 5k × 8 B ≈ 40 GiB.
     let m = 10_000;
@@ -200,8 +200,8 @@ fn million_wide_inclusive_tasks_never_materialize_machine_vectors() {
     assert_eq!(report.n_measured, 1_000_000);
     assert!(report.fmax >= 1.0);
 
-    // Live state: the RNG, 10k machine completions, the ~2·16k-slot
-    // segment tree (≈ 256 KiB), the report fold (10k utilization slots,
+    // Live state: the RNG, 10k machine completions, the ~1.4k-slot
+    // lane index above them (≈ 11 KiB), the report fold (10k utilization slots,
     // 4096 histogram bins, 250k-entry drift window ≈ 4 MiB). The same
     // 32 MiB headroom as the narrow-set runs keeps the bound meaningful:
     // even one wide set retained per thousand tasks would blow it.
