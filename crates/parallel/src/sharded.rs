@@ -35,30 +35,33 @@
 //!
 //! # Backpressure and deadlock-freedom
 //!
-//! All links are bounded [`spsc`](crate::spsc) queues moving
-//! `Vec`-batches. The router only ever *blocks* on a worker that
-//! provably has work in flight (its input queue is full, or the
-//! merge head was already flushed to it), so every blocking wait is
-//! matched by a worker that will produce; a worker that dies mid-run
-//! drops its result sender on unwind and the router panics instead of
-//! hanging. In-flight state is capped at O(workers × queue × batch) —
-//! the constant-memory property of the streaming core survives.
+//! All links are bounded [`spsc`] queues. A batch makes a round trip:
+//! the worker turns its tasks into results in place and sends it back,
+//! the router merges straight out of it and recycles it through a free
+//! list, so steady-state transport neither allocates nor copies. The
+//! router polls for results once per batch it sends, and only ever
+//! *blocks* on a worker that provably has work in flight (its input
+//! queue is full, or the merge head was already flushed to it), so
+//! every blocking wait is matched by a worker that will produce; a
+//! worker that dies mid-run drops its result sender on unwind and the
+//! router panics instead of hanging. In-flight state is capped at
+//! O(workers × queue × batch), and the free list holds only batches
+//! that were once in flight — the constant-memory property of the
+//! streaming core survives.
 //!
 //! # Wall-clock observability
 //!
-//! [`run_sharded_probed`] is the same engine with a
-//! [`PipelineProbe`](flowsched_obs::pipeline::PipelineProbe) threaded
-//! through every stage: router batch assembly ([`Stage::Route`]),
+//! [`run_sharded_probed`] is the same engine with a [`PipelineProbe`]
+//! threaded through every stage: router batch assembly ([`Stage::Route`]),
 //! blocking on a full SPSC queue ([`Stage::EnqueueWait`], which also
 //! covers the result-draining done while waiting), worker blocking on
 //! an empty input queue ([`Stage::DequeueWait`]), per-batch kernel
 //! execution ([`Stage::Dispatch`]), and the in-order merge
 //! ([`Stage::Merge`]) — plus reorder-buffer depth, backpressure-stall,
-//! and forced-flush gauges. [`run_sharded`] passes
-//! [`NoopPipeline`](flowsched_obs::pipeline::NoopPipeline), whose
-//! `ENABLED = false` folds every probe (including the clock reads)
-//! away, so the unprobed engine is byte-for-byte the pre-observability
-//! engine and schedules are never perturbed.
+//! and forced-flush gauges. [`run_sharded`] passes [`NoopPipeline`],
+//! whose `ENABLED = false` folds every probe (including the clock
+//! reads) away, so the unprobed engine is byte-for-byte the
+//! pre-observability engine and schedules are never perturbed.
 
 use std::collections::VecDeque;
 
@@ -80,9 +83,10 @@ pub struct ShardedConfig {
     /// Worker thread budget; the engine uses `min(threads, shards)`
     /// and runs inline (no threads at all) when that is ≤ 1.
     pub threads: usize,
-    /// Tasks per routed batch. Batching amortizes the per-message lock
-    /// traffic; dispatch per task is ~100 ns, so 256 keeps queue
-    /// overhead a small fraction without hurting pipelining.
+    /// Tasks per routed batch. The router sends a batch with one lock
+    /// and polls the result queues once per batch sent, so queue locks
+    /// per task fall as 1/batch; dispatch per task is ~100 ns, so 256
+    /// keeps queue overhead a small fraction without hurting pipelining.
     pub batch: usize,
     /// Batches each bounded queue holds before its producer blocks.
     pub queue_cap: usize,
@@ -124,6 +128,16 @@ struct ResultMsg {
     assignment: Assignment,
 }
 
+/// The unit of transport, sent on a round trip: the router fills
+/// `tasks`, the worker drains them into `results` in place and sends
+/// the same batch back, and the router merges straight out of
+/// `results` before it recycles the batch through its free list.
+#[derive(Default)]
+struct Batch {
+    tasks: Vec<TaskMsg>,
+    results: Vec<ResultMsg>,
+}
+
 /// Rebases a shard-local assignment to global machine numbering.
 fn globalize(a: Assignment, base: usize) -> Assignment {
     Assignment::new(MachineId(a.machine.index() + base), a.start)
@@ -147,6 +161,18 @@ fn rebase_owned(set: &ProcSetRef<'_>, base: usize) -> CompactProcSet {
         ProcSetRef::Prefix { .. } | ProcSetRef::Ring { .. } => {
             unreachable!("prefix/ring sets contain machine 0 and route to the base-0 shard")
         }
+    }
+}
+
+/// [`ShardPlan::route`] through a machine → shard table: two loads in
+/// place of a binary search over the cuts. A set whose ends fall in
+/// different shards, or outside the table, goes to `plan.route`, which
+/// panics on it.
+fn route_by_table(table: &[u32], plan: &ShardPlan, set: &ProcSetRef<'_>) -> usize {
+    let shard = |end: Option<usize>| end.and_then(|j| table.get(j));
+    match (shard(set.min()), shard(set.max())) {
+        (Some(a), Some(b)) if a == b => *a as usize,
+        _ => plan.route(set),
     }
 }
 
@@ -283,7 +309,7 @@ pub fn run_sharded_probed<S, D, F, M, P>(
     }
 
     // Threaded path. The pool is declared first so its Drop (which
-    // joins workers) runs *after* the channel endpoints below are gone:
+    // joins workers) runs *after* the router's endpoints are gone:
     // closed channels are what unblock the workers, even on unwind.
     let pool = ThreadPool::new(workers);
 
@@ -294,121 +320,43 @@ pub fn run_sharded_probed<S, D, F, M, P>(
     for s in 0..shards {
         per_worker[s % workers].push((plan.start_of(s), make_dispatcher(s)));
     }
+    let shard_of: Vec<u32> = (0..plan.machines())
+        .map(|j| plan.shard_of(j) as u32)
+        .collect();
 
-    let mut in_txs: Vec<spsc::Sender<Vec<TaskMsg>>> = Vec::with_capacity(workers);
-    let mut out_rxs: Vec<spsc::Receiver<Vec<ResultMsg>>> = Vec::with_capacity(workers);
+    let mut router = Router::default();
     for mut dispatchers in per_worker {
-        let (in_tx, in_rx) = spsc::channel::<Vec<TaskMsg>>(cfg.queue_cap);
-        let (out_tx, out_rx) = spsc::channel::<Vec<ResultMsg>>(cfg.queue_cap);
-        in_txs.push(in_tx);
-        out_rxs.push(out_rx);
+        let (in_tx, in_rx) = spsc::channel::<Batch>(cfg.queue_cap);
+        let (out_tx, out_rx) = spsc::channel::<Batch>(cfg.queue_cap);
+        router.in_txs.push(in_tx);
+        router.out_rxs.push(out_rx);
+        router.fill.push(Batch::default());
+        router.back.push(VecDeque::new());
+        router.cursor.push(0);
         let wprobe = probe.clone();
-        pool.execute(move || {
-            loop {
-                let t = StageTimer::start(&wprobe);
-                let Some(batch) = in_rx.recv() else { break };
-                t.stop(&wprobe, Stage::DequeueWait, 0);
-                let t = StageTimer::start(&wprobe);
-                let items = batch.len() as u64;
-                let mut out = Vec::with_capacity(batch.len());
-                for msg in batch {
-                    let (base, disp) = &mut dispatchers[msg.shard as usize / workers];
-                    let a = disp(msg.task, msg.set.as_view());
-                    out.push(ResultMsg {
-                        seq: msg.seq,
-                        task: msg.task,
-                        assignment: globalize(a, *base),
-                    });
-                }
-                t.stop(&wprobe, Stage::Dispatch, items);
-                if out_tx.send(out).is_err() {
-                    // Router gone (it panicked and dropped the
-                    // receiver) — abandon quietly so its unwind can
-                    // join us.
-                    return;
-                }
+        pool.execute(move || loop {
+            let t = StageTimer::start(&wprobe);
+            let Some(mut batch) = in_rx.recv() else { break };
+            t.stop(&wprobe, Stage::DequeueWait, 0);
+            let t = StageTimer::start(&wprobe);
+            let items = batch.tasks.len() as u64;
+            for msg in batch.tasks.drain(..) {
+                let (base, disp) = &mut dispatchers[msg.shard as usize / workers];
+                let a = disp(msg.task, msg.set.as_view());
+                batch.results.push(ResultMsg {
+                    seq: msg.seq,
+                    task: msg.task,
+                    assignment: globalize(a, *base),
+                });
+            }
+            t.stop(&wprobe, Stage::Dispatch, items);
+            if out_tx.send(batch).is_err() {
+                // Router gone (it panicked and dropped the receiver) —
+                // abandon quietly so its unwind can join us.
+                return;
             }
         });
     }
-
-    // Router + merger state, all on the calling thread. `pending`
-    // remembers which worker owns each in-flight seq, in seq order;
-    // `rbuf[w]` holds worker w's results not yet old enough to merge
-    // (each worker's results arrive in that worker's seq order).
-    let mut obuf: Vec<Vec<TaskMsg>> = (0..workers)
-        .map(|_| Vec::with_capacity(cfg.batch))
-        .collect();
-    let mut pending: VecDeque<u32> = VecDeque::new();
-    let mut rbuf: Vec<VecDeque<ResultMsg>> = (0..workers).map(|_| VecDeque::new()).collect();
-    let mut next_merge: u64 = 0;
-
-    // Merges every result that is next in seq order and already here.
-    let merge_ready = |pending: &mut VecDeque<u32>,
-                       rbuf: &mut [VecDeque<ResultMsg>],
-                       next_merge: &mut u64,
-                       merge: &mut M| {
-        let t = StageTimer::start(&probe);
-        let before = *next_merge;
-        while let Some(&w) = pending.front() {
-            match rbuf[w as usize].pop_front() {
-                Some(r) => {
-                    debug_assert_eq!(r.seq, *next_merge, "per-worker results arrive in seq order");
-                    merge(r.seq, r.task, r.assignment);
-                    *next_merge += 1;
-                    pending.pop_front();
-                }
-                None => break,
-            }
-        }
-        let merged = *next_merge - before;
-        if merged > 0 {
-            t.stop(&probe, Stage::Merge, merged);
-        }
-    };
-    // Blocking receive of worker w's next result batch; `None` means
-    // the worker died mid-run.
-    let recv_from =
-        |out_rxs: &[spsc::Receiver<Vec<ResultMsg>>], rbuf: &mut [VecDeque<ResultMsg>], w: usize| {
-            match out_rxs[w].recv() {
-                Some(results) => rbuf[w].extend(results),
-                None => panic!("sharded worker {w} terminated before finishing its tasks"),
-            }
-        };
-    // Sends worker w's buffered batch, draining w's results while the
-    // queue is full. Blocking here is safe: a full input queue proves w
-    // has unprocessed batches, so w will produce results.
-    let flush = |obuf: &mut [Vec<TaskMsg>],
-                 in_txs: &[spsc::Sender<Vec<TaskMsg>>],
-                 out_rxs: &[spsc::Receiver<Vec<ResultMsg>>],
-                 rbuf: &mut [VecDeque<ResultMsg>],
-                 w: usize| {
-        if obuf[w].is_empty() {
-            return;
-        }
-        let mut batch = std::mem::take(&mut obuf[w]);
-        match in_txs[w].try_send(batch) {
-            Ok(()) => return,
-            Err(TrySendError::Full(b)) => batch = b,
-            Err(TrySendError::Closed(_)) => {
-                panic!("sharded worker {w} terminated before finishing its tasks")
-            }
-        }
-        // Queue full: the span covers the whole retry loop, including
-        // the result-draining we do while waiting for capacity.
-        let t = StageTimer::start(&probe);
-        loop {
-            probe.backpressure_stall();
-            recv_from(out_rxs, rbuf, w);
-            match in_txs[w].try_send(batch) {
-                Ok(()) => break,
-                Err(TrySendError::Full(b)) => batch = b,
-                Err(TrySendError::Closed(_)) => {
-                    panic!("sharded worker {w} terminated before finishing its tasks")
-                }
-            }
-        }
-        t.stop(&probe, Stage::EnqueueWait, 0);
-    };
 
     // If `pending` ever reaches this, the merge head is stuck behind a
     // not-yet-flushed batch (e.g. one hot worker racing ahead while the
@@ -427,58 +375,149 @@ pub fn run_sharded_probed<S, D, F, M, P>(
         );
         last_release = task.release;
         let t = StageTimer::start(&probe);
-        let s = plan.route(&set);
+        let s = route_by_table(&shard_of, plan, &set);
         let w = s % workers;
-        obuf[w].push(TaskMsg {
+        router.fill[w].tasks.push(TaskMsg {
             seq,
             shard: s as u32,
             task,
             set: rebase_owned(&set, plan.start_of(s)),
         });
         t.stop(&probe, Stage::Route, 1);
-        pending.push_back(w as u32);
+        router.pending.push_back(w as u32);
         seq += 1;
         if P::ENABLED {
-            probe.queue_depth(pending.len() as u64);
+            probe.queue_depth(router.pending.len() as u64);
         }
-        if obuf[w].len() >= cfg.batch {
-            flush(&mut obuf, &in_txs, &out_rxs, &mut rbuf, w);
+        if router.fill[w].tasks.len() >= cfg.batch {
+            router.flush(w, &probe);
+            router.merge_ready(&mut merge, &probe);
         }
-        // Opportunistically pull whatever results are ready and merge
-        // the in-order prefix — keeps the reorder buffer short without
-        // ever blocking on the fast path.
-        for w in 0..workers {
-            while let Some(results) = out_rxs[w].try_recv() {
-                rbuf[w].extend(results);
+        while router.pending.len() >= high_water {
+            // Results may be back but not yet merged; only a head that
+            // is still out forces a flush.
+            router.merge_ready(&mut merge, &probe);
+            if router.pending.len() >= high_water {
+                probe.forced_flush();
+                router.force_head(&probe);
             }
-        }
-        merge_ready(&mut pending, &mut rbuf, &mut next_merge, &mut merge);
-        while pending.len() >= high_water {
-            probe.forced_flush();
-            let head = *pending.front().unwrap() as usize;
-            flush(&mut obuf, &in_txs, &out_rxs, &mut rbuf, head);
-            if rbuf[head].is_empty() {
-                recv_from(&out_rxs, &mut rbuf, head);
-            }
-            merge_ready(&mut pending, &mut rbuf, &mut next_merge, &mut merge);
         }
     }
 
-    // End of stream: push out the partial batches, close the input
-    // side so workers drain and exit, then merge the tail in order.
-    for w in 0..workers {
-        flush(&mut obuf, &in_txs, &out_rxs, &mut rbuf, w);
+    // End of stream: merge the tail in order, sending each partial
+    // batch once it holds the head. Dropping the router then closes
+    // every input queue, so the workers exit and the pool joins them.
+    while !router.pending.is_empty() {
+        router.force_head(&probe);
+        router.merge_ready(&mut merge, &probe);
     }
-    drop(in_txs);
-    while !pending.is_empty() {
-        let head = *pending.front().unwrap() as usize;
-        if rbuf[head].is_empty() {
-            recv_from(&out_rxs, &mut rbuf, head);
+}
+
+/// The calling thread's end of the threaded path.
+#[derive(Default)]
+struct Router {
+    in_txs: Vec<spsc::Sender<Batch>>,
+    out_rxs: Vec<spsc::Receiver<Batch>>,
+    /// `fill[w]`: the batch being filled for worker w.
+    fill: Vec<Batch>,
+    /// `back[w]`: worker w's returned batches, none fully merged; the
+    /// front one is merged from `cursor[w]` on.
+    back: Vec<VecDeque<Batch>>,
+    cursor: Vec<usize>,
+    /// Merged batches, emptied for refilling.
+    free: Vec<Batch>,
+    /// The worker owning each unmerged seq, in seq order.
+    pending: VecDeque<u32>,
+    next_merge: u64,
+}
+
+impl Router {
+    /// Sends worker w's batch, if it holds tasks, and refills `fill[w]`
+    /// from the free list. While w's input queue is full it blocks on
+    /// w's results: a full queue proves w has batches to process, so w
+    /// will produce.
+    fn flush<P: PipelineProbe>(&mut self, w: usize, probe: &P) {
+        if self.fill[w].tasks.is_empty() {
+            return;
         }
-        merge_ready(&mut pending, &mut rbuf, &mut next_merge, &mut merge);
+        let refill = self.free.pop().unwrap_or_default();
+        let mut batch = std::mem::replace(&mut self.fill[w], refill);
+        // The stall span covers the whole retry loop, including the
+        // result-draining done while waiting for capacity.
+        let mut stall = None;
+        loop {
+            match self.in_txs[w].try_send(batch) {
+                Ok(()) => break,
+                Err(TrySendError::Full(b)) => batch = b,
+                Err(TrySendError::Closed(_)) => worker_died(w),
+            }
+            stall.get_or_insert_with(|| StageTimer::start(probe));
+            probe.backpressure_stall();
+            self.recv(w);
+        }
+        if let Some(t) = stall {
+            t.stop(probe, Stage::EnqueueWait, 0);
+        }
     }
-    drop(out_rxs);
-    drop(pool); // joins workers
+
+    /// Blocking receive of worker w's next result batch.
+    fn recv(&mut self, w: usize) {
+        match self.out_rxs[w].recv() {
+            Some(b) => self.back[w].push_back(b),
+            None => worker_died(w),
+        }
+    }
+
+    /// Sends the merge head's batch if it is still filling, then blocks
+    /// until its result is back: once sent, its worker will produce it.
+    fn force_head<P: PipelineProbe>(&mut self, probe: &P) {
+        let head = *self.pending.front().expect("an unmerged task") as usize;
+        self.flush(head, probe);
+        if self.back[head].is_empty() {
+            self.recv(head);
+        }
+    }
+
+    /// Polls every worker for returned batches without blocking, then
+    /// merges every result that is next in seq order straight out of
+    /// them; a batch whose last result is merged goes to the free list.
+    fn merge_ready<M, P>(&mut self, merge: &mut M, probe: &P)
+    where
+        M: FnMut(u64, Task, Assignment),
+        P: PipelineProbe,
+    {
+        for (rx, back) in self.out_rxs.iter().zip(&mut self.back) {
+            while let Some(b) = rx.try_recv() {
+                back.push_back(b);
+            }
+        }
+        let t = StageTimer::start(probe);
+        let before = self.next_merge;
+        while let Some(&w) = self.pending.front() {
+            let w = w as usize;
+            let Some(b) = self.back[w].front() else { break };
+            let r = &b.results[self.cursor[w]];
+            debug_assert_eq!(r.seq, self.next_merge, "results arrive in seq order");
+            merge(r.seq, r.task, r.assignment);
+            self.next_merge += 1;
+            self.pending.pop_front();
+            self.cursor[w] += 1;
+            if self.cursor[w] == b.results.len() {
+                self.cursor[w] = 0;
+                let mut done = self.back[w].pop_front().expect("the front batch");
+                done.results.clear();
+                self.free.push(done);
+            }
+        }
+        let merged = self.next_merge - before;
+        if merged > 0 {
+            t.stop(probe, Stage::Merge, merged);
+        }
+    }
+}
+
+fn worker_died(w: usize) -> ! {
+    panic!("sharded worker {w} terminated before finishing its tasks")
 }
 
 #[cfg(test)]
@@ -617,8 +656,9 @@ mod tests {
             batch: 4,
             queue_cap: 1,
         };
+        let metrics = flowsched_obs::pipeline::PipelineMetrics::new();
         let mut seen: u64 = 0;
-        run_sharded(
+        run_sharded_probed(
             Skew { next: 0 },
             &plan,
             &cfg,
@@ -627,8 +667,33 @@ mod tests {
                 assert_eq!(seq, seen);
                 seen += 1;
             },
+            metrics.clone(),
         );
         assert_eq!(seen, 5000);
+        // Task 0's batch for shard 1 never fills, so `pending` reaches
+        // the high water (1 + 2) · 4 · 2 = 24 whatever the timing.
+        assert!(
+            metrics.forced_flushes() >= 1,
+            "the high-water flush never ran"
+        );
+    }
+
+    #[test]
+    fn table_routing_matches_the_plan() {
+        let plan = ShardPlan::from_cuts(10, vec![0, 3, 4, 8]);
+        let table: Vec<u32> = (0..10).map(|j| plan.shard_of(j) as u32).collect();
+        for lo in 0..10 {
+            for hi in (lo..10).filter(|&hi| plan.shard_of(hi) == plan.shard_of(lo)) {
+                let set = ProcSetRef::interval(lo, hi);
+                assert_eq!(route_by_table(&table, &plan, &set), plan.route(&set));
+            }
+        }
+        let explicit = ProcSetRef::Explicit(&[4, 6, 7]);
+        assert_eq!(route_by_table(&table, &plan, &explicit), 2);
+        assert_eq!(
+            route_by_table(&table, &plan, &ProcSetRef::Prefix { len: 3 }),
+            0
+        );
     }
 
     #[test]

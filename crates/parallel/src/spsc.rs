@@ -1,7 +1,7 @@
 //! A bounded single-producer single-consumer channel.
 //!
-//! The sharded engine moves task batches to workers and result batches
-//! back over exactly-one-producer/exactly-one-consumer links, and needs
+//! The sharded engine sends each batch to a worker and back again over
+//! exactly-one-producer/exactly-one-consumer links, and needs
 //! the queue *bounded* so a fast producer exerts backpressure instead
 //! of buffering the whole stream (the constant-memory guarantee of the
 //! streaming core must survive parallelism). `std::sync::mpsc` offers
@@ -243,6 +243,27 @@ mod tests {
         std::thread::sleep(std::time::Duration::from_millis(10));
         assert_eq!(rx.recv(), Some(0));
         assert_eq!(rx.recv(), Some(1));
+        producer.join().unwrap().expect("receiver alive");
+    }
+
+    #[test]
+    fn non_blocking_ends_wake_blocked_peers() {
+        // A receiver blocked on an empty queue wakes on `try_send`, and a
+        // sender blocked on a full one wakes on `try_recv`.
+        let (tx, rx) = channel(1);
+        let consumer = std::thread::spawn(move || (rx.recv(), rx));
+        std::thread::sleep(std::time::Duration::from_millis(10));
+        tx.try_send(1u32).expect("room for one");
+        let (first, rx) = consumer.join().unwrap();
+        assert_eq!(first, Some(1));
+        tx.try_send(2).expect("drained");
+        let producer = std::thread::spawn(move || tx.send(3));
+        std::thread::sleep(std::time::Duration::from_millis(10));
+        let mut got = Vec::new();
+        while got.len() < 2 {
+            got.extend(rx.try_recv());
+        }
+        assert_eq!(got, [2, 3]);
         producer.join().unwrap().expect("receiver alive");
     }
 }

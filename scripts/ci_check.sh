@@ -13,14 +13,16 @@
 #      (tests/streaming_equivalence.rs, tests/streaming_memory.rs)
 #   4. clippy with warnings promoted to errors
 #   5. rustdoc with warnings promoted to errors (broken intra-doc
-#      links, missing docs on public items) for the root package and
-#      flowsched-algos
+#      links, missing docs on public items) for the root package,
+#      flowsched-algos and flowsched-parallel
 #   6. large-m smoke run: 100k-machine streams through the indexed
 #      dispatch kernel (cargo run --release -p flowsched-bench --bin
 #      smoke_scale), panicking on any degenerate report
 #   7. sharded determinism smoke: the sharded_smoke bin runs under
-#      FLOWSCHED_THREADS=1 and =4 and the printed schedule hashes must
-#      be identical (thread-count invariance, end to end)
+#      FLOWSCHED_THREADS=1 and =4; the printed schedule hashes must be
+#      identical (thread-count invariance, end to end) and equal the
+#      pinned SHARDED_SMOKE_HASH, so a schedule change that is the same
+#      at both thread counts still fails
 #   8. fault-injection soak: the fault_soak bin dispatches a 1M-task
 #      Poisson stream under a 1% crash-rate fault plan, asserting
 #      bounded memory (VmHWM growth < 32 MiB) in-process; the stage
@@ -87,8 +89,8 @@ if [ "$RUN_CLIPPY" = 1 ]; then
 fi
 
 echo
-echo "== RUSTDOCFLAGS=\"-D warnings\" cargo doc --no-deps -p flowsched -p flowsched-algos =="
-RUSTDOCFLAGS="-D warnings" cargo doc --no-deps -q -p flowsched -p flowsched-algos
+echo "== RUSTDOCFLAGS=\"-D warnings\" cargo doc --no-deps -p flowsched -p flowsched-algos -p flowsched-parallel =="
+RUSTDOCFLAGS="-D warnings" cargo doc --no-deps -q -p flowsched -p flowsched-algos -p flowsched-parallel
 
 echo
 echo "== 100k-machine smoke run (indexed dispatch) =="
@@ -104,6 +106,11 @@ echo "  threads=1: $HASH1"
 echo "  threads=4: $HASH4"
 if [ -z "$HASH1" ] || [ "$HASH1" != "$HASH4" ]; then
   echo "ci_check: sharded schedule hash diverges across thread counts" >&2
+  exit 1
+fi
+SHARDED_SMOKE_HASH=0x783155971464d6b2
+if [ "$HASH1" != "$SHARDED_SMOKE_HASH" ]; then
+  echo "ci_check: sharded schedule hash $HASH1 differs from the pinned $SHARDED_SMOKE_HASH" >&2
   exit 1
 fi
 

@@ -41,6 +41,23 @@ fn kind_for(idx: usize, k: usize) -> StructureKind {
     }
 }
 
+/// `(batch, queue_cap)` from one task per batch over depth-1 queues up
+/// to the default 256 × 4. The small batches send every worker many
+/// recycled batches even on a short stream, and force the full-queue
+/// and high-water paths.
+fn transport_config() -> impl Strategy<Value = (usize, usize)> {
+    (
+        prop_oneof![
+            Just(1usize),
+            Just(2usize),
+            Just(3usize),
+            Just(7usize),
+            Just(256usize)
+        ],
+        prop_oneof![Just(1usize), Just(2usize), Just(4usize)],
+    )
+}
+
 fn stream_for(kind: StructureKind, m: usize, n: usize, seed: u64) -> PoissonStream {
     let cfg = PoissonStreamConfig::unit_tasks(m, n, m as f64 / 2.0, kind);
     PoissonStream::new(&cfg, seed)
@@ -59,6 +76,7 @@ proptest! {
         n in 1usize..200,
         k_raw in 1usize..32,
         threads in 1usize..5,
+        (batch, queue_cap) in transport_config(),
         seed in any::<u64>(),
     ) {
         let k = 1 + k_raw % m;
@@ -76,33 +94,33 @@ proptest! {
             tb,
             DispatchKernel::Auto,
             &plan,
-            &ShardedConfig::with_threads(threads),
+            &ShardedConfig { threads, batch, queue_cap },
             &mut shard_rec,
         );
 
         prop_assert_eq!(
             &sequential, &sharded,
-            "{:?} {:?} threads={} shards={}: schedules differ",
-            kind, tb, threads, plan.shards()
+            "{:?} {:?} threads={} batch={} queue_cap={} shards={}: schedules differ",
+            kind, tb, threads, batch, queue_cap, plan.shards()
         );
         prop_assert_eq!(
             seq_rec.trace().to_vec(),
             shard_rec.trace().to_vec(),
-            "{:?} {:?} threads={}: recorder traces differ",
-            kind, tb, threads
+            "{:?} {:?} threads={} batch={} queue_cap={}: recorder traces differ",
+            kind, tb, threads, batch, queue_cap
         );
     }
 
     /// The online-folded `SimReport` (order-sensitive float sums) is
     /// bitwise-identical too, including under stressed backpressure:
-    /// tiny batches and depth-1 queues force the block/flush paths.
+    /// small batches and depth-1 queues force the block/flush paths.
     #[test]
     fn sharded_sim_report_matches_sequential(
         m_raw in 2usize..24,
         n in 1usize..300,
         k_raw in 1usize..8,
         threads in 1usize..5,
-        tiny in any::<bool>(),
+        (batch, queue_cap) in transport_config(),
         seed in any::<u64>(),
     ) {
         let k = 1 + k_raw % m_raw;
@@ -119,11 +137,7 @@ proptest! {
 
         let stream = stream_for(kind, m, n, seed);
         let plan = stream.shard_plan(DEFAULT_MAX_SHARDS);
-        let cfg = ShardedConfig {
-            threads,
-            batch: if tiny { 3 } else { 256 },
-            queue_cap: if tiny { 1 } else { 4 },
-        };
+        let cfg = ShardedConfig { threads, batch, queue_cap };
         let sharded = simulate_stream_sharded_with(
             stream,
             TieBreak::Min,
@@ -137,7 +151,8 @@ proptest! {
         prop_assert_eq!(
             format!("{baseline:?}"),
             format!("{sharded:?}"),
-            "m={} k={} threads={} tiny={}: reports differ", m, k, threads, tiny
+            "m={} k={} threads={} batch={} queue_cap={}: reports differ",
+            m, k, threads, batch, queue_cap
         );
     }
 
