@@ -75,8 +75,6 @@ pub struct AdaptiveEftState {
     scan: ScanImpl,
     /// Mid-stream kernel switches performed so far.
     switches: u32,
-    /// Tasks dispatched (carried into rebuilt scalar cores as `seq`).
-    dispatched: u64,
     /// Counters inherited from retired indexed cores.
     retired_stats: KernelStats,
 }
@@ -107,7 +105,6 @@ impl AdaptiveEftState {
             settled: small,
             scan,
             switches: 0,
-            dispatched: 0,
             retired_stats: KernelStats::default(),
         }
     }
@@ -146,7 +143,6 @@ impl AdaptiveEftState {
                 self.re_resolve();
             }
         }
-        self.dispatched += 1;
         match &mut self.core {
             Core::Scalar(s) => s.dispatch_ref(task, set),
             Core::Indexed(s) => s.dispatch_ref(task, set),
@@ -201,18 +197,13 @@ impl AdaptiveEftState {
         );
         self.core = match (old, desired) {
             (Core::Scalar(s), DispatchKernel::Indexed) => {
-                let (bank, breaker, _seq) = s.into_parts();
+                let (bank, breaker) = s.into_parts();
                 Core::Indexed(IndexedEftState::from_parts(bank, breaker, self.scan))
             }
             (Core::Indexed(s), DispatchKernel::Scalar) => {
                 let (bank, breaker, stats) = s.into_parts();
                 self.retired_stats.merge(stats);
-                Core::Scalar(EftState::from_parts(
-                    bank,
-                    breaker,
-                    self.scan,
-                    self.dispatched,
-                ))
+                Core::Scalar(EftState::from_parts(bank, breaker, self.scan))
             }
             // `switch_to` is only called when the verdict differs from
             // the current core, so same-kernel pairs are unreachable.

@@ -21,7 +21,7 @@ use flowsched_core::task::Task;
 use flowsched_core::time::Time;
 use flowsched_obs::{NoopRecorder, Recorder};
 
-use crate::engine;
+use crate::engine::Run;
 use crate::indexed::DispatchKernel;
 use crate::registry::PolicySpec;
 use crate::soa::{scan_ties_simd, CompletionBank, ScanImpl};
@@ -83,9 +83,6 @@ pub struct EftState {
     scan: ScanImpl,
     /// Scratch buffer for the tie set, reused across dispatches.
     ties: Vec<usize>,
-    /// Tasks dispatched so far (the trace sequence number; equals the
-    /// instance `TaskId` when tasks are fed in release order).
-    seq: u64,
 }
 
 impl EftState {
@@ -103,7 +100,6 @@ impl EftState {
             breaker: policy.breaker(),
             scan,
             ties: Vec::new(),
-            seq: 0,
         }
     }
 
@@ -118,11 +114,11 @@ impl EftState {
     }
 
     /// Decomposes the state into the parts a mid-stream kernel switch
-    /// must carry over: the completion bank, the breaker (with its RNG
-    /// state — rebuilt breakers would replay draws and break bitwise
-    /// transparency), and the trace sequence number.
-    pub(crate) fn into_parts(self) -> (CompletionBank, Breaker, u64) {
-        (self.completions, self.breaker, self.seq)
+    /// must carry over: the completion bank and the breaker (with its
+    /// RNG state — rebuilt breakers would replay draws and break
+    /// bitwise transparency).
+    pub(crate) fn into_parts(self) -> (CompletionBank, Breaker) {
+        (self.completions, self.breaker)
     }
 
     /// Rebuilds a state from carried-over parts (inverse of
@@ -131,14 +127,12 @@ impl EftState {
         completions: CompletionBank,
         breaker: Breaker,
         scan: ScanImpl,
-        seq: u64,
     ) -> Self {
         EftState {
             completions,
             breaker,
             scan,
             ties: Vec::new(),
-            seq,
         }
     }
 
@@ -153,53 +147,17 @@ impl EftState {
     /// Panics if the processing set is empty or references a machine out
     /// of range.
     pub fn dispatch(&mut self, task: Task, set: &ProcSet) -> Assignment {
-        self.dispatch_recorded(task, set, &mut NoopRecorder)
+        self.dispatch_ref(task, set.view())
     }
 
     /// [`dispatch`](Self::dispatch) over a compact [`ProcSetRef`] view —
     /// what the streaming engine feeds. Identical semantics; the view's
     /// ascending member iterator replaces the slice walk.
+    ///
+    /// # Panics
+    /// Panics if the processing set is empty or references a machine out
+    /// of range.
     pub fn dispatch_ref(&mut self, task: Task, set: ProcSetRef<'_>) -> Assignment {
-        self.dispatch_ref_recorded(task, set, &mut NoopRecorder)
-    }
-
-    /// [`dispatch`](Self::dispatch) with instrumentation hooks: emits the
-    /// task arrival, the dispatch (with its projected completion), and
-    /// the machine's idle/busy transitions into `rec`. With
-    /// [`NoopRecorder`] this monomorphizes to exactly the uninstrumented
-    /// dispatch — the hooks and their argument computation compile away
-    /// behind `R::ENABLED`, and recording never influences tie-breaking.
-    ///
-    /// Transition convention (pinned by `tests/obs_invariants.rs`): per
-    /// machine, busy/idle events strictly alternate starting with busy;
-    /// the idle transition at a machine's previous completion is emitted
-    /// lazily, once the idle gap's end is known, and the trailing idle
-    /// after the final completion is never emitted.
-    ///
-    /// # Panics
-    /// Panics if the processing set is empty or references a machine out
-    /// of range.
-    pub fn dispatch_recorded<R: Recorder>(
-        &mut self,
-        task: Task,
-        set: &ProcSet,
-        rec: &mut R,
-    ) -> Assignment {
-        self.dispatch_ref_recorded(task, set.view(), rec)
-    }
-
-    /// [`dispatch_ref`](Self::dispatch_ref) with instrumentation hooks —
-    /// the recorded core both plain entry points delegate to.
-    ///
-    /// # Panics
-    /// Panics if the processing set is empty or references a machine out
-    /// of range.
-    pub fn dispatch_ref_recorded<R: Recorder>(
-        &mut self,
-        task: Task,
-        set: ProcSetRef<'_>,
-        rec: &mut R,
-    ) -> Assignment {
         assert!(!set.is_empty(), "task has an empty processing set");
         // The padded bank holds +∞ past the live machines, which would
         // silently swallow out-of-range members under min — reject them
@@ -220,24 +178,7 @@ impl EftState {
             ),
         }
         let u = self.breaker.pick(&self.ties);
-        let prev = self.completions.get(u);
-        let start = task.release.max(prev);
-        if R::ENABLED {
-            rec.task_arrival(self.seq, task.release);
-            if start > prev {
-                // The gap [prev, start) was idle; a machine that never
-                // ran (prev == 0) is idle implicitly, not via an event.
-                if prev > 0.0 {
-                    rec.machine_idle(u as u32, prev);
-                }
-                rec.machine_busy(u as u32, start);
-            } else if prev == 0.0 {
-                // First task of the machine, starting at t = 0.
-                rec.machine_busy(u as u32, start);
-            }
-            rec.task_dispatch(self.seq, u as u32, task.release, start, task.ptime);
-        }
-        self.seq += 1;
+        let start = task.release.max(self.completions.get(u));
         self.completions.set(u, start + task.ptime);
         Assignment::new(MachineId(u), start)
     }
@@ -325,35 +266,20 @@ pub fn eft(inst: &Instance, policy: TieBreak) -> Schedule {
     eft_stream(InstanceStream::new(inst), policy, &mut NoopRecorder)
 }
 
-/// Runs EFT over an arbitrary [`ArrivalStream`] — the canonical entry
-/// point. The shared engine ([`engine::run_immediate`]) pulls arrivals
-/// lazily, so memory stays O(machines) regardless of stream length, and
-/// `rec` sees arrivals, dispatches, and machine transitions for the
-/// whole run (with [`NoopRecorder`] the hooks compile away). Feeding an
+/// Runs EFT over an arbitrary [`ArrivalStream`] on the automatic
+/// kernel: the shorthand for a sequential, fault-free [`Run`] of
+/// [`PolicySpec::eft`], kept because most tests, bins and experiments
+/// run plain EFT this way. The engine pulls arrivals lazily, so memory
+/// stays O(machines) regardless of stream length, and `rec` sees
+/// arrivals, dispatches, and machine transitions for the whole run
+/// (with [`NoopRecorder`] the hooks compile away). Feeding an
 /// [`InstanceStream`] reproduces the batch [`eft`] schedule exactly.
 pub fn eft_stream<S: ArrivalStream, R: Recorder>(
     stream: S,
     policy: TieBreak,
     rec: &mut R,
 ) -> Schedule {
-    eft_stream_with_kernel(stream, policy, DispatchKernel::Auto, rec)
-}
-
-/// [`eft_stream`] with the dispatch kernel forced: `Scalar` is the
-/// member-scan oracle, `Indexed` the lane-index/cluster-heap kernel,
-/// `Auto` (what [`eft_stream`] uses) selects from the stream's
-/// structure hint — set width as well as machine count, per the
-/// crossover model of
-/// [`indexed_min_width`](crate::indexed::indexed_min_width). All
-/// three produce bitwise-identical schedules and recorder traces
-/// (pinned by `tests/kernel_equivalence.rs`).
-pub fn eft_stream_with_kernel<S: ArrivalStream, R: Recorder>(
-    stream: S,
-    policy: TieBreak,
-    kernel: DispatchKernel,
-    rec: &mut R,
-) -> Schedule {
-    engine::policy_schedule(stream, &PolicySpec::eft(policy, kernel), rec)
+    Run::new(PolicySpec::eft(policy, DispatchKernel::Auto)).schedule(stream, rec)
 }
 
 #[cfg(test)]

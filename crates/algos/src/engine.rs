@@ -29,15 +29,18 @@
 //! so Proposition 1 (FIFO ≡ EFT on unrestricted instances) is still
 //! validated by two separate mechanisms consuming the same stream.
 //!
-//! [`run_immediate_sharded`] is the parallel form of EFT dispatch:
-//! when the stream's processing sets partition the machines into
-//! clusters ([`ArrivalStream::shard_plan`]), each cluster runs its own
-//! EFT kernel on a worker thread
-//! ([`run_sharded`](flowsched_parallel::sharded::run_sharded)) while
-//! the calling thread routes arrivals and replays the decisions in
-//! arrival order through the same `CommitTracker` commit path —
+//! [`Run`] describes one immediate-dispatch run of a registry
+//! [`PolicySpec`]: the policy, an optional fault plan, and an optional
+//! shard plan. It has one sequential path (build the dispatcher, call
+//! [`run_immediate`]) and one sharded path: when the stream's
+//! processing sets partition the machines into clusters
+//! ([`ArrivalStream::shard_plan`]), each cluster runs its own
+//! dispatcher on a worker thread ([`run_sharded_probed`]) while the
+//! calling thread routes arrivals and replays the decisions in arrival
+//! order through the same `CommitTracker` commit path —
 //! bitwise-identical output for deterministic tie-breaks at any thread
-//! count. See `DESIGN.md`, "Sharded engine".
+//! count. A fault plan enters both paths the same way. See `DESIGN.md`,
+//! "Sharded engine" and "Fault injection".
 //!
 //! # Transition convention
 //!
@@ -71,6 +74,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use flowsched_core::compact::ProcSetRef;
+use flowsched_core::fault::{FaultEventKind, FaultPlan, FaultyStream};
 use flowsched_core::machine::MachineId;
 use flowsched_core::schedule::{Assignment, Schedule};
 use flowsched_core::shard::ShardPlan;
@@ -83,7 +87,7 @@ use flowsched_parallel::sharded::run_sharded_probed;
 pub use flowsched_parallel::sharded::ShardedConfig;
 
 use crate::eft::ImmediateDispatcher;
-use crate::indexed::{DispatchKernel, KernelStats};
+use crate::indexed::KernelStats;
 use crate::registry::{PolicySpec, PolicyState};
 use crate::tiebreak::TieBreak;
 
@@ -123,8 +127,8 @@ impl DispatchSink for NullSink {
 /// convention, then hands the assignment to the sink.
 ///
 /// This is the *single* definition of that convention — the sequential
-/// [`run_immediate`] and the parallel [`run_immediate_sharded`] both
-/// commit through it, which is what makes their recorder traces (and
+/// [`run_immediate`] and the sharded path of [`Run`] both commit
+/// through it, which is what makes their recorder traces (and
 /// order-sensitive sink folds) bitwise-identical rather than merely
 /// equivalent.
 pub(crate) struct CommitTracker {
@@ -235,45 +239,221 @@ where
     Schedule::new(assignments)
 }
 
-/// Drives a registry-addressed policy over an arrival stream: builds
-/// the dispatcher through [`PolicySpec::build_for_stream`] (resolving
-/// `Auto` kernels against the stream's structure hint, exactly as the
-/// per-family entry points always did) and runs [`run_immediate`].
-/// This is the name-addressable front door — `"eft:min:indexed"`,
-/// `"weft@4"`, `"setup@0.5"` — that every bench bin and the sim driver
-/// construct through.
-pub fn run_policy<S, R, K>(stream: S, spec: &PolicySpec, rec: &mut R, sink: &mut K)
-where
-    S: ArrivalStream,
-    R: Recorder,
-    K: DispatchSink,
-{
-    let mut state = spec.build_for_stream(&stream);
-    run_immediate(stream, &mut state, rec, sink);
-}
-
-/// [`run_policy`] collecting the full [`Schedule`].
-pub fn policy_schedule<S, R>(stream: S, spec: &PolicySpec, rec: &mut R) -> Schedule
-where
-    S: ArrivalStream,
-    R: Recorder,
-{
-    let mut assignments = Vec::with_capacity(stream.len_hint().unwrap_or(0));
-    run_policy(stream, spec, rec, &mut assignments);
-    Schedule::new(assignments)
-}
-
-/// The parallel counterpart of [`run_policy`]: each shard's worker
-/// builds its dispatcher through [`PolicySpec::for_shard`] +
-/// [`PolicySpec::build`], so shard-local seeds and per-shard `Auto`
-/// kernel resolution follow the registry's resolution invariants —
-/// byte-for-byte what [`run_immediate_sharded`] always constructed for
-/// the EFT family, now available for every registered policy.
+/// One immediate-dispatch run: the policy that decides Equation (2),
+/// the faults it schedules around, and the shards it dispatches on.
+/// [`execute`](Run::execute) has exactly two paths, and they are the
+/// only code that builds dispatchers from a [`PolicySpec`].
+///
+/// - **Sequential** (`shards: None`): one dispatcher for the whole
+///   machine range, its `Auto` kernel resolved against the stream's
+///   structure hint
+///   ([`resolve_for_stream`](crate::indexed::DispatchKernel::resolve_for_stream)),
+///   driven by [`run_immediate`].
+/// - **Sharded** (`shards: Some`): each cluster of the [`ShardPlan`]
+///   dispatches on its own worker ([`run_sharded_probed`]) with a
+///   shard-local dispatcher ([`PolicySpec::for_shard`], `Auto`
+///   resolving on the shard's width), and the calling thread commits
+///   the decisions in arrival order through the same `CommitTracker`
+///   as the sequential path. Kernel counters from every shard sum into
+///   the recorder after the run, as [`run_immediate`] flushes its own.
+///
+/// A fault plan is an input to both paths. Its machine count is checked
+/// against the stream's, its crash/recover transitions are replayed
+/// into the recorder (so outage spans reach exported traces), the
+/// stream is wrapped in a [`FaultyStream`], and each dispatcher is
+/// built by [`PolicySpec::build_faulty`] over the plan's slice of its
+/// machines ([`FaultPlan::slice`]).
+///
+/// **Equivalence.** For `Min`/`Max` tie-breaks (and `Rand` on a
+/// single-shard plan) the sharded schedule, recorder trace and every
+/// order-sensitive sink fold are bitwise-identical to the sequential
+/// run's, with or without faults, at every thread count: a decision
+/// reads only its own shard's completions, each shard sees its
+/// sequential subsequence, and commits replay in arrival order. A
+/// multi-shard `Rand` run is deterministic and thread-count invariant
+/// but draws per-shard streams ([`TieBreak::for_shard`]), so it
+/// differs from the sequential single-stream schedule.
 ///
 /// # Panics
-/// Panics if the stream and plan disagree on the machine count, if an
-/// arrival's set straddles a shard boundary, if releases decrease, or
-/// if a worker dies.
+/// Panics if the stream and a plan disagree on the machine count, if an
+/// arrival's set straddles a shard boundary, if releases decrease, if a
+/// worker dies, or if a fault plan meets a non-EFT policy
+/// ([`PolicySpec::build_faulty`]).
+#[derive(Debug, Clone, Copy)]
+pub struct Run<'a> {
+    /// The dispatch policy.
+    pub policy: PolicySpec,
+    /// Outages, speed factors and dispatch latency to schedule around.
+    pub faults: Option<&'a FaultPlan>,
+    /// The machine partition and transport settings of the sharded
+    /// path; `None` runs sequentially.
+    pub shards: Option<(&'a ShardPlan, &'a ShardedConfig)>,
+}
+
+impl<'a> Run<'a> {
+    /// A sequential, fault-free run of `policy`.
+    pub fn new(policy: PolicySpec) -> Self {
+        Run {
+            policy,
+            faults: None,
+            shards: None,
+        }
+    }
+
+    /// This run scheduling around `plan`'s faults.
+    pub fn with_faults(self, plan: &'a FaultPlan) -> Self {
+        Run {
+            faults: Some(plan),
+            ..self
+        }
+    }
+
+    /// This run on the sharded path over `plan`.
+    pub fn sharded(self, plan: &'a ShardPlan, cfg: &'a ShardedConfig) -> Self {
+        Run {
+            shards: Some((plan, cfg)),
+            ..self
+        }
+    }
+
+    /// Runs the description over `stream`, committing into `rec` and
+    /// `sink` in arrival order.
+    pub fn execute<S, R, K>(&self, stream: S, rec: &mut R, sink: &mut K)
+    where
+        S: ArrivalStream,
+        R: Recorder,
+        K: DispatchSink,
+    {
+        self.execute_probed(stream, rec, sink, NoopPipeline);
+    }
+
+    /// [`execute`](Run::execute) with a wall-clock [`PipelineProbe`]
+    /// observing the sharded transport (see [`run_sharded_probed`] for
+    /// the stage map). The probe never changes routing, dispatch or
+    /// merge order; a sequential run has no transport, so it sees no
+    /// spans.
+    pub fn execute_probed<S, R, K, P>(&self, stream: S, rec: &mut R, sink: &mut K, probe: P)
+    where
+        S: ArrivalStream,
+        R: Recorder,
+        K: DispatchSink,
+        P: PipelineProbe,
+    {
+        let Some(faults) = self.faults else {
+            return self.dispatch(stream, build_policy, rec, sink, probe);
+        };
+        assert_eq!(
+            stream.machines(),
+            faults.machines(),
+            "stream and fault plan disagree on machine count"
+        );
+        if R::ENABLED {
+            // The trace is record-ordered, not time-ordered (projected
+            // completions use the same convention), so the whole fault
+            // timeline can go in up front.
+            for ev in faults.events() {
+                match ev.kind {
+                    FaultEventKind::Crash => rec.machine_crash(ev.machine as u32, ev.at),
+                    FaultEventKind::Recover => rec.machine_recover(ev.machine as u32, ev.at),
+                }
+            }
+        }
+        self.dispatch(
+            FaultyStream::new(stream, faults),
+            |spec, start, len| spec.build_faulty(faults.slice(start, len)),
+            rec,
+            sink,
+            probe,
+        );
+    }
+
+    /// [`execute`](Run::execute) collecting the full [`Schedule`].
+    pub fn schedule<S, R>(&self, stream: S, rec: &mut R) -> Schedule
+    where
+        S: ArrivalStream,
+        R: Recorder,
+    {
+        let mut assignments = Vec::with_capacity(stream.len_hint().unwrap_or(0));
+        self.execute(stream, rec, &mut assignments);
+        Schedule::new(assignments)
+    }
+
+    /// The two paths. `build(spec, start, len)` makes the dispatcher of
+    /// machines `start..start + len`.
+    fn dispatch<S, D, B, R, K, P>(&self, stream: S, build: B, rec: &mut R, sink: &mut K, probe: P)
+    where
+        S: ArrivalStream,
+        D: ImmediateDispatcher + Send + 'static,
+        B: Fn(PolicySpec, usize, usize) -> D,
+        R: Recorder,
+        K: DispatchSink,
+        P: PipelineProbe,
+    {
+        if let Some((plan, cfg)) = self.shards {
+            return sharded(stream, self.policy, plan, cfg, build, rec, sink, probe);
+        }
+        let spec = self
+            .policy
+            .with_kernel(self.policy.kernel.resolve_for_stream(&stream));
+        let mut disp = build(spec, 0, stream.machines());
+        run_immediate(stream, &mut disp, rec, sink);
+    }
+}
+
+/// The fault-free dispatcher builder: `policy` built for `len` machines.
+fn build_policy(policy: PolicySpec, _start: usize, len: usize) -> PolicyState {
+    policy.build(len)
+}
+
+/// [`Run`]'s sharded path: one dispatcher per shard of `plan`, built by
+/// `build` from the shard-local policy, commits in arrival order
+/// through the shared `CommitTracker`, and the shards' kernel counters
+/// summed into `rec` after the run.
+#[allow(clippy::too_many_arguments)]
+fn sharded<S, D, B, R, K, P>(
+    stream: S,
+    policy: PolicySpec,
+    plan: &ShardPlan,
+    cfg: &ShardedConfig,
+    build: B,
+    rec: &mut R,
+    sink: &mut K,
+    probe: P,
+) where
+    S: ArrivalStream,
+    D: ImmediateDispatcher + Send + 'static,
+    B: Fn(PolicySpec, usize, usize) -> D,
+    R: Recorder,
+    K: DispatchSink,
+    P: PipelineProbe,
+{
+    let mut tracker = CommitTracker::new(R::ENABLED, stream.machines());
+    let stats = Arc::new(ShardStatsAcc::default());
+    run_sharded_probed(
+        stream,
+        plan,
+        cfg,
+        |s| {
+            let mut guard = ShardStatsFlush {
+                state: build(policy.for_shard(s), plan.start_of(s), plan.len_of(s)),
+                acc: Arc::clone(&stats),
+            };
+            move |task: Task, set: ProcSetRef<'_>| guard.state.dispatch_task(task, set)
+        },
+        |seq, task, a| tracker.commit(seq, task, a, rec, sink),
+        probe,
+    );
+    if R::ENABLED {
+        if let Some(ks) = stats.snapshot() {
+            rec.add(Counter::IndexedDescents, ks.indexed_descents);
+            rec.add(Counter::ScalarFallbackScans, ks.scalar_fallback_scans);
+            rec.add(Counter::HeapSelfHeals, ks.heap_self_heals);
+        }
+    }
+}
+
+/// A fault-free [`Run`] on the sharded path. A forward kept because
+/// the performance ledger (`perf_ledger/`) builds against it.
 pub fn run_policy_sharded<S, R, K>(
     stream: S,
     spec: &PolicySpec,
@@ -287,6 +467,29 @@ pub fn run_policy_sharded<S, R, K>(
     K: DispatchSink,
 {
     run_policy_sharded_probed(stream, spec, plan, cfg, rec, sink, NoopPipeline);
+}
+
+/// [`run_policy_sharded`] with a [`PipelineProbe`], as
+/// [`Run::execute_probed`] runs it. A forward kept because the
+/// performance ledger (`perf_ledger/`) builds against it; it enters the
+/// sharded path directly, so the ledger's binary holds no fault-plan or
+/// sequential code it never runs.
+#[allow(clippy::too_many_arguments)]
+pub fn run_policy_sharded_probed<S, R, K, P>(
+    stream: S,
+    spec: &PolicySpec,
+    plan: &ShardPlan,
+    cfg: &ShardedConfig,
+    rec: &mut R,
+    sink: &mut K,
+    probe: P,
+) where
+    S: ArrivalStream,
+    R: Recorder,
+    K: DispatchSink,
+    P: PipelineProbe,
+{
+    sharded(stream, *spec, plan, cfg, build_policy, rec, sink, probe);
 }
 
 /// Shared accumulator for per-shard [`KernelStats`]: each worker's
@@ -328,152 +531,17 @@ impl ShardStatsAcc {
 /// dispatcher closure is dropped (workers joined) before it returns —
 /// on both the inline and the threaded path — so the flush always lands
 /// before the caller reads the snapshot.
-struct ShardStatsFlush {
-    state: PolicyState,
+struct ShardStatsFlush<D: ImmediateDispatcher> {
+    state: D,
     acc: Arc<ShardStatsAcc>,
 }
 
-impl Drop for ShardStatsFlush {
+impl<D: ImmediateDispatcher> Drop for ShardStatsFlush<D> {
     fn drop(&mut self) {
         if let Some(ks) = self.state.kernel_stats() {
             self.acc.record(ks);
         }
     }
-}
-
-/// [`run_policy_sharded`] with a wall-clock [`PipelineProbe`] observing
-/// the transport (see [`run_sharded_probed`] for the stage map). The
-/// probe watches the pipeline only — routing, dispatch, and merge order
-/// are untouched, so schedules, recorder traces, and sink folds are
-/// identical to the unprobed run.
-///
-/// Like [`run_immediate`], kernel decision counters flush into `rec`
-/// after the run — summed across shards, since each worker's dispatcher
-/// keeps its own [`KernelStats`].
-#[allow(clippy::too_many_arguments)]
-pub fn run_policy_sharded_probed<S, R, K, P>(
-    stream: S,
-    spec: &PolicySpec,
-    plan: &ShardPlan,
-    cfg: &ShardedConfig,
-    rec: &mut R,
-    sink: &mut K,
-    probe: P,
-) where
-    S: ArrivalStream,
-    R: Recorder,
-    K: DispatchSink,
-    P: PipelineProbe,
-{
-    let mut tracker = CommitTracker::new(R::ENABLED, stream.machines());
-    let stats = Arc::new(ShardStatsAcc::default());
-    run_sharded_probed(
-        stream,
-        plan,
-        cfg,
-        |s| {
-            let mut guard = ShardStatsFlush {
-                state: spec.for_shard(s).build(plan.len_of(s)),
-                acc: Arc::clone(&stats),
-            };
-            move |task: Task, set: ProcSetRef<'_>| guard.state.dispatch_task(task, set)
-        },
-        |seq, task, a| tracker.commit(seq, task, a, rec, sink),
-        probe,
-    );
-    if R::ENABLED {
-        if let Some(ks) = stats.snapshot() {
-            rec.add(Counter::IndexedDescents, ks.indexed_descents);
-            rec.add(Counter::ScalarFallbackScans, ks.scalar_fallback_scans);
-            rec.add(Counter::HeapSelfHeals, ks.heap_self_heals);
-        }
-    }
-}
-
-/// [`run_policy_sharded`] collecting the full [`Schedule`].
-pub fn policy_schedule_sharded<S, R>(
-    stream: S,
-    spec: &PolicySpec,
-    plan: &ShardPlan,
-    cfg: &ShardedConfig,
-    rec: &mut R,
-) -> Schedule
-where
-    S: ArrivalStream,
-    R: Recorder,
-{
-    let mut assignments = Vec::with_capacity(stream.len_hint().unwrap_or(0));
-    run_policy_sharded(stream, spec, plan, cfg, rec, &mut assignments);
-    Schedule::new(assignments)
-}
-
-/// The parallel counterpart of [`run_immediate`] for EFT: dispatches
-/// each shard of `plan` on its own worker
-/// ([`run_sharded`](flowsched_parallel::sharded::run_sharded)) with an
-/// [`EftKernelState`](crate::indexed::EftKernelState) per shard, and commits results on the calling
-/// thread in strict arrival order through the same `CommitTracker`
-/// path as the sequential engine.
-///
-/// **Equivalence.** For `Min`/`Max` tie-breaks (and `Rand` on a
-/// single-shard plan) the schedule, recorder trace, and every
-/// order-sensitive sink fold are bitwise-identical to
-/// `run_immediate(stream, EftKernelState::new(m, policy, kernel), …)`,
-/// at every thread count: EFT's decision for a task reads only its own
-/// shard's completions, each shard sees its sequential subsequence, and
-/// commits replay in global arrival order. A multi-shard `Rand` run is
-/// deterministic and thread-count invariant but draws per-shard streams
-/// ([`TieBreak::for_shard`]), so it differs from the sequential
-/// single-stream schedule.
-///
-/// `DispatchKernel::Auto` resolves *per shard* on the shard's width, so
-/// a plan of narrow shards runs scalar kernels where the sequential
-/// engine would have picked the index — the outputs are still identical
-/// because the kernels are (pinned by `tests/kernel_equivalence.rs`).
-///
-/// # Panics
-/// Panics if the stream and plan disagree on the machine count, if an
-/// arrival's set straddles a shard boundary, if releases decrease, or
-/// if a worker dies.
-pub fn run_immediate_sharded<S, R, K>(
-    stream: S,
-    policy: TieBreak,
-    kernel: DispatchKernel,
-    plan: &ShardPlan,
-    cfg: &ShardedConfig,
-    rec: &mut R,
-    sink: &mut K,
-) where
-    S: ArrivalStream,
-    R: Recorder,
-    K: DispatchSink,
-{
-    run_policy_sharded(
-        stream,
-        &PolicySpec::eft(policy, kernel),
-        plan,
-        cfg,
-        rec,
-        sink,
-    );
-}
-
-/// [`run_immediate_sharded`] collecting the full [`Schedule`] — the
-/// sharded twin of [`immediate_schedule`].
-pub fn immediate_schedule_sharded<S, R>(
-    stream: S,
-    policy: TieBreak,
-    kernel: DispatchKernel,
-    plan: &ShardPlan,
-    cfg: &ShardedConfig,
-    rec: &mut R,
-) -> Schedule
-where
-    S: ArrivalStream,
-    R: Recorder,
-{
-    let mut assignments = Vec::with_capacity(stream.len_hint().unwrap_or(0));
-    run_immediate_sharded(stream, policy, kernel, plan, cfg, rec, &mut assignments);
-    Schedule::new(assignments)
 }
 
 /// A machine-free event in the FIFO heap, ordered by time then machine
@@ -715,6 +783,7 @@ mod tests {
 
     #[test]
     fn sharded_runs_flush_kernel_counters_from_workers() {
+        use crate::indexed::DispatchKernel;
         use flowsched_obs::{Counter, MemoryRecorder};
         let m = 8;
         let mut b = InstanceBuilder::new(m);
@@ -727,14 +796,9 @@ mod tests {
         let plan = ShardPlan::blocks(m, 4, 16);
         assert_eq!(plan.shards(), 2);
         let mut rec = MemoryRecorder::with_defaults(m);
-        run_policy_sharded(
-            InstanceStream::new(&inst),
-            &spec,
-            &plan,
-            &ShardedConfig::with_threads(2),
-            &mut rec,
-            &mut NullSink,
-        );
+        Run::new(spec)
+            .sharded(&plan, &ShardedConfig::with_threads(2))
+            .execute(InstanceStream::new(&inst), &mut rec, &mut NullSink);
         // Both workers' indexed kernels flush on drop; the counters sum
         // across shards exactly as the sequential engine reports them.
         assert_eq!(rec.counters().get(Counter::IndexedDescents), 40);

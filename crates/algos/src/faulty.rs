@@ -1,4 +1,4 @@
-//! Availability-aware EFT dispatch and the faulty engine entry points.
+//! Availability-aware EFT dispatch: the dispatcher a faulty run builds.
 //!
 //! The fault layer is two halves. `flowsched_core::fault` owns the
 //! *stream* half: [`FaultyStream`] shifts releases by the dispatch
@@ -25,48 +25,28 @@
 //! [`FaultPlan`] reproduces the plain engine *bitwise* — schedule and
 //! recorder trace — as `tests/fault_injection.rs` pins.
 //!
-//! [`run_immediate_faulty`] composes the halves and first replays the
-//! plan's crash/recover transitions into the recorder
-//! ([`Recorder::machine_crash`]/[`machine_recover`]), so outage spans
-//! reach exported traces; [`run_immediate_faulty_sharded`] is the
-//! cluster-parallel form, handing each shard the [`FaultPlan::slice`]
-//! of its machine block and committing through the engine's shared
-//! `CommitTracker` so sequential and sharded runs stay bitwise-equal
-//! for deterministic tie-breaks.
+//! [`Run::with_faults`](crate::engine::Run::with_faults) composes the
+//! halves on both of the engine's paths: it replays the plan's
+//! crash/recover transitions into the recorder, wraps the stream in a
+//! [`FaultyStream`], and builds one [`FaultyEftState`] per dispatcher
+//! over the [`FaultPlan::slice`] of its machines — the whole plan on
+//! the sequential path, each shard's block on the sharded path, where
+//! commits replay through the engine's shared `CommitTracker` so
+//! sequential and sharded runs stay bitwise-equal for deterministic
+//! tie-breaks.
 //!
-//! [`machine_recover`]: Recorder::machine_recover
+//! [`FaultyStream`]: flowsched_core::fault::FaultyStream
 
 use flowsched_core::compact::ProcSetRef;
-use flowsched_core::fault::{FaultCursor, FaultEventKind, FaultPlan, FaultyStream};
+use flowsched_core::fault::{FaultCursor, FaultPlan};
 use flowsched_core::machine::MachineId;
-use flowsched_core::schedule::{Assignment, Schedule};
-use flowsched_core::shard::ShardPlan;
-use flowsched_core::stream::ArrivalStream;
+use flowsched_core::schedule::Assignment;
 use flowsched_core::task::Task;
 use flowsched_core::time::Time;
-use flowsched_obs::Recorder;
-use flowsched_parallel::sharded::run_sharded;
 
 use crate::eft::ImmediateDispatcher;
-use crate::engine::{run_immediate, CommitTracker, DispatchSink, ShardedConfig};
-use crate::registry::{PolicyId, PolicySpec};
 use crate::soa::CompletionBank;
 use crate::tiebreak::{Breaker, TieBreak};
-
-/// Replays the plan's crash/recover transitions into the recorder, so
-/// outage spans appear in exported traces. The trace is record-ordered,
-/// not time-ordered (the same convention projected completions already
-/// use), so emitting the whole fault timeline up front is sound.
-fn record_lifecycle<R: Recorder>(plan: &FaultPlan, rec: &mut R) {
-    if R::ENABLED {
-        for ev in plan.events() {
-            match ev.kind {
-                FaultEventKind::Crash => rec.machine_crash(ev.machine as u32, ev.at),
-                FaultEventKind::Recover => rec.machine_recover(ev.machine as u32, ev.at),
-            }
-        }
-    }
-}
 
 /// Incremental EFT state that schedules around a [`FaultPlan`]'s
 /// outages (see the module docs for the model and the fault-free
@@ -157,119 +137,12 @@ impl ImmediateDispatcher for FaultyEftState {
     }
 }
 
-/// Drives availability-aware EFT over `stream` under `plan`: replays
-/// the plan's lifecycle events into the recorder, wraps the stream in a
-/// [`FaultyStream`], and runs the standard immediate engine with a
-/// [`FaultyEftState`]. With a fault-free plan this is bitwise-identical
-/// to `run_immediate` over the bare stream with a plain
-/// [`EftState`](crate::eft::EftState).
-///
-/// # Panics
-/// Panics when the stream and plan disagree on the machine count, plus
-/// everything [`run_immediate`] panics on.
-pub fn run_immediate_faulty<S, R, K>(
-    stream: S,
-    plan: &FaultPlan,
-    policy: TieBreak,
-    rec: &mut R,
-    sink: &mut K,
-) where
-    S: ArrivalStream,
-    R: Recorder,
-    K: DispatchSink,
-{
-    assert_eq!(
-        stream.machines(),
-        plan.machines(),
-        "stream and fault plan disagree on machine count"
-    );
-    record_lifecycle(plan, rec);
-    let mut disp = PolicySpec::new(PolicyId::Eft { tie: policy }).build_faulty(plan.clone());
-    run_immediate(FaultyStream::new(stream, plan), &mut disp, rec, sink);
-}
-
-/// [`run_immediate_faulty`] collecting the full [`Schedule`].
-pub fn faulty_schedule<S, R>(stream: S, plan: &FaultPlan, policy: TieBreak, rec: &mut R) -> Schedule
-where
-    S: ArrivalStream,
-    R: Recorder,
-{
-    let mut assignments = Vec::with_capacity(stream.len_hint().unwrap_or(0));
-    run_immediate_faulty(stream, plan, policy, rec, &mut assignments);
-    Schedule::new(assignments)
-}
-
-/// The cluster-parallel form of [`run_immediate_faulty`]: the faulty
-/// stream runs on the calling thread (restriction and re-queueing are
-/// part of routing), each shard's worker owns a [`FaultyEftState`] over
-/// the [`FaultPlan::slice`] of its machine block, and commits replay in
-/// global arrival order through the engine's shared commit path —
-/// bitwise-identical to the sequential faulty run for `Min`/`Max`
-/// tie-breaks at every thread count ([`TieBreak::for_shard`] gives
-/// multi-shard `Rand` runs per-shard streams, deterministic and
-/// thread-count invariant but distinct from the sequential draw order).
-///
-/// # Panics
-/// Panics when the stream and plan disagree on the machine count, if an
-/// arrival's restricted set straddles a shard boundary, or if a worker
-/// dies.
-pub fn run_immediate_faulty_sharded<S, R, K>(
-    stream: S,
-    plan: &FaultPlan,
-    policy: TieBreak,
-    shard_plan: &ShardPlan,
-    cfg: &ShardedConfig,
-    rec: &mut R,
-    sink: &mut K,
-) where
-    S: ArrivalStream,
-    R: Recorder,
-    K: DispatchSink,
-{
-    assert_eq!(
-        stream.machines(),
-        plan.machines(),
-        "stream and fault plan disagree on machine count"
-    );
-    record_lifecycle(plan, rec);
-    let mut tracker = CommitTracker::new(R::ENABLED, stream.machines());
-    run_sharded(
-        FaultyStream::new(stream, plan),
-        shard_plan,
-        cfg,
-        |s| {
-            let local = plan.slice(shard_plan.start_of(s), shard_plan.len_of(s));
-            let mut state = PolicySpec::new(PolicyId::Eft { tie: policy })
-                .for_shard(s)
-                .build_faulty(local);
-            move |task: Task, set: ProcSetRef<'_>| state.dispatch_task(task, set)
-        },
-        |seq, task, a| tracker.commit(seq, task, a, rec, sink),
-    );
-}
-
-/// [`run_immediate_faulty_sharded`] collecting the full [`Schedule`].
-pub fn faulty_schedule_sharded<S, R>(
-    stream: S,
-    plan: &FaultPlan,
-    policy: TieBreak,
-    shard_plan: &ShardPlan,
-    cfg: &ShardedConfig,
-    rec: &mut R,
-) -> Schedule
-where
-    S: ArrivalStream,
-    R: Recorder,
-{
-    let mut assignments = Vec::with_capacity(stream.len_hint().unwrap_or(0));
-    run_immediate_faulty_sharded(stream, plan, policy, shard_plan, cfg, rec, &mut assignments);
-    Schedule::new(assignments)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::eft::EftState;
+    use crate::engine::Run;
+    use crate::registry::PolicySpec;
     use flowsched_core::instance::InstanceBuilder;
     use flowsched_core::procset::ProcSet;
     use flowsched_core::stream::InstanceStream;
@@ -284,13 +157,17 @@ mod tests {
         b.build().unwrap()
     }
 
+    fn faulty_run(plan: &FaultPlan, tie: TieBreak) -> Run<'_> {
+        Run::new(PolicySpec::eft(tie, crate::indexed::DispatchKernel::Auto)).with_faults(plan)
+    }
+
     #[test]
     fn fault_free_plan_matches_plain_eft_bitwise() {
         let inst = small_instance();
         let plan = FaultPlan::none(3);
         for policy in [TieBreak::Min, TieBreak::Max, TieBreak::Rand { seed: 7 }] {
             let mut rec_a = MemoryRecorder::with_defaults(3);
-            let faulty = faulty_schedule(InstanceStream::new(&inst), &plan, policy, &mut rec_a);
+            let faulty = faulty_run(&plan, policy).schedule(InstanceStream::new(&inst), &mut rec_a);
             let mut rec_b = MemoryRecorder::with_defaults(3);
             let mut state = EftState::new(3, policy);
             let plain = crate::engine::immediate_schedule(
@@ -310,12 +187,8 @@ mod tests {
             .with_outage(0, 1.0, 4.0)
             .with_outage(1, 2.0, 3.0)
             .with_outage(2, 0.5, 6.0);
-        let sched = faulty_schedule(
-            InstanceStream::new(&inst),
-            &plan,
-            TieBreak::Min,
-            &mut NoopRecorder,
-        );
+        let sched = faulty_run(&plan, TieBreak::Min)
+            .schedule(InstanceStream::new(&inst), &mut NoopRecorder);
         for (t, a) in inst.tasks().iter().zip(sched.assignments()) {
             let j = a.machine.index();
             assert!(
@@ -333,12 +206,8 @@ mod tests {
         b.push_unit(0.0, ProcSet::full(1));
         let inst = b.build().unwrap();
         let plan = FaultPlan::none(1).with_outage(0, 0.0, 5.0);
-        let sched = faulty_schedule(
-            InstanceStream::new(&inst),
-            &plan,
-            TieBreak::Min,
-            &mut NoopRecorder,
-        );
+        let sched = faulty_run(&plan, TieBreak::Min)
+            .schedule(InstanceStream::new(&inst), &mut NoopRecorder);
         assert_eq!(sched.assignments()[0].start, 5.0);
     }
 }

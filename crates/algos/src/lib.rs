@@ -8,11 +8,13 @@
 //!   central-queue FIFO), driving any
 //!   [`ArrivalStream`](flowsched_core::ArrivalStream) under any
 //!   [`Recorder`](flowsched_obs::Recorder) into any [`DispatchSink`].
-//!   Includes the sharded engine ([`engine::run_immediate_sharded`]):
-//!   when the stream's processing sets partition the machines into
-//!   clusters, each cluster dispatches on its own worker thread and the
-//!   decisions merge back in arrival order, bitwise-identical to the
-//!   sequential run.
+//!   A [`Run`] describes one dispatch run of a registry policy —
+//!   optionally under a fault plan, optionally sharded — with one
+//!   sequential and one sharded path. On the sharded path, when the
+//!   stream's processing sets partition the machines into clusters,
+//!   each cluster dispatches on its own worker thread and the decisions
+//!   merge back in arrival order, bitwise-identical to the sequential
+//!   run.
 //! - [`tiebreak`]: the tie-break policies distinguishing EFT-Min
 //!   (Algorithm 3), EFT-Max, and EFT-Rand (Algorithm 4).
 //! - [`eft`](mod@eft): Earliest Finish Time — the immediate-dispatch scheduler of
@@ -27,8 +29,8 @@
 //! - [`faulty`]: availability-aware EFT over a
 //!   [`FaultPlan`](flowsched_core::FaultPlan) — candidate starts skip
 //!   outage windows, stranded tasks re-queue on recovery, and a
-//!   fault-free plan reproduces the plain engine bitwise
-//!   ([`run_immediate_faulty`], [`run_immediate_faulty_sharded`]).
+//!   fault-free plan reproduces the plain engine bitwise (run through
+//!   [`Run::with_faults`]).
 //! - [`registry`]: the name-addressable policy registry — a
 //!   [`PolicySpec`] parseable from strings like `eft:min:indexed`,
 //!   resolving kernels and shard-local seeds through one construction
@@ -63,7 +65,6 @@ pub mod offline;
 pub mod policies;
 pub mod preemptive;
 pub mod registry;
-pub mod related;
 pub mod setup;
 pub mod soa;
 pub mod tiebreak;
@@ -72,17 +73,13 @@ pub mod weighted;
 pub use adaptive::{AdaptiveEftState, ADAPTIVE_WARMUP_ARRIVALS};
 
 pub use compose::compose_disjoint;
-pub use eft::{eft, eft_stream, eft_stream_with_kernel, EftState, ImmediateDispatcher};
+pub use eft::{eft, eft_stream, EftState, ImmediateDispatcher};
 pub use engine::{
-    fifo_schedule, immediate_schedule, immediate_schedule_sharded, policy_schedule,
-    policy_schedule_sharded, run_fifo, run_immediate, run_immediate_sharded, run_policy,
-    run_policy_sharded, run_policy_sharded_probed, DispatchSink, NullSink, ShardedConfig,
+    fifo_schedule, immediate_schedule, run_fifo, run_immediate, run_policy_sharded,
+    run_policy_sharded_probed, DispatchSink, NullSink, Run, ShardedConfig,
 };
 pub use exact::{approx_fmax, exact_fmax, ExactResult};
-pub use faulty::{
-    faulty_schedule, faulty_schedule_sharded, run_immediate_faulty, run_immediate_faulty_sharded,
-    FaultyEftState,
-};
+pub use faulty::FaultyEftState;
 pub use fifo::{fifo, fifo_stream};
 pub use indexed::{
     indexed_min_width, DispatchKernel, EftKernelState, IndexedEftState, KernelStats,
@@ -92,10 +89,9 @@ pub use localsearch::{eft_plus_local_search, improve};
 pub use offline::{
     brute_force_fmax, fmax_lower_bound, optimal_unit_fmax, optimal_unit_weighted_fmax,
 };
-pub use policies::{dispatch_stream, dispatch_stream_with_kernel, DispatchRule, Dispatcher};
+pub use policies::{dispatch_stream, DispatchRule, Dispatcher};
 pub use preemptive::optimal_preemptive_fmax;
 pub use registry::{ParsePolicyError, PolicyId, PolicySpec, PolicyState};
-pub use related::{related_dispatch, related_fmax, RelatedRule, RelatedState};
 pub use setup::{cluster_fingerprint, SetupEftState};
 pub use soa::{CompletionBank, ScanImpl, SoaMinHeap};
 pub use tiebreak::TieBreak;
@@ -103,13 +99,10 @@ pub use weighted::WeightedEftState;
 
 /// Most used items for downstream crates.
 pub mod prelude {
-    pub use crate::eft::{eft, eft_stream, eft_stream_with_kernel, EftState, ImmediateDispatcher};
-    pub use crate::engine::{
-        run_fifo, run_immediate, run_immediate_sharded, run_policy, run_policy_sharded,
-        ShardedConfig,
-    };
+    pub use crate::eft::{eft, eft_stream, EftState, ImmediateDispatcher};
+    pub use crate::engine::{run_fifo, run_immediate, Run, ShardedConfig};
     pub use crate::exact::{exact_fmax, ExactResult};
-    pub use crate::faulty::{faulty_schedule, run_immediate_faulty, FaultyEftState};
+    pub use crate::faulty::FaultyEftState;
     pub use crate::fifo::{fifo, fifo_stream};
     pub use crate::indexed::{DispatchKernel, EftKernelState, IndexedEftState};
     pub use crate::offline::{

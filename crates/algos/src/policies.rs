@@ -35,6 +35,7 @@ use rand::Rng;
 
 use crate::eft::ImmediateDispatcher;
 use crate::indexed::{DispatchKernel, EftKernelState};
+use crate::registry::PolicySpec;
 use crate::tiebreak::TieBreak;
 
 /// Which immediate-dispatch rule to run.
@@ -193,33 +194,19 @@ pub fn dispatch(inst: &flowsched_core::Instance, rule: DispatchRule) -> Schedule
 }
 
 /// Runs a dispatch rule over an arbitrary
-/// [`ArrivalStream`](flowsched_core::stream::ArrivalStream) — the
-/// canonical entry point, shared with EFT via
-/// [`engine::run_immediate`](crate::engine::run_immediate). Because the
-/// engine, not the rule, emits busy/idle transitions, `rec` sees the
-/// same uniform transition convention for every rule (random,
+/// [`ArrivalStream`](flowsched_core::stream::ArrivalStream) on the
+/// automatic kernel: the shorthand for a sequential, fault-free
+/// [`Run`](crate::engine::Run) of the rule's [`PolicySpec`], kept for
+/// the rule-comparison callers that name a [`DispatchRule`]. Because
+/// the engine, not the rule, emits busy/idle transitions, `rec` sees
+/// the same uniform transition convention for every rule (random,
 /// power-of-d, round-robin) that the EFT trace follows.
 pub fn dispatch_stream<S, R>(stream: S, rule: DispatchRule, rec: &mut R) -> Schedule
 where
     S: flowsched_core::stream::ArrivalStream,
     R: flowsched_obs::Recorder,
 {
-    dispatch_stream_with_kernel(stream, rule, DispatchKernel::Auto, rec)
-}
-
-/// [`dispatch_stream`] with the EFT dispatch kernel forced.
-pub fn dispatch_stream_with_kernel<S, R>(
-    stream: S,
-    rule: DispatchRule,
-    kernel: DispatchKernel,
-    rec: &mut R,
-) -> Schedule
-where
-    S: flowsched_core::stream::ArrivalStream,
-    R: flowsched_obs::Recorder,
-{
-    let spec = crate::registry::PolicySpec::from(rule).with_kernel(kernel);
-    crate::engine::policy_schedule(stream, &spec, rec)
+    crate::engine::Run::new(PolicySpec::from(rule)).schedule(stream, rec)
 }
 
 #[cfg(test)]

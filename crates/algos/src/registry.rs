@@ -63,7 +63,7 @@ use crate::indexed::{DispatchKernel, EftKernelState};
 use crate::policies::{DispatchRule, Dispatcher};
 use crate::setup::SetupEftState;
 use crate::soa::ScanImpl;
-use crate::tiebreak::TieBreak;
+use crate::tiebreak::{shard_seed, TieBreak};
 use crate::weighted::WeightedEftState;
 
 /// Which dispatch algorithm to run — the registry's name space.
@@ -110,17 +110,6 @@ pub enum PolicyId {
 }
 
 impl PolicyId {
-    /// Mixes a shard index into a seed exactly as
-    /// [`TieBreak::for_shard`] does: shard 0 passes through, others XOR
-    /// the SplitMix64 golden-ratio multiple.
-    fn shard_seed(seed: u64, shard: usize) -> u64 {
-        if shard == 0 {
-            seed
-        } else {
-            seed ^ (shard as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)
-        }
-    }
-
     /// The policy a sharded engine's shard `s` dispatcher runs — see
     /// resolution invariant 2 in the module docs.
     pub fn for_shard(self, shard: usize) -> PolicyId {
@@ -129,11 +118,11 @@ impl PolicyId {
                 tie: tie.for_shard(shard),
             },
             PolicyId::Random { seed } => PolicyId::Random {
-                seed: Self::shard_seed(seed, shard),
+                seed: shard_seed(seed, shard),
             },
             PolicyId::Choices { d, seed } => PolicyId::Choices {
                 d,
-                seed: Self::shard_seed(seed, shard),
+                seed: shard_seed(seed, shard),
             },
             PolicyId::RoundRobin => PolicyId::RoundRobin,
             PolicyId::WeightedEft { tie, slack } => PolicyId::WeightedEft {

@@ -51,13 +51,23 @@ impl TieBreak {
     /// thread-count invariant.)
     pub fn for_shard(self, shard: usize) -> TieBreak {
         match self {
-            TieBreak::Rand { seed } if shard > 0 => TieBreak::Rand {
-                // SplitMix64's golden-ratio increment decorrelates
-                // consecutive shard indices.
-                seed: seed ^ (shard as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15),
+            TieBreak::Rand { seed } => TieBreak::Rand {
+                seed: shard_seed(seed, shard),
             },
             other => other,
         }
+    }
+}
+
+/// The seed shard `shard` of a sharded run draws from: shard 0 keeps
+/// `seed`, the others XOR in the shard index times SplitMix64's
+/// golden-ratio increment, which decorrelates consecutive indices.
+/// Every seeded policy derives its shard-local seed here.
+pub(crate) fn shard_seed(seed: u64, shard: usize) -> u64 {
+    if shard == 0 {
+        seed
+    } else {
+        seed ^ (shard as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)
     }
 }
 

@@ -3,7 +3,7 @@
 //! `BENCH_PR5.json`).
 //!
 //! Each benchmark streams the same 4,096-task Poisson workload through
-//! `simulate_stream_with_kernel` with the kernel forced, so the measured
+//! `simulate_run` with the kernel forced, so the measured
 //! difference is dispatch cost alone: the scalar oracle scans every
 //! member of each processing set, the indexed kernel answers the same
 //! Equation (2) query through the 8-ary lane index over the completion
@@ -21,10 +21,12 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 
+use flowsched_algos::engine::Run;
 use flowsched_algos::indexed::DispatchKernel;
+use flowsched_algos::registry::PolicySpec;
 use flowsched_algos::tiebreak::TieBreak;
 use flowsched_obs::NoopRecorder;
-use flowsched_sim::driver::simulate_stream_with_kernel;
+use flowsched_sim::driver::simulate_run;
 use flowsched_sim::report::ReportConfig;
 use flowsched_workloads::random::{PoissonStream, PoissonStreamConfig, StructureKind};
 
@@ -32,10 +34,9 @@ const TASKS: usize = 4096;
 const MACHINE_COUNTS: [usize; 6] = [64, 256, 1024, 4096, 16384, 65536];
 
 fn run(cfg: &PoissonStreamConfig, kernel: DispatchKernel) -> f64 {
-    simulate_stream_with_kernel(
+    simulate_run(
         PoissonStream::new(cfg, 7),
-        TieBreak::Min,
-        kernel,
+        &Run::new(PolicySpec::eft(TieBreak::Min, kernel)),
         &ReportConfig::default(),
         &mut NoopRecorder,
     )

@@ -27,12 +27,14 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 
 use flowsched_algos::eft::scan_ties;
+use flowsched_algos::engine::Run;
 use flowsched_algos::indexed::DispatchKernel;
+use flowsched_algos::registry::PolicySpec;
 use flowsched_algos::soa::{scan_ties_simd, CompletionBank};
 use flowsched_algos::tiebreak::TieBreak;
 use flowsched_core::compact::ProcSetRef;
 use flowsched_obs::NoopRecorder;
-use flowsched_sim::driver::simulate_stream_with_kernel;
+use flowsched_sim::driver::simulate_run;
 use flowsched_sim::report::ReportConfig;
 use flowsched_workloads::random::{PoissonStream, PoissonStreamConfig, StructureKind};
 
@@ -110,10 +112,9 @@ fn bench_dispatch_m20(c: &mut Criterion) {
         g.bench_function(name, |b| {
             b.iter(|| {
                 black_box(
-                    simulate_stream_with_kernel(
+                    simulate_run(
                         PoissonStream::new(black_box(&cfg), 7),
-                        TieBreak::Min,
-                        kernel,
+                        &Run::new(PolicySpec::eft(TieBreak::Min, kernel)),
                         &ReportConfig::default(),
                         &mut NoopRecorder,
                     )

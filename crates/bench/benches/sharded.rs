@@ -27,12 +27,13 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 
-use flowsched_algos::engine::ShardedConfig;
+use flowsched_algos::engine::{Run, ShardedConfig};
 use flowsched_algos::indexed::DispatchKernel;
+use flowsched_algos::registry::PolicySpec;
 use flowsched_algos::tiebreak::TieBreak;
 use flowsched_core::stream::ArrivalStream;
 use flowsched_obs::NoopRecorder;
-use flowsched_sim::driver::{simulate_stream, simulate_stream_sharded_with};
+use flowsched_sim::driver::{simulate_run, simulate_stream};
 use flowsched_sim::report::ReportConfig;
 use flowsched_workloads::random::{PoissonStream, PoissonStreamConfig, StructureKind};
 
@@ -84,12 +85,10 @@ fn bench_sharded_scale(c: &mut Criterion) {
             b.iter(|| {
                 let stream = trace(n);
                 let plan = stream.shard_plan(flowsched_core::shard::DEFAULT_MAX_SHARDS);
-                black_box(simulate_stream_sharded_with(
+                black_box(simulate_run(
                     stream,
-                    TieBreak::Min,
-                    DispatchKernel::Auto,
-                    &plan,
-                    &cfg,
+                    &Run::new(PolicySpec::eft(TieBreak::Min, DispatchKernel::Auto))
+                        .sharded(&plan, &cfg),
                     &ReportConfig::default(),
                     &mut NoopRecorder,
                 ))

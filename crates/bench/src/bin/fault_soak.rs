@@ -1,7 +1,7 @@
 //! Fault-injection soak run (CI stage): dispatches a cluster-partitioned
-//! million-task Poisson trace through `run_immediate_faulty_sharded`
-//! under a 1% crash-rate fault plan and prints an FNV-1a hash of the
-//! full schedule plus the run's peak-RSS growth.
+//! million-task Poisson trace through a sharded [`Run`] under a 1%
+//! crash-rate fault plan and prints an FNV-1a hash of the full schedule
+//! plus the run's peak-RSS growth.
 //!
 //! `ci_check.sh` runs this twice — `FLOWSCHED_THREADS=1` and `=4` — and
 //! asserts the printed `schedule_hash` lines are identical, pinning the
@@ -14,7 +14,9 @@
 //! workload whose materialized form would be ≳ 80 MiB (the
 //! `tests/streaming_memory.rs` VmHWM methodology).
 
-use flowsched_algos::faulty::run_immediate_faulty_sharded;
+use flowsched_algos::engine::Run;
+use flowsched_algos::indexed::DispatchKernel;
+use flowsched_algos::registry::PolicySpec;
 use flowsched_algos::tiebreak::TieBreak;
 use flowsched_algos::ShardedConfig;
 use flowsched_core::schedule::Assignment;
@@ -104,15 +106,10 @@ fn main() {
     let mut sink = HashSink::new();
 
     let before = peak_rss_kib();
-    run_immediate_faulty_sharded(
-        stream,
-        &plan,
-        TieBreak::Min,
-        &shard_plan,
-        &ShardedConfig::with_threads(threads),
-        &mut NoopRecorder,
-        &mut sink,
-    );
+    Run::new(PolicySpec::eft(TieBreak::Min, DispatchKernel::Auto))
+        .with_faults(&plan)
+        .sharded(&shard_plan, &ShardedConfig::with_threads(threads))
+        .execute(stream, &mut NoopRecorder, &mut sink);
     let after = peak_rss_kib();
 
     assert_eq!(sink.count, TASKS as u64, "tasks went missing");

@@ -8,11 +8,11 @@
 //!
 //! Runs the same cluster-partitioned Poisson trace twice:
 //!
-//! 1. sequentially (`run_policy`, no transport at all) — the floor any
-//!    routing overhead is measured against;
+//! 1. sequentially ([`Run::execute`], no transport at all) — the floor
+//!    any routing overhead is measured against;
 //! 2. sharded with a live [`PipelineMetrics`] probe
-//!    (`run_policy_sharded_probed`) — every stage span, queue gauge,
-//!    and stall counter of the transport.
+//!    ([`Run::execute_probed`]) — every stage span, queue gauge, and
+//!    stall counter of the transport.
 //!
 //! It prints both runs' wall-clock, verifies the two schedules hash
 //! identically (the probe must never perturb dispatch), and renders the
@@ -29,7 +29,7 @@
 
 use std::time::Instant;
 
-use flowsched_algos::engine::{run_policy, run_policy_sharded_probed, DispatchSink, ShardedConfig};
+use flowsched_algos::engine::{DispatchSink, Run, ShardedConfig};
 use flowsched_algos::registry::PolicySpec;
 use flowsched_core::schedule::Assignment;
 use flowsched_core::stream::ArrivalStream;
@@ -114,9 +114,8 @@ fn main() {
     // Pass 1: the sequential engine — the no-transport floor.
     let mut seq_sink = HashSink::new();
     let t0 = Instant::now();
-    run_policy(
+    Run::new(spec).execute(
         PoissonStream::new(&cfg, seed),
-        &spec,
         &mut NoopRecorder,
         &mut seq_sink,
     );
@@ -129,15 +128,9 @@ fn main() {
     let metrics = PipelineMetrics::new();
     let mut shard_sink = HashSink::new();
     let t0 = Instant::now();
-    run_policy_sharded_probed(
-        stream,
-        &spec,
-        &plan,
-        &ShardedConfig::with_threads(threads),
-        &mut NoopRecorder,
-        &mut shard_sink,
-        metrics.clone(),
-    );
+    Run::new(spec)
+        .sharded(&plan, &ShardedConfig::with_threads(threads))
+        .execute_probed(stream, &mut NoopRecorder, &mut shard_sink, metrics.clone());
     let shard_elapsed = t0.elapsed();
 
     assert_eq!(seq_sink.count, tasks as u64, "sequential run lost tasks");

@@ -1,5 +1,5 @@
 //! Sharded-engine smoke run (CI stage): dispatches a cluster-partitioned
-//! Poisson trace through `run_immediate_sharded` and prints an FNV-1a
+//! Poisson trace through a sharded [`Run`] and prints an FNV-1a
 //! hash of the full schedule (sequence, machine, start per task).
 //!
 //! `ci_check.sh` runs this twice — `FLOWSCHED_THREADS=1` and `=4` — and
@@ -14,7 +14,7 @@
 //! [`flowsched_algos::registry::PolicySpec`] — so the smoke also covers
 //! registry parsing and the one shared construction path end-to-end.
 
-use flowsched_algos::engine::{run_policy_sharded, DispatchSink, ShardedConfig};
+use flowsched_algos::engine::{DispatchSink, Run, ShardedConfig};
 use flowsched_algos::registry::PolicySpec;
 use flowsched_core::schedule::Assignment;
 use flowsched_core::stream::ArrivalStream;
@@ -75,14 +75,9 @@ fn main() {
         .parse()
         .unwrap_or_else(|e| panic!("FLOWSCHED_POLICY: {e}"));
     let mut sink = HashSink::new();
-    run_policy_sharded(
-        stream,
-        &spec,
-        &plan,
-        &ShardedConfig::with_threads(threads),
-        &mut NoopRecorder,
-        &mut sink,
-    );
+    Run::new(spec)
+        .sharded(&plan, &ShardedConfig::with_threads(threads))
+        .execute(stream, &mut NoopRecorder, &mut sink);
     assert_eq!(sink.count, TASKS as u64, "tasks went missing");
     println!(
         "sharded_smoke: m = {MACHINES}, n = {TASKS}, shards = {}, threads = {threads}, policy = {spec}",

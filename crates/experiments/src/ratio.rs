@@ -1,6 +1,6 @@
 //! Empirical competitive-ratio ladder for the registry's policy
 //! frontier: every policy is named by its registry string, run through
-//! [`flowsched_sim::simulate_stream_policy`] over the adversarial
+//! [`flowsched_sim::simulate_run`] over the adversarial
 //! stream built to punish its oblivious baseline, and scored against an
 //! offline reference.
 //!
@@ -19,12 +19,13 @@
 //! `EXPERIMENTS.md` — a drift in any dispatcher, oracle, or stream
 //! moves a ratio and trips the gate.
 
+use flowsched_algos::engine::Run;
 use flowsched_algos::offline::{optimal_unit_fmax, optimal_unit_weighted_fmax};
 use flowsched_algos::registry::PolicySpec;
 use flowsched_core::instance::Instance;
 use flowsched_core::stream::{collect_stream, InstanceStream};
 use flowsched_obs::NoopRecorder;
-use flowsched_sim::{simulate_stream_policy, ReportConfig, SimReport};
+use flowsched_sim::{simulate_run, ReportConfig, SimReport};
 use flowsched_workloads::adversary::interval::interval_adversary_instance;
 use flowsched_workloads::{SetupThrashStream, WeightedBurstStream};
 use serde::Serialize;
@@ -66,9 +67,9 @@ fn point(family: &str, policy: &str, measured: f64, opt: f64, opt_exact: bool) -
 /// online report.
 fn replay(inst: &Instance, policy: &str) -> SimReport {
     let spec: PolicySpec = policy.parse().expect("ladder policy strings are valid");
-    simulate_stream_policy(
+    simulate_run(
         InstanceStream::new(inst),
-        &spec,
+        &Run::new(spec),
         &ReportConfig::default(),
         &mut NoopRecorder,
     )

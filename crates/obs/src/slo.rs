@@ -22,7 +22,7 @@
 //!
 //! Breaches flow back through the ordinary recorder machinery:
 //! [`SloMonitor::emit_into`] calls
-//! [`Recorder::slo_breach`](crate::recorder::Recorder::slo_breach) per
+//! [`Recorder::slo_breach`] per
 //! breached window, which a [`MemoryRecorder`](crate::MemoryRecorder)
 //! turns into a [`Counter::SloBreaches`](crate::Counter) bump and an
 //! [`Event::SloBreach`](crate::Event) trace row — so breaches appear in

@@ -1,13 +1,14 @@
-//! Simulation entry points — batch (`simulate*`, materializing a
-//! [`Schedule`]) and streaming ([`simulate_stream`], folding a report
-//! straight off an [`ArrivalStream`] in O(machines + window) memory).
+//! Simulation entry points — batch ([`simulate`], materializing a
+//! [`Schedule`]) and streaming ([`simulate_run`], folding a report
+//! straight off an [`ArrivalStream`] in O(machines + window) memory for
+//! any [`Run`]: any registry policy, sequential or sharded, with or
+//! without a fault plan).
 
 use flowsched_algos::eft::EftState;
-use flowsched_algos::engine::ShardedConfig;
+use flowsched_algos::engine::Run;
 use flowsched_algos::indexed::DispatchKernel;
 use flowsched_algos::registry::PolicySpec;
 use flowsched_algos::tiebreak::TieBreak;
-use flowsched_core::fault::FaultPlan;
 use flowsched_core::instance::Instance;
 use flowsched_core::schedule::Schedule;
 use flowsched_core::stream::{ArrivalStream, InstanceStream};
@@ -72,197 +73,40 @@ pub fn simulate_with<R: Recorder>(
     (schedule, report)
 }
 
-/// Runs EFT over an arbitrary [`ArrivalStream`] and folds the report
-/// online — no `Instance`, no `Schedule`, no per-task allocation.
-/// Memory is bounded by machines + histogram bins + drift window (see
-/// [`ReportBuilder`]), so million-task streams run in constant space.
-///
-/// When `report.expected_measured` is `None` and the stream knows its
-/// length, the drift window is sized from `len_hint() − warmup` so a
-/// replayed instance reproduces the batch drift exactly.
-///
-/// Dispatch runs on [`DispatchKernel::Auto`]: large-`m` runs get the
-/// indexed O(log m) kernel, which produces bitwise-identical schedules
-/// (see `flowsched_algos::indexed`). Use
-/// [`simulate_stream_with_kernel`] to force either path.
+/// Runs EFT over an arbitrary [`ArrivalStream`] on the automatic
+/// kernel and folds the report online: the shorthand for
+/// [`simulate_run`] of a sequential, fault-free EFT [`Run`], kept
+/// because most experiments and tests simulate plain EFT this way.
 pub fn simulate_stream<S: ArrivalStream, R: Recorder>(
     stream: S,
     policy: TieBreak,
     report: &ReportConfig,
     rec: &mut R,
 ) -> SimReport {
-    simulate_stream_with_kernel(stream, policy, DispatchKernel::Auto, report, rec)
-}
-
-/// [`simulate_stream`] with an explicit dispatch-kernel choice —
-/// `Scalar` forces the linear-scan oracle, `Indexed` forces the
-/// lane-index kernel regardless of machine count (the scaling benches
-/// compare the two this way); `Auto` consults the stream's
-/// [`structure_hint`](ArrivalStream::structure_hint) so narrow sets on
-/// moderate machine counts stay on the scalar path.
-pub fn simulate_stream_with_kernel<S: ArrivalStream, R: Recorder>(
-    stream: S,
-    policy: TieBreak,
-    kernel: DispatchKernel,
-    report: &ReportConfig,
-    rec: &mut R,
-) -> SimReport {
-    simulate_stream_policy(stream, &PolicySpec::eft(policy, kernel), report, rec)
-}
-
-/// [`simulate_stream`] for an arbitrary registry policy: the
-/// [`PolicySpec`] (typically parsed from a string like
-/// `eft:min:indexed` or `weft@2:rand@7`) is built through the one
-/// registry construction path — kernel resolution consults the
-/// stream's [`structure_hint`](ArrivalStream::structure_hint) exactly
-/// as the EFT entry points do — and the report folds online. This is
-/// what the competitive-ratio harness and the bench bins drive.
-pub fn simulate_stream_policy<S: ArrivalStream, R: Recorder>(
-    stream: S,
-    spec: &PolicySpec,
-    report: &ReportConfig,
-    rec: &mut R,
-) -> SimReport {
-    let mut cfg = *report;
-    if cfg.expected_measured.is_none() {
-        cfg.expected_measured = stream
-            .len_hint()
-            .map(|n| n.saturating_sub(cfg.warmup_tasks));
-    }
-    let mut builder = ReportBuilder::new(stream.machines(), &cfg);
-    flowsched_algos::engine::run_policy(stream, spec, rec, &mut builder);
-    builder.finish()
-}
-
-/// [`simulate_stream`] on the sharded engine: the stream's own
-/// [`shard_plan`](ArrivalStream::shard_plan) partitions the machines
-/// into clusters, each cluster dispatches on its own worker thread
-/// ([`flowsched_algos::engine::run_immediate_sharded`]), and the report
-/// folds on the calling thread in arrival order — so for `Min`/`Max`
-/// tie-breaks the result is bitwise-identical to [`simulate_stream`]
-/// at every thread count (pinned by `tests/sharded_equivalence.rs`).
-/// Streams without cluster structure collapse to a single shard and run
-/// inline, costing nothing over the sequential path.
-pub fn simulate_stream_sharded<S: ArrivalStream, R: Recorder>(
-    stream: S,
-    policy: TieBreak,
-    report: &ReportConfig,
-    rec: &mut R,
-) -> SimReport {
-    let plan = stream.shard_plan(flowsched_core::shard::DEFAULT_MAX_SHARDS);
-    simulate_stream_sharded_with(
+    simulate_run(
         stream,
-        policy,
-        DispatchKernel::Auto,
-        &plan,
-        &ShardedConfig::default(),
+        &Run::new(PolicySpec::eft(policy, DispatchKernel::Auto)),
         report,
         rec,
     )
 }
 
-/// [`simulate_stream_sharded`] with every knob exposed: an explicit
-/// kernel choice, shard plan, and [`ShardedConfig`] (thread count,
-/// batch size, queue depth). `Auto` resolves per shard on the shard's
-/// width inside the engine.
-pub fn simulate_stream_sharded_with<S: ArrivalStream, R: Recorder>(
-    stream: S,
-    policy: TieBreak,
-    kernel: DispatchKernel,
-    plan: &flowsched_core::shard::ShardPlan,
-    cfg: &ShardedConfig,
-    report: &ReportConfig,
-    rec: &mut R,
-) -> SimReport {
-    simulate_stream_policy_sharded(
-        stream,
-        &PolicySpec::eft(policy, kernel),
-        plan,
-        cfg,
-        report,
-        rec,
-    )
-}
-
-/// [`simulate_stream_policy`] on the sharded engine: each machine
-/// cluster runs a shard-local policy built via
-/// [`PolicySpec::for_shard`] (seeded tie-breaks re-seed per shard
-/// exactly as the sequential-vs-sharded equivalence expects) and the
-/// report folds on the calling thread in arrival order.
-pub fn simulate_stream_policy_sharded<S: ArrivalStream, R: Recorder>(
-    stream: S,
-    spec: &PolicySpec,
-    plan: &flowsched_core::shard::ShardPlan,
-    cfg: &ShardedConfig,
-    report: &ReportConfig,
-    rec: &mut R,
-) -> SimReport {
-    let mut rcfg = *report;
-    if rcfg.expected_measured.is_none() {
-        rcfg.expected_measured = stream
-            .len_hint()
-            .map(|n| n.saturating_sub(rcfg.warmup_tasks));
-    }
-    let mut builder = ReportBuilder::new(stream.machines(), &rcfg);
-    flowsched_algos::engine::run_policy_sharded(stream, spec, plan, cfg, rec, &mut builder);
-    builder.finish()
-}
-
-/// [`simulate_stream_policy_sharded`] with a wall-clock
-/// [`PipelineProbe`](flowsched_obs::pipeline::PipelineProbe) observing
-/// the transport stages (see `flowsched_parallel::sharded`). The probe
-/// watches only the pipeline — the report is bit-identical to the
-/// unprobed run; pass a
-/// [`PipelineMetrics`](flowsched_obs::pipeline::PipelineMetrics) handle
-/// and read the stage table off it afterwards.
-pub fn simulate_stream_policy_sharded_probed<S, R, P>(
-    stream: S,
-    spec: &PolicySpec,
-    plan: &flowsched_core::shard::ShardPlan,
-    cfg: &ShardedConfig,
-    report: &ReportConfig,
-    rec: &mut R,
-    probe: P,
-) -> SimReport
-where
-    S: ArrivalStream,
-    R: Recorder,
-    P: flowsched_obs::pipeline::PipelineProbe,
-{
-    let mut rcfg = *report;
-    if rcfg.expected_measured.is_none() {
-        rcfg.expected_measured = stream
-            .len_hint()
-            .map(|n| n.saturating_sub(rcfg.warmup_tasks));
-    }
-    let mut builder = ReportBuilder::new(stream.machines(), &rcfg);
-    flowsched_algos::engine::run_policy_sharded_probed(
-        stream,
-        spec,
-        plan,
-        cfg,
-        rec,
-        &mut builder,
-        probe,
-    );
-    builder.finish()
-}
-
-/// [`simulate_stream`] under fault injection: runs availability-aware
-/// EFT ([`flowsched_algos::faulty`]) over the stream with `plan`'s
-/// outages, speed factors, and dispatch latency applied, folding the
-/// report online. The plan's crash/recover transitions are replayed
-/// into `rec` first, so outage spans reach exported traces. A
-/// fault-free plan reproduces [`simulate_stream`] with the scalar
-/// kernel bitwise (report and trace).
+/// Executes `run` over `stream` and folds the report online — no
+/// `Instance`, no `Schedule`, no per-task allocation. Memory is bounded
+/// by machines + histogram bins + drift window (see [`ReportBuilder`]),
+/// so million-task streams run in constant space, on either of the
+/// run's paths and under any fault plan. The report folds on the
+/// calling thread in arrival order, so a sharded run's report equals
+/// the sequential one's wherever their schedules agree (pinned by
+/// `tests/sharded_equivalence.rs`).
 ///
-/// The drift window is sized from the stream's `len_hint` exactly as in
-/// [`simulate_stream`] — the faulty adapter never drops tasks, so the
-/// hint still counts every eventual arrival.
-pub fn simulate_stream_faulty<S: ArrivalStream, R: Recorder>(
+/// When `report.expected_measured` is `None` and the stream knows its
+/// length, the drift window is sized from `len_hint() − warmup`, so a
+/// replayed instance reproduces the batch drift exactly. A fault plan
+/// never drops tasks, so the hint still counts every eventual arrival.
+pub fn simulate_run<S: ArrivalStream, R: Recorder>(
     stream: S,
-    plan: &FaultPlan,
-    policy: TieBreak,
+    run: &Run<'_>,
     report: &ReportConfig,
     rec: &mut R,
 ) -> SimReport {
@@ -273,40 +117,7 @@ pub fn simulate_stream_faulty<S: ArrivalStream, R: Recorder>(
             .map(|n| n.saturating_sub(cfg.warmup_tasks));
     }
     let mut builder = ReportBuilder::new(stream.machines(), &cfg);
-    flowsched_algos::faulty::run_immediate_faulty(stream, plan, policy, rec, &mut builder);
-    builder.finish()
-}
-
-/// [`simulate_stream_faulty`] on the sharded engine: the faulty stream
-/// (restriction, stretching, re-queueing) runs on the calling thread as
-/// part of routing, each machine cluster dispatches availability-aware
-/// EFT over its [`FaultPlan::slice`] on a worker thread, and the report
-/// folds in arrival order — bitwise-identical to the sequential faulty
-/// run for `Min`/`Max` tie-breaks at every thread count.
-pub fn simulate_stream_faulty_sharded<S: ArrivalStream, R: Recorder>(
-    stream: S,
-    plan: &FaultPlan,
-    policy: TieBreak,
-    report: &ReportConfig,
-    rec: &mut R,
-) -> SimReport {
-    let shard_plan = stream.shard_plan(flowsched_core::shard::DEFAULT_MAX_SHARDS);
-    let mut cfg = *report;
-    if cfg.expected_measured.is_none() {
-        cfg.expected_measured = stream
-            .len_hint()
-            .map(|n| n.saturating_sub(cfg.warmup_tasks));
-    }
-    let mut builder = ReportBuilder::new(stream.machines(), &cfg);
-    flowsched_algos::faulty::run_immediate_faulty_sharded(
-        stream,
-        plan,
-        policy,
-        &shard_plan,
-        &ShardedConfig::default(),
-        rec,
-        &mut builder,
-    );
+    run.execute(stream, rec, &mut builder);
     builder.finish()
 }
 

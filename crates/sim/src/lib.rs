@@ -3,10 +3,11 @@
 //! Simulation driver for the paper's Section 7.4 experiments and for the
 //! profile-dynamics illustrations of Theorem 8 (Figures 4–6).
 //!
-//! - [`driver`]: runs an online scheduler over an instance (batch) or an
-//!   [`ArrivalStream`](flowsched_core::ArrivalStream) (constant memory),
-//!   with optional warm-up exclusion, and samples the schedule profile
-//!   `w_t` over time.
+//! - [`driver`]: runs an online scheduler over an instance (batch) or
+//!   folds any [`Run`](flowsched_algos::engine::Run) over an
+//!   [`ArrivalStream`](flowsched_core::ArrivalStream) into a report in
+//!   constant memory ([`simulate_run`]), with optional warm-up
+//!   exclusion, and samples the schedule profile `w_t` over time.
 //! - [`stepped`]: an integer time-stepped fast path for synchronous
 //!   unit-task batch workloads (the adversary streams), expressed as a
 //!   specialization of the shared streaming engine and pinned to the
@@ -29,10 +30,7 @@ pub mod stepped;
 pub mod telemetry;
 
 pub use driver::{
-    profile_trace, simulate, simulate_stream, simulate_stream_faulty,
-    simulate_stream_faulty_sharded, simulate_stream_policy, simulate_stream_policy_sharded,
-    simulate_stream_policy_sharded_probed, simulate_stream_sharded, simulate_stream_sharded_with,
-    simulate_stream_with_kernel, simulate_with, SimConfig,
+    profile_trace, simulate, simulate_run, simulate_stream, simulate_with, SimConfig,
 };
 pub use report::{ReportBuilder, ReportConfig, SimReport};
 pub use stepped::{

@@ -1,16 +1,15 @@
 //! One-call telemetry: a streaming run with aggregates *and* time
 //! series recorded in a single pass.
 //!
-//! [`simulate_stream`](crate::driver::simulate_stream) is
-//! recorder-generic; this module packages the common full-telemetry
-//! choice — a [`MemoryRecorder`] (counters, flow histogram, event
-//! trace) teed with a [`WindowedMetrics`] (tumbling-window time series)
-//! — so callers like `flowsched-bench --bin timeline` and the
-//! instrumented experiment sweeps don't each rebuild the
-//! [`Tee`](flowsched_obs::Tee) plumbing. The stream is still consumed
-//! exactly once and the report fold is unchanged, so the
-//! [`SimReport`] equals an uninstrumented run's bit for bit
-//! (`tests/obs_invariants.rs` pins recording transparency).
+//! [`simulate_stream`] is recorder-generic; this module packages the
+//! common full-telemetry choice — a [`MemoryRecorder`] (counters, flow
+//! histogram, event trace) teed with a [`WindowedMetrics`]
+//! (tumbling-window time series) — so callers like `flowsched-bench
+//! --bin timeline` and the instrumented experiment sweeps don't each
+//! rebuild the [`Tee`] plumbing. The stream is still consumed exactly
+//! once and the report fold is unchanged, so the [`SimReport`] equals
+//! an uninstrumented run's bit for bit (`tests/obs_invariants.rs` pins
+//! recording transparency).
 
 use flowsched_core::stream::ArrivalStream;
 use flowsched_obs::{MemoryRecorder, ObsConfig, Tee, WindowConfig, WindowedMetrics};

@@ -225,7 +225,7 @@ impl Histogram {
     /// statistics (type-7, mirroring
     /// [`descriptive::quantile`](crate::descriptive::quantile)), read
     /// from the bins instead of a sorted sample. Each order statistic is
-    /// resolved by [within-bin interpolation](Self::value_at_rank): the
+    /// resolved by within-bin interpolation (`value_at_rank`): the
     /// result is bit-exact against the sorted-sample quantile whenever
     /// every bin the ranks touch holds ≤ 2 samples or all-equal samples,
     /// and within the touched bins' observed spread (≤ one bin width)

@@ -16,7 +16,7 @@
 //!   Adaptive adversaries drive any
 //!   [`ImmediateDispatcher`](flowsched_algos::ImmediateDispatcher).
 //!   Each one is a sink-generic `drive_*` core over a
-//!   [`ReleaseSink`](outcome::ReleaseSink): the `run_*` wrappers
+//!   [`ReleaseSink`]: the `run_*` wrappers
 //!   materialize an [`AdversaryOutcome`] (instance + schedule + the
 //!   paper's offline optimum); the `run_*_streaming` wrappers fold only
 //!   the running `Fmax` in O(1) memory. The oblivious constructions

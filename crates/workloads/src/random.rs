@@ -211,7 +211,7 @@ impl PoissonStreamConfig {
 /// Structured kinds (interval, ring, disjoint blocks, prefix,
 /// unrestricted) emit compact [`ProcSetRef`] views natively — the member
 /// vector is never built, so even `m`-wide sets cost O(1) per arrival.
-/// The per-task RNG draws are byte-identical to [`sample_set`]'s, so the
+/// The per-task RNG draws are byte-identical to `sample_set`'s, so the
 /// emitted sets equal the batch generator's for the same RNG state.
 #[derive(Debug, Clone)]
 pub struct PoissonStream {

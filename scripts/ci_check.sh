@@ -13,8 +13,9 @@
 #      (tests/streaming_equivalence.rs, tests/streaming_memory.rs)
 #   4. clippy with warnings promoted to errors
 #   5. rustdoc with warnings promoted to errors (broken intra-doc
-#      links, missing docs on public items) for the root package,
-#      flowsched-algos and flowsched-parallel
+#      links, missing docs on public items) for the root package and
+#      all eleven flowsched-* crates; the vendored stand-ins (proptest
+#      among them) stay out of the stage
 #   6. large-m smoke run: 100k-machine streams through the indexed
 #      dispatch kernel (cargo run --release -p flowsched-bench --bin
 #      smoke_scale), panicking on any degenerate report
@@ -89,8 +90,14 @@ if [ "$RUN_CLIPPY" = 1 ]; then
 fi
 
 echo
-echo "== RUSTDOCFLAGS=\"-D warnings\" cargo doc --no-deps -p flowsched -p flowsched-algos -p flowsched-parallel =="
-RUSTDOCFLAGS="-D warnings" cargo doc --no-deps -q -p flowsched -p flowsched-algos -p flowsched-parallel
+DOC_PACKAGES=(
+  -p flowsched -p flowsched-algos -p flowsched-bench -p flowsched-core
+  -p flowsched-experiments -p flowsched-kvstore -p flowsched-obs
+  -p flowsched-parallel -p flowsched-sim -p flowsched-solver
+  -p flowsched-stats -p flowsched-workloads
+)
+echo "== RUSTDOCFLAGS=\"-D warnings\" cargo doc --no-deps ${DOC_PACKAGES[*]} =="
+RUSTDOCFLAGS="-D warnings" cargo doc --no-deps -q "${DOC_PACKAGES[@]}"
 
 echo
 echo "== 100k-machine smoke run (indexed dispatch) =="

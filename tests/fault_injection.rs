@@ -13,7 +13,9 @@
 //!    window `[start, start + p)` fits inside one alive window of its
 //!    machine (`earliest_fit` is a fixed point at the chosen start).
 //! 3. **Determinism** — the sharded faulty engine is bitwise
-//!    thread-count invariant under a fixed seed, for every tie-break.
+//!    thread-count invariant under a fixed seed, for every tie-break
+//!    and transport configuration, and for `Min`/`Max` reproduces the
+//!    sequential faulty run's schedule and recorder trace.
 //! 4. **Fault-free plans are free** — `FaultPlan::none` reproduces the
 //!    plain engine bitwise, schedule *and* recorder trace.
 //!
@@ -38,9 +40,10 @@ use proptest::prelude::*;
 use rand::Rng;
 
 use flowsched::algos::eft::eft_stream;
-use flowsched::algos::engine::{DispatchSink, ShardedConfig};
-use flowsched::algos::faulty::{faulty_schedule, faulty_schedule_sharded, run_immediate_faulty};
+use flowsched::algos::engine::{DispatchSink, Run, ShardedConfig};
+use flowsched::algos::indexed::DispatchKernel;
 use flowsched::algos::offline::optimal_unit_fmax;
+use flowsched::algos::registry::PolicySpec;
 use flowsched::algos::tiebreak::TieBreak;
 use flowsched::core::compact::ProcSetRef;
 use flowsched::core::fault::{FaultCursor, FaultPlan};
@@ -50,7 +53,7 @@ use flowsched::core::shard::DEFAULT_MAX_SHARDS;
 use flowsched::core::stream::{ArrivalStream, FnStream, InstanceStream};
 use flowsched::core::task::Task;
 use flowsched::obs::{MemoryRecorder, NoopRecorder};
-use flowsched::sim::driver::simulate_stream_faulty;
+use flowsched::sim::driver::simulate_run;
 use flowsched::sim::report::ReportConfig;
 use flowsched::stats::rng::derive_rng;
 use flowsched::workloads::faults::{random_fault_plan, FaultPlanConfig};
@@ -71,6 +74,27 @@ impl DispatchSink for PairSink {
     fn accept(&mut self, _seq: u64, task: Task, a: Assignment) {
         self.pairs.push((task, a));
     }
+}
+
+/// Availability-aware EFT under `plan`, sequential until `.sharded`.
+fn faulty(plan: &FaultPlan, tb: TieBreak) -> Run<'_> {
+    Run::new(PolicySpec::eft(tb, DispatchKernel::Auto)).with_faults(plan)
+}
+
+/// `(batch, queue_cap)` from one task per batch over depth-1 queues up
+/// to the default 256 × 4 (as in `tests/sharded_equivalence.rs`): small
+/// batches send every worker recycled batches even on a short stream.
+fn transport_config() -> impl Strategy<Value = (usize, usize)> {
+    (
+        prop_oneof![
+            Just(1usize),
+            Just(2usize),
+            Just(3usize),
+            Just(7usize),
+            Just(256usize)
+        ],
+        prop_oneof![Just(1usize), Just(2usize), Just(4usize)],
+    )
 }
 
 fn kind_for(idx: usize, k: usize) -> StructureKind {
@@ -120,10 +144,8 @@ proptest! {
         let latency = [0.0, 0.25, 1.0][latency_idx];
         let plan = plan_for(m, rate, latency, degraded, seed);
         let mut sink = PairSink::default();
-        run_immediate_faulty(
+        faulty(&plan, TieBreak::Min).execute(
             stream_for(kind_for(family, k), m, n, seed),
-            &plan,
-            TieBreak::Min,
             &mut NoopRecorder,
             &mut sink,
         );
@@ -165,10 +187,8 @@ proptest! {
         let k = 1 + k_raw % m;
         let plan = plan_for(m, rate, 0.0, false, seed);
         let mut sink = PairSink::default();
-        run_immediate_faulty(
+        faulty(&plan, TieBreak::Min).execute(
             stream_for(kind_for(family, k), m, n, seed),
-            &plan,
-            TieBreak::Min,
             &mut NoopRecorder,
             &mut sink,
         );
@@ -185,10 +205,12 @@ proptest! {
     }
 
     /// Property 3: the sharded faulty engine is bitwise thread-count
-    /// invariant under a fixed seed — including `Rand`, whose per-shard
-    /// RNGs are seeded by shard index, not by worker — and for `Min` and
-    /// `Max` equals the sequential engine, whose single outage cursor
-    /// must answer as the per-shard cursors over plan slices do.
+    /// invariant under a fixed seed — schedule and recorder trace,
+    /// including `Rand`, whose per-shard RNGs are seeded by shard index,
+    /// not by worker — at every thread count and transport
+    /// configuration, and for `Min` and `Max` equals the sequential
+    /// engine, whose single outage cursor must answer as the per-shard
+    /// cursors over plan slices do.
     #[test]
     fn faulty_schedule_is_thread_count_invariant(
         m_raw in 2usize..20,
@@ -196,6 +218,8 @@ proptest! {
         k_raw in 1usize..6,
         rate in 0.0f64..0.3,
         tb_idx in 0usize..3,
+        threads in 1usize..5,
+        (batch, queue_cap) in transport_config(),
         seed in any::<u64>(),
     ) {
         let k = 1 + k_raw % m_raw;
@@ -204,24 +228,34 @@ proptest! {
         let plan = plan_for(m, rate, 0.0, true, seed);
         let kind = StructureKind::DisjointBlocks(k);
 
-        let run = |threads: usize| {
+        let run = |cfg: &ShardedConfig| {
             let stream = stream_for(kind, m, n, seed);
             let shard_plan = stream.shard_plan(DEFAULT_MAX_SHARDS);
-            faulty_schedule_sharded(
-                stream,
-                &plan,
-                tb,
-                &shard_plan,
-                &ShardedConfig::with_threads(threads),
-                &mut NoopRecorder,
-            )
+            let mut rec = MemoryRecorder::with_defaults(m);
+            let schedule = faulty(&plan, tb).sharded(&shard_plan, cfg).schedule(stream, &mut rec);
+            (schedule, rec.trace().to_vec())
         };
-        let one = run(1);
-        let four = run(4);
-        prop_assert_eq!(&one, &four, "{:?}: schedules differ across thread counts", tb);
+        let (one, one_trace) = run(&ShardedConfig::with_threads(1));
+        let (many, many_trace) = run(&ShardedConfig { threads, batch, queue_cap });
+        prop_assert_eq!(
+            &one, &many,
+            "{:?} threads={} batch={} queue_cap={}: schedules differ across thread counts",
+            tb, threads, batch, queue_cap
+        );
+        prop_assert_eq!(
+            &one_trace, &many_trace,
+            "{:?} threads={} batch={} queue_cap={}: traces differ across thread counts",
+            tb, threads, batch, queue_cap
+        );
         if !matches!(tb, TieBreak::Rand { .. }) {
-            let seq = faulty_schedule(stream_for(kind, m, n, seed), &plan, tb, &mut NoopRecorder);
-            prop_assert_eq!(&one, &seq, "{:?}: sharded differs from sequential", tb);
+            let mut seq_rec = MemoryRecorder::with_defaults(m);
+            let seq = faulty(&plan, tb).schedule(stream_for(kind, m, n, seed), &mut seq_rec);
+            prop_assert_eq!(&many, &seq, "{:?}: sharded differs from sequential", tb);
+            prop_assert_eq!(
+                &many_trace, &seq_rec.trace().to_vec(),
+                "{:?} threads={} batch={} queue_cap={}: sharded trace differs from sequential",
+                tb, threads, batch, queue_cap
+            );
         }
     }
 
@@ -245,12 +279,7 @@ proptest! {
 
         let plan = FaultPlan::none(m);
         let mut faulty_rec = MemoryRecorder::with_defaults(m);
-        let faulty = faulty_schedule(
-            stream_for(kind, m, n, seed),
-            &plan,
-            tb,
-            &mut faulty_rec,
-        );
+        let faulty = faulty(&plan, tb).schedule(stream_for(kind, m, n, seed), &mut faulty_rec);
 
         prop_assert_eq!(&plain, &faulty, "{:?} {:?}: schedules differ", kind, tb);
         prop_assert_eq!(
@@ -411,10 +440,9 @@ proptest! {
     ) {
         let k = 1 + k_raw % m;
         let plan = plan_for(m, rate, 0.0, degraded, seed);
-        let report = simulate_stream_faulty(
+        let report = simulate_run(
             stream_for(StructureKind::DisjointBlocks(k), m, n, seed),
-            &plan,
-            TieBreak::Min,
+            &faulty(&plan, TieBreak::Min),
             &ReportConfig::default(),
             &mut NoopRecorder,
         );
@@ -441,10 +469,8 @@ fn displaced_tasks_reenter_in_arrival_order() {
     ];
     let mut it = tasks.into_iter();
     let mut sink = PairSink::default();
-    run_immediate_faulty(
+    faulty(&plan, TieBreak::Min).execute(
         FnStream::new(2, move || it.next()),
-        &plan,
-        TieBreak::Min,
         &mut NoopRecorder,
         &mut sink,
     );
@@ -513,10 +539,8 @@ fn guarantee_degradation_envelope() {
             let fcfg = FaultPlanConfig::crashes(SPAN as f64 + 20.0, rate, 2.0);
             let plan = random_fault_plan(M, &fcfg, seed ^ 0xFA17);
             let mut sink = PairSink::default();
-            run_immediate_faulty(
+            faulty(&plan, TieBreak::Min).execute(
                 InstanceStream::new(inst),
-                &plan,
-                TieBreak::Min,
                 &mut NoopRecorder,
                 &mut sink,
             );

@@ -237,8 +237,10 @@ fn warm_started_unit_fmax_matches_seed_binary_search_on_200_instances() {
 // against the scalar linear-scan oracle.
 // ---------------------------------------------------------------------------
 
-use flowsched::algos::eft::{eft_stream_with_kernel, EftState, ImmediateDispatcher};
+use flowsched::algos::eft::{EftState, ImmediateDispatcher};
+use flowsched::algos::engine::Run;
 use flowsched::algos::indexed::{DispatchKernel, EftKernelState};
+use flowsched::algos::registry::PolicySpec;
 use flowsched::algos::tiebreak::TieBreak;
 use flowsched::obs::MemoryRecorder;
 use flowsched::workloads::random::{random_instance, RandomInstanceConfig, StructureKind};
@@ -320,7 +322,7 @@ proptest! {
     }
 }
 
-/// Full-pipeline equivalence: `eft_stream_with_kernel` forced to
+/// Full-pipeline equivalence: an EFT [`Run`] forced to
 /// `Scalar` vs forced to `Indexed` must produce the same [`Schedule`]
 /// *and* the same recorder event trace — the engine derives busy/idle
 /// transitions from assignments, so identical schedules must leave
@@ -347,19 +349,11 @@ fn stream_kernels_produce_identical_schedules_and_traces() {
             let inst = random_instance(&config, 0xD15);
 
             let mut rec_scalar = MemoryRecorder::with_defaults(m);
-            let scalar = eft_stream_with_kernel(
-                InstanceStream::new(&inst),
-                tb,
-                DispatchKernel::Scalar,
-                &mut rec_scalar,
-            );
+            let scalar = Run::new(PolicySpec::eft(tb, DispatchKernel::Scalar))
+                .schedule(InstanceStream::new(&inst), &mut rec_scalar);
             let mut rec_indexed = MemoryRecorder::with_defaults(m);
-            let indexed = eft_stream_with_kernel(
-                InstanceStream::new(&inst),
-                tb,
-                DispatchKernel::Indexed,
-                &mut rec_indexed,
-            );
+            let indexed = Run::new(PolicySpec::eft(tb, DispatchKernel::Indexed))
+                .schedule(InstanceStream::new(&inst), &mut rec_indexed);
 
             assert_eq!(scalar, indexed, "family {family} {tb:?}: schedules differ");
             scalar.validate(&inst).unwrap();
@@ -382,16 +376,12 @@ fn auto_kernel_is_always_one_of_the_two_paths() {
     for m in [AUTO_INDEXED_MIN_MACHINES / 2, 2 * AUTO_INDEXED_MIN_MACHINES] {
         let config = RandomInstanceConfig::unit_tasks(m, 300, StructureKind::IntervalFixed(m / 3));
         let inst = random_instance(&config, 9);
-        let auto = eft_stream_with_kernel(
+        let auto = Run::new(PolicySpec::eft(TieBreak::Min, DispatchKernel::Auto)).schedule(
             InstanceStream::new(&inst),
-            TieBreak::Min,
-            DispatchKernel::Auto,
             &mut flowsched::obs::NoopRecorder,
         );
-        let forced = eft_stream_with_kernel(
+        let forced = Run::new(PolicySpec::eft(TieBreak::Min, DispatchKernel::Scalar)).schedule(
             InstanceStream::new(&inst),
-            TieBreak::Min,
-            DispatchKernel::Scalar,
             &mut flowsched::obs::NoopRecorder,
         );
         assert_eq!(auto, forced, "m = {m}");

@@ -8,9 +8,10 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
 use flowsched::algos::eft::{eft, eft_stream, EftState};
-use flowsched::algos::engine::{NullSink, ShardedConfig};
-use flowsched::algos::faulty::{run_immediate_faulty, run_immediate_faulty_sharded};
+use flowsched::algos::engine::{run_immediate, NullSink, Run, ShardedConfig};
 use flowsched::algos::fifo::{fifo, fifo_stream};
+use flowsched::algos::indexed::DispatchKernel;
+use flowsched::algos::registry::PolicySpec;
 use flowsched::algos::tiebreak::TieBreak;
 use flowsched::core::fault::FaultEventKind;
 use flowsched::core::shard::DEFAULT_MAX_SHARDS;
@@ -18,8 +19,8 @@ use flowsched::core::stream::{ArrivalStream, InstanceStream};
 use flowsched::core::task::TaskId;
 use flowsched::core::ProcSet;
 use flowsched::obs::{
-    merge_windows, Counter, Event, MemoryRecorder, NoopRecorder, ObsConfig, ShardedRecorder, Tee,
-    WindowConfig, WindowedMetrics,
+    merge_windows, Counter, Event, MemoryRecorder, NoopRecorder, ObsConfig, ProbeKind, Recorder,
+    ShardedRecorder, Tee, WindowConfig, WindowedMetrics,
 };
 use flowsched::sim::driver::{simulate, simulate_with, SimConfig};
 use flowsched::sim::stepped::run_stepped_stream;
@@ -56,6 +57,70 @@ fn lossless_recorder(m: usize, n: usize) -> MemoryRecorder {
         trace_capacity: 8 * n.max(1),
         ..ObsConfig::defaults(m)
     })
+}
+
+/// Forwards every hook to a [`MemoryRecorder`] and snapshots its counter
+/// bank after each one, so a test sees every counter at every step of
+/// the run.
+struct CounterSnapshots {
+    inner: MemoryRecorder,
+    snapshots: Vec<Vec<u64>>,
+}
+
+impl CounterSnapshots {
+    fn snap(&mut self) {
+        let counters = self.inner.counters();
+        self.snapshots
+            .push(Counter::ALL.iter().map(|&c| counters.get(c)).collect());
+    }
+}
+
+impl Recorder for CounterSnapshots {
+    fn task_arrival(&mut self, task: u64, at: f64) {
+        self.inner.task_arrival(task, at);
+        self.snap();
+    }
+
+    fn task_dispatch(&mut self, task: u64, machine: u32, release: f64, start: f64, ptime: f64) {
+        self.inner
+            .task_dispatch(task, machine, release, start, ptime);
+        self.snap();
+    }
+
+    fn machine_busy(&mut self, machine: u32, at: f64) {
+        self.inner.machine_busy(machine, at);
+        self.snap();
+    }
+
+    fn machine_idle(&mut self, machine: u32, at: f64) {
+        self.inner.machine_idle(machine, at);
+        self.snap();
+    }
+
+    fn machine_crash(&mut self, machine: u32, at: f64) {
+        self.inner.machine_crash(machine, at);
+        self.snap();
+    }
+
+    fn machine_recover(&mut self, machine: u32, at: f64) {
+        self.inner.machine_recover(machine, at);
+        self.snap();
+    }
+
+    fn slo_breach(&mut self, at: f64, ratio: f64, bound: f64) {
+        self.inner.slo_breach(at, ratio, bound);
+        self.snap();
+    }
+
+    fn probe(&mut self, kind: ProbeKind, iterations: u64, value: f64) {
+        self.inner.probe(kind, iterations, value);
+        self.snap();
+    }
+
+    fn add(&mut self, c: Counter, delta: u64) {
+        self.inner.add(c, delta);
+        self.snap();
+    }
 }
 
 fn instance_of(
@@ -123,7 +188,7 @@ proptest! {
     }
 
     /// Counters are monotone over the run: snapshotting the bank after
-    /// every dispatch must never show any counter decreasing.
+    /// every recorder hook must never show any counter decreasing.
     #[test]
     fn counters_are_monotone(
         kind in any_structure(),
@@ -132,16 +197,19 @@ proptest! {
     ) {
         let inst = instance_of(kind, 50, true, seed);
         let mut state = EftState::new(inst.machines(), tb);
-        let mut rec = lossless_recorder(inst.machines(), inst.len());
+        let mut rec = CounterSnapshots {
+            inner: lossless_recorder(inst.machines(), inst.len()),
+            snapshots: Vec::new(),
+        };
+        run_immediate(InstanceStream::new(&inst), &mut state, &mut rec, &mut NullSink);
         let mut prev = vec![0u64; Counter::ALL.len()];
-        for (_, task, set) in inst.iter() {
-            state.dispatch_recorded(task, set, &mut rec);
-            for (slot, &c) in prev.iter_mut().zip(Counter::ALL.iter()) {
-                let now = rec.counters().get(c);
+        for snapshot in &rec.snapshots {
+            for ((slot, &c), &now) in prev.iter_mut().zip(Counter::ALL.iter()).zip(snapshot) {
                 prop_assert!(now >= *slot, "{} decreased: {} -> {now}", c.name(), *slot);
                 *slot = now;
             }
         }
+        let rec = rec.inner;
         prop_assert_eq!(rec.counters().get(Counter::TasksDispatched), inst.len() as u64);
     }
 
@@ -464,15 +532,10 @@ proptest! {
                     let mut rec = ShardedRecorder::shard(&cfg);
                     let stream = stream_of(j);
                     let shard_plan = stream.shard_plan(DEFAULT_MAX_SHARDS);
-                    run_immediate_faulty_sharded(
-                        stream,
-                        &plans[j],
-                        tb,
-                        &shard_plan,
-                        &ShardedConfig::with_threads(threads),
-                        &mut rec,
-                        &mut NullSink,
-                    );
+                    Run::new(PolicySpec::eft(tb, DispatchKernel::Auto))
+                        .with_faults(&plans[j])
+                        .sharded(&shard_plan, &ShardedConfig::with_threads(threads))
+                        .execute(stream, &mut rec, &mut NullSink);
                     rec
                 })
                 .collect();
@@ -521,7 +584,9 @@ proptest! {
         let mut seq_lifecycle = Vec::new();
         for (j, plan) in plans.iter().enumerate() {
             let mut rec = MemoryRecorder::new(&cfg);
-            run_immediate_faulty(stream_of(j), plan, tb, &mut rec, &mut NullSink);
+            Run::new(PolicySpec::eft(tb, DispatchKernel::Auto))
+                .with_faults(plan)
+                .execute(stream_of(j), &mut rec, &mut NullSink);
             let trace: Vec<Event> = rec.trace().iter().copied().collect();
             seq_lifecycle.extend(lifecycle(&trace));
         }

@@ -13,9 +13,7 @@
 
 use proptest::prelude::*;
 
-use flowsched::algos::engine::{
-    immediate_schedule, policy_schedule, policy_schedule_sharded, ShardedConfig,
-};
+use flowsched::algos::engine::{immediate_schedule, Run, ShardedConfig};
 use flowsched::algos::indexed::{DispatchKernel, EftKernelState};
 use flowsched::algos::policies::{DispatchRule, Dispatcher};
 use flowsched::algos::registry::{PolicyId, PolicySpec};
@@ -161,7 +159,7 @@ proptest! {
         let direct = direct_schedule(stream_for(kind, m, n, seed), &spec, &mut direct_rec);
 
         let mut reg_rec = MemoryRecorder::with_defaults(m);
-        let registry = policy_schedule(stream_for(kind, m, n, seed), &spec, &mut reg_rec);
+        let registry = Run::new(spec).schedule(stream_for(kind, m, n, seed), &mut reg_rec);
 
         prop_assert_eq!(&direct, &registry, "{} on {:?}: schedules differ", spec, kind);
         prop_assert_eq!(
@@ -197,17 +195,13 @@ proptest! {
         let kind = StructureKind::DisjointBlocks(k);
 
         let sequential =
-            policy_schedule(stream_for(kind, m, n, seed), &spec, &mut NoopRecorder);
+            Run::new(spec).schedule(stream_for(kind, m, n, seed), &mut NoopRecorder);
 
         let stream = stream_for(kind, m, n, seed);
         let plan = stream.shard_plan(DEFAULT_MAX_SHARDS);
-        let sharded = policy_schedule_sharded(
-            stream,
-            &spec,
-            &plan,
-            &ShardedConfig::with_threads(threads),
-            &mut NoopRecorder,
-        );
+        let sharded = Run::new(spec)
+            .sharded(&plan, &ShardedConfig::with_threads(threads))
+            .schedule(stream, &mut NoopRecorder);
         prop_assert_eq!(
             &sequential, &sharded,
             "{} threads={} shards={}: sharded diverged", spec, threads, plan.shards()
@@ -235,9 +229,9 @@ proptest! {
         let kind = StructureKind::General;
 
         let frontier =
-            policy_schedule(stream_for(kind, m, n, seed), &spec, &mut NoopRecorder);
+            Run::new(spec).schedule(stream_for(kind, m, n, seed), &mut NoopRecorder);
         let baseline =
-            policy_schedule(stream_for(kind, m, n, seed), &eft, &mut NoopRecorder);
+            Run::new(eft).schedule(stream_for(kind, m, n, seed), &mut NoopRecorder);
         prop_assert_eq!(frontier, baseline, "{} is not scalar EFT", policy);
     }
 }

@@ -11,6 +11,9 @@
 
 use std::collections::{HashMap, HashSet};
 
+use flowsched::algos::engine::Run;
+use flowsched::algos::indexed::DispatchKernel;
+use flowsched::algos::registry::PolicySpec;
 use flowsched::algos::tiebreak::TieBreak;
 use flowsched::core::fault::FaultPlan;
 use flowsched::core::instance::InstanceBuilder;
@@ -40,12 +43,9 @@ fn recorded_run(trace_capacity: usize) -> MemoryRecorder {
         trace_capacity,
         ..ObsConfig::defaults(m)
     });
-    flowsched::algos::faulty::faulty_schedule(
-        InstanceStream::new(&inst),
-        &plan,
-        TieBreak::Min,
-        &mut rec,
-    );
+    Run::new(PolicySpec::eft(TieBreak::Min, DispatchKernel::Auto))
+        .with_faults(&plan)
+        .schedule(InstanceStream::new(&inst), &mut rec);
     rec
 }
 

@@ -1,8 +1,8 @@
 //! Equivalence of the sharded dispatch engine with the sequential
 //! streaming engine.
 //!
-//! The sharded engine (`flowsched_parallel::sharded` driven through
-//! `engine::run_immediate_sharded`) partitions the machines by cluster,
+//! The sharded engine (`flowsched_parallel::sharded` driven through the
+//! sharded path of `engine::Run`) partitions the machines by cluster,
 //! dispatches each shard on its own worker, and merges the decisions
 //! back in arrival order. These tests pin the contract from ISSUE 6:
 //! for `Min`/`Max` tie-breaks the schedule, the `SimReport`, and the
@@ -17,13 +17,14 @@
 use proptest::prelude::*;
 
 use flowsched::algos::eft::eft_stream;
-use flowsched::algos::engine::{immediate_schedule_sharded, ShardedConfig};
+use flowsched::algos::engine::{Run, ShardedConfig};
 use flowsched::algos::indexed::DispatchKernel;
+use flowsched::algos::registry::PolicySpec;
 use flowsched::algos::tiebreak::TieBreak;
 use flowsched::core::shard::{ShardPlan, DEFAULT_MAX_SHARDS};
 use flowsched::core::stream::ArrivalStream;
 use flowsched::obs::{MemoryRecorder, NoopRecorder};
-use flowsched::sim::driver::{simulate_stream, simulate_stream_sharded_with};
+use flowsched::sim::driver::{simulate_run, simulate_stream};
 use flowsched::sim::report::ReportConfig;
 use flowsched::workloads::random::{PoissonStream, PoissonStreamConfig, StructureKind};
 
@@ -89,14 +90,9 @@ proptest! {
         let stream = stream_for(kind, m, n, seed);
         let plan = stream.shard_plan(DEFAULT_MAX_SHARDS);
         let mut shard_rec = MemoryRecorder::with_defaults(m);
-        let sharded = immediate_schedule_sharded(
-            stream,
-            tb,
-            DispatchKernel::Auto,
-            &plan,
-            &ShardedConfig { threads, batch, queue_cap },
-            &mut shard_rec,
-        );
+        let sharded = Run::new(PolicySpec::eft(tb, DispatchKernel::Auto))
+            .sharded(&plan, &ShardedConfig { threads, batch, queue_cap })
+            .schedule(stream, &mut shard_rec);
 
         prop_assert_eq!(
             &sequential, &sharded,
@@ -138,12 +134,9 @@ proptest! {
         let stream = stream_for(kind, m, n, seed);
         let plan = stream.shard_plan(DEFAULT_MAX_SHARDS);
         let cfg = ShardedConfig { threads, batch, queue_cap };
-        let sharded = simulate_stream_sharded_with(
+        let sharded = simulate_run(
             stream,
-            TieBreak::Min,
-            DispatchKernel::Auto,
-            &plan,
-            &cfg,
+            &Run::new(PolicySpec::eft(TieBreak::Min, DispatchKernel::Auto)).sharded(&plan, &cfg),
             &report_cfg,
             &mut NoopRecorder,
         );
@@ -173,14 +166,9 @@ proptest! {
         let stream = stream_for(kind, m, n, seed);
         let plan = stream.shard_plan(DEFAULT_MAX_SHARDS);
         prop_assert!(plan.is_single(), "unrestricted sets must not shard");
-        let sharded = immediate_schedule_sharded(
-            stream,
-            tb,
-            DispatchKernel::Auto,
-            &plan,
-            &ShardedConfig::with_threads(threads),
-            &mut NoopRecorder,
-        );
+        let sharded = Run::new(PolicySpec::eft(tb, DispatchKernel::Auto))
+            .sharded(&plan, &ShardedConfig::with_threads(threads))
+            .schedule(stream, &mut NoopRecorder);
         prop_assert_eq!(sequential, sharded);
     }
 
@@ -201,14 +189,9 @@ proptest! {
         let run = |threads: usize| {
             let stream = stream_for(kind, m, n, seed);
             let plan = stream.shard_plan(DEFAULT_MAX_SHARDS);
-            immediate_schedule_sharded(
-                stream,
-                tb,
-                DispatchKernel::Auto,
-                &plan,
-                &ShardedConfig::with_threads(threads),
-                &mut NoopRecorder,
-            )
+            Run::new(PolicySpec::eft(tb, DispatchKernel::Auto))
+                .sharded(&plan, &ShardedConfig::with_threads(threads))
+                .schedule(stream, &mut NoopRecorder)
         };
         let inline = run(1);
         prop_assert_eq!(&inline, &run(2), "2 workers diverged from inline");
@@ -231,14 +214,9 @@ fn straddling_set_panics_instead_of_misrouting() {
     let inst = b.build().unwrap();
     let plan = ShardPlan::blocks(4, 2, DEFAULT_MAX_SHARDS);
     assert_eq!(plan.shards(), 2);
-    let _ = immediate_schedule_sharded(
-        InstanceStream::new(&inst),
-        TieBreak::Min,
-        DispatchKernel::Auto,
-        &plan,
-        &ShardedConfig::with_threads(2),
-        &mut NoopRecorder,
-    );
+    let _ = Run::new(PolicySpec::eft(TieBreak::Min, DispatchKernel::Auto))
+        .sharded(&plan, &ShardedConfig::with_threads(2))
+        .schedule(InstanceStream::new(&inst), &mut NoopRecorder);
 }
 
 /// `InstanceStream` derives its plan from the merged set hulls, so a
@@ -258,14 +236,9 @@ fn instance_stream_hull_plan_round_trips() {
     for tb in [TieBreak::Min, TieBreak::Max] {
         let sequential = eft_stream(InstanceStream::new(&inst), tb, &mut NoopRecorder);
         for threads in [1, 3] {
-            let sharded = immediate_schedule_sharded(
-                InstanceStream::new(&inst),
-                tb,
-                DispatchKernel::Auto,
-                &plan,
-                &ShardedConfig::with_threads(threads),
-                &mut NoopRecorder,
-            );
+            let sharded = Run::new(PolicySpec::eft(tb, DispatchKernel::Auto))
+                .sharded(&plan, &ShardedConfig::with_threads(threads))
+                .schedule(InstanceStream::new(&inst), &mut NoopRecorder);
             assert_eq!(sequential, sharded, "{tb:?} threads={threads}");
         }
         sequential.validate(&inst).unwrap();

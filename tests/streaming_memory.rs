@@ -124,11 +124,12 @@ fn ten_million_task_sharded_run_stays_bounded() {
     // (`expected_measured: None` is overridden below): auto-sizing it
     // from the 10M-task hint would alone hold n/4-entry head and tail
     // buffers (~64 MiB), drowning the engine bound this test is about.
-    use flowsched::algos::engine::ShardedConfig;
+    use flowsched::algos::engine::{Run, ShardedConfig};
     use flowsched::algos::indexed::DispatchKernel;
+    use flowsched::algos::registry::PolicySpec;
     use flowsched::core::shard::DEFAULT_MAX_SHARDS;
     use flowsched::core::stream::ArrivalStream;
-    use flowsched::sim::driver::simulate_stream_sharded_with;
+    use flowsched::sim::driver::simulate_run;
 
     let cfg = PoissonStreamConfig {
         m: 256,
@@ -147,12 +148,10 @@ fn ten_million_task_sharded_run_stays_bounded() {
         expected_measured: Some(4096), // 1024-entry drift quarters
         ..ReportConfig::default()
     };
-    let report = simulate_stream_sharded_with(
+    let report = simulate_run(
         stream,
-        TieBreak::Min,
-        DispatchKernel::Auto,
-        &plan,
-        &ShardedConfig::with_threads(4),
+        &Run::new(PolicySpec::eft(TieBreak::Min, DispatchKernel::Auto))
+            .sharded(&plan, &ShardedConfig::with_threads(4)),
         &report_cfg,
         &mut NoopRecorder,
     );
