@@ -1,4 +1,5 @@
-//! EFT — Earliest Finish Time scheduling (paper Algorithm 2).
+//! EFT — Earliest Finish Time scheduling (paper Algorithm 2), and the
+//! one dispatch core every EFT-family policy runs on.
 //!
 //! EFT is an *immediate dispatch* algorithm: each task is irrevocably
 //! assigned to a machine the instant it is released. The chosen machine
@@ -10,8 +11,53 @@
 //! `(3 − 2/k)`-competitive (Corollary 1); with size-`k` overlapping
 //! intervals its competitive ratio degrades to at least `m − k + 1`
 //! (Theorems 8–10).
+//!
+//! # One core, start rules as parameters
+//!
+//! [`EftState`] owns the machine state of every EFT-family dispatcher:
+//! the [`CompletionBank`] (the leaf level of the lane index), the
+//! [`Breaker`] with its RNG state, the tie scratch, the cluster cache
+//! and the [`KernelStats`]. Two parameters set what it computes.
+//!
+//! - The **kernel** ([`DispatchKernel`]) finds Equation (2)'s tie set
+//!   `T = {j ∈ Mᵢ : C_j ≤ t'min}`: the member scan (SIMD or the scalar
+//!   oracle, [`ScanImpl`]), the lane index and cluster heaps
+//!   ([`indexed`](crate::indexed)), or `Auto`, which reclassifies the
+//!   arriving sets and switches between the two in place
+//!   ([`adaptive`](crate::adaptive)). Every kernel yields the same `T`
+//!   in the same ascending order, so the kernel is a performance choice
+//!   only.
+//! - The **start rule** decides which member's start wins: plain EFT,
+//!   weighted EFT's weight budget ([`weighted`](crate::weighted)), or
+//!   the setup penalty of setup-aware dispatch ([`setup`](crate::setup)).
+//!   A fault plan ([`faulty`](crate::faulty)) is not a rule of its own:
+//!   it maps every rule's start through the plan's earliest fit.
+//!
+//! **Why every rule runs on the EFT kernel.** Each rule computes a start
+//! key per member with `key_j ≥ ready_j = max(rᵢ, C_j)`, exactly in
+//! floats: plain EFT's key is `ready_j`; setup-aware dispatch adds the
+//! member's setup `≥ 0`; a fault plan maps the key through
+//! [`FaultCursor::earliest_fit`], which returns its input or an
+//! outage's end. The members of `T` are exactly those with
+//! `ready_j = t'min`, the least any key can be. So:
+//!
+//! 1. if some `j ∈ T` has `key_j = t'min`, the argmin over `Mᵢ` is
+//!    `{j ∈ T : key_j = t'min}` — no other member can reach `t'min`;
+//! 2. otherwise let `b = min_{j∈T} key_j`. Every member with
+//!    `key_j ≤ b` has `C_j ≤ b`, so the argmin over
+//!    `{j ∈ Mᵢ : C_j ≤ b}` — one collect from the index or the scan —
+//!    is the argmin over `Mᵢ`.
+//!
+//! Weighted EFT finds the least key `k*` this way; the members with the
+//! largest key within its budget `k* + θ/wᵢ` lie in
+//! `{j : C_j ≤ k* + θ/wᵢ}` — one more collect and a max. The tie set
+//! stays in ascending order and one `Breaker::pick` is drawn per
+//! dispatch, so with a zero parameter and no outages every rule
+//! reproduces plain EFT bitwise (`tests/policy_registry.rs` holds every
+//! rule to per-member reference loops).
 
 use flowsched_core::compact::ProcSetRef;
+use flowsched_core::fault::{FaultCursor, FaultPlan};
 use flowsched_core::instance::Instance;
 use flowsched_core::machine::MachineId;
 use flowsched_core::procset::ProcSet;
@@ -21,10 +67,15 @@ use flowsched_core::task::Task;
 use flowsched_core::time::Time;
 use flowsched_obs::{NoopRecorder, Recorder};
 
+use crate::adaptive::Reclassifier;
 use crate::engine::Run;
-use crate::indexed::DispatchKernel;
+use crate::indexed::{
+    ranges, ClusterCache, DispatchKernel, IndexRange, KernelStats, LaneIndex,
+    AUTO_INDEXED_MIN_MACHINES,
+};
 use crate::registry::PolicySpec;
-use crate::soa::{scan_ties_simd, CompletionBank, ScanImpl};
+use crate::setup::{cluster_fingerprint, SetupRule};
+use crate::soa::{collect_members_le, scan_ties_simd, CompletionBank, ScanImpl};
 use crate::tiebreak::{Breaker, TieBreak};
 
 /// Equation (2) in one pass: computes the tie set
@@ -72,73 +123,155 @@ pub fn scan_ties(
     }
 }
 
-/// Incremental EFT state: per-machine completion times plus the tie-break
-/// policy. Dispatch tasks in release order; the state is what a real
-/// immediate-dispatch load balancer would keep.
+/// Which member's start wins a dispatch (module docs).
+#[derive(Debug)]
+pub(crate) enum StartRule {
+    /// Plain EFT: the least `ready_j`.
+    Plain,
+    /// Weighted EFT: the latest start within `θ/wᵢ` of the least
+    /// ([`weighted`](crate::weighted)).
+    Weighted {
+        /// The packing budget `θ ≥ 0`.
+        slack: Time,
+    },
+    /// Setup-aware or setup-oblivious dispatch ([`setup`](crate::setup)).
+    Setup(SetupRule),
+}
+
+/// The EFT dispatch core: per-machine completion times, the tie-break,
+/// the kernel that finds Equation (2)'s tie set and the start rule that
+/// decides among the members (module docs). Dispatch tasks in release
+/// order; the state is what a real immediate-dispatch load balancer
+/// would keep.
 #[derive(Debug)]
 pub struct EftState {
-    completions: CompletionBank,
+    /// The completion bank as the lane index's leaf; the levels above
+    /// it exist only while the kernel is indexed.
+    index: LaneIndex,
+    /// The live kernel: `Scalar` or `Indexed`, never `Auto`.
+    kernel: DispatchKernel,
+    /// `Auto`'s live reclassification, when the machine count lets the
+    /// verdict change.
+    auto: Option<Box<Reclassifier>>,
+    /// The indexed kernel's explicit-set clusters.
+    clusters: ClusterCache,
     breaker: Breaker,
     /// Which tie-scan implementation runs (bitwise-equivalent choices).
     scan: ScanImpl,
+    rule: StartRule,
+    /// The outages every start skips; queries at `max(rᵢ, C_j)` and
+    /// above mostly advance per machine.
+    faults: Option<FaultCursor<FaultPlan>>,
     /// Scratch buffer for the tie set, reused across dispatches.
     ties: Vec<usize>,
+    stats: KernelStats,
 }
 
 impl EftState {
-    /// Fresh state for `m` idle machines, on the default (SIMD) scan.
+    /// Plain EFT for `m` idle machines, on the member scan with the
+    /// default (SIMD) tie scan.
     pub fn new(m: usize, policy: TieBreak) -> Self {
         EftState::with_scan(m, policy, ScanImpl::default())
     }
 
-    /// Fresh state with the tie-scan implementation forced — `Scalar`
-    /// keeps the one-pass member scan reachable as the oracle.
+    /// [`new`](Self::new) with the tie-scan implementation forced —
+    /// `Scalar` keeps the one-pass member scan reachable as the oracle.
     pub fn with_scan(m: usize, policy: TieBreak, scan: ScanImpl) -> Self {
         assert!(m > 0, "need at least one machine");
         EftState {
-            completions: CompletionBank::new(m),
+            index: LaneIndex::leaf(CompletionBank::new(m)),
+            kernel: DispatchKernel::Scalar,
+            auto: None,
+            clusters: ClusterCache::default(),
             breaker: policy.breaker(),
             scan,
+            rule: StartRule::Plain,
+            faults: None,
             ties: Vec::new(),
+            stats: KernelStats::default(),
+        }
+    }
+
+    /// This core on `kernel`. `Auto` starts from the machine-count rule
+    /// ([`DispatchKernel::resolve`]) and, from
+    /// [`AUTO_INDEXED_MIN_MACHINES`] machines on, reclassifies the
+    /// arriving sets live ([`adaptive`](crate::adaptive)).
+    pub fn with_kernel(mut self, kernel: DispatchKernel) -> Self {
+        let m = self.machines();
+        self.auto = (kernel == DispatchKernel::Auto && m >= AUTO_INDEXED_MIN_MACHINES)
+            .then(|| Box::new(Reclassifier::new(m)));
+        if kernel.resolve(m) != self.kernel {
+            self.set_kernel(kernel.resolve(m));
+        }
+        self
+    }
+
+    /// This core under `rule`.
+    pub(crate) fn with_rule(self, rule: StartRule) -> Self {
+        EftState { rule, ..self }
+    }
+
+    /// This core scheduling around `plan`'s outages.
+    ///
+    /// # Panics
+    /// Panics when the plan covers another machine count.
+    pub(crate) fn with_faults(self, plan: FaultPlan) -> Self {
+        assert_eq!(
+            plan.machines(),
+            self.machines(),
+            "fault plan and dispatcher disagree on machine count"
+        );
+        EftState {
+            faults: Some(FaultCursor::new(plan)),
+            ..self
         }
     }
 
     /// Number of machines.
     pub fn machines(&self) -> usize {
-        self.completions.len()
+        self.index.bank().len()
     }
 
     /// Current completion time `C_{j,i−1}` of each machine.
     pub fn completions(&self) -> &[Time] {
-        self.completions.values()
+        self.index.bank().values()
     }
 
-    /// Decomposes the state into the parts a mid-stream kernel switch
-    /// must carry over: the completion bank and the breaker (with its
-    /// RNG state — rebuilt breakers would replay draws and break
-    /// bitwise transparency).
-    pub(crate) fn into_parts(self) -> (CompletionBank, Breaker) {
-        (self.completions, self.breaker)
+    /// The kernel the core runs now: `Scalar` or `Indexed`.
+    pub fn kernel(&self) -> DispatchKernel {
+        self.kernel
     }
 
-    /// Rebuilds a state from carried-over parts (inverse of
-    /// [`into_parts`](Self::into_parts)).
-    pub(crate) fn from_parts(
-        completions: CompletionBank,
-        breaker: Breaker,
-        scan: ScanImpl,
-    ) -> Self {
-        EftState {
-            completions,
-            breaker,
-            scan,
-            ties: Vec::new(),
+    /// Mid-stream kernel switches `Auto` has made so far.
+    pub fn switches(&self) -> u32 {
+        self.auto.as_ref().map_or(0, |auto| auto.switches)
+    }
+
+    /// Decision counters (see [`KernelStats`]); `None` when the lane
+    /// index never served this core.
+    pub fn kernel_stats(&self) -> Option<KernelStats> {
+        (self.kernel == DispatchKernel::Indexed || self.stats != KernelStats::default())
+            .then_some(self.stats)
+    }
+
+    /// Switches the kernel in place, keeping the bank, the breaker and
+    /// the counters; the index levels and the cluster cache are derived
+    /// state. Rare, so kept off the dispatch path.
+    #[cold]
+    fn set_kernel(&mut self, kernel: DispatchKernel) {
+        if kernel == DispatchKernel::Indexed {
+            self.index.build_levels();
+        } else {
+            self.index.drop_levels();
+            self.clusters = ClusterCache::default();
         }
+        self.kernel = kernel;
     }
 
     /// Dispatches one task (Equation (2)): computes
     /// `t'min = max(rᵢ, min_{j∈Mᵢ} C_j)`, collects the tie set
-    /// `U'ᵢ = {j ∈ Mᵢ : C_j ≤ t'min}`, picks a machine, and commits.
+    /// `U'ᵢ = {j ∈ Mᵢ : C_j ≤ t'min}`, picks a machine under the start
+    /// rule, and commits.
     ///
     /// Tasks must be dispatched in non-decreasing release order for the
     /// schedule to be meaningful (this mirrors the online arrival order).
@@ -156,37 +289,174 @@ impl EftState {
     ///
     /// # Panics
     /// Panics if the processing set is empty or references a machine out
-    /// of range.
+    /// of range, or under weighted EFT on a non-positive weight.
     pub fn dispatch_ref(&mut self, task: Task, set: ProcSetRef<'_>) -> Assignment {
         assert!(!set.is_empty(), "task has an empty processing set");
         // The padded bank holds +∞ past the live machines, which would
         // silently swallow out-of-range members under min — reject them
-        // up front instead (matching the indexed kernel's guard).
+        // up front instead.
         assert!(
-            set.max().is_some_and(|j| j < self.completions.len()),
+            set.max().is_some_and(|j| j < self.machines()),
             "processing set references a machine out of range"
         );
-        match self.scan {
-            ScanImpl::Simd => {
-                scan_ties_simd(self.completions.padded(), set, task.release, &mut self.ties)
-            }
-            ScanImpl::Scalar => scan_ties(
-                self.completions.values(),
-                set.iter(),
-                task.release,
-                &mut self.ties,
-            ),
+        let current = self.kernel;
+        if let Some(kernel) = self.auto.as_mut().and_then(|a| a.observe(set, current)) {
+            self.set_kernel(kernel);
         }
-        let u = self.breaker.pick(&self.ties);
-        let start = task.release.max(self.completions.get(u));
-        self.completions.set(u, start + task.ptime);
+        let (u, start) = match (&self.rule, &self.faults) {
+            (StartRule::Plain, None) => {
+                let u = self.pick(task.release, set);
+                (u, task.release.max(self.index.bank().get(u)))
+            }
+            _ => self.pick_by_rule(task, set),
+        };
+        self.index.set(u, start + task.ptime);
         Assignment::new(MachineId(u), start)
+    }
+
+    /// Plain EFT's pick: the member scan's tie set, or the index on the
+    /// indexed kernel.
+    #[inline]
+    fn pick(&mut self, release: Time, set: ProcSetRef<'_>) -> usize {
+        if self.kernel == DispatchKernel::Indexed {
+            return self.index_pick(release, set);
+        }
+        self.scan_tie_set(release, set);
+        self.breaker.pick(&self.ties)
+    }
+
+    /// Plain EFT's pick on the indexed kernel: `Min` and `Max` over
+    /// compact ranges take the extreme tie by one descent and never
+    /// build the tie set; everything else picks from the tie set. Out of
+    /// line, so the scan's path inlines.
+    #[inline(never)]
+    fn index_pick(&mut self, release: Time, set: ProcSetRef<'_>) -> usize {
+        if let (Some((low, high)), Breaker::Min | Breaker::Max) = (ranges(set), &self.breaker) {
+            self.stats.indexed_descents += 1;
+            let index = &self.index;
+            let t_min = release.max(range_min(index, low, high));
+            let hit = if matches!(self.breaker, Breaker::Min) {
+                low.and_then(|(lo, hi)| index.find_le::<false>(lo, hi, t_min))
+                    .or_else(|| index.find_le::<false>(high.0, high.1, t_min))
+            } else {
+                index
+                    .find_le::<true>(high.0, high.1, t_min)
+                    .or_else(|| low.and_then(|(lo, hi)| index.find_le::<true>(lo, hi, t_min)))
+            };
+            return hit.expect("tie set is nonempty by construction");
+        }
+        self.tie_set(release, set);
+        self.breaker.pick(&self.ties)
+    }
+
+    /// Equation (2)'s tie set `{j ∈ Mᵢ : C_j ≤ t'min}` into `ties`, in
+    /// ascending order, from the kernel: on the indexed kernel the lane
+    /// index over compact ranges or a cluster heap over an explicit
+    /// slice, the member scan otherwise — and for explicit slices that
+    /// overlap a claimed cluster.
+    fn tie_set(&mut self, release: Time, set: ProcSetRef<'_>) {
+        if self.kernel == DispatchKernel::Indexed {
+            if let Some((low, high)) = ranges(set) {
+                self.stats.indexed_descents += 1;
+                let t_min = release.max(range_min(&self.index, low, high));
+                self.ties.clear();
+                collect_ranges(&self.index, low, high, t_min, &mut self.ties);
+                return;
+            }
+            if let ProcSetRef::Explicit(slice) = set {
+                let bank = self.index.bank();
+                if self
+                    .clusters
+                    .ties(bank, release, slice, &mut self.ties, &mut self.stats)
+                {
+                    return;
+                }
+            }
+            // The counter name predates the SIMD scan; it counts either.
+            self.stats.scalar_fallback_scans += 1;
+        }
+        self.scan_tie_set(release, set);
+    }
+
+    /// The member scan's tie set, on the configured [`ScanImpl`]: plain
+    /// EFT's hot path, always inlined.
+    #[inline(always)]
+    fn scan_tie_set(&mut self, release: Time, set: ProcSetRef<'_>) {
+        let bank = self.index.bank();
+        match self.scan {
+            ScanImpl::Simd => scan_ties_simd(bank.padded(), set, release, &mut self.ties),
+            ScanImpl::Scalar => scan_ties(bank.values(), set.iter(), release, &mut self.ties),
+        }
+    }
+
+    /// The machine and start under a start rule or a fault plan (module
+    /// docs): EFT's tie set first, widened only when none of its members
+    /// reaches `t'min`. Out of line, so plain EFT's path stays small.
+    #[inline(never)]
+    fn pick_by_rule(&mut self, task: Task, set: ProcSetRef<'_>) -> (usize, Time) {
+        self.tie_set(task.release, set);
+        let EftState {
+            index,
+            kernel,
+            breaker,
+            rule,
+            faults,
+            ties,
+            ..
+        } = self;
+        // T's first member has C_j ≤ t'min, and C_j = t'min unless the
+        // release is the larger of the two.
+        let t_min = task.release.max(index.bank().get(ties[0]));
+        let widen = |bound: Time, out: &mut Vec<usize>| match ranges(set) {
+            Some((low, high)) if *kernel == DispatchKernel::Indexed => {
+                collect_ranges(index, low, high, bound, out);
+            }
+            _ => collect_members_le(index.bank().padded(), set, bound, out),
+        };
+        let mut keys = StartKeys {
+            bank: index.bank(),
+            faults: faults.as_mut(),
+            setup: None,
+            task,
+        };
+        match rule {
+            StartRule::Plain => {
+                let start = argmin(&mut keys, ties, t_min, &widen);
+                (breaker.pick(ties), start)
+            }
+            StartRule::Weighted { slack } => {
+                assert!(task.weight > 0.0, "task weights must be positive");
+                let least = argmin(&mut keys, ties, t_min, &widen);
+                let budget = least + *slack / task.weight;
+                ties.clear();
+                widen(budget, ties);
+                let start = latest_within(&mut keys, ties, budget);
+                (breaker.pick(ties), start)
+            }
+            StartRule::Setup(setup) => {
+                let fp = cluster_fingerprint(set);
+                let penalty = (setup.last.as_slice(), fp, setup.cost);
+                // The aware rule chooses on the setup it will pay; the
+                // oblivious one chooses as plain EFT, then pays it.
+                keys.setup = setup.aware.then_some(penalty);
+                let least = argmin(&mut keys, ties, t_min, &widen);
+                let u = breaker.pick(ties);
+                let start = if setup.aware {
+                    least
+                } else {
+                    keys.setup = Some(penalty);
+                    keys.key(u)
+                };
+                setup.last[u] = fp;
+                (u, start)
+            }
+        }
     }
 
     /// The machines' waiting work at time `t` (`w_t` when sampled just
     /// before the next batch): `max(0, C_j − t)` per machine.
     pub fn backlog_at(&self, t: Time) -> Vec<Time> {
-        let mut out = Vec::with_capacity(self.completions.len());
+        let mut out = Vec::with_capacity(self.machines());
         self.backlog_into(t, &mut out);
         out
     }
@@ -196,7 +466,7 @@ impl EftState {
     /// keep one buffer instead of allocating a fresh `Vec` per sample.
     pub fn backlog_into(&self, t: Time, out: &mut Vec<Time>) {
         out.clear();
-        out.extend(self.completions.values().iter().map(|&c| (c - t).max(0.0)));
+        out.extend(self.completions().iter().map(|&c| (c - t).max(0.0)));
     }
 
     /// Signed slack `t − C_j` per machine into a caller-provided buffer
@@ -206,8 +476,123 @@ impl EftState {
     /// for trace loops that need the idle side too.
     pub fn slack_into(&self, t: Time, out: &mut Vec<Time>) {
         out.clear();
-        out.extend(self.completions.values().iter().map(|&c| t - c));
+        out.extend(self.completions().iter().map(|&c| t - c));
     }
+}
+
+/// `min C_j` over one or two index ranges.
+#[inline]
+fn range_min(index: &LaneIndex, low: Option<IndexRange>, high: IndexRange) -> Time {
+    low.map_or(Time::INFINITY, |(lo, hi)| index.range_min(lo, hi))
+        .min(index.range_min(high.0, high.1))
+}
+
+/// Appends `{j : C_j ≤ bound}` over one or two index ranges, ascending.
+#[inline]
+fn collect_ranges(
+    index: &LaneIndex,
+    low: Option<IndexRange>,
+    high: IndexRange,
+    bound: Time,
+    out: &mut Vec<usize>,
+) {
+    if let Some((lo, hi)) = low {
+        index.collect_le(0, lo, hi, bound, out);
+    }
+    index.collect_le(0, high.0, high.1, bound, out);
+}
+
+/// The start keys of one dispatch: `key_j = fit_j(ready_j + setup_j)`,
+/// where `setup_j` is the setup penalty when one applies and `fit_j` the
+/// fault plan's earliest fit when there is a plan.
+struct StartKeys<'a> {
+    bank: &'a CompletionBank,
+    faults: Option<&'a mut FaultCursor<FaultPlan>>,
+    /// Each machine's configured cluster, the task's cluster, the cost.
+    setup: Option<(&'a [u64], u64, Time)>,
+    task: Task,
+}
+
+impl StartKeys<'_> {
+    #[inline]
+    fn key(&mut self, j: usize) -> Time {
+        let mut start = self.task.release.max(self.bank.get(j));
+        if let Some((last, fp, cost)) = self.setup {
+            if last[j] != fp {
+                start += cost;
+            }
+        }
+        match &mut self.faults {
+            Some(cursor) => cursor.earliest_fit(j, start, self.task.ptime),
+            None => start,
+        }
+    }
+}
+
+/// Narrows `ties` — EFT's tie set at `t_min`, ascending — to the
+/// ascending argmin of the keys over the whole set, and returns the
+/// least key (module docs, steps 1 and 2). `widen(b, out)` appends
+/// `{j ∈ Mᵢ : C_j ≤ b}`.
+fn argmin(
+    keys: &mut StartKeys<'_>,
+    ties: &mut Vec<usize>,
+    t_min: Time,
+    widen: &impl Fn(Time, &mut Vec<usize>),
+) -> Time {
+    let (mut bound, mut kept) = (Time::INFINITY, 0);
+    for i in 0..ties.len() {
+        let j = ties[i];
+        let key = keys.key(j);
+        if key == t_min {
+            ties[kept] = j;
+            kept += 1;
+        }
+        bound = bound.min(key);
+    }
+    if kept > 0 {
+        ties.truncate(kept);
+        return t_min;
+    }
+    ties.clear();
+    widen(bound, ties);
+    let mut least = Time::INFINITY;
+    for i in 0..ties.len() {
+        let j = ties[i];
+        let key = keys.key(j);
+        if key < least {
+            least = key;
+            kept = 0;
+        }
+        if key == least {
+            ties[kept] = j;
+            kept += 1;
+        }
+    }
+    ties.truncate(kept);
+    least
+}
+
+/// Narrows `cands` (ascending) to the members with the largest key
+/// within `budget` and returns that key.
+fn latest_within(keys: &mut StartKeys<'_>, cands: &mut Vec<usize>, budget: Time) -> Time {
+    let (mut latest, mut kept) = (Time::NEG_INFINITY, 0);
+    for i in 0..cands.len() {
+        let j = cands[i];
+        let key = keys.key(j);
+        if key > budget {
+            continue;
+        }
+        if key > latest {
+            latest = key;
+            kept = 0;
+        }
+        if key == latest {
+            cands[kept] = j;
+            kept += 1;
+        }
+    }
+    cands.truncate(kept);
+    latest
 }
 
 /// Abstraction over immediate-dispatch online schedulers: a task arrives,
@@ -222,12 +607,12 @@ pub trait ImmediateDispatcher {
     /// Current completion time of each machine under the commitments made
     /// so far (what an adaptive adversary may observe).
     fn machine_completions(&self) -> &[Time];
-    /// Decision counters for index-backed kernels
-    /// ([`KernelStats`](crate::indexed::KernelStats)); `None` for
-    /// dispatchers with no index. The engine flushes `Some` stats into
-    /// the recorder's kernel counters at the end of sequential runs.
+    /// Decision counters for index-backed kernels ([`KernelStats`]);
+    /// `None` for dispatchers with no index. The engine flushes `Some`
+    /// stats into the recorder's kernel counters at the end of
+    /// sequential runs.
     #[inline(always)]
-    fn kernel_stats(&self) -> Option<crate::indexed::KernelStats> {
+    fn kernel_stats(&self) -> Option<KernelStats> {
         None
     }
 }
@@ -243,6 +628,10 @@ impl ImmediateDispatcher for EftState {
 
     fn machine_completions(&self) -> &[Time] {
         self.completions()
+    }
+
+    fn kernel_stats(&self) -> Option<KernelStats> {
+        self.kernel_stats()
     }
 }
 
@@ -409,11 +798,47 @@ mod tests {
         }
     }
 
+    /// Every rule shares the padded bank, whose `+∞` tail would silently
+    /// swallow an out-of-range member under `min`: each one, on every
+    /// kernel and with or without a fault plan, must reject the set.
     #[test]
-    #[should_panic(expected = "out of range")]
     fn dispatch_rejects_out_of_range_sets() {
+        use crate::indexed::DispatchKernel;
+        use crate::registry::PolicySpec;
+        use std::panic::{catch_unwind, AssertUnwindSafe};
         let mut st = EftState::new(2, TieBreak::Min);
-        st.dispatch_ref(Task::new(0.0, 1.0), ProcSetRef::interval(1, 2));
+        let err = catch_unwind(AssertUnwindSafe(|| {
+            st.dispatch_ref(Task::new(0.0, 1.0), ProcSetRef::interval(1, 2))
+        }));
+        assert!(err.is_err(), "the plain core accepted machine 2 of 2");
+        let outside = [0, 2];
+        for rule in ["eft:max", "weft@1", "setup@1", "setup-obl@1"] {
+            for kernel in [
+                DispatchKernel::Auto,
+                DispatchKernel::Scalar,
+                DispatchKernel::Indexed,
+            ] {
+                let spec = rule.parse::<PolicySpec>().unwrap().with_kernel(kernel);
+                for faulty in [false, true] {
+                    for set in [ProcSetRef::interval(1, 2), ProcSetRef::Explicit(&outside)] {
+                        let mut st = if faulty {
+                            spec.build_faulty(FaultPlan::none(2).with_outage(0, 0.0, 1.0))
+                        } else {
+                            spec.build(2)
+                        };
+                        let err = catch_unwind(AssertUnwindSafe(|| {
+                            st.dispatch_task(Task::new(0.0, 1.0), set)
+                        }))
+                        .expect_err("an out-of-range member must panic");
+                        let msg = err.downcast_ref::<&str>().copied().unwrap_or_default();
+                        assert!(
+                            msg.contains("out of range"),
+                            "{spec} faulty={faulty} {set:?}: `{msg}`"
+                        );
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -257,12 +257,12 @@ where
 ///   as the sequential path. Kernel counters from every shard sum into
 ///   the recorder after the run, as [`run_immediate`] flushes its own.
 ///
-/// A fault plan is an input to both paths. Its machine count is checked
-/// against the stream's, its crash/recover transitions are replayed
-/// into the recorder (so outage spans reach exported traces), the
-/// stream is wrapped in a [`FaultyStream`], and each dispatcher is
-/// built by [`PolicySpec::build_faulty`] over the plan's slice of its
-/// machines ([`FaultPlan::slice`]).
+/// A fault plan is an input to both paths and to every policy. Its
+/// machine count is checked against the stream's, its crash/recover
+/// transitions are replayed into the recorder (so outage spans reach
+/// exported traces), the stream is wrapped in a [`FaultyStream`], and
+/// each dispatcher is built by [`PolicySpec::build_faulty`] over the
+/// plan's slice of its machines ([`FaultPlan::slice`]).
 ///
 /// **Equivalence.** For `Min`/`Max` tie-breaks (and `Rand` on a
 /// single-shard plan) the sharded schedule, recorder trace and every
@@ -276,9 +276,8 @@ where
 ///
 /// # Panics
 /// Panics if the stream and a plan disagree on the machine count, if an
-/// arrival's set straddles a shard boundary, if releases decrease, if a
-/// worker dies, or if a fault plan meets a non-EFT policy
-/// ([`PolicySpec::build_faulty`]).
+/// arrival's set straddles a shard boundary, if releases decrease, or if
+/// a worker dies.
 #[derive(Debug, Clone, Copy)]
 pub struct Run<'a> {
     /// The dispatch policy.
@@ -761,14 +760,14 @@ mod tests {
 
     #[test]
     fn kernel_counters_flush_into_the_recorder() {
-        use crate::indexed::IndexedEftState;
+        use crate::indexed::DispatchKernel;
         use flowsched_obs::{Counter, MemoryRecorder};
         let mut b = InstanceBuilder::new(4);
         for i in 0..10 {
             b.push_unit(i as f64, ProcSet::interval(0, 3));
         }
         let inst = b.build().unwrap();
-        let mut state = IndexedEftState::new(4, TieBreak::Min);
+        let mut state = EftState::new(4, TieBreak::Min).with_kernel(DispatchKernel::Indexed);
         let mut rec = MemoryRecorder::with_defaults(4);
         run_immediate(
             InstanceStream::new(&inst),

@@ -1,148 +1,62 @@
-//! Availability-aware EFT dispatch: the dispatcher a faulty run builds.
+//! Availability-aware dispatch: every policy under a [`FaultPlan`].
 //!
 //! The fault layer is two halves. `flowsched_core::fault` owns the
 //! *stream* half: [`FaultyStream`] shifts releases by the dispatch
 //! latency, stretches processing times by the slowest alive member's
 //! speed factor, restricts each arrival's set to the machines alive at
-//! its release, and re-queues stranded tasks in arrival order. This
-//! module owns the *dispatch* half: [`FaultyEftState`] answers the
-//! paper's Equation (2) against machine availability — the candidate
-//! start on machine `j` is the earliest instant `≥ max(rᵢ, C_j)` whose
-//! whole service window `[s, s + pᵢ)` avoids `j`'s outages
-//! ([`FaultPlan::earliest_fit`]) — so no task ever starts on, or runs
+//! its release, and re-queues stranded tasks in arrival order. The
+//! *dispatch* half is a parameter of every dispatcher: a start on
+//! machine `j` is the earliest instant `≥` the rule's start whose whole
+//! service window `[s, s + pᵢ)` avoids `j`'s outages
+//! ([`FaultPlan::earliest_fit`]), so no task ever starts on, or runs
 //! across, a dead machine (the checkpoint-free model: the dispatcher
 //! knows the fault trace and schedules around it, the way a cluster
 //! manager drains a machine ahead of planned maintenance).
 //!
+//! - The EFT family (`eft`, `weft@θ`, `setup@c`, `setup-obl@c`) maps
+//!   every member's start key through the fit and takes the rule's
+//!   argmin on the EFT core, which evaluates EFT's tie set first and
+//!   widens only when none of its members fits at `t'min` (`eft` module
+//!   docs).
+//! - Random, power-of-d and round-robin keep their pick and start at
+//!   the earliest fit on the picked machine.
+//!
 //! **Fault-free equivalence.** With no outages `earliest_fit(j, t, p) =
-//! t`, so the candidate start is `max(rᵢ, C_j)` and the argmin tie set
-//! collapses to exactly the set `eft::scan_ties` computes: when every
-//! `C_j > rᵢ` the candidates are the `C_j` themselves (argmin-C mode),
-//! and once any `C_j ≤ rᵢ` the minimum is `rᵢ` and the ties are all
-//! `{j : C_j ≤ rᵢ}` in ascending order (release mode). One
-//! [`Breaker::pick`](crate::tiebreak::Breaker) call per dispatch keeps
-//! RNG draw counts identical too, which is why a fault-free
-//! [`FaultPlan`] reproduces the plain engine *bitwise* — schedule and
-//! recorder trace — as `tests/fault_injection.rs` pins.
+//! t`, so every start is the rule's own and one `Breaker::pick` per
+//! dispatch keeps RNG draw counts identical: a fault-free [`FaultPlan`]
+//! reproduces the plain engine *bitwise* — schedule and recorder trace
+//! — as `tests/fault_injection.rs` pins for every policy.
 //!
 //! [`Run::with_faults`](crate::engine::Run::with_faults) composes the
 //! halves on both of the engine's paths: it replays the plan's
 //! crash/recover transitions into the recorder, wraps the stream in a
-//! [`FaultyStream`], and builds one [`FaultyEftState`] per dispatcher
-//! over the [`FaultPlan::slice`] of its machines — the whole plan on
-//! the sequential path, each shard's block on the sharded path, where
+//! [`FaultyStream`], and builds each dispatcher over the
+//! [`FaultPlan::slice`] of its machines — the whole plan on the
+//! sequential path, each shard's block on the sharded path, where
 //! commits replay through the engine's shared `CommitTracker` so
 //! sequential and sharded runs stay bitwise-equal for deterministic
 //! tie-breaks.
 //!
 //! [`FaultyStream`]: flowsched_core::fault::FaultyStream
 
-use flowsched_core::compact::ProcSetRef;
-use flowsched_core::fault::{FaultCursor, FaultPlan};
-use flowsched_core::machine::MachineId;
-use flowsched_core::schedule::Assignment;
-use flowsched_core::task::Task;
-use flowsched_core::time::Time;
+#[cfg(doc)]
+use flowsched_core::fault::FaultPlan;
 
-use crate::eft::ImmediateDispatcher;
-use crate::soa::CompletionBank;
-use crate::tiebreak::{Breaker, TieBreak};
+use crate::registry::PolicyState;
 
-/// Incremental EFT state that schedules around a [`FaultPlan`]'s
-/// outages (see the module docs for the model and the fault-free
-/// equivalence argument). Owns its plan so per-shard instances can move
-/// onto worker threads.
-#[derive(Debug)]
-pub struct FaultyEftState {
-    /// Fit queries at `max(release, C_j)`, which never decreases per
-    /// machine: releases are non-decreasing and `C_j` only grows.
-    cursor: FaultCursor<FaultPlan>,
-    completions: CompletionBank,
-    breaker: Breaker,
-    /// Scratch buffer for the tie set, reused across dispatches.
-    ties: Vec<usize>,
-}
-
-impl FaultyEftState {
-    /// Fresh state for the machines of `plan`, all idle at time 0.
-    ///
-    /// # Panics
-    /// Panics when the plan covers zero machines.
-    pub fn new(plan: FaultPlan, policy: TieBreak) -> Self {
-        let m = plan.machines();
-        assert!(m > 0, "need at least one machine");
-        FaultyEftState {
-            cursor: FaultCursor::new(plan),
-            completions: CompletionBank::new(m),
-            breaker: policy.breaker(),
-            ties: Vec::new(),
-        }
-    }
-
-    /// Number of machines.
-    pub fn machines(&self) -> usize {
-        self.completions.len()
-    }
-
-    /// Current completion time of each machine under the commitments
-    /// made so far.
-    pub fn completions(&self) -> &[Time] {
-        self.completions.values()
-    }
-
-    /// Dispatches one task: for each member `j` the candidate start is
-    /// `earliest_fit(j, max(release, C_j), ptime)`; the argmin tie set
-    /// (ascending machine order) goes to the tie-break, exactly one RNG
-    /// draw for `Rand`.
-    ///
-    /// # Panics
-    /// Panics on an empty set or a member outside the plan.
-    pub fn dispatch(&mut self, task: Task, set: ProcSetRef<'_>) -> Assignment {
-        assert!(!set.is_empty(), "processing sets are non-empty");
-        self.ties.clear();
-        let mut best = Time::INFINITY;
-        let completions = self.completions.values();
-        for j in set.iter() {
-            let ready = if task.release > completions[j] {
-                task.release
-            } else {
-                completions[j]
-            };
-            let s = self.cursor.earliest_fit(j, ready, task.ptime);
-            if s < best {
-                best = s;
-                self.ties.clear();
-                self.ties.push(j);
-            } else if s == best {
-                self.ties.push(j);
-            }
-        }
-        let u = self.breaker.pick(&self.ties);
-        self.completions.set(u, best + task.ptime);
-        Assignment::new(MachineId(u), best)
-    }
-}
-
-impl ImmediateDispatcher for FaultyEftState {
-    fn machine_count(&self) -> usize {
-        self.machines()
-    }
-
-    fn dispatch_task(&mut self, task: Task, set: ProcSetRef<'_>) -> Assignment {
-        self.dispatch(task, set)
-    }
-
-    fn machine_completions(&self) -> &[Time] {
-        self.completions()
-    }
-}
+/// What [`PolicySpec::build_faulty`](crate::registry::PolicySpec::build_faulty)
+/// returns: a [`PolicyState`] over a fault plan, now that every policy
+/// takes one. Kept as a name because the performance ledger
+/// (`perf_ledger/`) builds against it.
+pub type FaultyEftState = PolicyState;
 
 #[cfg(test)]
 mod tests {
-    use super::*;
     use crate::eft::EftState;
     use crate::engine::Run;
     use crate::registry::PolicySpec;
+    use crate::tiebreak::TieBreak;
+    use flowsched_core::fault::FaultPlan;
     use flowsched_core::instance::InstanceBuilder;
     use flowsched_core::procset::ProcSet;
     use flowsched_core::stream::InstanceStream;

@@ -1,32 +1,31 @@
-//! Indexed EFT dispatch: O(log m) machine selection over compact
+//! The indexed kernel of the EFT core: O(log m) tie sets over compact
 //! processing sets.
 //!
-//! The scalar [`EftState`] evaluates Equation (2) by scanning every
-//! member of `Mᵢ` — O(|Mᵢ|) per task, which on the paper's structured
-//! families (interval, inclusive, disjoint; Th. 3–10) is exactly the
-//! cost the structure makes avoidable. [`IndexedEftState`] exploits the
-//! compact [`ProcSetRef`] shapes arrival streams now lend:
+//! The member scan evaluates Equation (2) by reading every member of
+//! `Mᵢ` — O(|Mᵢ|) per task, which on the paper's structured families
+//! (interval, inclusive, disjoint; Th. 3–10) is exactly the cost the
+//! structure makes avoidable. When [`EftState`] runs the
+//! [`DispatchKernel::Indexed`] kernel it exploits the compact
+//! [`ProcSetRef`] shapes arrival streams lend:
 //!
 //! - **Interval / prefix / ring sets** are one or two index ranges, so a
 //!   *lane index* over the machine completion times — the
 //!   [`CompletionBank`] as its leaf level, and above it one level of
 //!   8-wide lane minima after another — answers `min_{j∈Mᵢ} C_j` with a
 //!   range-min walk and finds the picked machine by a bitmask descent:
-//!   O(log₈ m) lanes per task for `Min`/`Max` tie-breaks,
-//!   O(|U'ᵢ| log₈ m) for `Rand` (which must enumerate the whole tie set
-//!   to reproduce the `Breaker::pick` RNG contract: one
-//!   `random_range(0..|U'ᵢ|)` draw).
-//! - **Explicit sets** go through a cluster index: the first time a
+//!   O(log₈ m) lanes per task for plain `Min`/`Max` EFT, O(|U'ᵢ| log₈ m)
+//!   when the whole tie set is needed (`Rand`, whose `Breaker::pick`
+//!   draws `random_range(0..|U'ᵢ|)`, and every start rule).
+//! - **Explicit sets** go through a cluster cache: the first time a
 //!   member slice is seen, its machines are claimed and a per-cluster
 //!   binary min-heap of completions is built (the disjoint-family case,
 //!   Cor. 1 workloads); later tasks on the same set run in
 //!   O(|U'ᵢ| log k). Sets that overlap a claimed cluster fall back to
-//!   the fused scalar scan — correctness never depends on detection.
+//!   the member scan — correctness never depends on detection.
 //!
 //! Every path computes the exact tie set `U'ᵢ` in ascending machine
-//! order and feeds it through the same [`Breaker`], so schedules (and,
-//! via the engine's recorder convention, event traces) are
-//! bitwise-identical to the scalar kernel — pinned by
+//! order, so schedules (and, via the engine's recorder convention,
+//! event traces) are bitwise-identical to the scan — pinned by
 //! `tests/kernel_equivalence.rs`.
 //!
 //! Staleness discipline: machine completions only ever *increase*, so a
@@ -37,16 +36,11 @@
 //! understates or equals its own, later, completion).
 
 use flowsched_core::compact::ProcSetRef;
-use flowsched_core::machine::MachineId;
-use flowsched_core::schedule::Assignment;
 use flowsched_core::structure::StructureReport;
-use flowsched_core::task::Task;
 use flowsched_core::time::Time;
 
-use crate::adaptive::AdaptiveEftState;
-use crate::eft::{scan_ties, EftState, ImmediateDispatcher};
-use crate::soa::{scan_ties_simd, CompletionBank, ScanImpl, SoaMinHeap, LANE};
-use crate::tiebreak::{Breaker, TieBreak};
+use crate::eft::EftState;
+use crate::soa::{CompletionBank, SoaMinHeap, LANE};
 
 /// Decision counters of the indexed kernel — which path served each
 /// dispatch and how often the lazy structures had to repair themselves.
@@ -72,8 +66,7 @@ pub struct KernelStats {
 
 impl KernelStats {
     /// Accumulates another counter snapshot into this one — how the
-    /// engine merges per-shard stats and how the adaptive kernel carries
-    /// counters across mid-stream kernel switches.
+    /// engine merges per-shard stats.
     pub fn merge(&mut self, other: KernelStats) {
         self.indexed_descents += other.indexed_descents;
         self.scalar_fallback_scans += other.scalar_fallback_scans;
@@ -95,17 +88,17 @@ pub enum DispatchKernel {
     /// ([`AUTO_INDEXED_MIN_MACHINES`]), classify the arriving sets
     /// incrementally, and re-resolve through
     /// [`for_structure`](DispatchKernel::for_structure) after a warmup
-    /// window and on classification changes ([`AdaptiveEftState`]). When
-    /// the stream offers a
+    /// window and on classification changes, switching the core's
+    /// kernel in place ([`adaptive`](crate::adaptive)). When the stream
+    /// offers a
     /// [`structure_hint`](flowsched_core::stream::ArrivalStream::structure_hint),
     /// [`resolve_for_stream`](DispatchKernel::resolve_for_stream)
     /// settles the choice up front instead.
     #[default]
     Auto,
-    /// Force the member-scan oracle ([`EftState`]).
+    /// Force the member scan.
     Scalar,
-    /// Force the lane-index / cluster-heap kernel
-    /// ([`IndexedEftState`]).
+    /// Force the lane index and the cluster heaps.
     Indexed,
 }
 
@@ -160,8 +153,8 @@ impl DispatchKernel {
     /// [`structure_hint`](flowsched_core::stream::ArrivalStream::structure_hint)
     /// through [`for_structure`](DispatchKernel::for_structure) when one
     /// is available (the hint covers the whole stream, so the choice is
-    /// settled up front), and stays `Auto` — the live-reclassifying
-    /// adaptive kernel — when the source promises nothing. Explicit
+    /// settled up front), and stays `Auto` — live reclassification —
+    /// when the source promises nothing. Explicit
     /// choices pass through untouched.
     pub fn resolve_for_stream<S>(self, stream: &S) -> DispatchKernel
     where
@@ -190,10 +183,10 @@ pub fn indexed_min_width(m: usize) -> usize {
     2 * (usize::BITS - m.leading_zeros()) as usize
 }
 
-/// A lane index over the completion bank, the min index behind
-/// [`IndexedEftState`]. `levels[0]` *is* the bank; entry `i` of
-/// `levels[k + 1]` is the minimum of lane `i` (entries `8i .. 8i + 8`) of
-/// `levels[k]`, up to a level of one lane. Every level is a lane-aligned,
+/// A lane index over the completion bank, the min index of the indexed
+/// kernel. `levels[0]` *is* the bank; entry `i` of `levels[k + 1]` is
+/// the minimum of lane `i` (entries `8i .. 8i + 8`) of `levels[k]`, up
+/// to a level of one lane. The member scan keeps the leaf alone. Every level is a lane-aligned,
 /// `+∞`-padded [`CompletionBank`]: at m = 4096, three levels of 512, 64
 /// and 8 entries (4.6 KiB) above the 32 KiB bank; at m = 2²⁰, 1.1 MiB
 /// above an 8 MiB bank.
@@ -204,38 +197,43 @@ pub fn indexed_min_width(m: usize) -> usize {
 /// addresses depend only on `lo` and `hi`, so the loads of all levels
 /// issue at once and no branch depends on their bits.
 #[derive(Debug, Clone)]
-struct LaneIndex {
+pub(crate) struct LaneIndex {
     levels: Vec<CompletionBank>,
 }
 
 impl LaneIndex {
-    /// Index whose leaf level is `bank`.
-    fn new(bank: CompletionBank) -> Self {
-        let mut levels = vec![bank];
-        while let Some(top) = levels.last().filter(|top| top.padded().len() > LANE) {
+    /// The leaf level `bank` alone.
+    pub(crate) fn leaf(bank: CompletionBank) -> Self {
+        LaneIndex { levels: vec![bank] }
+    }
+
+    /// Builds the levels above the leaf from its current values.
+    pub(crate) fn build_levels(&mut self) {
+        self.levels.truncate(1);
+        while let Some(top) = self.levels.last().filter(|top| top.padded().len() > LANE) {
             let lanes = top.padded().len() / LANE;
             let mins: Vec<Time> = (0..lanes).map(|i| lane_min(*top.lane(i))).collect();
-            levels.push(CompletionBank::from_completions(&mins));
+            self.levels.push(CompletionBank::from_completions(&mins));
         }
-        LaneIndex { levels }
+    }
+
+    /// Drops the levels above the leaf.
+    pub(crate) fn drop_levels(&mut self) {
+        self.levels.truncate(1);
     }
 
     /// The completion bank (the leaf level).
     #[inline]
-    fn bank(&self) -> &CompletionBank {
+    pub(crate) fn bank(&self) -> &CompletionBank {
         &self.levels[0]
-    }
-
-    /// Gives the bank back, dropping the levels above it.
-    fn into_bank(mut self) -> CompletionBank {
-        self.levels.swap_remove(0)
     }
 
     /// Sets machine `j`'s completion to `v` and refreshes one slot per
     /// level, with no early exit. Each lane is read before its slot is
     /// written, so no load waits on the store, and the minimum of the
     /// other seven slots does not wait for `v`.
-    fn set(&mut self, j: usize, v: Time) {
+    #[inline]
+    pub(crate) fn set(&mut self, j: usize, v: Time) {
         let (top, below) = self.levels.split_last_mut().expect("a bank level");
         let (mut pos, mut v) = (j, v);
         for level in below {
@@ -261,7 +259,7 @@ impl LaneIndex {
     }
 
     /// `min_{lo ≤ j ≤ hi} C_j` (inclusive bounds).
-    fn range_min(&self, lo: usize, hi: usize) -> Time {
+    pub(crate) fn range_min(&self, lo: usize, hi: usize) -> Time {
         let mut acc = [f64::INFINITY; LANE];
         self.walk(lo, hi, |_, span| {
             let (left, right) = (span.masked(span.a), span.masked(span.b));
@@ -278,7 +276,12 @@ impl LaneIndex {
     /// with one, else in the highest right lane with one (mirrored for
     /// `RIGHT`). The walk only marks which edge lanes hold a hit, one bit
     /// per level; the descent starts from the winning lane.
-    fn find_le<const RIGHT: bool>(&self, lo: usize, hi: usize, bound: Time) -> Option<usize> {
+    pub(crate) fn find_le<const RIGHT: bool>(
+        &self,
+        lo: usize,
+        hi: usize,
+        bound: Time,
+    ) -> Option<usize> {
         // Bit k set iff level k's near (far) edge lane holds a hit; the
         // near edge is the left one unless `RIGHT`.
         let (mut near, mut far) = (0u32, 0u32);
@@ -317,7 +320,14 @@ impl LaneIndex {
     /// Appends every `j ∈ [l, h]` of level `k` (level 0 from callers) with
     /// `C_j ≤ bound` to `out`, ascending: the left edge lane, the levels
     /// above, then the right edge lane — O(|result| · depth).
-    fn collect_le(&self, k: usize, l: usize, h: usize, bound: Time, out: &mut Vec<usize>) {
+    pub(crate) fn collect_le(
+        &self,
+        k: usize,
+        l: usize,
+        h: usize,
+        bound: Time,
+        out: &mut Vec<usize>,
+    ) {
         let span = Span::new(&self.levels[k], l, h);
         self.expand(k, span.a, span.hits(span.a, bound), bound, out);
         if span.a < span.b {
@@ -436,6 +446,26 @@ fn fmax(a: Time, b: Time) -> Time {
     }
 }
 
+/// An inclusive range `(lo, hi)` of machine indices.
+pub(crate) type IndexRange = (usize, usize);
+
+/// The one or two index ranges of a compact view in ascending order,
+/// `(low, high)` with `low` set only for a wrapping ring; `None` for an
+/// explicit slice.
+#[inline]
+pub(crate) fn ranges(set: ProcSetRef<'_>) -> Option<(Option<IndexRange>, IndexRange)> {
+    match set {
+        ProcSetRef::Interval { lo, hi } => Some((None, (lo, hi))),
+        ProcSetRef::Prefix { len } => Some((None, (0, len - 1))),
+        // Wrapping segment: ascending members are the wrapped low run
+        // [0, start+len−m−1] then the high run [start, m−1].
+        ProcSetRef::Ring { start, len, m } => {
+            Some((Some((0, start + len - m - 1)), (start, m - 1)))
+        }
+        ProcSetRef::Explicit(_) => None,
+    }
+}
+
 /// One detected explicit-set cluster: the member slice it was registered
 /// for and a SoA min-heap ([`SoaMinHeap`]) with exactly one
 /// `(completion, machine)` entry per member machine. A stored completion
@@ -449,191 +479,32 @@ struct Cluster {
 
 const UNOWNED: u32 = u32::MAX;
 
-/// The indexed EFT kernel. Keeps the same per-machine completion bank
-/// ([`CompletionBank`]) as [`EftState`], as the leaf level of a lane
-/// index, plus lazily-built per-cluster heaps for recurring explicit
-/// sets.
-#[derive(Debug)]
-pub struct IndexedEftState {
-    index: LaneIndex,
-    breaker: Breaker,
-    /// Which tie-scan implementation the overlap fallback runs.
-    scan: ScanImpl,
-    /// Scratch buffer for the tie set, reused across dispatches.
-    ties: Vec<usize>,
-    /// Machine → cluster id claiming it, or [`UNOWNED`].
+/// The indexed kernel's cache of explicit-set clusters. A cache, not
+/// state: dropping it changes no dispatch decision.
+#[derive(Debug, Default)]
+pub(crate) struct ClusterCache {
+    /// Machine → cluster id claiming it, or [`UNOWNED`]; empty until the
+    /// first explicit set arrives.
     owner: Vec<u32>,
     clusters: Vec<Cluster>,
-    stats: KernelStats,
 }
 
-impl IndexedEftState {
-    /// Fresh state for `m` idle machines, on the default (SIMD) fallback
-    /// scan.
-    pub fn new(m: usize, policy: TieBreak) -> Self {
-        IndexedEftState::with_scan(m, policy, ScanImpl::default())
-    }
-
-    /// Fresh state with the overlap-fallback scan implementation forced.
-    pub fn with_scan(m: usize, policy: TieBreak, scan: ScanImpl) -> Self {
-        assert!(m > 0, "need at least one machine");
-        IndexedEftState::from_parts(CompletionBank::new(m), policy.breaker(), scan)
-    }
-
-    /// Rebuilds a kernel around carried-over machine state — what a
-    /// mid-stream switch to the indexed kernel does. The index is rebuilt
-    /// over the bank; clusters re-register lazily (they are a cache, not
-    /// state — rebuilding them empty changes no dispatch decision).
-    pub(crate) fn from_parts(
-        completions: CompletionBank,
-        breaker: Breaker,
-        scan: ScanImpl,
-    ) -> Self {
-        let m = completions.len();
-        IndexedEftState {
-            index: LaneIndex::new(completions),
-            breaker,
-            scan,
-            ties: Vec::new(),
-            owner: vec![UNOWNED; m],
-            clusters: Vec::new(),
-            stats: KernelStats::default(),
-        }
-    }
-
-    /// Decomposes the state into the parts a mid-stream kernel switch
-    /// must carry over: the completion bank and the breaker (with its
-    /// RNG state). The index structures stay behind — they are derived
-    /// state.
-    pub(crate) fn into_parts(self) -> (CompletionBank, Breaker, KernelStats) {
-        (self.index.into_bank(), self.breaker, self.stats)
-    }
-
-    /// Decision counters accumulated so far (see [`KernelStats`]).
-    pub fn kernel_stats(&self) -> KernelStats {
-        self.stats
-    }
-
-    /// Number of machines.
-    pub fn machines(&self) -> usize {
-        self.index.bank().len()
-    }
-
-    /// Current completion time `C_{j,i−1}` of each machine.
-    pub fn completions(&self) -> &[Time] {
-        self.index.bank().values()
-    }
-
-    /// Dispatches one task (Equation (2)) over a compact set view —
-    /// the indexed counterpart of [`EftState::dispatch_ref`].
-    ///
-    /// # Panics
-    /// Panics if the processing set is empty or references a machine out
-    /// of range.
-    pub fn dispatch_ref(&mut self, task: Task, set: ProcSetRef<'_>) -> Assignment {
-        assert!(!set.is_empty(), "task has an empty processing set");
-        let m = self.machines();
-        assert!(
-            set.max().is_some_and(|j| j < m),
-            "processing set references a machine out of range"
-        );
-        let u = match set {
-            ProcSetRef::Interval { lo, hi } => self.pick_in_range(task.release, lo, hi),
-            ProcSetRef::Prefix { len } => self.pick_in_range(task.release, 0, len - 1),
-            ProcSetRef::Ring { start, len, m } => {
-                // Wrapping segment: ascending members are the wrapped low
-                // run [0, start+len−m−1] then the high run [start, m−1].
-                self.pick_in_two_ranges(task.release, (0, start + len - m - 1), (start, m - 1))
-            }
-            ProcSetRef::Explicit(slice) => self.pick_in_cluster(task.release, slice),
-        };
-        let start = task.release.max(self.index.bank().get(u));
-        self.index.set(u, start + task.ptime);
-        Assignment::new(MachineId(u), start)
-    }
-
-    /// Tie-break over one contiguous range via the lane index. `Min` and
-    /// `Max` consume no randomness and take the extreme tie machine, so
-    /// one search suffices; `Rand` draws `random_range(0..|U'ᵢ|)` and
-    /// needs the whole tie set.
-    fn pick_in_range(&mut self, release: Time, lo: usize, hi: usize) -> usize {
-        self.stats.indexed_descents += 1;
-        let t_min = release.max(self.index.range_min(lo, hi));
-        let picked = match self.breaker {
-            Breaker::Min => self.index.find_le::<false>(lo, hi, t_min),
-            Breaker::Max => self.index.find_le::<true>(lo, hi, t_min),
-            Breaker::Rand(_) => {
-                self.ties.clear();
-                self.index.collect_le(0, lo, hi, t_min, &mut self.ties);
-                Some(self.breaker.pick(&self.ties))
-            }
-        };
-        picked.expect("tie set is nonempty by construction")
-    }
-
-    /// Tie-break over a wrapping ring segment: two contiguous runs,
-    /// `low` preceding `high` in machine order.
-    fn pick_in_two_ranges(
+impl ClusterCache {
+    /// EFT's tie set `{j ∈ slice : C_j ≤ t'min}` from the slice's cluster
+    /// heap, into `ties` in ascending order. `false` when the slice
+    /// conflicts with a claimed cluster and must be scanned instead.
+    pub(crate) fn ties(
         &mut self,
+        bank: &CompletionBank,
         release: Time,
-        low: (usize, usize),
-        high: (usize, usize),
-    ) -> usize {
-        self.stats.indexed_descents += 1;
-        let index = &self.index;
-        let min_c = index
-            .range_min(low.0, low.1)
-            .min(index.range_min(high.0, high.1));
-        let t_min = release.max(min_c);
-        let picked = match self.breaker {
-            Breaker::Min => index
-                .find_le::<false>(low.0, low.1, t_min)
-                .or_else(|| index.find_le::<false>(high.0, high.1, t_min)),
-            Breaker::Max => index
-                .find_le::<true>(high.0, high.1, t_min)
-                .or_else(|| index.find_le::<true>(low.0, low.1, t_min)),
-            Breaker::Rand(_) => {
-                self.ties.clear();
-                index.collect_le(0, low.0, low.1, t_min, &mut self.ties);
-                index.collect_le(0, high.0, high.1, t_min, &mut self.ties);
-                Some(self.breaker.pick(&self.ties))
-            }
+        slice: &[usize],
+        ties: &mut Vec<usize>,
+        stats: &mut KernelStats,
+    ) -> bool {
+        let Some(cid) = self.cluster_for(bank, slice) else {
+            return false;
         };
-        picked.expect("tie set is nonempty by construction")
-    }
-
-    /// Tie-break over an explicit member slice: cluster heap when the
-    /// slice matches (or can claim) a cluster, fused scalar scan
-    /// otherwise.
-    fn pick_in_cluster(&mut self, release: Time, slice: &[usize]) -> usize {
-        let cid = match self.cluster_for(slice) {
-            Some(cid) => cid,
-            None => {
-                // Overlaps another cluster's machines — the flat tie
-                // scan is the always-correct fallback (both scan
-                // implementations are bitwise-equivalent; the counter
-                // name predates the SIMD path and counts fallbacks of
-                // either flavor).
-                self.stats.scalar_fallback_scans += 1;
-                match self.scan {
-                    ScanImpl::Simd => scan_ties_simd(
-                        self.index.bank().padded(),
-                        ProcSetRef::Explicit(slice),
-                        release,
-                        &mut self.ties,
-                    ),
-                    ScanImpl::Scalar => scan_ties(
-                        self.index.bank().values(),
-                        slice.iter().copied(),
-                        release,
-                        &mut self.ties,
-                    ),
-                }
-                return self.breaker.pick(&self.ties);
-            }
-        };
-        self.stats.indexed_descents += 1;
-        let completions = self.index.bank();
+        stats.indexed_descents += 1;
         let cluster = &mut self.clusters[cid];
         // Phase 1 — surface the true minimum completion: an accurate top
         // entry is the minimum (all others understate-or-match their own
@@ -642,21 +513,21 @@ impl IndexedEftState {
         // under the heap's strict (key, machine) total order).
         let min_c = loop {
             let (key, machine) = cluster.heap.peek().expect("cluster heaps are never empty");
-            let actual = completions.get(machine);
+            let actual = bank.get(machine);
             if key == actual {
                 break actual;
             }
-            self.stats.heap_self_heals += 1;
+            stats.heap_self_heals += 1;
             cluster.heap.rekey_top(actual);
         };
         let t_min = release.max(min_c);
         // Phase 2 — pop the exact tie set {j : C_j ≤ t'min}. Once the
         // (corrected) top exceeds t'min, so does every remaining entry.
-        self.ties.clear();
+        ties.clear();
         while let Some((key, machine)) = cluster.heap.peek() {
-            let actual = completions.get(machine);
+            let actual = bank.get(machine);
             if key < actual {
-                self.stats.heap_self_heals += 1;
+                stats.heap_self_heals += 1;
                 cluster.heap.rekey_top(actual);
                 continue;
             }
@@ -664,26 +535,28 @@ impl IndexedEftState {
                 break;
             }
             cluster.heap.pop();
-            self.ties.push(machine);
+            ties.push(machine);
         }
         // One entry per machine, so the popped machines are distinct;
         // sort restores the ascending order Breaker::pick expects.
-        self.ties.sort_unstable();
-        let u = self.breaker.pick(&self.ties);
-        // Phase 3 — restore the invariant. The picked machine's entry
-        // goes back with its pre-commit completion and self-heals as a
-        // stale (understating) entry on a later peek.
-        for &j in &self.ties {
-            cluster.heap.push(completions.get(j), j);
+        ties.sort_unstable();
+        // Phase 3 — restore the invariant. Each tie goes back with its
+        // pre-commit completion; the machine the dispatch picks then
+        // self-heals as a stale (understating) entry on a later peek.
+        for &j in ties.iter() {
+            cluster.heap.push(bank.get(j), j);
         }
-        u
+        true
     }
 
     /// The cluster id serving `slice`, registering a new cluster when
     /// its machines are all unclaimed. `None` means the slice conflicts
     /// with an existing cluster (different membership or partial
-    /// overlap) and must be served by the scalar scan.
-    fn cluster_for(&mut self, slice: &[usize]) -> Option<usize> {
+    /// overlap) and must be served by the member scan.
+    fn cluster_for(&mut self, bank: &CompletionBank, slice: &[usize]) -> Option<usize> {
+        if self.owner.is_empty() {
+            self.owner = vec![UNOWNED; bank.len()];
+        }
         let cid = self.owner[slice[0]];
         if cid != UNOWNED {
             let cid = cid as usize;
@@ -696,8 +569,7 @@ impl IndexedEftState {
         if cid >= UNOWNED as usize {
             return None;
         }
-        let completions = self.index.bank();
-        let heap = SoaMinHeap::from_entries(slice.iter().map(|&j| (completions.get(j), j)));
+        let heap = SoaMinHeap::from_entries(slice.iter().map(|&j| (bank.get(j), j)));
         for &j in slice {
             self.owner[j] = cid as u32;
         }
@@ -709,96 +581,37 @@ impl IndexedEftState {
     }
 }
 
-impl ImmediateDispatcher for IndexedEftState {
-    fn machine_count(&self) -> usize {
-        self.machines()
-    }
-
-    fn dispatch_task(&mut self, task: Task, set: ProcSetRef<'_>) -> Assignment {
-        self.dispatch_ref(task, set)
-    }
-
-    fn machine_completions(&self) -> &[Time] {
-        self.completions()
-    }
-
-    fn kernel_stats(&self) -> Option<KernelStats> {
-        Some(self.stats)
-    }
-}
-
-/// An EFT dispatcher with the kernel chosen at construction — what the
-/// streaming entries (`eft_stream`, `dispatch_stream`,
-/// `simulate_stream`) instantiate. A [`DispatchKernel::Auto`] that
-/// reaches construction unresolved (no structure hint settled it)
-/// becomes the live-reclassifying [`AdaptiveEftState`].
+/// The kernel [`PolicySpec::build`](crate::registry::PolicySpec::build)
+/// built an EFT-family core for, as a label over the one [`EftState`].
+/// Kept because the performance ledger (`perf_ledger/`) matches its
+/// three variants to name a run's kernel; only `PolicySpec::build`
+/// constructs it, and the core's own [`kernel`](EftState::kernel) is
+/// what dispatch consults.
 #[derive(Debug)]
 pub enum EftKernelState {
-    /// The member-scan oracle.
+    /// Built for [`DispatchKernel::Scalar`].
     Scalar(EftState),
-    /// The lane-index / cluster-heap kernel.
-    Indexed(IndexedEftState),
-    /// The self-reclassifying wrapper around both.
-    Adaptive(AdaptiveEftState),
+    /// Built for [`DispatchKernel::Indexed`].
+    Indexed(EftState),
+    /// Built for [`DispatchKernel::Auto`].
+    Adaptive(EftState),
 }
 
 impl EftKernelState {
-    /// Fresh state for `m` idle machines under `kernel`, on the default
-    /// (SIMD) tie scan.
-    pub fn new(m: usize, policy: TieBreak, kernel: DispatchKernel) -> Self {
-        EftKernelState::with_scan(m, policy, kernel, ScanImpl::default())
+    /// The core the label names.
+    pub(crate) fn core(&self) -> &EftState {
+        let (EftKernelState::Scalar(core)
+        | EftKernelState::Indexed(core)
+        | EftKernelState::Adaptive(core)) = self;
+        core
     }
 
-    /// Fresh state with the tie-scan implementation forced.
-    pub fn with_scan(m: usize, policy: TieBreak, kernel: DispatchKernel, scan: ScanImpl) -> Self {
-        match kernel {
-            DispatchKernel::Auto => {
-                EftKernelState::Adaptive(AdaptiveEftState::with_scan(m, policy, scan))
-            }
-            DispatchKernel::Indexed => {
-                EftKernelState::Indexed(IndexedEftState::with_scan(m, policy, scan))
-            }
-            DispatchKernel::Scalar => EftKernelState::Scalar(EftState::with_scan(m, policy, scan)),
-        }
-    }
-
-    /// Current completion time of each machine.
-    pub fn completions(&self) -> &[Time] {
-        match self {
-            EftKernelState::Scalar(s) => s.completions(),
-            EftKernelState::Indexed(s) => s.completions(),
-            EftKernelState::Adaptive(s) => s.completions(),
-        }
-    }
-}
-
-impl ImmediateDispatcher for EftKernelState {
-    fn machine_count(&self) -> usize {
-        match self {
-            EftKernelState::Scalar(s) => s.machine_count(),
-            EftKernelState::Indexed(s) => s.machine_count(),
-            EftKernelState::Adaptive(s) => s.machine_count(),
-        }
-    }
-
-    fn dispatch_task(&mut self, task: Task, set: ProcSetRef<'_>) -> Assignment {
-        match self {
-            EftKernelState::Scalar(s) => s.dispatch_task(task, set),
-            EftKernelState::Indexed(s) => s.dispatch_task(task, set),
-            EftKernelState::Adaptive(s) => s.dispatch_task(task, set),
-        }
-    }
-
-    fn machine_completions(&self) -> &[Time] {
-        self.completions()
-    }
-
-    fn kernel_stats(&self) -> Option<KernelStats> {
-        match self {
-            EftKernelState::Scalar(s) => s.kernel_stats(),
-            EftKernelState::Indexed(s) => Some(s.kernel_stats()),
-            EftKernelState::Adaptive(s) => s.kernel_stats(),
-        }
+    /// Mutable access to the core.
+    pub(crate) fn core_mut(&mut self) -> &mut EftState {
+        let (EftKernelState::Scalar(core)
+        | EftKernelState::Indexed(core)
+        | EftKernelState::Adaptive(core)) = self;
+        core
     }
 }
 
@@ -806,7 +619,21 @@ impl ImmediateDispatcher for EftKernelState {
 mod tests {
     use super::*;
     use crate::soa::min_in;
+    use crate::tiebreak::TieBreak;
+    use flowsched_core::task::Task;
     use rand::{Rng, SeedableRng};
+
+    /// An index with every level built over `bank`.
+    fn built(bank: CompletionBank) -> LaneIndex {
+        let mut index = LaneIndex::leaf(bank);
+        index.build_levels();
+        index
+    }
+
+    /// The core on the indexed kernel.
+    fn indexed(m: usize, policy: TieBreak) -> EftState {
+        EftState::new(m, policy).with_kernel(DispatchKernel::Indexed)
+    }
 
     /// Machine counts at and around every lane and level boundary, up to
     /// a four-level index.
@@ -833,7 +660,7 @@ mod tests {
     fn lane_index_matches_scans_after_updates() {
         let mut rng = rand::rngs::StdRng::seed_from_u64(7);
         for m in INDEX_SIZES {
-            let mut index = LaneIndex::new(CompletionBank::new(m));
+            let mut index = built(CompletionBank::new(m));
             for round in 0..30 {
                 for _ in 0..m.div_ceil(3) {
                     let j = rng.random_range(0..m);
@@ -878,12 +705,12 @@ mod tests {
         let mut rng = rand::rngs::StdRng::seed_from_u64(8);
         for m in INDEX_SIZES {
             let vals: Vec<Time> = (0..m).map(|_| rng.random_range(0..50) as f64).collect();
-            let built = LaneIndex::new(CompletionBank::from_completions(&vals));
-            let mut updated = LaneIndex::new(CompletionBank::new(m));
+            let seeded = built(CompletionBank::from_completions(&vals));
+            let mut updated = built(CompletionBank::new(m));
             for (j, &v) in vals.iter().enumerate() {
                 updated.set(j, v);
             }
-            for index in [&built, &updated] {
+            for index in [&seeded, &updated] {
                 let top = index.levels.last().map(|top| top.padded().len());
                 assert_eq!(top, Some(LANE), "m={m}");
                 for pair in index.levels.windows(2) {
@@ -908,7 +735,7 @@ mod tests {
             let mut rng = rand::rngs::StdRng::seed_from_u64(0xD15);
             let m = 24;
             let mut scalar = EftState::new(m, policy);
-            let mut indexed = IndexedEftState::new(m, policy);
+            let mut indexed = indexed(m, policy);
             let mut release = 0.0;
             let blocks: Vec<Vec<usize>> = (0..4).map(|b| (6 * b..6 * b + 6).collect()).collect();
             for i in 0..600 {
@@ -963,7 +790,7 @@ mod tests {
         let mut rng = rand::rngs::StdRng::seed_from_u64(0xFA11);
         let m = 10;
         let mut scalar = EftState::new(m, TieBreak::Min);
-        let mut indexed = IndexedEftState::new(m, TieBreak::Min);
+        let mut indexed = indexed(m, TieBreak::Min);
         let cluster: Vec<usize> = vec![0, 2, 4, 6];
         let overlapping: Vec<usize> = vec![2, 3, 4];
         let mut release = 0.0;
@@ -989,7 +816,7 @@ mod tests {
         // the cluster heap's back) with cluster dispatches.
         let m = 8;
         let mut scalar = EftState::new(m, TieBreak::Max);
-        let mut indexed = IndexedEftState::new(m, TieBreak::Max);
+        let mut indexed = indexed(m, TieBreak::Max);
         let members: Vec<usize> = vec![1, 3, 5];
         for i in 0..60 {
             let task = Task::new(i as f64 * 0.125, 0.5);
@@ -1004,7 +831,7 @@ mod tests {
                 "dispatch {i}"
             );
         }
-        let ks = indexed.kernel_stats();
+        let ks = indexed.kernel_stats().expect("the index served");
         assert!(
             ks.heap_self_heals > 0,
             "interleaved interval/cluster traffic must exercise self-healing"
@@ -1013,41 +840,41 @@ mod tests {
 
     #[test]
     fn kernel_stats_track_decision_paths() {
-        let mut s = IndexedEftState::new(10, TieBreak::Min);
+        let mut s = indexed(10, TieBreak::Min);
         let cluster: Vec<usize> = vec![0, 2, 4];
         let overlapping: Vec<usize> = vec![2, 3];
         s.dispatch_ref(Task::unit(0.0), ProcSetRef::interval(0, 9));
         s.dispatch_ref(Task::unit(0.0), ProcSetRef::Explicit(&cluster));
         s.dispatch_ref(Task::unit(0.0), ProcSetRef::Explicit(&overlapping));
-        let ks = s.kernel_stats();
+        let ks = s.kernel_stats().expect("the index served");
         assert_eq!(ks.indexed_descents, 2, "interval + claimed cluster");
         assert_eq!(ks.scalar_fallback_scans, 1, "overlapping explicit set");
     }
 
     #[test]
     fn kernel_state_resolves_auto_to_the_adaptive_wrapper() {
-        // Auto builds the adaptive wrapper, whose *initial* core follows
-        // the machine-count rule; forced kernels stay direct.
-        assert!(matches!(
-            &EftKernelState::new(4, TieBreak::Min, DispatchKernel::Auto),
-            EftKernelState::Adaptive(s) if s.current_kernel() == DispatchKernel::Scalar
-        ));
-        assert!(matches!(
-            &EftKernelState::new(
-                AUTO_INDEXED_MIN_MACHINES,
-                TieBreak::Min,
-                DispatchKernel::Auto
-            ),
-            EftKernelState::Adaptive(s) if s.current_kernel() == DispatchKernel::Indexed
-        ));
-        assert!(matches!(
-            EftKernelState::new(4, TieBreak::Min, DispatchKernel::Indexed),
-            EftKernelState::Indexed(_)
-        ));
-        assert!(matches!(
-            EftKernelState::new(256, TieBreak::Min, DispatchKernel::Scalar),
-            EftKernelState::Scalar(_)
-        ));
+        // Auto starts from the machine-count rule and keeps reclassifying;
+        // forced kernels stay as asked.
+        let kernel = |m: usize, kernel: DispatchKernel| {
+            let core = EftState::new(m, TieBreak::Min).with_kernel(kernel);
+            (core.kernel(), core.kernel_stats().is_some())
+        };
+        assert_eq!(
+            kernel(4, DispatchKernel::Auto),
+            (DispatchKernel::Scalar, false)
+        );
+        assert_eq!(
+            kernel(AUTO_INDEXED_MIN_MACHINES, DispatchKernel::Auto),
+            (DispatchKernel::Indexed, true)
+        );
+        assert_eq!(
+            kernel(4, DispatchKernel::Indexed),
+            (DispatchKernel::Indexed, true)
+        );
+        assert_eq!(
+            kernel(256, DispatchKernel::Scalar),
+            (DispatchKernel::Scalar, false)
+        );
     }
 
     #[test]
@@ -1151,14 +978,14 @@ mod tests {
     #[test]
     #[should_panic(expected = "empty processing set")]
     fn indexed_rejects_empty_sets() {
-        let mut s = IndexedEftState::new(2, TieBreak::Min);
+        let mut s = indexed(2, TieBreak::Min);
         s.dispatch_ref(Task::unit(0.0), ProcSetRef::Explicit(&[]));
     }
 
     #[test]
     #[should_panic(expected = "out of range")]
     fn indexed_rejects_out_of_range_sets() {
-        let mut s = IndexedEftState::new(2, TieBreak::Min);
+        let mut s = indexed(2, TieBreak::Min);
         s.dispatch_ref(Task::unit(0.0), ProcSetRef::interval(1, 4));
     }
 }

@@ -2,28 +2,29 @@
 //!
 //! The paper's conclusion asks whether the `m − k + 1` interval bound
 //! "could be extended to other immediate dispatch algorithms". This
-//! module provides the natural candidates, all sharing EFT's
+//! module provides the natural candidates besides the EFT family (which
+//! runs on [`EftState`](crate::eft::EftState)), all sharing EFT's
 //! immediate-dispatch shape (task arrives → machine committed at once)
 //! but differing in *how* the machine is picked:
 //!
-//! - [`DispatchRule::Eft`]: earliest finish time (the paper's
-//!   Algorithm 2) under a tie-break policy;
-//! - [`DispatchRule::RandomMachine`]: uniform over the processing set,
+//! - [`PolicyId::Random`]: uniform over the processing set,
 //!   load-oblivious — the baseline a replicated store gets from random
 //!   replica selection;
-//! - [`DispatchRule::TwoChoices`]: "power of d choices" — sample `d`
-//!   machines from the processing set, send to the least loaded. The
-//!   classic balls-into-bins result says `d = 2` already collapses the
-//!   max backlog exponentially compared to random;
-//! - [`DispatchRule::RoundRobin`]: per-processing-set round-robin, the
+//! - [`PolicyId::Choices`]: "power of d choices" — sample `d` machines
+//!   from the processing set, send to the least loaded. The classic
+//!   balls-into-bins result says `d = 2` already collapses the max
+//!   backlog exponentially compared to random;
+//! - [`PolicyId::RoundRobin`]: per-processing-set round-robin, the
 //!   stateful strategy proxies often implement.
 //!
-//! All are [`ImmediateDispatcher`]s, so every adversary in
-//! `flowsched-workloads` can be aimed at them unchanged.
+//! A [`Dispatcher`] is an [`ImmediateDispatcher`], so every adversary in
+//! `flowsched-workloads` can be aimed at it unchanged; the registry
+//! ([`PolicySpec`]) builds it for these three ids.
 
 use std::collections::HashMap;
 
 use flowsched_core::compact::ProcSetRef;
+use flowsched_core::fault::{FaultCursor, FaultPlan};
 use flowsched_core::machine::MachineId;
 use flowsched_core::procset::ProcSet;
 use flowsched_core::schedule::{Assignment, Schedule};
@@ -34,85 +35,63 @@ use rand::rngs::StdRng;
 use rand::Rng;
 
 use crate::eft::ImmediateDispatcher;
-use crate::indexed::{DispatchKernel, EftKernelState};
-use crate::registry::PolicySpec;
-use crate::tiebreak::TieBreak;
+use crate::registry::{PolicyId, PolicySpec};
 
-/// Which immediate-dispatch rule to run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum DispatchRule {
-    /// Earliest finish time with the given tie-break (the paper's EFT).
-    Eft(TieBreak),
-    /// Uniformly random machine of the processing set (load-oblivious).
-    RandomMachine {
-        /// RNG seed.
-        seed: u64,
-    },
-    /// Sample `d` machines uniformly (with replacement) from the
-    /// processing set; dispatch to the earliest-finishing sample.
-    TwoChoices {
-        /// Number of sampled candidates (`d ≥ 1`). `d = 1` degenerates
-        /// to [`DispatchRule::RandomMachine`].
-        d: usize,
-        /// RNG seed.
-        seed: u64,
-    },
-    /// Round-robin over each distinct processing set.
-    RoundRobin,
-}
-
-impl std::fmt::Display for DispatchRule {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            DispatchRule::Eft(tb) => write!(f, "{tb}"),
-            DispatchRule::RandomMachine { .. } => write!(f, "Random"),
-            DispatchRule::TwoChoices { d, .. } => write!(f, "Choices({d})"),
-            DispatchRule::RoundRobin => write!(f, "RoundRobin"),
-        }
-    }
-}
-
-/// A generic immediate-dispatch scheduler state for any
-/// [`DispatchRule`].
+/// The state of a random, power-of-d or round-robin dispatcher.
 #[derive(Debug)]
 pub struct Dispatcher {
     completions: Vec<Time>,
     kind: RuleState,
+    /// Outages the picked machine's start skips.
+    faults: Option<FaultCursor<FaultPlan>>,
 }
 
 #[derive(Debug)]
 enum RuleState {
-    Eft(Box<EftKernelState>),
     Random(Box<StdRng>),
     Choices(usize, Box<StdRng>),
     RoundRobin(HashMap<ProcSet, usize>),
 }
 
 impl Dispatcher {
-    /// Fresh state for `m` idle machines; EFT rules use the
-    /// automatically-selected dispatch kernel.
-    pub fn new(m: usize, rule: DispatchRule) -> Self {
-        Dispatcher::with_kernel(m, rule, DispatchKernel::Auto)
-    }
-
-    /// [`new`](Dispatcher::new) with the EFT dispatch kernel forced
-    /// (ignored by the non-EFT rules, which have no index to select).
-    pub fn with_kernel(m: usize, rule: DispatchRule, kernel: DispatchKernel) -> Self {
+    /// Fresh state for `m` idle machines under `id`.
+    ///
+    /// # Panics
+    /// Panics when `m == 0`, when `d == 0`, or for an EFT-family id
+    /// (those run on [`EftState`](crate::eft::EftState); build them
+    /// through [`PolicySpec`]).
+    pub fn new(m: usize, id: PolicyId) -> Self {
         assert!(m > 0, "need at least one machine");
-        let kind = match rule {
-            DispatchRule::Eft(tb) => RuleState::Eft(Box::new(EftKernelState::new(m, tb, kernel))),
-            DispatchRule::RandomMachine { seed } => {
-                RuleState::Random(Box::new(derive_rng(seed, 0x7A11)))
-            }
-            DispatchRule::TwoChoices { d, seed } => {
+        let kind = match id {
+            PolicyId::Random { seed } => RuleState::Random(Box::new(derive_rng(seed, 0x7A11))),
+            PolicyId::Choices { d, seed } => {
                 assert!(d >= 1, "need at least one sampled choice");
                 RuleState::Choices(d, Box::new(derive_rng(seed, 0x7A12)))
             }
-            DispatchRule::RoundRobin => RuleState::RoundRobin(HashMap::new()),
+            PolicyId::RoundRobin => RuleState::RoundRobin(HashMap::new()),
+            other => panic!("`{other}` runs on the EFT core; build it through PolicySpec"),
         };
         Dispatcher {
             completions: vec![0.0; m],
             kind,
+            faults: None,
+        }
+    }
+
+    /// This dispatcher starting every task at the earliest fit around
+    /// `plan`'s outages on the machine it picks.
+    ///
+    /// # Panics
+    /// Panics when the plan covers another machine count.
+    pub(crate) fn with_faults(self, plan: FaultPlan) -> Self {
+        assert_eq!(
+            plan.machines(),
+            self.completions.len(),
+            "fault plan and dispatcher disagree on machine count"
+        );
+        Dispatcher {
+            faults: Some(FaultCursor::new(plan)),
+            ..self
         }
     }
 
@@ -126,16 +105,8 @@ impl Dispatcher {
     /// rule O(1) member sampling regardless of representation.
     pub fn dispatch_ref(&mut self, task: Task, set: ProcSetRef<'_>) -> Assignment {
         assert!(!set.is_empty(), "task has an empty processing set");
-        match &mut self.kind {
-            RuleState::Eft(state) => {
-                let a = state.dispatch_task(task, set);
-                self.completions[a.machine.index()] = a.start + task.ptime;
-                a
-            }
-            RuleState::Random(rng) => {
-                let pick = set.nth(rng.random_range(0..set.len()));
-                self.commit(task, pick)
-            }
+        let pick = match &mut self.kind {
+            RuleState::Random(rng) => set.nth(rng.random_range(0..set.len())),
             RuleState::Choices(d, rng) => {
                 let mut best = set.nth(rng.random_range(0..set.len()));
                 for _ in 1..*d {
@@ -144,21 +115,22 @@ impl Dispatcher {
                         best = cand;
                     }
                 }
-                self.commit(task, best)
+                best
             }
             RuleState::RoundRobin(cursors) => {
                 let cursor = cursors.entry(set.to_procset()).or_insert(0);
                 let pick = set.nth(*cursor % set.len());
                 *cursor += 1;
-                self.commit(task, pick)
+                pick
             }
-        }
-    }
-
-    fn commit(&mut self, task: Task, machine: usize) -> Assignment {
-        let start = task.release.max(self.completions[machine]);
-        self.completions[machine] = start + task.ptime;
-        Assignment::new(MachineId(machine), start)
+        };
+        let ready = task.release.max(self.completions[pick]);
+        let start = match &mut self.faults {
+            Some(cursor) => cursor.earliest_fit(pick, ready, task.ptime),
+            None => ready,
+        };
+        self.completions[pick] = start + task.ptime;
+        Assignment::new(MachineId(pick), start)
     }
 }
 
@@ -174,44 +146,37 @@ impl ImmediateDispatcher for Dispatcher {
     fn machine_completions(&self) -> &[Time] {
         &self.completions
     }
-
-    fn kernel_stats(&self) -> Option<crate::indexed::KernelStats> {
-        match &self.kind {
-            RuleState::Eft(state) => state.kernel_stats(),
-            _ => None,
-        }
-    }
 }
 
-/// Runs a dispatch rule over a whole instance.
-pub fn dispatch(inst: &flowsched_core::Instance, rule: DispatchRule) -> Schedule {
+/// Runs a policy over a whole instance.
+pub fn dispatch(inst: &flowsched_core::Instance, policy: impl Into<PolicySpec>) -> Schedule {
     use flowsched_core::stream::InstanceStream;
     dispatch_stream(
         InstanceStream::new(inst),
-        rule,
+        policy,
         &mut flowsched_obs::NoopRecorder,
     )
 }
 
-/// Runs a dispatch rule over an arbitrary
+/// Runs a policy over an arbitrary
 /// [`ArrivalStream`](flowsched_core::stream::ArrivalStream) on the
 /// automatic kernel: the shorthand for a sequential, fault-free
-/// [`Run`](crate::engine::Run) of the rule's [`PolicySpec`], kept for
-/// the rule-comparison callers that name a [`DispatchRule`]. Because
-/// the engine, not the rule, emits busy/idle transitions, `rec` sees
-/// the same uniform transition convention for every rule (random,
+/// [`Run`](crate::engine::Run), kept for the rule-comparison callers.
+/// Because the engine, not the rule, emits busy/idle transitions, `rec`
+/// sees the same uniform transition convention for every rule (random,
 /// power-of-d, round-robin) that the EFT trace follows.
-pub fn dispatch_stream<S, R>(stream: S, rule: DispatchRule, rec: &mut R) -> Schedule
+pub fn dispatch_stream<S, R>(stream: S, policy: impl Into<PolicySpec>, rec: &mut R) -> Schedule
 where
     S: flowsched_core::stream::ArrivalStream,
     R: flowsched_obs::Recorder,
 {
-    crate::engine::Run::new(PolicySpec::from(rule)).schedule(stream, rec)
+    crate::engine::Run::new(policy.into()).schedule(stream, rec)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::tiebreak::TieBreak;
     use flowsched_core::instance::InstanceBuilder;
     use flowsched_core::task::TaskId;
 
@@ -229,10 +194,10 @@ mod tests {
     fn all_rules_produce_feasible_schedules() {
         let inst = burst_instance(4, 6, 10);
         for rule in [
-            DispatchRule::Eft(TieBreak::Min),
-            DispatchRule::RandomMachine { seed: 1 },
-            DispatchRule::TwoChoices { d: 2, seed: 1 },
-            DispatchRule::RoundRobin,
+            PolicyId::Eft { tie: TieBreak::Min },
+            PolicyId::Random { seed: 1 },
+            PolicyId::Choices { d: 2, seed: 1 },
+            PolicyId::RoundRobin,
         ] {
             let s = dispatch(&inst, rule);
             s.validate(&inst).unwrap_or_else(|e| panic!("{rule}: {e}"));
@@ -242,14 +207,14 @@ mod tests {
     #[test]
     fn eft_rule_matches_eft_function() {
         let inst = burst_instance(3, 4, 8);
-        let via_rule = dispatch(&inst, DispatchRule::Eft(TieBreak::Max));
+        let via_rule = dispatch(&inst, PolicyId::Eft { tie: TieBreak::Max });
         let direct = crate::eft::eft(&inst, TieBreak::Max);
         assert_eq!(via_rule, direct);
     }
 
     #[test]
     fn round_robin_cycles_within_a_set() {
-        let mut st = Dispatcher::new(3, DispatchRule::RoundRobin);
+        let mut st = Dispatcher::new(3, PolicyId::RoundRobin);
         let set = ProcSet::full(3);
         let picks: Vec<usize> = (0..6)
             .map(|_| st.dispatch(Task::unit(0.0), &set).machine.index())
@@ -259,7 +224,7 @@ mod tests {
 
     #[test]
     fn round_robin_keeps_separate_cursors_per_set() {
-        let mut st = Dispatcher::new(4, DispatchRule::RoundRobin);
+        let mut st = Dispatcher::new(4, PolicyId::RoundRobin);
         let a = ProcSet::interval(0, 1);
         let b = ProcSet::interval(2, 3);
         assert_eq!(st.dispatch(Task::unit(0.0), &a).machine.index(), 0);
@@ -273,8 +238,8 @@ mod tests {
         // The d=2 sampled rule should clearly beat load-oblivious random
         // on a saturated burst (classic balls-into-bins separation).
         let inst = burst_instance(8, 8, 60);
-        let rand_fmax = dispatch(&inst, DispatchRule::RandomMachine { seed: 3 }).fmax(&inst);
-        let two_fmax = dispatch(&inst, DispatchRule::TwoChoices { d: 2, seed: 3 }).fmax(&inst);
+        let rand_fmax = dispatch(&inst, PolicyId::Random { seed: 3 }).fmax(&inst);
+        let two_fmax = dispatch(&inst, PolicyId::Choices { d: 2, seed: 3 }).fmax(&inst);
         assert!(
             two_fmax < rand_fmax,
             "two-choices {two_fmax} should beat random {rand_fmax}"
@@ -285,8 +250,8 @@ mod tests {
     fn full_choices_approaches_eft() {
         // Sampling d = |set| with replacement approximates full EFT.
         let inst = burst_instance(4, 4, 30);
-        let eft_fmax = dispatch(&inst, DispatchRule::Eft(TieBreak::Min)).fmax(&inst);
-        let many = dispatch(&inst, DispatchRule::TwoChoices { d: 16, seed: 9 }).fmax(&inst);
+        let eft_fmax = dispatch(&inst, PolicyId::Eft { tie: TieBreak::Min }).fmax(&inst);
+        let many = dispatch(&inst, PolicyId::Choices { d: 16, seed: 9 }).fmax(&inst);
         assert!(
             many <= eft_fmax + 2.0,
             "choices(16) {many} vs EFT {eft_fmax}"
@@ -297,8 +262,8 @@ mod tests {
     fn rules_are_reproducible() {
         let inst = burst_instance(5, 5, 20);
         for rule in [
-            DispatchRule::RandomMachine { seed: 11 },
-            DispatchRule::TwoChoices { d: 2, seed: 11 },
+            PolicyId::Random { seed: 11 },
+            PolicyId::Choices { d: 2, seed: 11 },
         ] {
             let a = dispatch(&inst, rule);
             let b = dispatch(&inst, rule);
@@ -314,9 +279,9 @@ mod tests {
         }
         let inst = b.build().unwrap();
         for rule in [
-            DispatchRule::RandomMachine { seed: 2 },
-            DispatchRule::TwoChoices { d: 3, seed: 2 },
-            DispatchRule::RoundRobin,
+            PolicyId::Random { seed: 2 },
+            PolicyId::Choices { d: 3, seed: 2 },
+            PolicyId::RoundRobin,
         ] {
             let s = dispatch(&inst, rule);
             for i in 0..inst.len() {
@@ -328,16 +293,13 @@ mod tests {
 
     #[test]
     fn display_labels() {
-        assert_eq!(DispatchRule::Eft(TieBreak::Min).to_string(), "EFT-Min");
+        assert_eq!(PolicyId::Eft { tie: TieBreak::Min }.to_string(), "eft:min");
+        assert_eq!(PolicyId::Random { seed: 0 }.to_string(), "random@0");
         assert_eq!(
-            DispatchRule::RandomMachine { seed: 0 }.to_string(),
-            "Random"
+            PolicyId::Choices { d: 2, seed: 0 }.to_string(),
+            "choices@2,0"
         );
-        assert_eq!(
-            DispatchRule::TwoChoices { d: 2, seed: 0 }.to_string(),
-            "Choices(2)"
-        );
-        assert_eq!(DispatchRule::RoundRobin.to_string(), "RoundRobin");
+        assert_eq!(PolicyId::RoundRobin.to_string(), "rr");
     }
 
     #[test]
@@ -345,7 +307,7 @@ mod tests {
         // The ImmediateDispatcher impl lets Theorem 8's adversary attack
         // every rule. (Whether the bound holds for them is an open
         // question the experiments explore; here we just check plumbing.)
-        let mut d = Dispatcher::new(6, DispatchRule::RoundRobin);
+        let mut d = Dispatcher::new(6, PolicyId::RoundRobin);
         let set = ProcSet::interval(0, 2);
         let a = d.dispatch_task(Task::unit(0.0), set.view());
         assert!(a.machine.index() <= 2);

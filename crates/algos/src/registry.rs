@@ -1,34 +1,34 @@
 //! The dispatch-policy registry: one name-addressable surface over
 //! every immediate-dispatch algorithm in the workspace.
 //!
-//! Before this module, each dispatcher family had its own construction
-//! idiom — `EftKernelState::new(m, tie, kernel)` for EFT,
-//! `Dispatcher::with_kernel(m, rule, kernel)` for the grab-bag rules,
-//! `FaultyEftState::new(plan, tie)` for the fault layer — and every
-//! engine entry point, sim driver, and bench bin re-derived kernel and
-//! shard-seed resolution by hand. The registry collapses that into:
+//! Every engine entry point, sim driver and bench bin builds its
+//! dispatcher here:
 //!
 //! - [`PolicyId`]: *which algorithm* — EFT under a tie-break, random,
 //!   power-of-d choices, round-robin, weighted-EFT
-//!   ([`WeightedEftState`]), setup-aware EFT ([`SetupEftState`]);
+//!   ([`weighted`](crate::weighted)), setup-aware EFT
+//!   ([`setup`](crate::setup));
 //! - [`PolicySpec`]: a `PolicyId` plus the [`DispatchKernel`] and
 //!   [`ScanImpl`] choices, parseable from and printable to a stable
 //!   string form (`eft:min:indexed`, `eft:scalar-scan`, `weft@4:max`,
 //!   `setup@0.5`, `random@7`…) so bench bins and CI address policies by
 //!   name;
 //! - [`PolicyState`]: the built dispatcher, a plain
-//!   [`ImmediateDispatcher`] the engines drive like any other.
+//!   [`ImmediateDispatcher`] the engines drive like any other. The EFT
+//!   family — `eft`, `weft`, `setup`, `setup-obl` — is one
+//!   [`EftState`] core under a start rule; random, power-of-d and
+//!   round-robin are a [`Dispatcher`]. Every policy takes a
+//!   [`FaultPlan`] ([`build_faulty`](PolicySpec::build_faulty)).
 //!
 //! **Resolution invariants** (pinned by `tests/policy_registry.rs`):
 //!
 //! 1. [`PolicySpec::build`] resolves `Auto` kernels by machine count
-//!    through [`EftKernelState::new`], and
+//!    (live reclassification from `AUTO_INDEXED_MIN_MACHINES` on), and
 //!    [`PolicySpec::build_for_stream`] first consults the stream's
-//!    structure hint via [`DispatchKernel::resolve_for_stream`] —
-//!    byte-for-byte the two-step resolution the direct entry points
-//!    performed, so registry-built dispatchers are bitwise-identical
-//!    (schedule, recorder trace, RNG draws) to directly-constructed
-//!    ones.
+//!    structure hint via [`DispatchKernel::resolve_for_stream`]. The
+//!    kernel never changes a decision: every kernel and every
+//!    construction path yields the same schedule, recorder trace and
+//!    RNG draws.
 //! 2. [`PolicySpec::for_shard`] derives shard-local policies with
 //!    exactly [`TieBreak::for_shard`]'s semantics: shard 0 keeps its
 //!    seed (a single-shard run reproduces the sequential stream), other
@@ -53,18 +53,20 @@
 use std::fmt;
 use std::str::FromStr;
 
+use flowsched_core::compact::ProcSetRef;
 use flowsched_core::fault::FaultPlan;
+use flowsched_core::schedule::Assignment;
 use flowsched_core::stream::ArrivalStream;
+use flowsched_core::task::Task;
 use flowsched_core::time::Time;
 
-use crate::eft::ImmediateDispatcher;
+use crate::eft::{EftState, ImmediateDispatcher, StartRule};
 use crate::faulty::FaultyEftState;
-use crate::indexed::{DispatchKernel, EftKernelState};
-use crate::policies::{DispatchRule, Dispatcher};
-use crate::setup::SetupEftState;
+use crate::indexed::{DispatchKernel, EftKernelState, KernelStats};
+use crate::policies::Dispatcher;
+use crate::setup::SetupRule;
 use crate::soa::ScanImpl;
 use crate::tiebreak::{shard_seed, TieBreak};
-use crate::weighted::WeightedEftState;
 
 /// Which dispatch algorithm to run — the registry's name space.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -89,7 +91,7 @@ pub enum PolicyId {
     /// Round-robin over each distinct processing set.
     RoundRobin,
     /// Weighted-EFT packing for `max wᵢ·Fᵢ` (Azar–Touitou; see
-    /// [`WeightedEftState`]).
+    /// [`weighted`](crate::weighted)).
     WeightedEft {
         /// Tie-break over the packing tie set.
         tie: TieBreak,
@@ -97,9 +99,9 @@ pub enum PolicyId {
         slack: Time,
     },
     /// Setup-aware EFT for batch-by-key serving (Mäcker et al.; see
-    /// [`SetupEftState`]).
+    /// [`setup`](crate::setup)).
     SetupEft {
-        /// Tie-break over the candidate-completion tie set.
+        /// Tie-break over the members with the least start key.
         tie: TieBreak,
         /// Setup cost charged on every cluster switch.
         cost: Time,
@@ -134,17 +136,6 @@ impl PolicyId {
                 cost,
                 aware,
             },
-        }
-    }
-}
-
-impl From<DispatchRule> for PolicyId {
-    fn from(rule: DispatchRule) -> Self {
-        match rule {
-            DispatchRule::Eft(tie) => PolicyId::Eft { tie },
-            DispatchRule::RandomMachine { seed } => PolicyId::Random { seed },
-            DispatchRule::TwoChoices { d, seed } => PolicyId::Choices { d, seed },
-            DispatchRule::RoundRobin => PolicyId::RoundRobin,
         }
     }
 }
@@ -213,42 +204,12 @@ impl PolicySpec {
     /// Panics when `m == 0` or a policy parameter is out of range
     /// (`d == 0`, negative slack/cost).
     pub fn build(&self, m: usize) -> PolicyState {
-        match self.id {
-            PolicyId::Eft { tie } => PolicyState::Eft(Box::new(EftKernelState::with_scan(
-                m,
-                tie,
-                self.kernel,
-                self.scan,
-            ))),
-            PolicyId::Random { seed } => PolicyState::Rule(Dispatcher::with_kernel(
-                m,
-                DispatchRule::RandomMachine { seed },
-                self.kernel,
-            )),
-            PolicyId::Choices { d, seed } => PolicyState::Rule(Dispatcher::with_kernel(
-                m,
-                DispatchRule::TwoChoices { d, seed },
-                self.kernel,
-            )),
-            PolicyId::RoundRobin => PolicyState::Rule(Dispatcher::with_kernel(
-                m,
-                DispatchRule::RoundRobin,
-                self.kernel,
-            )),
-            PolicyId::WeightedEft { tie, slack } => {
-                PolicyState::Weighted(WeightedEftState::new(m, tie, slack))
-            }
-            PolicyId::SetupEft { tie, cost, aware } => {
-                PolicyState::Setup(SetupEftState::new(m, tie, cost, aware))
-            }
-        }
+        self.build_with(m, None)
     }
 
     /// [`build`](PolicySpec::build) with the kernel first resolved
     /// against the stream's structure hint
-    /// ([`DispatchKernel::resolve_for_stream`]) — the exact two-step
-    /// resolution `eft_stream`/`dispatch_stream`/`simulate_stream`
-    /// always performed.
+    /// ([`DispatchKernel::resolve_for_stream`]).
     pub fn build_for_stream<S>(&self, stream: &S) -> PolicyState
     where
         S: ArrivalStream + ?Sized,
@@ -257,20 +218,44 @@ impl PolicySpec {
             .build(stream.machines())
     }
 
-    /// Builds the availability-aware dispatcher over a [`FaultPlan`].
-    /// Only the EFT family schedules around outages today; the others
-    /// reject loudly rather than silently ignoring the plan.
+    /// Builds the dispatcher for the machines of `plan`, scheduling
+    /// around its outages (see [`faulty`](crate::faulty)).
     ///
     /// # Panics
-    /// Panics for non-EFT policies, or when the plan covers zero
-    /// machines.
+    /// As [`build`](PolicySpec::build); the plan must cover at least one
+    /// machine.
     pub fn build_faulty(&self, plan: FaultPlan) -> FaultyEftState {
-        match self.id {
-            PolicyId::Eft { tie } => FaultyEftState::new(plan, tie),
-            _ => {
-                panic!("fault-aware dispatch is only implemented for the eft family, not `{self}`")
+        self.build_with(plan.machines(), Some(plan))
+    }
+
+    fn build_with(&self, m: usize, faults: Option<FaultPlan>) -> PolicyState {
+        let (tie, rule) = match self.id {
+            PolicyId::Eft { tie } => (tie, StartRule::Plain),
+            PolicyId::WeightedEft { tie, slack } => {
+                assert!(slack >= 0.0, "packing slack must be non-negative");
+                (tie, StartRule::Weighted { slack })
             }
+            PolicyId::SetupEft { tie, cost, aware } => {
+                (tie, StartRule::Setup(SetupRule::new(m, cost, aware)))
+            }
+            id => {
+                let rule = Dispatcher::new(m, id);
+                return PolicyState::Rule(match faults {
+                    Some(plan) => rule.with_faults(plan),
+                    None => rule,
+                });
+            }
+        };
+        let mut core = EftState::with_scan(m, tie, self.scan).with_rule(rule);
+        if let Some(plan) = faults {
+            core = core.with_faults(plan);
         }
+        let core = core.with_kernel(self.kernel);
+        PolicyState::Eft(Box::new(match self.kernel {
+            DispatchKernel::Scalar => EftKernelState::Scalar(core),
+            DispatchKernel::Indexed => EftKernelState::Indexed(core),
+            DispatchKernel::Auto => EftKernelState::Adaptive(core),
+        }))
     }
 
     /// One spec per registered family/variant, used by the round-trip
@@ -318,64 +303,44 @@ impl From<PolicyId> for PolicySpec {
     }
 }
 
-impl From<DispatchRule> for PolicySpec {
-    fn from(rule: DispatchRule) -> Self {
-        PolicySpec::new(rule.into())
-    }
-}
-
 /// A built dispatcher — the registry's uniform runtime shape, driven by
 /// the engines like any other [`ImmediateDispatcher`].
 #[derive(Debug)]
 pub enum PolicyState {
-    /// EFT under the resolved kernel (boxed: the adaptive wrapper
-    /// carries classifier + kernel state, far larger than its peers).
+    /// An EFT-family policy: the one core under its kernel label (boxed:
+    /// the core carries the index, the rule state and the
+    /// classifier, far larger than its peer).
     Eft(Box<EftKernelState>),
     /// Random / power-of-d / round-robin (the `policies` grab-bag).
     Rule(Dispatcher),
-    /// Weighted-EFT packing.
-    Weighted(WeightedEftState),
-    /// Setup-aware (or setup-oblivious) EFT.
-    Setup(SetupEftState),
 }
 
 impl ImmediateDispatcher for PolicyState {
     fn machine_count(&self) -> usize {
         match self {
-            PolicyState::Eft(s) => s.machine_count(),
-            PolicyState::Rule(s) => s.machine_count(),
-            PolicyState::Weighted(s) => s.machine_count(),
-            PolicyState::Setup(s) => s.machine_count(),
+            PolicyState::Eft(k) => k.core().machines(),
+            PolicyState::Rule(d) => d.machine_count(),
         }
     }
 
-    fn dispatch_task(
-        &mut self,
-        task: flowsched_core::task::Task,
-        set: flowsched_core::compact::ProcSetRef<'_>,
-    ) -> flowsched_core::schedule::Assignment {
+    fn dispatch_task(&mut self, task: Task, set: ProcSetRef<'_>) -> Assignment {
         match self {
-            PolicyState::Eft(s) => s.dispatch_task(task, set),
-            PolicyState::Rule(s) => s.dispatch_task(task, set),
-            PolicyState::Weighted(s) => s.dispatch_task(task, set),
-            PolicyState::Setup(s) => s.dispatch_task(task, set),
+            PolicyState::Eft(k) => k.core_mut().dispatch_ref(task, set),
+            PolicyState::Rule(d) => d.dispatch_ref(task, set),
         }
     }
 
     fn machine_completions(&self) -> &[Time] {
         match self {
-            PolicyState::Eft(s) => s.machine_completions(),
-            PolicyState::Rule(s) => s.machine_completions(),
-            PolicyState::Weighted(s) => s.machine_completions(),
-            PolicyState::Setup(s) => s.machine_completions(),
+            PolicyState::Eft(k) => k.core().completions(),
+            PolicyState::Rule(d) => d.machine_completions(),
         }
     }
 
-    fn kernel_stats(&self) -> Option<crate::indexed::KernelStats> {
+    fn kernel_stats(&self) -> Option<KernelStats> {
         match self {
-            PolicyState::Eft(s) => s.kernel_stats(),
-            PolicyState::Rule(s) => s.kernel_stats(),
-            PolicyState::Weighted(_) | PolicyState::Setup(_) => None,
+            PolicyState::Eft(k) => k.core().kernel_stats(),
+            PolicyState::Rule(_) => None,
         }
     }
 }
@@ -724,42 +689,54 @@ mod tests {
     #[test]
     fn build_resolves_kernels_like_the_direct_path() {
         use crate::indexed::AUTO_INDEXED_MIN_MACHINES;
-        let spec = PolicySpec::eft(TieBreak::Min, DispatchKernel::Auto);
-        // Auto now builds the adaptive wrapper; its initial core follows
-        // the machine-count rule the direct path always applied.
-        let adaptive_kernel = |state: PolicyState| match state {
-            PolicyState::Eft(k) => match *k {
-                EftKernelState::Adaptive(s) => s.current_kernel(),
-                other => panic!("unexpected {other:?}"),
-            },
+        // Auto starts from the machine-count rule and reclassifies live;
+        // forced kernels stay as asked, for every EFT-family rule.
+        let kernel = |spec: PolicySpec, m: usize| match spec.build(m) {
+            PolicyState::Eft(k) => k.core().kernel(),
             other => panic!("unexpected {other:?}"),
         };
-        assert_eq!(adaptive_kernel(spec.build(4)), DispatchKernel::Scalar);
-        assert_eq!(
-            adaptive_kernel(spec.build(AUTO_INDEXED_MIN_MACHINES)),
-            DispatchKernel::Indexed
-        );
-        match spec.with_kernel(DispatchKernel::Indexed).build(4) {
-            PolicyState::Eft(k) => assert!(matches!(*k, EftKernelState::Indexed(_))),
-            other => panic!("unexpected {other:?}"),
+        for id in [
+            PolicyId::Eft { tie: TieBreak::Min },
+            PolicyId::WeightedEft {
+                tie: TieBreak::Max,
+                slack: 1.0,
+            },
+            PolicyId::SetupEft {
+                tie: TieBreak::Min,
+                cost: 1.0,
+                aware: true,
+            },
+        ] {
+            let spec = PolicySpec::new(id);
+            assert_eq!(kernel(spec, 4), DispatchKernel::Scalar);
+            assert_eq!(
+                kernel(spec, AUTO_INDEXED_MIN_MACHINES),
+                DispatchKernel::Indexed
+            );
+            let indexed = spec.with_kernel(DispatchKernel::Indexed);
+            assert_eq!(kernel(indexed, 4), DispatchKernel::Indexed);
+            let scalar = spec.with_kernel(DispatchKernel::Scalar);
+            assert_eq!(kernel(scalar, 256), DispatchKernel::Scalar);
         }
     }
 
     #[test]
-    #[should_panic(expected = "only implemented for the eft family")]
-    fn build_faulty_rejects_non_eft_policies() {
-        PolicySpec::new(PolicyId::RoundRobin).build_faulty(FaultPlan::none(2));
+    fn every_policy_builds_over_a_fault_plan() {
+        for spec in PolicySpec::examples() {
+            let state = spec.build_faulty(FaultPlan::none(3).with_outage(1, 0.0, 2.0));
+            assert_eq!(state.machine_count(), 3, "{spec}");
+        }
     }
 
     #[test]
     fn dispatch_rule_converts_losslessly() {
-        for rule in [
-            DispatchRule::Eft(TieBreak::Max),
-            DispatchRule::RandomMachine { seed: 3 },
-            DispatchRule::TwoChoices { d: 2, seed: 3 },
-            DispatchRule::RoundRobin,
+        for id in [
+            PolicyId::Eft { tie: TieBreak::Max },
+            PolicyId::Random { seed: 3 },
+            PolicyId::Choices { d: 2, seed: 3 },
+            PolicyId::RoundRobin,
         ] {
-            let spec: PolicySpec = rule.into();
+            let spec: PolicySpec = id.into();
             let s = spec.to_string();
             assert_eq!(s.parse::<PolicySpec>().unwrap(), spec, "`{s}`");
         }

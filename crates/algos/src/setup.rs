@@ -1,5 +1,5 @@
 //! Setup-aware dispatch for batch-by-key serving (Mäcker et al.,
-//! arXiv:1709.05896).
+//! arXiv:1709.05896): a start rule of the EFT core.
 //!
 //! In the KV-serving model every request targets a key whose replica
 //! set *is* its processing set — requests for the same key carry the
@@ -9,41 +9,38 @@
 //! serving one cluster amortizes the setup away, while a machine that
 //! thrashes between clusters pays it on every switch.
 //!
-//! [`SetupEftState`] keeps a per-machine *current cluster* fingerprint
-//! and charges a configurable setup cost `c` on every switch (including
-//! the machine's very first task — a cold cache is a real setup). The
-//! machine occupies `[free, free + setup)` with the switch and serves
-//! the task in `[start, start + p)` with `start = free + setup`; the
-//! reported [`Assignment::start`] is the *service* start, so flow times
-//! include the setup the task induced and per-machine service intervals
-//! stay disjoint for the validator.
+//! The rule keeps a per-machine *current cluster* fingerprint
+//! ([`cluster_fingerprint`]) and charges a configurable setup cost `c`
+//! on every switch (including the machine's very first task — a cold
+//! cache is a real setup). The machine occupies `[free, free + setup)`
+//! with the switch and serves the task in `[start, start + p)` with
+//! `start = free + setup`; the reported
+//! [`Assignment::start`](flowsched_core::schedule::Assignment) is the
+//! *service* start, so flow times include the setup the task induced
+//! and per-machine service intervals stay disjoint for the validator.
 //!
-//! Two variants share the state:
+//! Two variants (registry names `setup@c` and `setup-obl@c`):
 //!
-//! - **aware** (`setup@c`): candidate completion on machine `j` is
-//!   `max(rᵢ, C_j) + setup_j + pᵢ` with `setup_j ∈ {0, c}` depending on
-//!   whether `j` is already on the task's cluster; argmin with the
-//!   usual ascending tie set and one [`Breaker::pick`]. The dispatcher
-//!   *sees* the setup and learns to dedicate machines to clusters.
-//! - **oblivious** (`setup-obl@c`): machine choice is plain EFT
-//!   ([`scan_ties`] on completions, ignoring setups) but the chosen
-//!   machine still pays the switch. This is the thrashing baseline the
-//!   adversarial stream in `flowsched-workloads` punishes.
+//! - **aware**: the start key on machine `j` is
+//!   `max(rᵢ, C_j) + setup_j` with `setup_j ∈ {0, c}` depending on
+//!   whether `j` is already on the task's cluster, and the least key
+//!   wins. The dispatcher *sees* the setup and learns to dedicate
+//!   machines to clusters. Keys are compared in start space: adding the
+//!   common `pᵢ` would be the same rule in exact arithmetic, but its
+//!   rounding can merge distinct starts.
+//! - **oblivious**: the machine is chosen as plain EFT, ignoring
+//!   setups, but the chosen machine still pays the switch. This is the
+//!   thrashing baseline the adversarial stream in `flowsched-workloads`
+//!   punishes.
 //!
-//! With `c = 0` both variants reduce to the scalar EFT kernel
-//! **bitwise** (same tie sets, same single RNG draw per task) — pinned
-//! by `tests/policy_registry.rs`.
+//! Both run on the EFT core's kernels (`eft` module docs). With `c = 0`
+//! both reduce to plain EFT **bitwise** (same tie sets, same single RNG
+//! draw per task) — pinned by `tests/policy_registry.rs`.
 
 use flowsched_core::compact::ProcSetRef;
-use flowsched_core::machine::MachineId;
-use flowsched_core::schedule::Assignment;
-use flowsched_core::task::Task;
 use flowsched_core::time::Time;
 
-use crate::eft::{scan_ties, ImmediateDispatcher};
-use crate::tiebreak::{Breaker, TieBreak};
-
-/// "No cluster yet" sentinel for [`SetupEftState`]'s per-machine state.
+/// "No cluster yet" sentinel for the per-machine cluster state.
 const NO_CLUSTER: u64 = u64::MAX;
 
 /// Fingerprint identifying a task's key cluster: FNV-1a over the
@@ -68,115 +65,45 @@ pub fn cluster_fingerprint(set: ProcSetRef<'_>) -> u64 {
     }
 }
 
-/// Incremental setup-aware EFT state (see the module docs for the
-/// model and both variants).
+/// The setup rule's parameters and per-machine state.
 #[derive(Debug)]
-pub struct SetupEftState {
-    completions: Vec<Time>,
-    /// Cluster fingerprint each machine is currently configured for.
-    last_cluster: Vec<u64>,
+pub(crate) struct SetupRule {
     /// Setup cost `c ≥ 0` charged on every cluster switch.
-    cost: Time,
+    pub(crate) cost: Time,
     /// `true` = setup-aware machine choice, `false` = EFT-oblivious
     /// choice that still pays the switch.
-    aware: bool,
-    breaker: Breaker,
-    /// Scratch buffer for the tie set, reused across dispatches.
-    ties: Vec<usize>,
+    pub(crate) aware: bool,
+    /// Cluster fingerprint each machine is currently configured for.
+    pub(crate) last: Vec<u64>,
 }
 
-impl SetupEftState {
-    /// Fresh state for `m` idle machines, none configured for any
-    /// cluster yet.
+impl SetupRule {
+    /// The rule for `m` machines, none configured for any cluster yet.
     ///
     /// # Panics
-    /// Panics when `m == 0` or `cost < 0`.
-    pub fn new(m: usize, policy: TieBreak, cost: Time, aware: bool) -> Self {
-        assert!(m > 0, "need at least one machine");
+    /// Panics when `cost < 0`.
+    pub(crate) fn new(m: usize, cost: Time, aware: bool) -> Self {
         assert!(cost >= 0.0, "setup cost must be non-negative");
-        SetupEftState {
-            completions: vec![0.0; m],
-            last_cluster: vec![NO_CLUSTER; m],
+        SetupRule {
             cost,
             aware,
-            breaker: policy.breaker(),
-            ties: Vec::new(),
+            last: vec![NO_CLUSTER; m],
         }
-    }
-
-    /// Number of machines.
-    pub fn machines(&self) -> usize {
-        self.completions.len()
-    }
-
-    /// Current completion time of each machine.
-    pub fn completions(&self) -> &[Time] {
-        &self.completions
-    }
-
-    /// The setup machine `j` would pay to serve cluster `fp` next.
-    #[inline]
-    fn setup_for(&self, j: usize, fp: u64) -> Time {
-        if self.last_cluster[j] == fp {
-            0.0
-        } else {
-            self.cost
-        }
-    }
-
-    /// Dispatches one task; see the module docs for the two variants.
-    ///
-    /// # Panics
-    /// Panics on an empty processing set.
-    pub fn dispatch(&mut self, task: Task, set: ProcSetRef<'_>) -> Assignment {
-        assert!(!set.is_empty(), "task has an empty processing set");
-        let fp = cluster_fingerprint(set);
-        let u = if self.aware {
-            // Argmin over candidate completions including the switch.
-            let mut best = f64::INFINITY;
-            self.ties.clear();
-            for j in set.iter() {
-                let c = task.release.max(self.completions[j]) + self.setup_for(j, fp) + task.ptime;
-                if c < best {
-                    best = c;
-                    self.ties.clear();
-                    self.ties.push(j);
-                } else if c == best {
-                    self.ties.push(j);
-                }
-            }
-            self.breaker.pick(&self.ties)
-        } else {
-            // Oblivious: choose as plain EFT, pay the switch anyway.
-            scan_ties(&self.completions, set.iter(), task.release, &mut self.ties);
-            self.breaker.pick(&self.ties)
-        };
-        let start = task.release.max(self.completions[u]) + self.setup_for(u, fp);
-        self.completions[u] = start + task.ptime;
-        self.last_cluster[u] = fp;
-        Assignment::new(MachineId(u), start)
-    }
-}
-
-impl ImmediateDispatcher for SetupEftState {
-    fn machine_count(&self) -> usize {
-        self.machines()
-    }
-
-    fn dispatch_task(&mut self, task: Task, set: ProcSetRef<'_>) -> Assignment {
-        self.dispatch(task, set)
-    }
-
-    fn machine_completions(&self) -> &[Time] {
-        self.completions()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::eft::EftState;
+    use crate::eft::{EftState, ImmediateDispatcher};
+    use crate::registry::{PolicyId, PolicySpec, PolicyState};
+    use crate::tiebreak::TieBreak;
     use flowsched_core::procset::ProcSet;
+    use flowsched_core::task::Task;
+
+    fn setup(m: usize, tie: TieBreak, cost: Time, aware: bool) -> PolicyState {
+        PolicySpec::new(PolicyId::SetupEft { tie, cost, aware }).build(m)
+    }
 
     #[test]
     fn zero_cost_matches_plain_eft_bitwise() {
@@ -184,51 +111,80 @@ mod tests {
             for policy in [TieBreak::Min, TieBreak::Max, TieBreak::Rand { seed: 3 }] {
                 let m = 5;
                 let mut eft = EftState::new(m, policy);
-                let mut setup = SetupEftState::new(m, policy, 0.0, aware);
+                let mut st = setup(m, policy, 0.0, aware);
                 for i in 0..300 {
                     let lo = i % m;
                     let set = ProcSet::interval(lo, (lo + 2).min(m - 1));
                     let task = Task::new((i / 3) as f64 * 0.25, 0.5 + (i % 4) as f64 * 0.5);
                     assert_eq!(
                         eft.dispatch_ref(task, set.view()),
-                        setup.dispatch(task, set.view()),
+                        st.dispatch_task(task, set.view()),
                         "aware={aware} {policy:?} dispatch {i} diverged"
                     );
                 }
-                assert_eq!(eft.completions(), setup.completions());
+                assert_eq!(eft.completions(), st.machine_completions());
             }
+        }
+    }
+
+    /// Starts, not completions, are compared: `1 + 2⁻⁵²` and `1` are
+    /// distinct starts, but `+ 1024` rounds both completions to 1025,
+    /// which would merge them into one tie set that `Max` resolves to
+    /// the later machine. `setup@0` must stay bitwise plain EFT.
+    #[test]
+    fn zero_cost_compares_starts_where_adding_p_rounds() {
+        let tasks = [
+            (Task::new(0.0, 1.0), ProcSet::singleton(0)),
+            (Task::new(0.0, 1.0 + f64::EPSILON), ProcSet::singleton(1)),
+            (Task::new(0.5, 1024.0), ProcSet::interval(0, 1)),
+        ];
+        for aware in [true, false] {
+            let mut eft = EftState::new(2, TieBreak::Max);
+            let mut st = setup(2, TieBreak::Max, 0.0, aware);
+            for (task, set) in &tasks {
+                assert_eq!(
+                    st.dispatch_task(*task, set.view()),
+                    eft.dispatch(*task, set),
+                    "aware={aware}"
+                );
+            }
+            assert_eq!(
+                eft.completions()[0],
+                1025.0,
+                "task 2 runs on machine 0 from 1.0"
+            );
         }
     }
 
     #[test]
     fn staying_on_a_cluster_skips_the_setup() {
-        let mut st = SetupEftState::new(1, TieBreak::Min, 2.0, true);
+        let mut st = setup(1, TieBreak::Min, 2.0, true);
         let set = ProcSet::full(1);
         // First task: cold machine pays the setup.
-        let a = st.dispatch(Task::unit(0.0), set.view());
+        let a = st.dispatch_task(Task::unit(0.0), set.view());
         assert_eq!(a.start, 2.0);
         // Same cluster again: no setup, contiguous service.
-        let b = st.dispatch(Task::unit(0.0), set.view());
+        let b = st.dispatch_task(Task::unit(0.0), set.view());
         assert_eq!(b.start, 3.0);
     }
 
     #[test]
     fn switching_clusters_pays_again() {
-        let mut st = SetupEftState::new(2, TieBreak::Min, 1.0, true);
+        let mut st = setup(2, TieBreak::Min, 1.0, true);
         let a_only = ProcSet::singleton(0);
         let b_only = ProcSet::singleton(1);
         let ab = ProcSet::interval(0, 1);
         // Park M2 on its own cluster for a long time.
-        st.dispatch(Task::new(0.0, 10.0), b_only.view());
+        st.dispatch_task(Task::new(0.0, 10.0), b_only.view());
         // M1 configures for {M1}: setup 1, service [1,2).
-        assert_eq!(st.dispatch(Task::unit(0.0), a_only.view()).start, 1.0);
-        // Cluster {M1,M2}: M1 switching (2+1+1=4) still beats the busy
-        // M2 (11+1+1=13), so M1 leaves its cluster.
-        let b = st.dispatch(Task::unit(0.0), ab.view());
+        assert_eq!(st.dispatch_task(Task::unit(0.0), a_only.view()).start, 1.0);
+        // Cluster {M1,M2}: M1 switching (start 2+1=3) still beats the
+        // busy M2 (10+1=11), so M1 leaves its cluster.
+        let b = st.dispatch_task(Task::unit(0.0), ab.view());
         assert_eq!(b.machine.index(), 0);
         assert_eq!(b.start, 3.0);
         // Back to {M1}: M1 must reconfigure, paying the cost again.
-        let c = st.dispatch(Task::unit(0.0), a_only.view());
+        let c = st.dispatch_task(Task::unit(0.0), a_only.view());
         assert_eq!(c.start, 5.0); // free at 4, setup 1
     }
 
@@ -236,18 +192,18 @@ mod tests {
     fn aware_choice_prefers_the_configured_machine() {
         // Warm M1 on the cluster (cold machines tie, Min picks M1;
         // service [2,3) under cost 2). At r=2.5, M1 is still busy but
-        // warm: 3+1=4 beats the cold idle M2 at 2.5+2+1=5.5 — the
-        // aware rule waits for the configured machine, while oblivious
-        // EFT grabs the idle one and pays the switch.
+        // warm: start 3 beats the cold idle M2 at 2.5+2=4.5 — the aware
+        // rule waits for the configured machine, while oblivious EFT
+        // grabs the idle one and pays the switch.
         let cluster = ProcSet::interval(0, 1);
-        let mut aware = SetupEftState::new(2, TieBreak::Min, 2.0, true);
-        aware.dispatch(Task::new(0.0, 1.0), cluster.view());
-        let pick = aware.dispatch(Task::unit(2.5), cluster.view());
+        let mut aware = setup(2, TieBreak::Min, 2.0, true);
+        aware.dispatch_task(Task::new(0.0, 1.0), cluster.view());
+        let pick = aware.dispatch_task(Task::unit(2.5), cluster.view());
         assert_eq!(pick.machine.index(), 0);
 
-        let mut obl = SetupEftState::new(2, TieBreak::Min, 2.0, false);
-        obl.dispatch(Task::new(0.0, 1.0), cluster.view());
-        let pick = obl.dispatch(Task::unit(2.5), cluster.view());
+        let mut obl = setup(2, TieBreak::Min, 2.0, false);
+        obl.dispatch_task(Task::new(0.0, 1.0), cluster.view());
+        let pick = obl.dispatch_task(Task::unit(2.5), cluster.view());
         assert_eq!(
             pick.machine.index(),
             1,

@@ -272,30 +272,38 @@ pub fn gather_collect_le(vals: &[Time], members: &[usize], bound: Time, out: &mu
 /// `set` must lie below the bank's live length.
 pub fn scan_ties_simd(padded: &[Time], set: ProcSetRef<'_>, release: Time, ties: &mut Vec<usize>) {
     ties.clear();
+    let min = match set {
+        ProcSetRef::Interval { lo, hi } => min_in(&padded[lo..=hi]),
+        ProcSetRef::Prefix { len } => min_in(&padded[..len]),
+        ProcSetRef::Ring { start, len, m } => {
+            min_in(&padded[..start + len - m]).min(min_in(&padded[start..m]))
+        }
+        ProcSetRef::Explicit(members) => gather_min(padded, members),
+    };
+    collect_members_le(padded, set, release.max(min), ties);
+}
+
+/// Appends every member `j` of `set` with `padded[j] ≤ bound` to `out`,
+/// in ascending member order: the collection pass of
+/// [`scan_ties_simd`], and the widening step of the EFT core's start
+/// rules (`eft` module docs).
+#[inline]
+pub(crate) fn collect_members_le(
+    padded: &[Time],
+    set: ProcSetRef<'_>,
+    bound: Time,
+    out: &mut Vec<usize>,
+) {
     match set {
-        ProcSetRef::Interval { lo, hi } => {
-            let vals = &padded[lo..=hi];
-            let bound = release.max(min_in(vals));
-            collect_le(vals, lo, bound, ties);
-        }
-        ProcSetRef::Prefix { len } => {
-            let vals = &padded[..len];
-            let bound = release.max(min_in(vals));
-            collect_le(vals, 0, bound, ties);
-        }
+        ProcSetRef::Interval { lo, hi } => collect_le(&padded[lo..=hi], lo, bound, out),
+        ProcSetRef::Prefix { len } => collect_le(&padded[..len], 0, bound, out),
         ProcSetRef::Ring { start, len, m } => {
             // Ascending members: the wrapped low run [0, start+len−m−1],
             // then the high run [start, m−1].
-            let low = &padded[..start + len - m];
-            let high = &padded[start..m];
-            let bound = release.max(min_in(low).min(min_in(high)));
-            collect_le(low, 0, bound, ties);
-            collect_le(high, start, bound, ties);
+            collect_le(&padded[..start + len - m], 0, bound, out);
+            collect_le(&padded[start..m], start, bound, out);
         }
-        ProcSetRef::Explicit(members) => {
-            let bound = release.max(gather_min(padded, members));
-            gather_collect_le(padded, members, bound, ties);
-        }
+        ProcSetRef::Explicit(members) => gather_collect_le(padded, members, bound, out),
     }
 }
 

@@ -1,151 +1,58 @@
 //! Weighted-EFT dispatch for the weighted max flow time objective
-//! `max wᵢ·Fᵢ` (Azar–Touitou, arXiv:1712.10273).
+//! `max wᵢ·Fᵢ` (Azar–Touitou, arXiv:1712.10273): a start rule of the
+//! EFT core.
 //!
 //! Plain EFT is weight-blind: a flood of throwaway `w = 1` tasks spreads
 //! across every machine and a subsequent `w = W` task inherits the full
 //! backlog, paying `W ×` its flow in the weighted objective. Azar–Touitou
 //! separate jobs by weight class so that heavy jobs never queue behind
-//! light ones. [`WeightedEftState`] is the immediate-dispatch rendition
+//! light ones. The `weft@θ` policy is the immediate-dispatch rendition
 //! of that idea as a *budget-scaled packing* rule:
 //!
 //! 1. compute the earliest achievable start over the processing set,
 //!    `t'ᵢ = max(rᵢ, min_{j∈Mᵢ} C_j)` — exactly EFT's Equation (2)
-//!    minimum;
+//!    minimum (under a fault plan, the least fitting start);
 //! 2. a task of weight `wᵢ` may start up to `θ / wᵢ` later than that
 //!    without moving the weighted objective by more than `θ` (its
 //!    weighted flow grows by at most `wᵢ·(θ/wᵢ)`), so every machine with
 //!    candidate start `≤ t'ᵢ + θ/wᵢ` is *eligible*;
 //! 3. dispatch to the **most loaded** eligible machine (largest
 //!    candidate start, ascending tie set through the usual
-//!    [`Breaker`]) — light tasks pack onto already-busy machines and the
-//!    lightly-loaded machines stay in reserve for heavy arrivals, whose
-//!    budget `θ/wᵢ → 0` forces strict EFT placement.
+//!    [`Breaker`](crate::tiebreak::Breaker)) — light tasks pack onto
+//!    already-busy machines and the lightly-loaded machines stay in
+//!    reserve for heavy arrivals, whose budget `θ/wᵢ → 0` forces strict
+//!    EFT placement.
 //!
-//! With `θ = 0` the eligible set collapses to EFT's tie set
-//! `U'ᵢ = {j : C_j ≤ t'ᵢ}` and one [`Breaker::pick`] is drawn per task,
-//! so `weft@0` reproduces the scalar EFT kernel **bitwise** (schedule
-//! and RNG draws) at any weight assignment — pinned by
+//! On the EFT core (`eft` module docs) step 1 is EFT's own tie set and
+//! steps 2–3 are one collect of `{j : C_j ≤ t'ᵢ + θ/wᵢ}` from the index
+//! or the scan and a max. With `θ = 0` the eligible set collapses to
+//! EFT's tie set `U'ᵢ = {j : C_j ≤ t'ᵢ}` and one `Breaker::pick` is
+//! drawn per task, so `weft@0` reproduces EFT **bitwise** (schedule and
+//! RNG draws) at any weight assignment — pinned by
 //! `tests/policy_registry.rs`. This is not Azar–Touitou's algorithm
 //! (theirs is preemptive with explicit weight-class queues); it is the
 //! non-preemptive immediate-dispatch analogue their weight-separation
 //! argument suggests, measured empirically against the exact weighted
 //! oracle in `flowsched_algos::offline`.
 
-use flowsched_core::compact::ProcSetRef;
-use flowsched_core::machine::MachineId;
-use flowsched_core::schedule::Assignment;
-use flowsched_core::task::Task;
-use flowsched_core::time::Time;
-
-use crate::eft::ImmediateDispatcher;
-use crate::tiebreak::{Breaker, TieBreak};
-
-/// Incremental weighted-EFT state: per-machine completions plus the
-/// packing budget `θ` (the `slack` of the `weft@SLACK` policy string).
-#[derive(Debug)]
-pub struct WeightedEftState {
-    completions: Vec<Time>,
-    breaker: Breaker,
-    /// Packing budget `θ ≥ 0`: a weight-`w` task may be delayed up to
-    /// `θ/w` past its earliest achievable start.
-    slack: Time,
-    /// Scratch buffer for the tie set, reused across dispatches.
-    ties: Vec<usize>,
-}
-
-impl WeightedEftState {
-    /// Fresh state for `m` idle machines.
-    ///
-    /// # Panics
-    /// Panics when `m == 0` or `slack < 0`.
-    pub fn new(m: usize, policy: TieBreak, slack: Time) -> Self {
-        assert!(m > 0, "need at least one machine");
-        assert!(slack >= 0.0, "packing slack must be non-negative");
-        WeightedEftState {
-            completions: vec![0.0; m],
-            breaker: policy.breaker(),
-            slack,
-            ties: Vec::new(),
-        }
-    }
-
-    /// Number of machines.
-    pub fn machines(&self) -> usize {
-        self.completions.len()
-    }
-
-    /// Current completion time of each machine.
-    pub fn completions(&self) -> &[Time] {
-        &self.completions
-    }
-
-    /// Dispatches one task under the budget-scaled packing rule (see
-    /// the module docs). Tasks must arrive in non-decreasing release
-    /// order, as everywhere in the immediate engine.
-    ///
-    /// # Panics
-    /// Panics on an empty processing set or a non-positive task weight.
-    pub fn dispatch(&mut self, task: Task, set: ProcSetRef<'_>) -> Assignment {
-        assert!(!set.is_empty(), "task has an empty processing set");
-        assert!(task.weight > 0.0, "task weights must be positive");
-        let mut min_start = f64::INFINITY;
-        for j in set.iter() {
-            let s = task.release.max(self.completions[j]);
-            if s < min_start {
-                min_start = s;
-            }
-        }
-        let budget = min_start + self.slack / task.weight;
-        // Most loaded machine still inside the budget; members iterate
-        // ascending, so the tie set keeps the order Breaker::pick needs.
-        let mut packed = f64::NEG_INFINITY;
-        self.ties.clear();
-        for j in set.iter() {
-            let s = task.release.max(self.completions[j]);
-            if s > budget {
-                continue;
-            }
-            if s > packed {
-                packed = s;
-                self.ties.clear();
-                self.ties.push(j);
-            } else if s == packed {
-                self.ties.push(j);
-            }
-        }
-        let u = self.breaker.pick(&self.ties);
-        let start = task.release.max(self.completions[u]);
-        self.completions[u] = start + task.ptime;
-        Assignment::new(MachineId(u), start)
-    }
-}
-
-impl ImmediateDispatcher for WeightedEftState {
-    fn machine_count(&self) -> usize {
-        self.machines()
-    }
-
-    fn dispatch_task(&mut self, task: Task, set: ProcSetRef<'_>) -> Assignment {
-        self.dispatch(task, set)
-    }
-
-    fn machine_completions(&self) -> &[Time] {
-        self.completions()
-    }
-}
-
 #[cfg(test)]
 mod tests {
-    use super::*;
-    use crate::eft::EftState;
+    use crate::eft::{EftState, ImmediateDispatcher};
+    use crate::registry::{PolicyId, PolicySpec, PolicyState};
+    use crate::tiebreak::TieBreak;
     use flowsched_core::procset::ProcSet;
+    use flowsched_core::task::Task;
+
+    fn weft(m: usize, tie: TieBreak, slack: f64) -> PolicyState {
+        PolicySpec::new(PolicyId::WeightedEft { tie, slack }).build(m)
+    }
 
     #[test]
     fn zero_slack_matches_plain_eft_bitwise() {
         for policy in [TieBreak::Min, TieBreak::Max, TieBreak::Rand { seed: 5 }] {
             let m = 6;
             let mut eft = EftState::new(m, policy);
-            let mut weighted = WeightedEftState::new(m, policy, 0.0);
+            let mut weighted = weft(m, policy, 0.0);
             let full = ProcSet::full(m);
             for i in 0..200 {
                 // Mixed weights: the rule must still ignore them at θ=0.
@@ -153,11 +60,11 @@ mod tests {
                 let task = Task::weighted((i / 4) as f64 * 0.5, 1.0 + (i % 3) as f64 * 0.25, w);
                 assert_eq!(
                     eft.dispatch_ref(task, full.view()),
-                    weighted.dispatch(task, full.view()),
+                    weighted.dispatch_task(task, full.view()),
                     "{policy:?} dispatch {i} diverged"
                 );
             }
-            assert_eq!(eft.completions(), weighted.completions());
+            assert_eq!(eft.completions(), weighted.machine_completions());
         }
     }
 
@@ -166,13 +73,13 @@ mod tests {
         // 3 machines, slack 10: three light unit tasks at t=0 all pack
         // onto one machine (their budget tolerates waiting); a heavy
         // task then starts immediately on an idle machine.
-        let mut st = WeightedEftState::new(3, TieBreak::Min, 10.0);
+        let mut st = weft(3, TieBreak::Min, 10.0);
         let full = ProcSet::full(3);
         for _ in 0..3 {
-            let a = st.dispatch(Task::weighted(0.0, 1.0, 1.0), full.view());
+            let a = st.dispatch_task(Task::weighted(0.0, 1.0, 1.0), full.view());
             assert_eq!(a.machine.index(), 0, "light tasks pack onto M1");
         }
-        let heavy = st.dispatch(Task::weighted(0.0, 1.0, 1000.0), full.view());
+        let heavy = st.dispatch_task(Task::weighted(0.0, 1.0, 1000.0), full.view());
         assert_eq!(heavy.start, 0.0, "heavy task must not queue");
         assert_ne!(heavy.machine.index(), 0);
     }
@@ -182,21 +89,21 @@ mod tests {
         // Slack 2: a w=1 task tolerates start ≤ t' + 2 (packs onto the
         // busy machine), a w=4 task only ≤ t' + 0.5 (goes idle).
         let mk = || {
-            let mut st = WeightedEftState::new(2, TieBreak::Min, 2.0);
-            st.dispatch(Task::new(0.0, 1.5), ProcSet::full(2).view()); // M1 busy to 1.5
+            let mut st = weft(2, TieBreak::Min, 2.0);
+            st.dispatch_task(Task::new(0.0, 1.5), ProcSet::full(2).view()); // M1 busy to 1.5
             st
         };
-        let a = mk().dispatch(Task::weighted(0.0, 1.0, 1.0), ProcSet::full(2).view());
+        let a = mk().dispatch_task(Task::weighted(0.0, 1.0, 1.0), ProcSet::full(2).view());
         assert_eq!(a.machine.index(), 0, "light task packs");
-        let b = mk().dispatch(Task::weighted(0.0, 1.0, 4.0), ProcSet::full(2).view());
+        let b = mk().dispatch_task(Task::weighted(0.0, 1.0, 4.0), ProcSet::full(2).view());
         assert_eq!(b.machine.index(), 1, "heavy task takes the idle machine");
     }
 
     #[test]
     fn respects_processing_sets() {
-        let mut st = WeightedEftState::new(4, TieBreak::Min, 5.0);
+        let mut st = weft(4, TieBreak::Min, 5.0);
         for i in 0..20 {
-            let a = st.dispatch(
+            let a = st.dispatch_task(
                 Task::weighted(i as f64 * 0.25, 1.0, 1.0 + (i % 3) as f64),
                 ProcSet::interval(1, 2).view(),
             );
@@ -207,7 +114,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "weights must be positive")]
     fn rejects_non_positive_weights() {
-        let mut st = WeightedEftState::new(2, TieBreak::Min, 1.0);
-        st.dispatch(Task::weighted(0.0, 1.0, 0.0), ProcSet::full(2).view());
+        let mut st = weft(2, TieBreak::Min, 1.0);
+        st.dispatch_task(Task::weighted(0.0, 1.0, 0.0), ProcSet::full(2).view());
     }
 }

@@ -459,8 +459,9 @@ struct Deferred {
     ready: Time,
     /// Original arrival rank — ties at `ready` re-enter in this order.
     seq: u64,
-    /// Original (unstretched) processing time.
-    ptime: Time,
+    /// The task as it arrived: unstretched, with its latency-shifted
+    /// release (superseded by `ready`) and its weight.
+    task: Task,
     /// The task's *original* processing set (restriction happens again
     /// at re-entry).
     set: CompactProcSet,
@@ -548,7 +549,8 @@ impl<'p, S: ArrivalStream> FaultyStream<'p, S> {
         if self.lookahead.is_none() && !self.inner_done {
             match self.inner.next_arrival() {
                 Some((t, set)) => {
-                    let shifted = Task::new(t.release + self.cursor.plan().latency(), t.ptime);
+                    let release = t.release + self.cursor.plan().latency();
+                    let shifted = Task { release, ..t };
                     self.lookahead = Some((shifted, CompactProcSet::from(set)));
                 }
                 None => self.inner_done = true,
@@ -582,7 +584,11 @@ impl<S: ArrivalStream> ArrivalStream for FaultyStream<'_, S> {
             let (task, seq) = if take_deferred {
                 let d = self.deferred.pop().expect("peeked above");
                 self.current = d.set;
-                (Task::new(d.ready, d.ptime), d.seq)
+                let task = Task {
+                    release: d.ready,
+                    ..d.task
+                };
+                (task, d.seq)
             } else {
                 let (t, set) = self.lookahead.take().expect("peeked above");
                 let seq = self.next_seq;
@@ -609,7 +615,7 @@ impl<S: ArrivalStream> ArrivalStream for FaultyStream<'_, S> {
                 self.deferred.push(Deferred {
                     ready,
                     seq,
-                    ptime: task.ptime,
+                    task,
                     set,
                 });
                 continue;
@@ -627,7 +633,7 @@ impl<S: ArrivalStream> ArrivalStream for FaultyStream<'_, S> {
                     .min_speed_in(view)
                     .expect("restricted set is non-empty");
             }
-            return Some((Task::new(task.release, ptime), view));
+            return Some((Task { ptime, ..task }, view));
         }
     }
 
@@ -840,6 +846,24 @@ mod tests {
         assert_eq!(t.ptime, 1.0);
         assert_eq!(set.iter().collect::<Vec<_>>(), vec![1]);
         assert!(s.next_arrival().is_none());
+    }
+
+    #[test]
+    fn faulty_stream_keeps_task_weights() {
+        // Shifted, stretched and deferred tasks all keep their weight,
+        // which weighted dispatch under a plan budgets by.
+        let plan = plan3().with_latency(0.25);
+        let tasks = vec![
+            (Task::weighted(2.5, 1.0, 4.0), ProcSet::new(vec![1])),
+            (Task::weighted(3.0, 1.0, 2.0), ProcSet::new(vec![0, 2])),
+        ];
+        let mut it = tasks.into_iter();
+        let mut s = FaultyStream::new(FnStream::new(3, move || it.next()), &plan);
+        let mut seen = Vec::new();
+        while let Some((t, _)) = s.next_arrival() {
+            seen.push((t.release, t.ptime, t.weight));
+        }
+        assert_eq!(seen, vec![(3.25, 2.0, 2.0), (5.0, 1.0, 4.0)]);
     }
 
     #[test]

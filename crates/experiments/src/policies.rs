@@ -3,12 +3,13 @@
 //! could be extended to other immediate dispatch algorithms").
 //!
 //! This experiment aims the Theorem 8 interval stream at each
-//! [`DispatchRule`] and also scores the rules on the stochastic key-value
+//! immediate-dispatch [`PolicyId`] and also scores the rules on the stochastic key-value
 //! workload, separating *adversarial exposure* from *average behaviour*:
 //! load-oblivious random dispatch shrugs off the adversary but pays a
 //! heavy average-case price; sampled two-choices sits in between.
 
-use flowsched_algos::policies::{dispatch, DispatchRule, Dispatcher};
+use flowsched_algos::policies::dispatch;
+use flowsched_algos::registry::{PolicyId, PolicySpec};
 use flowsched_algos::tiebreak::TieBreak;
 use flowsched_kvstore::cluster::{ClusterConfig, KvCluster};
 use flowsched_kvstore::replication::ReplicationStrategy;
@@ -38,25 +39,27 @@ pub struct PolicyRow {
     pub kv_p99_median: f64,
 }
 
-fn rules(seed: u64) -> Vec<DispatchRule> {
+/// The compared rules, each with its row label.
+fn rules(seed: u64) -> Vec<(String, PolicyId)> {
+    let eft = |tie: TieBreak| (tie.to_string(), PolicyId::Eft { tie });
     vec![
-        DispatchRule::Eft(TieBreak::Min),
-        DispatchRule::Eft(TieBreak::Max),
-        DispatchRule::Eft(TieBreak::Rand { seed }),
-        DispatchRule::TwoChoices { d: 2, seed },
-        DispatchRule::RandomMachine { seed },
-        DispatchRule::RoundRobin,
+        eft(TieBreak::Min),
+        eft(TieBreak::Max),
+        eft(TieBreak::Rand { seed }),
+        ("Choices(2)".into(), PolicyId::Choices { d: 2, seed }),
+        ("Random".into(), PolicyId::Random { seed }),
+        ("RoundRobin".into(), PolicyId::RoundRobin),
     ]
 }
 
 /// Runs the comparison.
 pub fn run(scale: &Scale) -> Vec<PolicyRow> {
     let rules = rules(scale.seed ^ 0x90);
-    par_map(&rules, |&rule| {
+    par_map(&rules, |(label, rule)| {
         let (m, k) = (scale.m, scale.k);
 
         // Adversarial axis: the oblivious Theorem 8 stream.
-        let mut d = Dispatcher::new(m, rule);
+        let mut d = PolicySpec::new(*rule).build(m);
         let adversary = run_interval_adversary(&mut d, k, m * m);
         let adversary_fmax = adversary.fmax();
 
@@ -76,7 +79,7 @@ pub fn run(scale: &Scale) -> Vec<PolicyRow> {
                 &mut rng,
             );
             let inst = cluster.requests(scale.tasks, 0.5 * m as f64, &mut rng);
-            let schedule = dispatch(&inst, rule);
+            let schedule = dispatch(&inst, *rule);
             let warmup = inst.len() / 10;
             let report = SimReport::from_schedule(&schedule, &inst, warmup);
             fmaxes.push(report.fmax);
@@ -84,7 +87,7 @@ pub fn run(scale: &Scale) -> Vec<PolicyRow> {
         }
 
         PolicyRow {
-            rule: rule.to_string(),
+            rule: label.clone(),
             adversary_fmax,
             kv_fmax_median: median(&fmaxes),
             kv_p99_median: median(&p99s),

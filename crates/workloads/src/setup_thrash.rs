@@ -5,8 +5,8 @@
 //! The stream cycles through `clusters` overlapping replica sets —
 //! interval `[c·stride, c·stride + width)` for cluster `c`, one unit
 //! task per cluster per time step. Because consecutive clusters share
-//! `width − stride` machines, a setup-oblivious EFT
-//! ([`flowsched_algos::SetupEftState`] with `aware = false`) happily
+//! `width − stride` machines, a setup-oblivious EFT (the
+//! [`setup`](flowsched_algos::setup) rule's `setup-obl@c`) happily
 //! routes alternating clusters onto the shared machines — paying the
 //! switch cost on almost every dispatch — while the aware variant
 //! settles each cluster onto its exclusive machines and amortizes the
@@ -95,7 +95,7 @@ impl ArrivalStream for SetupThrashStream {
 mod tests {
     use super::*;
     use flowsched_algos::eft::ImmediateDispatcher;
-    use flowsched_algos::setup::SetupEftState;
+    use flowsched_algos::registry::{PolicyId, PolicySpec};
     use flowsched_algos::tiebreak::TieBreak;
 
     fn fmax<D: ImmediateDispatcher>(mut stream: SetupThrashStream, d: &mut D) -> f64 {
@@ -130,9 +130,13 @@ mod tests {
         // machine and stops paying after warm-up.
         let stream = || SetupThrashStream::new(5, 2, 4, 1, 30);
         let cost = 2.0;
-        let mut obl = SetupEftState::new(5, TieBreak::Min, cost, false);
+        let setup = |aware| {
+            let tie = TieBreak::Min;
+            PolicySpec::new(PolicyId::SetupEft { tie, cost, aware }).build(5)
+        };
+        let mut obl = setup(false);
         let thrashed = fmax(stream(), &mut obl);
-        let mut aware = SetupEftState::new(5, TieBreak::Min, cost, true);
+        let mut aware = setup(true);
         let settled = fmax(stream(), &mut aware);
         assert!(
             settled < thrashed,

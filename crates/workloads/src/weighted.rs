@@ -7,8 +7,8 @@
 //! immediate dispatcher (plain EFT) balances the lights across *all*
 //! machines, so the heavy arrival — dispatched last — starts behind a
 //! `lights/m` stack and pays `heavy_weight · (lights/m + 1)` weighted
-//! flow. The weighted-EFT packing rule
-//! ([`flowsched_algos::WeightedEftState`]) instead parks lights on
+//! flow. The weighted-EFT packing rule `weft@θ`
+//! ([`weighted`](flowsched_algos::weighted)) instead parks lights on
 //! already-loaded machines within their generous `slack/1` budget,
 //! keeping an idle machine in reserve; the heavy task's tight
 //! `slack/heavy_weight` budget then claims that reserve and its
@@ -101,8 +101,8 @@ impl ArrivalStream for WeightedBurstStream {
 mod tests {
     use super::*;
     use flowsched_algos::eft::{EftState, ImmediateDispatcher};
+    use flowsched_algos::registry::{PolicyId, PolicySpec};
     use flowsched_algos::tiebreak::TieBreak;
-    use flowsched_algos::weighted::WeightedEftState;
 
     /// Drives a dispatcher over the stream, returning `max wᵢ·Fᵢ`.
     fn weighted_fmax<D: ImmediateDispatcher>(mut stream: WeightedBurstStream, d: &mut D) -> f64 {
@@ -143,7 +143,9 @@ mod tests {
         let oblivious = weighted_fmax(stream(), &mut eft);
         // Slack covers the light stack so lights pack; the heavy's
         // budget slack/w is tight and takes the reserved idle machine.
-        let mut weft = WeightedEftState::new(m, TieBreak::Min, lights as f64);
+        let tie = TieBreak::Min;
+        let slack = lights as f64;
+        let mut weft = PolicySpec::new(PolicyId::WeightedEft { tie, slack }).build(m);
         let aware = weighted_fmax(stream(), &mut weft);
         // EFT balances: heavy starts behind lights/m = 2 → 16·3 = 48.
         assert_eq!(oblivious, 48.0);

@@ -54,6 +54,10 @@
 #      medians that drifted past the noise tolerance — it never fails
 #      the build
 #
+# Before the verdict it prints the non-test line count of every crate
+# (scripts/loc.sh: the lines above each file's `#[cfg(test)]`) — an
+# informational line that gates nothing.
+#
 # Usage:
 #   scripts/ci_check.sh                 # all thirteen stages
 #   scripts/ci_check.sh --no-clippy     # skip the lint stage (e.g. when
@@ -161,6 +165,10 @@ if [ "$RUN_BENCH_GATE" = 1 ]; then
   echo "== scripts/bench_gate.sh (warn-only) =="
   scripts/bench_gate.sh
 fi
+
+echo
+echo "== non-test lines per crate (informational, no gate) =="
+scripts/loc.sh
 
 echo
 echo "ci_check: all stages passed"

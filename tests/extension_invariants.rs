@@ -7,8 +7,9 @@ use proptest::prelude::*;
 use flowsched::algos::exact::exact_fmax;
 use flowsched::algos::localsearch::improve;
 use flowsched::algos::offline::fmax_lower_bound;
-use flowsched::algos::policies::{dispatch, DispatchRule};
+use flowsched::algos::policies::dispatch;
 use flowsched::algos::preemptive::optimal_preemptive_fmax;
+use flowsched::algos::registry::PolicyId;
 use flowsched::core::io::{
     instance_from_json, instance_to_json, schedule_from_json, schedule_to_json,
 };
@@ -77,10 +78,10 @@ proptest! {
         seed in any::<u64>(),
     ) {
         let rule = match rule_pick {
-            0 => DispatchRule::Eft(TieBreak::Max),
-            1 => DispatchRule::RandomMachine { seed },
-            2 => DispatchRule::TwoChoices { d: 2, seed },
-            _ => DispatchRule::RoundRobin,
+            0 => PolicyId::Eft { tie: TieBreak::Max },
+            1 => PolicyId::Random { seed },
+            2 => PolicyId::Choices { d: 2, seed },
+            _ => PolicyId::RoundRobin,
         };
         let s = dispatch(&inst, rule);
         prop_assert!(s.validate(&inst).is_ok());

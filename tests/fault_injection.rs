@@ -9,15 +9,17 @@
 //! 1. **Schedule validity under any plan** — every task dispatches
 //!    exactly once, never before its (latency-shifted) release, and no
 //!    two tasks overlap on a machine.
-//! 2. **No task touches a dead machine** — each task's whole service
-//!    window `[start, start + p)` fits inside one alive window of its
-//!    machine (`earliest_fit` is a fixed point at the chosen start).
+//! 2. **No task touches a dead machine** — under every registry
+//!    policy, each task's whole service window `[start, start + p)`
+//!    fits inside one alive window of its machine (`earliest_fit` is a
+//!    fixed point at the chosen start).
 //! 3. **Determinism** — the sharded faulty engine is bitwise
 //!    thread-count invariant under a fixed seed, for every tie-break
 //!    and transport configuration, and for `Min`/`Max` reproduces the
 //!    sequential faulty run's schedule and recorder trace.
-//! 4. **Fault-free plans are free** — `FaultPlan::none` reproduces the
-//!    plain engine bitwise, schedule *and* recorder trace.
+//! 4. **Fault-free plans are free** — for every registry policy,
+//!    `FaultPlan::none` reproduces the plain engine bitwise, schedule
+//!    *and* recorder trace.
 //!
 //! On top of those, `guarantee_degradation_envelope` sweeps crash rates
 //! on a disjoint-cluster workload and asserts the measured `Fmax/OPT`
@@ -39,11 +41,10 @@
 use proptest::prelude::*;
 use rand::Rng;
 
-use flowsched::algos::eft::eft_stream;
 use flowsched::algos::engine::{DispatchSink, Run, ShardedConfig};
 use flowsched::algos::indexed::DispatchKernel;
 use flowsched::algos::offline::optimal_unit_fmax;
-use flowsched::algos::registry::PolicySpec;
+use flowsched::algos::registry::{PolicyId, PolicySpec};
 use flowsched::algos::tiebreak::TieBreak;
 use flowsched::core::compact::ProcSetRef;
 use flowsched::core::fault::{FaultCursor, FaultPlan};
@@ -79,6 +80,29 @@ impl DispatchSink for PairSink {
 /// Availability-aware EFT under `plan`, sequential until `.sharded`.
 fn faulty(plan: &FaultPlan, tb: TieBreak) -> Run<'_> {
     Run::new(PolicySpec::eft(tb, DispatchKernel::Auto)).with_faults(plan)
+}
+
+/// Registry family `idx` (every family takes a fault plan): EFT and its
+/// weight-budget and setup rules under `tie`, then the random,
+/// power-of-d and round-robin rules seeded by `seed`.
+fn policy_for(idx: usize, tie: TieBreak, seed: u64) -> PolicySpec {
+    PolicySpec::new(match idx {
+        0 => PolicyId::Eft { tie },
+        1 => PolicyId::WeightedEft { tie, slack: 2.0 },
+        2 => PolicyId::SetupEft {
+            tie,
+            cost: 0.5,
+            aware: true,
+        },
+        3 => PolicyId::SetupEft {
+            tie,
+            cost: 0.5,
+            aware: false,
+        },
+        4 => PolicyId::Random { seed },
+        5 => PolicyId::Choices { d: 2, seed },
+        _ => PolicyId::RoundRobin,
+    })
 }
 
 /// `(batch, queue_cap)` from one task per batch over depth-1 queues up
@@ -182,12 +206,13 @@ proptest! {
         n in 1usize..150,
         k_raw in 1usize..6,
         rate in 0.01f64..0.4,
-        seed in any::<u64>(),
+        (policy, seed) in (0usize..7, any::<u64>()),
     ) {
         let k = 1 + k_raw % m;
         let plan = plan_for(m, rate, 0.0, false, seed);
         let mut sink = PairSink::default();
-        faulty(&plan, TieBreak::Min).execute(
+        let spec = policy_for(policy, TieBreak::Min, seed);
+        Run::new(spec).with_faults(&plan).execute(
             stream_for(kind_for(family, k), m, n, seed),
             &mut NoopRecorder,
             &mut sink,
@@ -267,25 +292,28 @@ proptest! {
         m in 2usize..14,
         n in 1usize..150,
         k_raw in 1usize..6,
-        tb_idx in 0usize..3,
+        (tb_idx, policy) in (0usize..3, 0usize..7),
         seed in any::<u64>(),
     ) {
         let k = 1 + k_raw % m;
         let kind = kind_for(family, k);
         let tb = [TieBreak::Min, TieBreak::Max, TieBreak::Rand { seed: 11 }][tb_idx];
+        let spec = policy_for(policy, tb, seed);
 
         let mut plain_rec = MemoryRecorder::with_defaults(m);
-        let plain = eft_stream(stream_for(kind, m, n, seed), tb, &mut plain_rec);
+        let plain = Run::new(spec).schedule(stream_for(kind, m, n, seed), &mut plain_rec);
 
         let plan = FaultPlan::none(m);
         let mut faulty_rec = MemoryRecorder::with_defaults(m);
-        let faulty = faulty(&plan, tb).schedule(stream_for(kind, m, n, seed), &mut faulty_rec);
+        let faulty = Run::new(spec)
+            .with_faults(&plan)
+            .schedule(stream_for(kind, m, n, seed), &mut faulty_rec);
 
-        prop_assert_eq!(&plain, &faulty, "{:?} {:?}: schedules differ", kind, tb);
+        prop_assert_eq!(&plain, &faulty, "{} {:?}: schedules differ", spec, kind);
         prop_assert_eq!(
             plain_rec.trace().to_vec(),
             faulty_rec.trace().to_vec(),
-            "{:?} {:?}: recorder traces differ", kind, tb
+            "{} {:?}: recorder traces differ", spec, kind
         );
     }
 

@@ -239,7 +239,7 @@ fn warm_started_unit_fmax_matches_seed_binary_search_on_200_instances() {
 
 use flowsched::algos::eft::{EftState, ImmediateDispatcher};
 use flowsched::algos::engine::Run;
-use flowsched::algos::indexed::{DispatchKernel, EftKernelState};
+use flowsched::algos::indexed::DispatchKernel;
 use flowsched::algos::registry::PolicySpec;
 use flowsched::algos::tiebreak::TieBreak;
 use flowsched::obs::MemoryRecorder;
@@ -298,7 +298,7 @@ proptest! {
         let tb = tiebreak_for(tb_idx, seed ^ 0x7ea5);
 
         let mut scalar = EftState::new(m, tb);
-        let mut indexed = EftKernelState::new(m, tb, DispatchKernel::Indexed);
+        let mut indexed = EftState::new(m, tb).with_kernel(DispatchKernel::Indexed);
         for (id, task, set) in inst.iter() {
             let a = scalar.dispatch(task, set);
             let b = indexed.dispatch_task(task, set.view());

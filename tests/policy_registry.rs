@@ -2,8 +2,12 @@
 //!
 //! 1. **One construction path, zero drift**: a registry-built policy
 //!    produces the *bitwise-identical* schedule and recorder trace to
-//!    the directly-constructed dispatcher it names — across workload
-//!    families, tie-breaks, kernels, and sequential vs sharded engines.
+//!    the dispatcher it names, built outside the registry — across
+//!    workload families, tie-breaks, kernels, and sequential vs sharded
+//!    engines. The EFT-family rules (`eft`, `weft@θ`, `setup@c`,
+//!    `setup-obl@c`) are held to test-local reference dispatchers that
+//!    evaluate every member once per dispatch, with and without fault
+//!    plans, so the registry is never compared with itself.
 //! 2. **Names are total**: every [`PolicySpec`] round-trips through its
 //!    registry string (`spec.to_string().parse() == spec`), for random
 //!    specs and for the curated [`PolicySpec::examples`].
@@ -12,19 +16,27 @@
 //!    tie-break RNG draws.
 
 use proptest::prelude::*;
+use rand::Rng;
 
+use flowsched::algos::eft::ImmediateDispatcher;
 use flowsched::algos::engine::{immediate_schedule, Run, ShardedConfig};
-use flowsched::algos::indexed::{DispatchKernel, EftKernelState};
-use flowsched::algos::policies::{DispatchRule, Dispatcher};
+use flowsched::algos::indexed::DispatchKernel;
+use flowsched::algos::policies::Dispatcher;
 use flowsched::algos::registry::{PolicyId, PolicySpec};
-use flowsched::algos::setup::SetupEftState;
+use flowsched::algos::setup::cluster_fingerprint;
 use flowsched::algos::soa::ScanImpl;
-use flowsched::algos::tiebreak::TieBreak;
-use flowsched::algos::weighted::WeightedEftState;
-use flowsched::core::schedule::Schedule;
+use flowsched::algos::tiebreak::{Breaker, TieBreak};
+use flowsched::core::compact::ProcSetRef;
+use flowsched::core::fault::{FaultEventKind, FaultPlan, FaultyStream};
+use flowsched::core::machine::MachineId;
+use flowsched::core::procset::ProcSet;
+use flowsched::core::schedule::{Assignment, Schedule};
 use flowsched::core::shard::DEFAULT_MAX_SHARDS;
 use flowsched::core::stream::ArrivalStream;
+use flowsched::core::structure::{classify, StructureReport};
+use flowsched::core::task::Task;
 use flowsched::obs::{MemoryRecorder, NoopRecorder, Recorder};
+use flowsched::stats::rng::derive_rng;
 use flowsched::workloads::random::{PoissonStream, PoissonStreamConfig, StructureKind};
 
 fn kind_for(idx: usize, k: usize) -> StructureKind {
@@ -89,44 +101,240 @@ fn arb_spec() -> impl Strategy<Value = PolicySpec> {
     })
 }
 
-/// The pre-registry construction path, reproduced literally: resolve
-/// the kernel against the stream, build the concrete dispatcher state,
-/// run the shared engine. The registry must never drift from this.
+/// The dispatcher each spec names, built outside the registry and run
+/// on the shared engine: the reference loops for the EFT family, the
+/// rule dispatcher for the others. The registry must never drift from
+/// this.
 fn direct_schedule<S: ArrivalStream, R: Recorder>(
     stream: S,
     spec: &PolicySpec,
     rec: &mut R,
 ) -> Schedule {
-    let kernel = spec.kernel.resolve_for_stream(&stream);
     let m = stream.machines();
     match spec.id {
-        PolicyId::Eft { tie } => {
-            let mut state = EftKernelState::with_scan(m, tie, kernel, spec.scan);
-            immediate_schedule(stream, &mut state, rec)
+        id @ (PolicyId::Random { .. } | PolicyId::Choices { .. } | PolicyId::RoundRobin) => {
+            immediate_schedule(stream, &mut Dispatcher::new(m, id), rec)
         }
-        PolicyId::Random { seed } => {
-            let mut state =
-                Dispatcher::with_kernel(m, DispatchRule::RandomMachine { seed }, kernel);
-            immediate_schedule(stream, &mut state, rec)
-        }
-        PolicyId::Choices { d, seed } => {
-            let mut state =
-                Dispatcher::with_kernel(m, DispatchRule::TwoChoices { d, seed }, kernel);
-            immediate_schedule(stream, &mut state, rec)
-        }
-        PolicyId::RoundRobin => {
-            let mut state = Dispatcher::with_kernel(m, DispatchRule::RoundRobin, kernel);
-            immediate_schedule(stream, &mut state, rec)
-        }
-        PolicyId::WeightedEft { tie, slack } => {
-            let mut state = WeightedEftState::new(m, tie, slack);
-            immediate_schedule(stream, &mut state, rec)
-        }
-        PolicyId::SetupEft { tie, cost, aware } => {
-            let mut state = SetupEftState::new(m, tie, cost, aware);
-            immediate_schedule(stream, &mut state, rec)
+        id => immediate_schedule(stream, &mut Reference::new(m, id, None), rec),
+    }
+}
+
+/// Test-local reference for the EFT-family start rules: every member's
+/// candidate start, once per dispatch, then one `Breaker::pick` over
+/// the ascending tie set. With a plan, every candidate start goes
+/// through `FaultPlan::earliest_fit`.
+struct Reference {
+    id: PolicyId,
+    plan: Option<FaultPlan>,
+    breaker: Breaker,
+    completions: Vec<f64>,
+    /// Cluster fingerprint each machine last served (setup rules).
+    last: Vec<u64>,
+}
+
+impl Reference {
+    fn new(m: usize, id: PolicyId, plan: Option<FaultPlan>) -> Self {
+        let tie = match id {
+            PolicyId::Eft { tie }
+            | PolicyId::WeightedEft { tie, .. }
+            | PolicyId::SetupEft { tie, .. } => tie,
+            other => panic!("{other} is not an EFT-family policy"),
+        };
+        Reference {
+            id,
+            plan,
+            breaker: tie.breaker(),
+            completions: vec![0.0; m],
+            last: vec![u64::MAX; m],
         }
     }
+}
+
+impl ImmediateDispatcher for Reference {
+    fn machine_count(&self) -> usize {
+        self.completions.len()
+    }
+
+    fn machine_completions(&self) -> &[f64] {
+        &self.completions
+    }
+
+    fn dispatch_task(&mut self, task: Task, set: ProcSetRef<'_>) -> Assignment {
+        let fp = cluster_fingerprint(set);
+        let (completions, last, plan) = (&self.completions, &self.last, &self.plan);
+        let fit = |j: usize, s: f64| {
+            plan.as_ref()
+                .map_or(s, |p| p.earliest_fit(j, s, task.ptime))
+        };
+        let ready = |j: usize| task.release.max(completions[j]);
+        let setup = |j: usize| match self.id {
+            PolicyId::SetupEft { cost, .. } if last[j] != fp => cost,
+            _ => 0.0,
+        };
+        // Setup-aware dispatch sees the setup; every other rule chooses
+        // on the plain start.
+        let aware = matches!(self.id, PolicyId::SetupEft { aware: true, .. });
+        let starts: Vec<(usize, f64)> = set
+            .iter()
+            .map(|j| {
+                (
+                    j,
+                    fit(j, if aware { ready(j) + setup(j) } else { ready(j) }),
+                )
+            })
+            .collect();
+        let min = starts.iter().fold(f64::INFINITY, |a, &(_, s)| a.min(s));
+        // Weighted EFT takes the latest start within the weight budget;
+        // the others take the earliest.
+        let target = match self.id {
+            PolicyId::WeightedEft { slack, .. } => {
+                assert!(task.weight > 0.0, "task weights must be positive");
+                let budget = min + slack / task.weight;
+                starts
+                    .iter()
+                    .map(|&(_, s)| s)
+                    .filter(|&s| s <= budget)
+                    .fold(f64::NEG_INFINITY, f64::max)
+            }
+            _ => min,
+        };
+        let ties: Vec<usize> = starts
+            .iter()
+            .filter(|&&(_, s)| s == target)
+            .map(|&(j, _)| j)
+            .collect();
+        let u = self.breaker.pick(&ties);
+        // The oblivious variant pays the setup it did not look at.
+        let start = match self.id {
+            PolicyId::SetupEft { aware: false, .. } => fit(u, ready(u) + setup(u)),
+            _ => target,
+        };
+        self.completions[u] = start + task.ptime;
+        if matches!(self.id, PolicyId::SetupEft { .. }) {
+            self.last[u] = fp;
+        }
+        Assignment::new(MachineId(u), start)
+    }
+}
+
+/// A set shape the reference suite lends, so every view the kernels
+/// special-case (interval, prefix, wrapping ring, explicit) reaches them.
+#[derive(Debug, Clone)]
+enum Shape {
+    Interval(usize, usize),
+    Prefix(usize),
+    Ring(usize, usize),
+    Explicit(Vec<usize>),
+}
+
+impl Shape {
+    fn view(&self, m: usize) -> ProcSetRef<'_> {
+        match self {
+            Shape::Interval(lo, hi) => ProcSetRef::interval(*lo, *hi),
+            Shape::Prefix(len) => ProcSetRef::prefix(*len),
+            Shape::Ring(start, len) => ProcSetRef::ring(*start, *len, m),
+            Shape::Explicit(members) => ProcSetRef::Explicit(members),
+        }
+    }
+}
+
+/// A replayable stream of shaped arrivals, with or without a structure
+/// hint (so `Auto` resolves up front, or adapts live).
+struct ShapedStream {
+    m: usize,
+    arrivals: Vec<(Task, Shape)>,
+    next: usize,
+    hint: Option<StructureReport>,
+}
+
+impl ShapedStream {
+    /// Quantised arrivals: release gaps and processing times are
+    /// multiples of 0.25, so exact ties and machines idle at 0 occur.
+    fn new(m: usize, raw: &[(u32, u32, u32, u32, u64)], hinted: bool) -> Self {
+        let mut release = 0.0;
+        let arrivals = raw
+            .iter()
+            .map(|&(gap, p, w, shape, bits)| {
+                release += gap as f64 * 0.25;
+                let task =
+                    Task::weighted(release, p as f64 * 0.25, [1.0, 2.0, 4.0, 16.0][w as usize]);
+                let (a, b) = (
+                    (bits % m as u64) as usize,
+                    ((bits >> 20) % m as u64) as usize,
+                );
+                let shape = match shape {
+                    0 => Shape::Interval(a.min(b), a.max(b)),
+                    1 => Shape::Prefix(1 + a),
+                    2 => Shape::Ring(a, 1 + b),
+                    _ => Shape::Explicit(
+                        (0..m)
+                            .filter(|&j| j == a || (bits >> (j % 40 + 24)) & 1 == 1)
+                            .collect(),
+                    ),
+                };
+                (task, shape)
+            })
+            .collect();
+        let mut stream = ShapedStream {
+            m,
+            arrivals,
+            next: 0,
+            hint: None,
+        };
+        if hinted {
+            let sets: Vec<ProcSet> = stream
+                .arrivals
+                .iter()
+                .map(|(_, shape)| ProcSet::new(shape.view(m).iter().collect()))
+                .collect();
+            stream.hint = Some(classify(&sets, m));
+        }
+        stream
+    }
+}
+
+impl ArrivalStream for ShapedStream {
+    fn machines(&self) -> usize {
+        self.m
+    }
+
+    fn next_arrival(&mut self) -> Option<(Task, ProcSetRef<'_>)> {
+        self.next += 1;
+        let (task, shape) = self.arrivals.get(self.next - 1)?;
+        Some((*task, shape.view(self.m)))
+    }
+
+    fn len_hint(&self) -> Option<usize> {
+        Some(self.arrivals.len() - self.next)
+    }
+
+    fn structure_hint(&self) -> Option<StructureReport> {
+        self.hint
+    }
+}
+
+/// A random plan of outage chains: one to three exactly-touching
+/// outages per group, groups joined by gaps that may be zero, dyadic
+/// endpoints throughout; some machines run at half speed, and dispatch
+/// decisions may arrive a quarter late.
+fn chained_plan(m: usize, seed: u64) -> FaultPlan {
+    let mut rng = derive_rng(seed, 0xC4A1);
+    let mut plan = FaultPlan::none(m).with_latency([0.0, 0.25][rng.random_range(0..2usize)]);
+    for j in 0..m {
+        if rng.random_bool(0.25) {
+            plan = plan.with_speed(j, 0.5);
+        }
+        let mut t = 0.0;
+        for _ in 0..rng.random_range(0..6usize) {
+            t += [0.0, 0.5, 1.0, 3.0][rng.random_range(0..4usize)];
+            for _ in 0..rng.random_range(1..4usize) {
+                let len = [0.25, 0.5, 1.0, 2.0][rng.random_range(0..4usize)];
+                plan = plan.with_outage(j, t, t + len);
+                t += len;
+            }
+        }
+    }
+    plan
 }
 
 proptest! {
@@ -166,6 +374,61 @@ proptest! {
             direct_rec.trace().to_vec(),
             reg_rec.trace().to_vec(),
             "{} on {:?}: recorder traces differ", spec, kind
+        );
+    }
+
+    /// Contract 1 for the EFT-family start rules at nonzero parameters:
+    /// `eft`, `weft@θ`, `setup@c` and `setup-obl@c`, on every kernel,
+    /// scan and tie-break, over hinted and hint-less streams of every
+    /// set shape, with and without a fault plan of touching outage
+    /// chains, match the reference loops on schedule and recorder trace.
+    #[test]
+    fn eft_family_rules_match_references(
+        (rule, param, tie) in (0usize..4, 1u32..12, arb_tie()),
+        (kernel, scan, hinted) in (arb_kernel(), arb_scan(), any::<bool>()),
+        m in prop_oneof![1usize..12, 60usize..72],
+        raw in prop::collection::vec((0u32..3, 1u32..8, 0u32..4, 0u32..4, any::<u64>()), 1..140),
+        faults in prop_oneof![Just(None), any::<u64>().prop_map(Some)],
+    ) {
+        let param = param as f64 * 0.25;
+        let id = match rule {
+            0 => PolicyId::Eft { tie },
+            1 => PolicyId::WeightedEft { tie, slack: param },
+            2 => PolicyId::SetupEft { tie, cost: param, aware: true },
+            _ => PolicyId::SetupEft { tie, cost: param, aware: false },
+        };
+        let spec = PolicySpec { id, kernel, scan };
+        let plan = faults.map(|seed| chained_plan(m, seed));
+        let stream = || ShapedStream::new(m, &raw, hinted);
+
+        let mut reg_rec = MemoryRecorder::with_defaults(m);
+        let run = Run::new(spec);
+        let registry = match &plan {
+            Some(plan) => run.with_faults(plan).schedule(stream(), &mut reg_rec),
+            None => run.schedule(stream(), &mut reg_rec),
+        };
+
+        let mut ref_rec = MemoryRecorder::with_defaults(m);
+        let mut reference = Reference::new(m, id, plan.clone());
+        let expected = match &plan {
+            Some(plan) => {
+                for ev in plan.events() {
+                    match ev.kind {
+                        FaultEventKind::Crash => ref_rec.machine_crash(ev.machine as u32, ev.at),
+                        FaultEventKind::Recover => ref_rec.machine_recover(ev.machine as u32, ev.at),
+                    }
+                }
+                immediate_schedule(FaultyStream::new(stream(), plan), &mut reference, &mut ref_rec)
+            }
+            None => immediate_schedule(stream(), &mut reference, &mut ref_rec),
+        };
+
+        let faulty = plan.is_some();
+        prop_assert_eq!(&registry, &expected, "{} (faults: {}): schedules differ", spec, faulty);
+        prop_assert_eq!(
+            reg_rec.trace().to_vec(),
+            ref_rec.trace().to_vec(),
+            "{} (faults: {}): recorder traces differ", spec, faulty
         );
     }
 

@@ -10,19 +10,17 @@
 //! 2. **Scan choice is dispatch-invariant**: a full [`EftState`] run on
 //!    `ScanImpl::Simd` matches `ScanImpl::Scalar` assignment-for-
 //!    assignment under every tie-break, RNG draws included.
-//! 3. **Mid-stream kernel switches are transparent**: the adaptive
-//!    `Auto` wrapper ([`AdaptiveEftState`]) — which re-resolves its
-//!    kernel from live structure classification and *actually switches*
-//!    mid-stream when the family degrades — produces the bitwise-same
-//!    schedule and recorder trace as both forced kernels, across
-//!    families × tie-breaks.
+//! 3. **Mid-stream kernel switches are transparent**: the EFT core on
+//!    `Auto` — which re-resolves its kernel from live structure
+//!    classification and *actually switches* mid-stream when the family
+//!    degrades — produces the bitwise-same schedule and recorder trace
+//!    as both forced kernels, across families × tie-breaks.
 
 use proptest::prelude::*;
 
-use flowsched::algos::adaptive::AdaptiveEftState;
 use flowsched::algos::eft::{scan_ties, EftState};
 use flowsched::algos::engine::immediate_schedule;
-use flowsched::algos::indexed::{DispatchKernel, EftKernelState, IndexedEftState};
+use flowsched::algos::indexed::DispatchKernel;
 use flowsched::algos::soa::{scan_ties_simd, CompletionBank, ScanImpl};
 use flowsched::algos::tiebreak::TieBreak;
 use flowsched::core::compact::ProcSetRef;
@@ -140,9 +138,9 @@ proptest! {
             let b = (a + 1 + rng.next() % (m - 1)) % m;
             sets.push(vec![a.min(b), a.max(b)]);
         }
-        let mut adaptive = AdaptiveEftState::new(m, tie);
+        let mut adaptive = EftState::new(m, tie).with_kernel(DispatchKernel::Auto);
         let mut scalar = EftState::new(m, tie);
-        let mut indexed = IndexedEftState::new(m, tie);
+        let mut indexed = EftState::new(m, tie).with_kernel(DispatchKernel::Indexed);
         for (i, set) in sets.iter().enumerate() {
             let task = Task::new(i as f64 * 0.125, 0.5 + (i % 3) as f64 * 0.25);
             let view = ProcSetRef::Explicit(set);
@@ -154,7 +152,7 @@ proptest! {
             adaptive.switches() > 0,
             "the degrading stream must force a real kernel switch"
         );
-        prop_assert_eq!(adaptive.current_kernel(), DispatchKernel::Scalar);
+        prop_assert_eq!(adaptive.kernel(), DispatchKernel::Scalar);
         prop_assert_eq!(adaptive.completions(), scalar.completions());
     }
 }
@@ -189,7 +187,7 @@ fn adaptive_trace_is_bitwise_identical_to_forced_kernels() {
                 next.set(i + 1);
                 Some(stream(i))
             });
-            let mut state = EftKernelState::new(m, tie, kernel);
+            let mut state = EftState::new(m, tie).with_kernel(kernel);
             let mut rec = MemoryRecorder::with_defaults(m);
             let sched = immediate_schedule(arrivals, &mut state, &mut rec);
             (sched, rec.trace().to_vec())

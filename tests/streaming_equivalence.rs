@@ -10,7 +10,8 @@ use proptest::prelude::*;
 
 use flowsched::algos::eft::{eft, eft_stream};
 use flowsched::algos::fifo::{fifo, fifo_stream};
-use flowsched::algos::policies::{dispatch, dispatch_stream, DispatchRule};
+use flowsched::algos::policies::{dispatch, dispatch_stream};
+use flowsched::algos::registry::PolicyId;
 use flowsched::algos::tiebreak::TieBreak;
 use flowsched::core::stream::collect_stream;
 use flowsched::obs::NoopRecorder;
@@ -38,12 +39,12 @@ fn any_tiebreak() -> impl Strategy<Value = TieBreak> {
     ]
 }
 
-fn any_rule() -> impl Strategy<Value = DispatchRule> {
+fn any_rule() -> impl Strategy<Value = PolicyId> {
     prop_oneof![
-        any_tiebreak().prop_map(DispatchRule::Eft),
-        any::<u64>().prop_map(|seed| DispatchRule::RandomMachine { seed }),
-        (1usize..=3, any::<u64>()).prop_map(|(d, seed)| DispatchRule::TwoChoices { d, seed }),
-        Just(DispatchRule::RoundRobin),
+        any_tiebreak().prop_map(|tie| PolicyId::Eft { tie }),
+        any::<u64>().prop_map(|seed| PolicyId::Random { seed }),
+        (1usize..=3, any::<u64>()).prop_map(|(d, seed)| PolicyId::Choices { d, seed }),
+        Just(PolicyId::RoundRobin),
     ]
 }
 
