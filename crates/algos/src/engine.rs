@@ -70,8 +70,6 @@
 
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 
 use flowsched_core::compact::ProcSetRef;
 use flowsched_core::fault::{FaultEventKind, FaultPlan, FaultyStream};
@@ -218,11 +216,17 @@ where
         seq += 1;
     }
     if R::ENABLED {
-        if let Some(ks) = disp.kernel_stats() {
-            rec.add(Counter::IndexedDescents, ks.indexed_descents);
-            rec.add(Counter::ScalarFallbackScans, ks.scalar_fallback_scans);
-            rec.add(Counter::HeapSelfHeals, ks.heap_self_heals);
-        }
+        flush_kernel_stats(disp.kernel_stats(), rec);
+    }
+}
+
+/// Adds a run's kernel decision counters to `rec`; a run whose kernels
+/// kept none (`None`) adds nothing.
+fn flush_kernel_stats<R: Recorder>(stats: Option<KernelStats>, rec: &mut R) {
+    if let Some(ks) = stats {
+        rec.add(Counter::IndexedDescents, ks.indexed_descents);
+        rec.add(Counter::ScalarFallbackScans, ks.scalar_fallback_scans);
+        rec.add(Counter::HeapSelfHeals, ks.heap_self_heals);
     }
 }
 
@@ -382,7 +386,7 @@ impl<'a> Run<'a> {
     fn dispatch<S, D, B, R, K, P>(&self, stream: S, build: B, rec: &mut R, sink: &mut K, probe: P)
     where
         S: ArrivalStream,
-        D: ImmediateDispatcher + Send + 'static,
+        D: ImmediateDispatcher + Send,
         B: Fn(PolicySpec, usize, usize) -> D,
         R: Recorder,
         K: DispatchSink,
@@ -405,9 +409,9 @@ fn build_policy(policy: PolicySpec, _start: usize, len: usize) -> PolicyState {
 }
 
 /// [`Run`]'s sharded path: one dispatcher per shard of `plan`, built by
-/// `build` from the shard-local policy, commits in arrival order
-/// through the shared `CommitTracker`, and the shards' kernel counters
-/// summed into `rec` after the run.
+/// `build` from the shard-local policy and lent to the transport,
+/// commits in arrival order through the shared `CommitTracker`, and the
+/// shards' kernel counters summed into `rec` after the run.
 #[allow(clippy::too_many_arguments)]
 fn sharded<S, D, B, R, K, P>(
     stream: S,
@@ -420,34 +424,35 @@ fn sharded<S, D, B, R, K, P>(
     probe: P,
 ) where
     S: ArrivalStream,
-    D: ImmediateDispatcher + Send + 'static,
+    D: ImmediateDispatcher + Send,
     B: Fn(PolicySpec, usize, usize) -> D,
     R: Recorder,
     K: DispatchSink,
     P: PipelineProbe,
 {
     let mut tracker = CommitTracker::new(R::ENABLED, stream.machines());
-    let stats = Arc::new(ShardStatsAcc::default());
+    let mut states: Vec<D> = (0..plan.shards())
+        .map(|s| build(policy.for_shard(s), plan.start_of(s), plan.len_of(s)))
+        .collect();
+    let mut closures: Vec<_> = states
+        .iter_mut()
+        .map(|state| move |task: Task, set: ProcSetRef<'_>| state.dispatch_task(task, set))
+        .collect();
     run_sharded_probed(
         stream,
         plan,
         cfg,
-        |s| {
-            let mut guard = ShardStatsFlush {
-                state: build(policy.for_shard(s), plan.start_of(s), plan.len_of(s)),
-                acc: Arc::clone(&stats),
-            };
-            move |task: Task, set: ProcSetRef<'_>| guard.state.dispatch_task(task, set)
-        },
+        &mut closures,
         |seq, task, a| tracker.commit(seq, task, a, rec, sink),
         probe,
     );
     if R::ENABLED {
-        if let Some(ks) = stats.snapshot() {
-            rec.add(Counter::IndexedDescents, ks.indexed_descents);
-            rec.add(Counter::ScalarFallbackScans, ks.scalar_fallback_scans);
-            rec.add(Counter::HeapSelfHeals, ks.heap_self_heals);
-        }
+        let stats = states.iter().filter_map(|state| state.kernel_stats());
+        let sum = stats.reduce(|mut sum, ks| {
+            sum.merge(ks);
+            sum
+        });
+        flush_kernel_stats(sum, rec);
     }
 }
 
@@ -489,58 +494,6 @@ pub fn run_policy_sharded_probed<S, R, K, P>(
     P: PipelineProbe,
 {
     sharded(stream, *spec, plan, cfg, build_policy, rec, sink, probe);
-}
-
-/// Shared accumulator for per-shard [`KernelStats`]: each worker's
-/// dispatcher flushes into it on drop, and the calling thread reads the
-/// totals after the transport returns. `reporters` distinguishes "no
-/// shard had kernel counters" from "every counter happened to be zero",
-/// so the recorder sees counter adds exactly when the sequential engine
-/// would.
-#[derive(Debug, Default)]
-struct ShardStatsAcc {
-    reporters: AtomicU64,
-    indexed_descents: AtomicU64,
-    scalar_fallback_scans: AtomicU64,
-    heap_self_heals: AtomicU64,
-}
-
-impl ShardStatsAcc {
-    fn record(&self, ks: KernelStats) {
-        self.reporters.fetch_add(1, Ordering::Relaxed);
-        self.indexed_descents
-            .fetch_add(ks.indexed_descents, Ordering::Relaxed);
-        self.scalar_fallback_scans
-            .fetch_add(ks.scalar_fallback_scans, Ordering::Relaxed);
-        self.heap_self_heals
-            .fetch_add(ks.heap_self_heals, Ordering::Relaxed);
-    }
-
-    fn snapshot(&self) -> Option<KernelStats> {
-        (self.reporters.load(Ordering::Relaxed) > 0).then(|| KernelStats {
-            indexed_descents: self.indexed_descents.load(Ordering::Relaxed),
-            scalar_fallback_scans: self.scalar_fallback_scans.load(Ordering::Relaxed),
-            heap_self_heals: self.heap_self_heals.load(Ordering::Relaxed),
-        })
-    }
-}
-
-/// Drop-guard pairing a shard's dispatcher with the shared accumulator:
-/// the worker closure owns it, and `run_sharded_probed` guarantees every
-/// dispatcher closure is dropped (workers joined) before it returns —
-/// on both the inline and the threaded path — so the flush always lands
-/// before the caller reads the snapshot.
-struct ShardStatsFlush<D: ImmediateDispatcher> {
-    state: D,
-    acc: Arc<ShardStatsAcc>,
-}
-
-impl<D: ImmediateDispatcher> Drop for ShardStatsFlush<D> {
-    fn drop(&mut self) {
-        if let Some(ks) = self.state.kernel_stats() {
-            self.acc.record(ks);
-        }
-    }
 }
 
 /// A machine-free event in the FIFO heap, ordered by time then machine
@@ -790,17 +743,38 @@ mod tests {
             let lo = if i % 2 == 0 { 0 } else { 4 };
             b.push_unit(i as f64 * 0.5, ProcSet::interval(lo, lo + 3));
         }
+        // Then per block a cluster, {lo+1, lo+3}, and a set overlapping
+        // it, {lo, lo+3}, which the member scan serves; its picks of
+        // lo+3 leave the cluster heap stale, so the heap self-heals.
+        for i in 40..60 {
+            let lo = if i % 2 == 0 { 0 } else { 4 };
+            let first = if (i / 2) % 2 == 0 { lo + 1 } else { lo };
+            b.push_unit(i as f64 * 0.5, ProcSet::new(vec![first, lo + 3]));
+        }
         let inst = b.build().unwrap();
         let spec = PolicySpec::eft(TieBreak::Min, DispatchKernel::Indexed);
+        let counters = |run: Run<'_>| {
+            let mut rec = MemoryRecorder::with_defaults(m);
+            run.execute(InstanceStream::new(&inst), &mut rec, &mut NullSink);
+            [
+                Counter::IndexedDescents,
+                Counter::ScalarFallbackScans,
+                Counter::HeapSelfHeals,
+            ]
+            .map(|c| rec.counters().get(c))
+        };
+        let sequential = counters(Run::new(spec));
+        assert_eq!(sequential[..2], [50, 10], "descents, fallback scans");
+        assert!(sequential[2] > 0, "the cluster heaps self-healed");
         let plan = ShardPlan::blocks(m, 4, 16);
         assert_eq!(plan.shards(), 2);
-        let mut rec = MemoryRecorder::with_defaults(m);
-        Run::new(spec)
-            .sharded(&plan, &ShardedConfig::with_threads(2))
-            .execute(InstanceStream::new(&inst), &mut rec, &mut NullSink);
-        // Both workers' indexed kernels flush on drop; the counters sum
-        // across shards exactly as the sequential engine reports them.
-        assert_eq!(rec.counters().get(Counter::IndexedDescents), 40);
+        for threads in 1..=4 {
+            // One thread runs inline, more on workers; either way the
+            // shards' counters sum to the sequential engine's.
+            let cfg = ShardedConfig::with_threads(threads);
+            let sharded = counters(Run::new(spec).sharded(&plan, &cfg));
+            assert_eq!(sharded, sequential, "threads={threads}");
+        }
     }
 
     #[test]

@@ -47,10 +47,10 @@ use crate::soa::{CompletionBank, SoaMinHeap, LANE};
 ///
 /// Monotone over a run; the engine flushes them into the recorder's
 /// `IndexedDescents` / `ScalarFallbackScans` / `HeapSelfHeals` counters
-/// at the end of a run. In a sharded run each worker's dispatcher
-/// flushes its counters into a shared accumulator when it drops, and
-/// the engine adds the sums across shards, so the recorder sees the
-/// same counters as after a sequential run. A high
+/// at the end of a run. After a sharded run the engine sums its shard
+/// dispatchers' counters with [`merge`](KernelStats::merge) and flushes
+/// the sum, so the recorder sees the same counters as after a
+/// sequential run. A high
 /// `scalar_fallback_scans` share means the workload's explicit sets
 /// overlap and defeat the cluster index; a high `heap_self_heals` rate
 /// means interval and explicit traffic interleave on the same machines.
@@ -66,7 +66,7 @@ pub struct KernelStats {
 
 impl KernelStats {
     /// Accumulates another counter snapshot into this one — how the
-    /// engine merges per-shard stats.
+    /// engine sums the shards of a sharded run.
     pub fn merge(&mut self, other: KernelStats) {
         self.indexed_descents += other.indexed_descents;
         self.scalar_fallback_scans += other.scalar_fallback_scans;

@@ -4,7 +4,7 @@
 //! start, completion timestamps the engines compute. This module records
 //! *wall-clock* time: how many nanoseconds the sharded dispatch pipeline
 //! (`flowsched_parallel::sharded`) actually spends in each of its
-//! stages — router batch assembly, SPSC enqueue/dequeue waits, per-shard
+//! stages — router batch assembly, waits on the bounded queues, per-shard
 //! worker dispatch, and the arrival-order merge — plus queue-depth
 //! high-water marks and backpressure-stall counts. It exists to answer
 //! ROADMAP item 1's routing-tax question with measurements instead of
@@ -16,9 +16,9 @@
 //! monomorphization deletes the clock reads along with the hook calls —
 //! the probed engine is the unprobed engine (the `pipeline` bench gates
 //! this within noise). Unlike `Recorder`, hooks take `&self` and probes
-//! must be `Clone + Send + 'static`: the sharded engine consumes its
-//! worker closures on other threads, so a live probe is a handle onto
-//! shared atomics ([`PipelineMetrics`]), cloned once per worker.
+//! must be `Clone + Send`: the sharded engine's workers run on other
+//! threads, so a live probe is a handle onto shared atomics
+//! ([`PipelineMetrics`]), cloned once per worker.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -31,7 +31,7 @@ pub enum Stage {
     /// Router-side batch assembly: restricting the arrival's processing
     /// set to its shard and appending the `TaskMsg` to the output batch.
     Route,
-    /// Router-side blocking inside `flush` while a shard's SPSC queue is
+    /// Router-side blocking inside `flush` while a worker's input queue is
     /// full (every span here is a backpressure stall).
     EnqueueWait,
     /// Worker-side blocking on an empty input queue (waiting for the
@@ -75,10 +75,10 @@ impl Stage {
 
 /// Sink for wall-clock pipeline hooks.
 ///
-/// `Clone + Send + 'static` because the sharded engine moves a clone
-/// into every worker thread; implementations share state internally
-/// (see [`PipelineMetrics`]) or have none (see [`NoopPipeline`]).
-pub trait PipelineProbe: Clone + Send + 'static {
+/// `Clone + Send` because the sharded engine moves a clone into every
+/// worker thread; implementations share state internally (see
+/// [`PipelineMetrics`]) or have none (see [`NoopPipeline`]).
+pub trait PipelineProbe: Clone + Send {
     /// `false` only for the no-op probe: lets hot paths skip the
     /// monotonic-clock reads entirely (`if P::ENABLED { … }` folds to
     /// nothing, same contract as `Recorder::ENABLED`).
@@ -92,7 +92,7 @@ pub trait PipelineProbe: Clone + Send + 'static {
     /// high-water mark).
     fn queue_depth(&self, depth: u64);
 
-    /// The router hit a full SPSC queue and had to stall.
+    /// The router hit a full input queue and had to stall.
     fn backpressure_stall(&self);
 
     /// The router force-flushed a partial batch because the reorder
@@ -281,7 +281,7 @@ impl PipelineMetrics {
         self.inner.depth_high_water.load(Ordering::Relaxed)
     }
 
-    /// Backpressure stalls (router blocked on a full SPSC queue).
+    /// Backpressure stalls (router blocked on a full input queue).
     pub fn stalls(&self) -> u64 {
         self.inner.stalls.load(Ordering::Relaxed)
     }

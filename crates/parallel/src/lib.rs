@@ -1,32 +1,26 @@
 //! # flowsched-parallel
 //!
-//! Minimal data-parallel substrate for experiment sweeps.
+//! Minimal data-parallel substrate for experiment sweeps and the
+//! sharded engine.
 //!
 //! The paper's Figure 10 sweep alone solves ~63 000 LPs (2 strategies ×
 //! 21 biases × 15 interval sizes × 100 permutations); runs are independent,
 //! so an embarrassingly-parallel `par_map` is all we need. The build
-//! environment is offline, so this crate provides the few primitives we
-//! use built purely on `std::thread::scope`, `std::sync::mpsc`, and the
-//! `std` lock types, in the style of *Rust Atomics and Locks*:
+//! environment is offline, so this crate is built on `std` alone —
+//! `std::thread::scope`, `std::sync::mpsc` and atomics:
 //!
 //! - [`par_map`]: order-preserving parallel map with atomic work stealing.
-//! - [`par_for_each`]: parallel side-effecting iteration.
-//! - [`ThreadPool`]: a persistent pool for heterogeneous jobs.
-//! - [`spsc`]: bounded single-producer single-consumer channels.
 //! - [`sharded`]: the sharded dispatch runtime — routes an arrival
 //!   stream to per-shard dispatchers over bounded queues and merges the
 //!   decisions back in strict arrival order, bitwise-identical to a
 //!   sequential run.
 //!
-//! All primitives propagate panics from worker closures to the caller and
-//! fall back to sequential execution for tiny inputs (grain control).
+//! Both propagate panics from worker closures to the caller and run
+//! sequentially when parallelism cannot pay (tiny inputs, one worker).
 
-pub mod pool;
 pub mod sharded;
-pub mod spsc;
 
-pub use pool::ThreadPool;
-pub use sharded::{run_sharded, ShardedConfig};
+pub use sharded::ShardedConfig;
 
 use std::num::NonZeroUsize;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -116,50 +110,9 @@ where
         .collect()
 }
 
-/// Parallel side-effecting iteration over `items`.
-///
-/// # Panics
-/// Propagates panics from `f`.
-pub fn par_for_each<T, F>(items: &[T], f: F)
-where
-    T: Sync,
-    F: Fn(&T) + Sync,
-{
-    let threads = default_threads().min(items.len().max(1));
-    if items.len() <= SEQUENTIAL_CUTOFF || threads <= 1 {
-        items.iter().for_each(&f);
-        return;
-    }
-    let cursor = AtomicUsize::new(0);
-    std::thread::scope(|s| {
-        for _ in 0..threads {
-            let cursor = &cursor;
-            let f = &f;
-            s.spawn(move || loop {
-                let i = cursor.fetch_add(1, Ordering::Relaxed);
-                if i >= items.len() {
-                    break;
-                }
-                f(&items[i]);
-            });
-        }
-    });
-}
-
-/// Maps `f` over `0..n` in parallel, preserving index order in the result.
-pub fn par_map_range<R, F>(n: usize, f: F) -> Vec<R>
-where
-    R: Send,
-    F: Fn(usize) -> R + Sync,
-{
-    let idx: Vec<usize> = (0..n).collect();
-    par_map(&idx, |&i| f(i))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicU64;
 
     #[test]
     fn par_map_matches_sequential() {
@@ -186,27 +139,6 @@ mod tests {
         let empty: Vec<u32> = vec![];
         assert!(par_map(&empty, |&x| x).is_empty());
         assert_eq!(par_map(&[5u32], |&x| x + 1), vec![6]);
-    }
-
-    #[test]
-    fn par_for_each_visits_every_item_once() {
-        let n = 500;
-        let counters: Vec<AtomicU64> = (0..n).map(|_| AtomicU64::new(0)).collect();
-        let idx: Vec<usize> = (0..n).collect();
-        par_for_each(&idx, |&i| {
-            counters[i].fetch_add(1, Ordering::Relaxed);
-        });
-        for c in &counters {
-            assert_eq!(c.load(Ordering::Relaxed), 1);
-        }
-    }
-
-    #[test]
-    fn par_map_range_works() {
-        assert_eq!(
-            par_map_range(100, |i| i * 2),
-            (0..100).map(|i| i * 2).collect::<Vec<_>>()
-        );
     }
 
     #[test]

@@ -1,10 +1,10 @@
 //! The sharded dispatch runtime: route arrivals to per-shard
 //! dispatchers over bounded queues, merge results in arrival order.
 //!
-//! [`run_sharded`] is the transport layer of the parallel streaming
-//! engine. It owns everything concurrent — routing, batching,
+//! [`run_sharded_probed`] is the transport layer of the parallel
+//! streaming engine. It owns everything concurrent — routing, batching,
 //! backpressure, the in-order merge — and nothing algorithmic: the
-//! caller supplies one dispatcher closure per shard (in practice an EFT
+//! caller lends one dispatcher closure per shard (in practice an EFT
 //! kernel from `flowsched-algos`, which this crate must not depend on)
 //! and a merge closure that sees `(seq, task, assignment)` in **strict
 //! arrival order**, exactly as the sequential engine's sink does.
@@ -14,7 +14,9 @@
 //! A [`ShardPlan`] fixes a contiguous machine range per shard; shard
 //! `s` runs on worker `s % workers` and its dispatcher sees machines
 //! renumbered to `0..len_of(s)` (sets are rebased on the way in, the
-//! chosen machine is rebased back on the way out). Because the plan
+//! chosen machine is rebased back on the way out). Workers are scoped
+//! threads that borrow their shards' dispatchers for the call, so the
+//! caller owns every dispatcher before and after it. Because the plan
 //! guarantees every processing set fits inside one shard, no two
 //! workers ever touch the same machine's state and no cross-shard
 //! synchronization exists at all.
@@ -35,35 +37,40 @@
 //!
 //! # Backpressure and deadlock-freedom
 //!
-//! All links are bounded [`spsc`] queues. A batch makes a round trip:
-//! the worker turns its tasks into results in place and sends it back,
-//! the router merges straight out of it and recycles it through a free
-//! list, so steady-state transport neither allocates nor copies. The
-//! router polls for results once per batch it sends, and only ever
-//! *blocks* on a worker that provably has work in flight (its input
-//! queue is full, or the merge head was already flushed to it), so
-//! every blocking wait is matched by a worker that will produce; a
-//! worker that dies mid-run drops its result sender on unwind and the
-//! router panics instead of hanging. In-flight state is capped at
+//! Every link is a bounded [`sync_channel`] of `queue_cap` batches, one
+//! each way per worker. A batch makes a round trip: the worker turns
+//! its tasks into results in place and sends it back, the router
+//! merges straight out of it and recycles it through a free list, so
+//! steady-state transport neither allocates nor copies. The router
+//! polls for results once per batch it sends, and only ever *blocks*
+//! on a worker that provably has work in flight (its input queue is
+//! full, or the merge head was already flushed to it), so every
+//! blocking wait is matched by a worker that will produce; a worker
+//! that dies mid-run drops its result sender on unwind and the router
+//! panics instead of hanging. The router lives inside the thread
+//! scope: on return and on unwind alike it drops before the scope
+//! joins, which closes every queue, so the workers exit, and the scope
+//! then re-raises the router's own panic. In-flight state is capped at
 //! O(workers × queue × batch), and the free list holds only batches
 //! that were once in flight — the constant-memory property of the
 //! streaming core survives.
 //!
 //! # Wall-clock observability
 //!
-//! [`run_sharded_probed`] is the same engine with a [`PipelineProbe`]
-//! threaded through every stage: router batch assembly ([`Stage::Route`]),
-//! blocking on a full SPSC queue ([`Stage::EnqueueWait`], which also
-//! covers the result-draining done while waiting), worker blocking on
-//! an empty input queue ([`Stage::DequeueWait`]), per-batch kernel
-//! execution ([`Stage::Dispatch`]), and the in-order merge
-//! ([`Stage::Merge`]) — plus reorder-buffer depth, backpressure-stall,
-//! and forced-flush gauges. [`run_sharded`] passes [`NoopPipeline`],
-//! whose `ENABLED = false` folds every probe (including the clock
-//! reads) away, so the unprobed engine is byte-for-byte the
-//! pre-observability engine and schedules are never perturbed.
+//! A [`PipelineProbe`] is threaded through every stage: router batch
+//! assembly ([`Stage::Route`]), blocking on a full queue
+//! ([`Stage::EnqueueWait`], which also covers the result-draining done
+//! while waiting), worker blocking on an empty input queue
+//! ([`Stage::DequeueWait`]), per-batch kernel execution
+//! ([`Stage::Dispatch`]), and the in-order merge ([`Stage::Merge`]) —
+//! plus reorder-buffer depth, backpressure-stall, and forced-flush
+//! gauges. [`NoopPipeline`](flowsched_obs::pipeline::NoopPipeline)'s
+//! `ENABLED = false` folds every probe (including the clock reads)
+//! away, so an unprobed run is the bare engine and schedules are never
+//! perturbed.
 
 use std::collections::VecDeque;
+use std::sync::mpsc::{sync_channel, Receiver, SyncSender, TrySendError};
 
 use flowsched_core::compact::{CompactProcSet, ProcSetRef};
 use flowsched_core::machine::MachineId;
@@ -72,21 +79,19 @@ use flowsched_core::shard::ShardPlan;
 use flowsched_core::stream::ArrivalStream;
 use flowsched_core::task::Task;
 
-use flowsched_obs::pipeline::{NoopPipeline, PipelineProbe, Stage, StageTimer};
+use flowsched_obs::pipeline::{PipelineProbe, Stage, StageTimer};
 
-use crate::pool::ThreadPool;
-use crate::spsc::{self, TrySendError};
-
-/// Tuning knobs for [`run_sharded`].
+/// Tuning knobs for [`run_sharded_probed`].
 #[derive(Debug, Clone)]
 pub struct ShardedConfig {
     /// Worker thread budget; the engine uses `min(threads, shards)`
     /// and runs inline (no threads at all) when that is ≤ 1.
     pub threads: usize,
-    /// Tasks per routed batch. The router sends a batch with one lock
-    /// and polls the result queues once per batch sent, so queue locks
-    /// per task fall as 1/batch; dispatch per task is ~100 ns, so 256
-    /// keeps queue overhead a small fraction without hurting pipelining.
+    /// Tasks per routed batch. The router sends a batch with one queue
+    /// operation and polls the result queues once per batch sent, so
+    /// queue operations per task fall as 1/batch; dispatch per task is
+    /// ~100 ns, so 256 keeps queue overhead a small fraction without
+    /// hurting pipelining.
     pub batch: usize,
     /// Batches each bounded queue holds before its producer blocks.
     pub queue_cap: usize,
@@ -203,67 +208,46 @@ fn rebase_view<'a>(
 }
 
 /// Routes every arrival of `stream` to its shard's dispatcher and
-/// replays the decisions to `merge` in strict arrival order.
+/// replays the decisions to `merge` in strict arrival order, with a
+/// wall-clock [`PipelineProbe`] observing every stage of the transport
+/// (see the module docs for the stage map).
 ///
-/// `make_dispatcher(s)` is called once per shard, in shard order,
-/// whatever the thread budget — so dispatcher construction (including
-/// any per-shard RNG seeding) is deterministic. The dispatcher for
-/// shard `s` works in local machine numbering `0..plan.len_of(s)`;
-/// `merge` sees global machine ids.
+/// `dispatchers[s]` serves shard `s` in local machine numbering
+/// `0..plan.len_of(s)`; `merge` sees global machine ids. The caller
+/// builds the dispatchers, in shard order whatever the thread budget,
+/// so their construction (including any per-shard RNG seeding) is
+/// deterministic, and keeps them: whatever state they hold is theirs
+/// to read once the call returns.
 ///
 /// With one worker (or a single-shard plan) everything runs inline on
 /// the calling thread — same dispatchers, same per-shard subsequences,
 /// same merge order, so the output is identical at every thread count,
 /// including zero extra threads.
 ///
-/// **Drop contract:** every dispatcher closure is dropped before this
-/// function returns, on both the inline path (scope exit) and the
-/// threaded path (the pool join at the end waits for each worker to
-/// finish and release its job). Callers may therefore use drop-guards
-/// inside the closures to flush per-shard state — e.g. kernel decision
-/// counters — into shared accumulators read after the call.
-///
-/// # Panics
-/// Panics if the stream and plan disagree on the machine count, if
-/// releases decrease, if an arrival's set straddles a shard boundary
-/// (the plan does not cover the family), or if a worker thread panics.
-pub fn run_sharded<S, D, F, M>(
-    stream: S,
-    plan: &ShardPlan,
-    cfg: &ShardedConfig,
-    make_dispatcher: F,
-    merge: M,
-) where
-    S: ArrivalStream,
-    D: FnMut(Task, ProcSetRef<'_>) -> Assignment + Send + 'static,
-    F: FnMut(usize) -> D,
-    M: FnMut(u64, Task, Assignment),
-{
-    run_sharded_probed(stream, plan, cfg, make_dispatcher, merge, NoopPipeline);
-}
-
-/// [`run_sharded`] with a wall-clock [`PipelineProbe`] observing every
-/// stage of the transport (see the module docs for the stage map).
-///
 /// The probe never influences routing, batching, or merge order: a
 /// probed run produces the identical assignment sequence, and with
-/// [`NoopPipeline`] the whole function monomorphizes to the unprobed
-/// engine — every `Instant::now()` sits behind `P::ENABLED`.
+/// [`NoopPipeline`](flowsched_obs::pipeline::NoopPipeline) the whole
+/// function monomorphizes to the unprobed engine — every
+/// `Instant::now()` sits behind `P::ENABLED`. The probe is cloned once
+/// per worker; implementations share state through the clones (e.g.
+/// `PipelineMetrics` is an `Arc` of atomics), so one handle retained
+/// by the caller sees all threads' spans.
 ///
-/// The probe is cloned once per worker; implementations share state
-/// through the clones (e.g. `PipelineMetrics` is an `Arc` of atomics),
-/// so one handle retained by the caller sees all threads' spans.
-pub fn run_sharded_probed<S, D, F, M, P>(
+/// # Panics
+/// Panics if `dispatchers` does not hold one dispatcher per shard, if
+/// the stream and plan disagree on the machine count, if releases
+/// decrease, if an arrival's set straddles a shard boundary (the plan
+/// does not cover the family), or if a worker thread panics.
+pub fn run_sharded_probed<S, D, M, P>(
     mut stream: S,
     plan: &ShardPlan,
     cfg: &ShardedConfig,
-    mut make_dispatcher: F,
+    dispatchers: &mut [D],
     mut merge: M,
     probe: P,
 ) where
     S: ArrivalStream,
-    D: FnMut(Task, ProcSetRef<'_>) -> Assignment + Send + 'static,
-    F: FnMut(usize) -> D,
+    D: FnMut(Task, ProcSetRef<'_>) -> Assignment + Send,
     M: FnMut(u64, Task, Assignment),
     P: PipelineProbe,
 {
@@ -272,6 +256,7 @@ pub fn run_sharded_probed<S, D, F, M, P>(
         plan.machines(),
         "stream and shard plan disagree on machine count"
     );
+    assert_eq!(dispatchers.len(), plan.shards(), "one dispatcher per shard");
     assert!(cfg.batch >= 1, "batch size must be positive");
     assert!(cfg.queue_cap >= 1, "queue capacity must be positive");
     let shards = plan.shards();
@@ -280,7 +265,6 @@ pub fn run_sharded_probed<S, D, F, M, P>(
     if workers <= 1 {
         // Inline path: no threads, no copies — but the exact same
         // dispatchers, routing, and merge order as the threaded path.
-        let mut dispatchers: Vec<D> = (0..shards).map(&mut make_dispatcher).collect();
         let mut scratch: Vec<usize> = Vec::new();
         let mut last_release = f64::NEG_INFINITY;
         let mut seq: u64 = 0;
@@ -308,55 +292,16 @@ pub fn run_sharded_probed<S, D, F, M, P>(
         return;
     }
 
-    // Threaded path. The pool is declared first so its Drop (which
-    // joins workers) runs *after* the router's endpoints are gone:
-    // closed channels are what unblock the workers, even on unwind.
-    let pool = ThreadPool::new(workers);
-
-    // Dispatchers are created in shard order (determinism), then dealt
-    // round-robin: worker w owns shards {w, w+workers, …}, so a shard's
-    // local index on its worker is s / workers.
-    let mut per_worker: Vec<Vec<(usize, D)>> = (0..workers).map(|_| Vec::new()).collect();
-    for s in 0..shards {
-        per_worker[s % workers].push((plan.start_of(s), make_dispatcher(s)));
+    // Threaded path. Dispatchers are dealt round-robin: worker w
+    // borrows shards {w, w+workers, …}, so a shard's local index on its
+    // worker is s / workers.
+    let mut per_worker: Vec<Vec<(usize, &mut D)>> = (0..workers).map(|_| Vec::new()).collect();
+    for (s, disp) in dispatchers.iter_mut().enumerate() {
+        per_worker[s % workers].push((plan.start_of(s), disp));
     }
     let shard_of: Vec<u32> = (0..plan.machines())
         .map(|j| plan.shard_of(j) as u32)
         .collect();
-
-    let mut router = Router::default();
-    for mut dispatchers in per_worker {
-        let (in_tx, in_rx) = spsc::channel::<Batch>(cfg.queue_cap);
-        let (out_tx, out_rx) = spsc::channel::<Batch>(cfg.queue_cap);
-        router.in_txs.push(in_tx);
-        router.out_rxs.push(out_rx);
-        router.fill.push(Batch::default());
-        router.back.push(VecDeque::new());
-        router.cursor.push(0);
-        let wprobe = probe.clone();
-        pool.execute(move || loop {
-            let t = StageTimer::start(&wprobe);
-            let Some(mut batch) = in_rx.recv() else { break };
-            t.stop(&wprobe, Stage::DequeueWait, 0);
-            let t = StageTimer::start(&wprobe);
-            let items = batch.tasks.len() as u64;
-            for msg in batch.tasks.drain(..) {
-                let (base, disp) = &mut dispatchers[msg.shard as usize / workers];
-                let a = disp(msg.task, msg.set.as_view());
-                batch.results.push(ResultMsg {
-                    seq: msg.seq,
-                    task: msg.task,
-                    assignment: globalize(a, *base),
-                });
-            }
-            t.stop(&wprobe, Stage::Dispatch, items);
-            if out_tx.send(batch).is_err() {
-                // Router gone (it panicked and dropped the receiver) —
-                // abandon quietly so its unwind can join us.
-                return;
-            }
-        });
-    }
 
     // If `pending` ever reaches this, the merge head is stuck behind a
     // not-yet-flushed batch (e.g. one hot worker racing ahead while the
@@ -364,60 +309,97 @@ pub fn run_sharded_probed<S, D, F, M, P>(
     // state bounded.
     let high_water = (cfg.queue_cap + 2) * cfg.batch * workers;
 
-    let mut last_release = f64::NEG_INFINITY;
-    let mut seq: u64 = 0;
-    while let Some((task, set)) = stream.next_arrival() {
-        assert!(
-            task.release >= last_release,
-            "arrival stream must be in non-decreasing release order \
-             ({} after {last_release})",
-            task.release
-        );
-        last_release = task.release;
-        let t = StageTimer::start(&probe);
-        let s = route_by_table(&shard_of, plan, &set);
-        let w = s % workers;
-        router.fill[w].tasks.push(TaskMsg {
-            seq,
-            shard: s as u32,
-            task,
-            set: rebase_owned(&set, plan.start_of(s)),
-        });
-        t.stop(&probe, Stage::Route, 1);
-        router.pending.push_back(w as u32);
-        seq += 1;
-        if P::ENABLED {
-            probe.queue_depth(router.pending.len() as u64);
+    std::thread::scope(|scope| {
+        // The router holds every queue end the calling thread owns; it
+        // is dropped, on return or unwind, before the scope joins.
+        let mut router = Router::default();
+        for mut dispatchers in per_worker {
+            let (in_tx, in_rx) = sync_channel::<Batch>(cfg.queue_cap);
+            let (out_tx, out_rx) = sync_channel::<Batch>(cfg.queue_cap);
+            router.in_txs.push(in_tx);
+            router.out_rxs.push(out_rx);
+            router.fill.push(Batch::default());
+            router.back.push(VecDeque::new());
+            router.cursor.push(0);
+            let wprobe = probe.clone();
+            scope.spawn(move || loop {
+                let t = StageTimer::start(&wprobe);
+                let Ok(mut batch) = in_rx.recv() else { break };
+                t.stop(&wprobe, Stage::DequeueWait, 0);
+                let t = StageTimer::start(&wprobe);
+                let items = batch.tasks.len() as u64;
+                for msg in batch.tasks.drain(..) {
+                    let (base, disp) = &mut dispatchers[msg.shard as usize / workers];
+                    let a = disp(msg.task, msg.set.as_view());
+                    batch.results.push(ResultMsg {
+                        seq: msg.seq,
+                        task: msg.task,
+                        assignment: globalize(a, *base),
+                    });
+                }
+                t.stop(&wprobe, Stage::Dispatch, items);
+                if out_tx.send(batch).is_err() {
+                    // Router gone (it panicked and dropped the receiver) —
+                    // abandon quietly so the scope can join us.
+                    return;
+                }
+            });
         }
-        if router.fill[w].tasks.len() >= cfg.batch {
-            router.flush(w, &probe);
-            router.merge_ready(&mut merge, &probe);
-        }
-        while router.pending.len() >= high_water {
-            // Results may be back but not yet merged; only a head that
-            // is still out forces a flush.
-            router.merge_ready(&mut merge, &probe);
-            if router.pending.len() >= high_water {
-                probe.forced_flush();
-                router.force_head(&probe);
+
+        let mut last_release = f64::NEG_INFINITY;
+        let mut seq: u64 = 0;
+        while let Some((task, set)) = stream.next_arrival() {
+            assert!(
+                task.release >= last_release,
+                "arrival stream must be in non-decreasing release order \
+                 ({} after {last_release})",
+                task.release
+            );
+            last_release = task.release;
+            let t = StageTimer::start(&probe);
+            let s = route_by_table(&shard_of, plan, &set);
+            let w = s % workers;
+            router.fill[w].tasks.push(TaskMsg {
+                seq,
+                shard: s as u32,
+                task,
+                set: rebase_owned(&set, plan.start_of(s)),
+            });
+            t.stop(&probe, Stage::Route, 1);
+            router.pending.push_back(w as u32);
+            seq += 1;
+            if P::ENABLED {
+                probe.queue_depth(router.pending.len() as u64);
+            }
+            if router.fill[w].tasks.len() >= cfg.batch {
+                router.flush(w, &probe);
+                router.merge_ready(&mut merge, &probe);
+            }
+            while router.pending.len() >= high_water {
+                // Results may be back but not yet merged; only a head that
+                // is still out forces a flush.
+                router.merge_ready(&mut merge, &probe);
+                if router.pending.len() >= high_water {
+                    probe.forced_flush();
+                    router.force_head(&probe);
+                }
             }
         }
-    }
 
-    // End of stream: merge the tail in order, sending each partial
-    // batch once it holds the head. Dropping the router then closes
-    // every input queue, so the workers exit and the pool joins them.
-    while !router.pending.is_empty() {
-        router.force_head(&probe);
-        router.merge_ready(&mut merge, &probe);
-    }
+        // End of stream: merge the tail in order, sending each partial
+        // batch once it holds the head.
+        while !router.pending.is_empty() {
+            router.force_head(&probe);
+            router.merge_ready(&mut merge, &probe);
+        }
+    });
 }
 
 /// The calling thread's end of the threaded path.
 #[derive(Default)]
 struct Router {
-    in_txs: Vec<spsc::Sender<Batch>>,
-    out_rxs: Vec<spsc::Receiver<Batch>>,
+    in_txs: Vec<SyncSender<Batch>>,
+    out_rxs: Vec<Receiver<Batch>>,
     /// `fill[w]`: the batch being filled for worker w.
     fill: Vec<Batch>,
     /// `back[w]`: worker w's returned batches, none fully merged; the
@@ -449,7 +431,7 @@ impl Router {
             match self.in_txs[w].try_send(batch) {
                 Ok(()) => break,
                 Err(TrySendError::Full(b)) => batch = b,
-                Err(TrySendError::Closed(_)) => worker_died(w),
+                Err(TrySendError::Disconnected(_)) => worker_died(w),
             }
             stall.get_or_insert_with(|| StageTimer::start(probe));
             probe.backpressure_stall();
@@ -463,8 +445,8 @@ impl Router {
     /// Blocking receive of worker w's next result batch.
     fn recv(&mut self, w: usize) {
         match self.out_rxs[w].recv() {
-            Some(b) => self.back[w].push_back(b),
-            None => worker_died(w),
+            Ok(b) => self.back[w].push_back(b),
+            Err(_) => worker_died(w),
         }
     }
 
@@ -487,7 +469,7 @@ impl Router {
         P: PipelineProbe,
     {
         for (rx, back) in self.out_rxs.iter().zip(&mut self.back) {
-            while let Some(b) = rx.try_recv() {
+            while let Ok(b) = rx.try_recv() {
                 back.push_back(b);
             }
         }
@@ -523,6 +505,7 @@ fn worker_died(w: usize) -> ! {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use flowsched_obs::pipeline::NoopPipeline;
 
     /// A miniature EFT: earliest completion over the set, lowest index
     /// wins — enough to make results depend on the full per-shard
@@ -538,6 +521,13 @@ mod tests {
             done[u] = start + task.ptime;
             Assignment::new(MachineId(u), start)
         }
+    }
+
+    /// One [`mini_eft`] per shard of `plan`, in shard order.
+    fn mini_efts(plan: &ShardPlan) -> Vec<impl FnMut(Task, ProcSetRef<'_>) -> Assignment + Send> {
+        (0..plan.shards())
+            .map(|s| mini_eft(plan.len_of(s)))
+            .collect()
     }
 
     /// A deterministic blocked workload: `n` tasks round-robining over
@@ -586,12 +576,13 @@ mod tests {
         n: usize,
     ) -> Vec<Assignment> {
         let mut out: Vec<(u64, Assignment)> = Vec::new();
-        run_sharded(
+        run_sharded_probed(
             blocked_stream(m, block, n),
             plan,
             cfg,
-            |s| mini_eft(plan.len_of(s)),
+            &mut mini_efts(plan),
             |seq, _task, a| out.push((seq, a)),
+            NoopPipeline,
         );
         assert!(out.windows(2).all(|w| w[0].0 + 1 == w[1].0), "merge order");
         out.into_iter().map(|(_, a)| a).collect()
@@ -662,7 +653,7 @@ mod tests {
             Skew { next: 0 },
             &plan,
             &cfg,
-            |s| mini_eft(plan.len_of(s)),
+            &mut mini_efts(&plan),
             |seq, _t, _a| {
                 assert_eq!(seq, seen);
                 seen += 1;
@@ -715,12 +706,81 @@ mod tests {
             }
         }
         let plan = ShardPlan::from_cuts(4, vec![0, 2]);
-        run_sharded(
+        run_sharded_probed(
             Bad { fired: false },
             &plan,
             &ShardedConfig::with_threads(2),
-            |s| mini_eft(plan.len_of(s)),
+            &mut mini_efts(&plan),
             |_, _, _| {},
+            NoopPipeline,
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "straddles")]
+    fn straddle_with_batches_in_flight_panics_not_hangs() {
+        // Shard 0 takes FLOOD arrivals over queues of one one-task batch
+        // each way, then a set straddles the cut. Worker 0 holds the
+        // last shard-0 task in dispatch until the stream hands out the
+        // straddler, so the router unwinds with that batch in flight
+        // and must still close the queues and join both workers.
+        const FLOOD: usize = 1000;
+        struct Flood {
+            next: usize,
+            gate: Option<std::sync::mpsc::Sender<()>>,
+        }
+        impl ArrivalStream for Flood {
+            fn machines(&self) -> usize {
+                4
+            }
+            fn next_arrival(&mut self) -> Option<(Task, ProcSetRef<'_>)> {
+                let i = self.next;
+                self.next += 1;
+                let lo = match i.cmp(&FLOOD) {
+                    std::cmp::Ordering::Less => 0,
+                    std::cmp::Ordering::Equal => {
+                        // Dropping the sender releases worker 0.
+                        self.gate = None;
+                        1
+                    }
+                    std::cmp::Ordering::Greater => return None,
+                };
+                Some((Task::new(i as f64, 1.0), ProcSetRef::interval(lo, lo + 1)))
+            }
+        }
+        let plan = ShardPlan::from_cuts(4, vec![0, 2]);
+        let cfg = ShardedConfig {
+            threads: 2,
+            batch: 1,
+            queue_cap: 1,
+        };
+        let (gate_tx, gate_rx) = std::sync::mpsc::channel::<()>();
+        let mut gate_rx = Some(gate_rx);
+        let mut dispatchers: Vec<_> = (0..plan.shards())
+            .map(|s| {
+                let mut eft = mini_eft(plan.len_of(s));
+                let gate = if s == 0 { gate_rx.take() } else { None };
+                let mut count = 0usize;
+                move |task: Task, set: ProcSetRef<'_>| {
+                    count += 1;
+                    if let (FLOOD, Some(gate)) = (count, &gate) {
+                        // Returns once the stream drops the sender.
+                        let _ = gate.recv();
+                    }
+                    eft(task, set)
+                }
+            })
+            .collect();
+        run_sharded_probed(
+            Flood {
+                next: 0,
+                gate: Some(gate_tx),
+            },
+            &plan,
+            &cfg,
+            &mut dispatchers,
+            |_, _, _| {},
+            NoopPipeline,
         );
     }
 
@@ -733,11 +793,8 @@ mod tests {
             queue_cap: 1,
         };
         let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            run_sharded(
-                blocked_stream(4, 2, 1000),
-                &plan,
-                &cfg,
-                |_s| {
+            let mut failing: Vec<_> = (0..plan.shards())
+                .map(|_| {
                     let mut count = 0usize;
                     move |task: Task, set: ProcSetRef<'_>| {
                         count += 1;
@@ -746,8 +803,15 @@ mod tests {
                         }
                         Assignment::new(MachineId(set.min().unwrap()), task.release)
                     }
-                },
+                })
+                .collect();
+            run_sharded_probed(
+                blocked_stream(4, 2, 1000),
+                &plan,
+                &cfg,
+                &mut failing,
                 |_, _, _| {},
+                NoopPipeline,
             )
         }));
         assert!(result.is_err(), "router must notice the dead worker");
@@ -765,7 +829,7 @@ mod tests {
             blocked_stream(m, block, n),
             &plan,
             &ShardedConfig::with_threads(4),
-            |s| mini_eft(plan.len_of(s)),
+            &mut mini_efts(&plan),
             |_seq, _t, a| probed.push(a),
             metrics.clone(),
         );
@@ -788,7 +852,7 @@ mod tests {
             blocked_stream(4, 4, 100),
             &plan,
             &ShardedConfig::with_threads(1),
-            |s| mini_eft(plan.len_of(s)),
+            &mut mini_efts(&plan),
             |_, _, _| n += 1,
             metrics.clone(),
         );
@@ -807,15 +871,16 @@ mod tests {
         let plan = ShardPlan::single(4);
         // threads > 1 but one shard → workers = 1 → inline path.
         let mut n = 0u64;
-        run_sharded(
+        run_sharded_probed(
             blocked_stream(4, 4, 100),
             &plan,
             &ShardedConfig::with_threads(8),
-            |s| mini_eft(plan.len_of(s)),
+            &mut mini_efts(&plan),
             |seq, _, _| {
                 assert_eq!(seq, n);
                 n += 1;
             },
+            NoopPipeline,
         );
         assert_eq!(n, 100);
     }

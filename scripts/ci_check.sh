@@ -20,17 +20,18 @@
 #      dispatch kernel (cargo run --release -p flowsched-bench --bin
 #      smoke_scale), panicking on any degenerate report
 #   7. sharded determinism smoke: the sharded_smoke bin runs under
-#      FLOWSCHED_THREADS=1 and =4; the printed schedule hashes must be
-#      identical (thread-count invariance, end to end) and equal the
-#      pinned SHARDED_SMOKE_HASH, so a schedule change that is the same
-#      at both thread counts still fails
+#      FLOWSCHED_THREADS=1, =2 and =4 (inline, 16 shards dealt 8 per
+#      worker, and 4 per worker); every printed schedule hash must equal
+#      the pinned SHARDED_SMOKE_HASH (thread-count invariance, end to
+#      end), so a schedule change that is the same at every thread
+#      count still fails
 #   8. fault-injection soak: the fault_soak bin dispatches a 1M-task
 #      Poisson stream under a 1% crash-rate fault plan, asserting
 #      bounded memory (VmHWM growth < 32 MiB) in-process; the stage
-#      asserts the schedule hash is identical under FLOWSCHED_THREADS=1
-#      and =4 (the faulty engine is thread-count invariant too) and
-#      equals the pinned FAULT_SOAK_HASH, so a schedule change that is
-#      the same at both thread counts still fails
+#      runs it under FLOWSCHED_THREADS=1, =2 and =4 and requires every
+#      schedule hash to equal the pinned FAULT_SOAK_HASH (the faulty
+#      engine is thread-count invariant too), so a schedule change that
+#      is the same at every thread count still fails
 #   9. competitive-ratio ladder: the ratio_ladder bin runs every
 #      registry policy (eft / weft / setup variants) over its
 #      adversarial stream and asserts the measured ratios stay inside
@@ -108,40 +109,27 @@ echo "== 100k-machine smoke run (indexed dispatch) =="
 cargo run -q --release -p flowsched-bench --bin smoke_scale
 
 echo
-echo "== sharded determinism smoke (1 vs 4 threads) =="
-HASH1="$(FLOWSCHED_THREADS=1 cargo run -q --release -p flowsched-bench --bin sharded_smoke \
-  | sed -n 's/^schedule_hash=//p')"
-HASH4="$(FLOWSCHED_THREADS=4 cargo run -q --release -p flowsched-bench --bin sharded_smoke \
-  | sed -n 's/^schedule_hash=//p')"
-echo "  threads=1: $HASH1"
-echo "  threads=4: $HASH4"
-if [ -z "$HASH1" ] || [ "$HASH1" != "$HASH4" ]; then
-  echo "ci_check: sharded schedule hash diverges across thread counts" >&2
-  exit 1
-fi
-SHARDED_SMOKE_HASH=0x783155971464d6b2
-if [ "$HASH1" != "$SHARDED_SMOKE_HASH" ]; then
-  echo "ci_check: sharded schedule hash $HASH1 differs from the pinned $SHARDED_SMOKE_HASH" >&2
-  exit 1
-fi
+# Runs one bench bin under each thread count and requires every
+# printed schedule hash to equal the pinned one.
+check_pinned_hash() {
+  local bin="$1" pinned="$2" threads got
+  for threads in 1 2 4; do
+    got="$(FLOWSCHED_THREADS=$threads cargo run -q --release -p flowsched-bench --bin "$bin" \
+      | sed -n 's/^schedule_hash=//p')"
+    echo "  threads=$threads: $got"
+    if [ "$got" != "$pinned" ]; then
+      echo "ci_check: $bin schedule hash '$got' at $threads threads differs from the pinned $pinned" >&2
+      exit 1
+    fi
+  done
+}
+
+echo "== sharded determinism smoke (1, 2 and 4 threads) =="
+check_pinned_hash sharded_smoke 0x783155971464d6b2
 
 echo
-echo "== fault-injection soak (1 vs 4 threads) =="
-FHASH1="$(FLOWSCHED_THREADS=1 cargo run -q --release -p flowsched-bench --bin fault_soak \
-  | sed -n 's/^schedule_hash=//p')"
-FHASH4="$(FLOWSCHED_THREADS=4 cargo run -q --release -p flowsched-bench --bin fault_soak \
-  | sed -n 's/^schedule_hash=//p')"
-echo "  threads=1: $FHASH1"
-echo "  threads=4: $FHASH4"
-if [ -z "$FHASH1" ] || [ "$FHASH1" != "$FHASH4" ]; then
-  echo "ci_check: faulty schedule hash diverges across thread counts" >&2
-  exit 1
-fi
-FAULT_SOAK_HASH=0xbd8cc20a18264c9b
-if [ "$FHASH1" != "$FAULT_SOAK_HASH" ]; then
-  echo "ci_check: faulty schedule hash $FHASH1 differs from the pinned $FAULT_SOAK_HASH" >&2
-  exit 1
-fi
+echo "== fault-injection soak (1, 2 and 4 threads) =="
+check_pinned_hash fault_soak 0xbd8cc20a18264c9b
 
 echo
 echo "== competitive-ratio ladder (envelope gate) =="
