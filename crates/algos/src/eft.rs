@@ -20,8 +20,8 @@
 //! and the [`KernelStats`]. Two parameters set what it computes.
 //!
 //! - The **kernel** ([`DispatchKernel`]) finds Equation (2)'s tie set
-//!   `T = {j ∈ Mᵢ : C_j ≤ t'min}`: the member scan (SIMD or the scalar
-//!   oracle, [`ScanImpl`]), the lane index and cluster heaps
+//!   `T = {j ∈ Mᵢ : C_j ≤ t'min}`: the member scan
+//!   ([`scan_ties_simd`]), the lane index and cluster heaps
 //!   ([`indexed`](crate::indexed)), or `Auto`, which reclassifies the
 //!   arriving sets and switches between the two in place
 //!   ([`adaptive`](crate::adaptive)). Every kernel yields the same `T`
@@ -75,7 +75,7 @@ use crate::indexed::{
 };
 use crate::registry::PolicySpec;
 use crate::setup::{cluster_fingerprint, SetupRule};
-use crate::soa::{collect_members_le, scan_ties_simd, CompletionBank, ScanImpl};
+use crate::soa::{collect_members_le, scan_ties_simd, CompletionBank};
 use crate::tiebreak::{Breaker, TieBreak};
 
 /// Equation (2) in one pass: computes the tie set
@@ -89,11 +89,10 @@ use crate::tiebreak::{Breaker, TieBreak};
 /// order; `ties` comes back in that same order, as `Breaker::pick`
 /// requires.
 ///
-/// This is the scalar oracle behind [`ScanImpl::Scalar`]; the default
-/// [`ScanImpl::Simd`] path runs the two-pass vectorized
-/// [`scan_ties_simd`] over the padded SoA bank, which produces the
-/// bitwise-identical tie set (proof sketch in the [`soa`](crate::soa)
-/// module docs, pinned by `tests/simd_scan.rs`).
+/// This is the scalar oracle: [`EftState`] runs the two-pass
+/// vectorized [`scan_ties_simd`] over the padded SoA bank, which
+/// produces the bitwise-identical tie set (proof sketch in the
+/// [`soa`](crate::soa) module docs, pinned by `tests/simd_scan.rs`).
 pub fn scan_ties(
     completions: &[Time],
     members: impl Iterator<Item = usize>,
@@ -156,8 +155,6 @@ pub struct EftState {
     /// The indexed kernel's explicit-set clusters.
     clusters: ClusterCache,
     breaker: Breaker,
-    /// Which tie-scan implementation runs (bitwise-equivalent choices).
-    scan: ScanImpl,
     rule: StartRule,
     /// The outages every start skips; queries at `max(rᵢ, C_j)` and
     /// above mostly advance per machine.
@@ -168,15 +165,8 @@ pub struct EftState {
 }
 
 impl EftState {
-    /// Plain EFT for `m` idle machines, on the member scan with the
-    /// default (SIMD) tie scan.
+    /// Plain EFT for `m` idle machines, on the member scan.
     pub fn new(m: usize, policy: TieBreak) -> Self {
-        EftState::with_scan(m, policy, ScanImpl::default())
-    }
-
-    /// [`new`](Self::new) with the tie-scan implementation forced —
-    /// `Scalar` keeps the one-pass member scan reachable as the oracle.
-    pub fn with_scan(m: usize, policy: TieBreak, scan: ScanImpl) -> Self {
         assert!(m > 0, "need at least one machine");
         EftState {
             index: LaneIndex::leaf(CompletionBank::new(m)),
@@ -184,7 +174,6 @@ impl EftState {
             auto: None,
             clusters: ClusterCache::default(),
             breaker: policy.breaker(),
-            scan,
             rule: StartRule::Plain,
             faults: None,
             ties: Vec::new(),
@@ -372,21 +361,16 @@ impl EftState {
                     return;
                 }
             }
-            // The counter name predates the SIMD scan; it counts either.
+            // The counter name predates the SIMD scan it now counts.
             self.stats.scalar_fallback_scans += 1;
         }
         self.scan_tie_set(release, set);
     }
 
-    /// The member scan's tie set, on the configured [`ScanImpl`]: plain
-    /// EFT's hot path, always inlined.
+    /// The member scan's tie set: plain EFT's hot path, always inlined.
     #[inline(always)]
     fn scan_tie_set(&mut self, release: Time, set: ProcSetRef<'_>) {
-        let bank = self.index.bank();
-        match self.scan {
-            ScanImpl::Simd => scan_ties_simd(bank.padded(), set, release, &mut self.ties),
-            ScanImpl::Scalar => scan_ties(bank.values(), set.iter(), release, &mut self.ties),
-        }
+        scan_ties_simd(self.index.bank().padded(), set, release, &mut self.ties);
     }
 
     /// The machine and start under a start rule or a fault plan (module
@@ -778,6 +762,9 @@ mod tests {
         assert_eq!(buf, vec![-3.0, -1.0]);
     }
 
+    /// The core's SIMD scan against the one-pass oracle loop:
+    /// `scan_ties`, one `Breaker::pick`, commit. Equal assignments and
+    /// completions under `Rand` mean equal tie sets and RNG draws.
     #[test]
     fn scalar_scan_matches_default_simd_scan() {
         let mut b = InstanceBuilder::new(6);
@@ -786,15 +773,18 @@ mod tests {
         }
         let inst = b.build().unwrap();
         for tb in [TieBreak::Min, TieBreak::Max, TieBreak::Rand { seed: 5 }] {
-            let mut simd = EftState::with_scan(6, tb, ScanImpl::Simd);
-            let mut scalar = EftState::with_scan(6, tb, ScanImpl::Scalar);
+            let mut core = EftState::new(6, tb);
+            let mut breaker = tb.breaker();
+            let (mut completions, mut ties) = (vec![0.0; 6], Vec::new());
             for (_, task, set) in inst.iter() {
-                assert_eq!(
-                    simd.dispatch(task, set),
-                    scalar.dispatch(task, set),
-                    "tb {tb:?}"
-                );
+                scan_ties(&completions, set.view().iter(), task.release, &mut ties);
+                let u = breaker.pick(&ties);
+                let start = task.release.max(completions[u]);
+                completions[u] = start + task.ptime;
+                let want = Assignment::new(MachineId(u), start);
+                assert_eq!(core.dispatch(task, set), want, "tb {tb:?}");
             }
+            assert_eq!(core.completions(), &completions[..], "tb {tb:?}");
         }
     }
 

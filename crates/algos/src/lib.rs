@@ -91,7 +91,7 @@ pub use policies::{dispatch_stream, Dispatcher};
 pub use preemptive::optimal_preemptive_fmax;
 pub use registry::{ParsePolicyError, PolicyId, PolicySpec, PolicyState};
 pub use setup::cluster_fingerprint;
-pub use soa::{CompletionBank, ScanImpl, SoaMinHeap};
+pub use soa::{CompletionBank, SoaMinHeap};
 pub use tiebreak::TieBreak;
 
 /// Most used items for downstream crates.
@@ -107,6 +107,6 @@ pub mod prelude {
     pub use crate::policies::Dispatcher;
     pub use crate::preemptive::optimal_preemptive_fmax;
     pub use crate::registry::{PolicyId, PolicySpec, PolicyState};
-    pub use crate::soa::{CompletionBank, ScanImpl};
+    pub use crate::soa::CompletionBank;
     pub use crate::tiebreak::TieBreak;
 }

@@ -8,11 +8,10 @@
 //!   power-of-d choices, round-robin, weighted-EFT
 //!   ([`weighted`](crate::weighted)), setup-aware EFT
 //!   ([`setup`](crate::setup));
-//! - [`PolicySpec`]: a `PolicyId` plus the [`DispatchKernel`] and
-//!   [`ScanImpl`] choices, parseable from and printable to a stable
-//!   string form (`eft:min:indexed`, `eft:scalar-scan`, `weft@4:max`,
-//!   `setup@0.5`, `random@7`…) so bench bins and CI address policies by
-//!   name;
+//! - [`PolicySpec`]: a `PolicyId` plus the [`DispatchKernel`] choice,
+//!   parseable from and printable to a stable string form
+//!   (`eft:min:indexed`, `weft@4:max`, `setup@0.5`, `random@7`…) so
+//!   bench bins and CI address policies by name;
 //! - [`PolicyState`]: the built dispatcher, a plain
 //!   [`ImmediateDispatcher`] the engines drive like any other. The EFT
 //!   family — `eft`, `weft`, `setup`, `setup-obl` — is one
@@ -41,13 +40,11 @@
 //! The string grammar, `:`-separated:
 //!
 //! ```text
-//! spec     := family [":" tie] [":" kernel] [":" scan]   (any order)
+//! spec     := family [":" tie] [":" kernel]     (any order)
 //! family   := "eft" | "rr" | "random@SEED" | "choices@D,SEED"
 //!           | "weft@SLACK" | "setup@COST" | "setup-obl@COST"
 //! tie      := "min" | "max" | "rand@SEED"        (eft/weft/setup only)
 //! kernel   := "auto" | "scalar" | "indexed"
-//! scan     := "simd" | "scalar-scan"             (tie-scan impl; simd
-//!                                                 is the default)
 //! ```
 
 use std::fmt;
@@ -65,7 +62,6 @@ use crate::faulty::FaultyEftState;
 use crate::indexed::{DispatchKernel, EftKernelState, KernelStats};
 use crate::policies::Dispatcher;
 use crate::setup::SetupRule;
-use crate::soa::ScanImpl;
 use crate::tiebreak::{shard_seed, TieBreak};
 
 /// Which dispatch algorithm to run — the registry's name space.
@@ -140,29 +136,24 @@ impl PolicyId {
     }
 }
 
-/// A fully-specified dispatch policy: algorithm plus kernel and
-/// tie-scan choices. Only the EFT family consults the kernel and scan
-/// (the others have no index or tie set to select); they are carried —
-/// and round-tripped — for all of them so a spec string names one
-/// construction unambiguously.
+/// A fully-specified dispatch policy: algorithm plus kernel choice.
+/// Only the EFT family consults the kernel (the others have no index to
+/// select); it is carried — and round-tripped — for all of them so a
+/// spec string names one construction unambiguously.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PolicySpec {
     /// Which algorithm.
     pub id: PolicyId,
     /// Which EFT dispatch kernel ([`DispatchKernel::Auto`] by default).
     pub kernel: DispatchKernel,
-    /// Which tie-scan implementation ([`ScanImpl::Simd`] by default;
-    /// `scalar-scan` keeps the one-pass oracle for A/B runs).
-    pub scan: ScanImpl,
 }
 
 impl PolicySpec {
-    /// A spec with the automatic kernel and default scan.
+    /// A spec with the automatic kernel.
     pub fn new(id: PolicyId) -> Self {
         PolicySpec {
             id,
             kernel: DispatchKernel::Auto,
-            scan: ScanImpl::default(),
         }
     }
 
@@ -171,7 +162,6 @@ impl PolicySpec {
         PolicySpec {
             id: PolicyId::Eft { tie },
             kernel,
-            scan: ScanImpl::default(),
         }
     }
 
@@ -180,19 +170,13 @@ impl PolicySpec {
         PolicySpec { kernel, ..self }
     }
 
-    /// This spec with the tie-scan implementation replaced.
-    pub fn with_scan(self, scan: ScanImpl) -> Self {
-        PolicySpec { scan, ..self }
-    }
-
     /// Shard-local spec — applies [`PolicyId::for_shard`], keeping the
     /// kernel choice (Auto then re-resolves on the shard's width, as
-    /// the sharded engine always did) and the scan choice.
+    /// the sharded engine always did).
     pub fn for_shard(self, shard: usize) -> PolicySpec {
         PolicySpec {
             id: self.id.for_shard(shard),
             kernel: self.kernel,
-            scan: self.scan,
         }
     }
 
@@ -246,7 +230,7 @@ impl PolicySpec {
                 });
             }
         };
-        let mut core = EftState::with_scan(m, tie, self.scan).with_rule(rule);
+        let mut core = EftState::new(m, tie).with_rule(rule);
         if let Some(plan) = faults {
             core = core.with_faults(plan);
         }
@@ -271,7 +255,6 @@ impl PolicySpec {
             for tie in [TieBreak::Min, TieBreak::Max, TieBreak::Rand { seed: 42 }] {
                 out.push(PolicySpec::eft(tie, kernel));
             }
-            out.push(PolicySpec::eft(TieBreak::Min, kernel).with_scan(ScanImpl::Scalar));
         }
         out.push(PolicySpec::new(PolicyId::Random { seed: 7 }));
         out.push(PolicySpec::new(PolicyId::Choices { d: 2, seed: 7 }));
@@ -396,13 +379,9 @@ impl fmt::Display for PolicySpec {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "{}", self.id)?;
         match self.kernel {
-            DispatchKernel::Auto => {}
-            DispatchKernel::Scalar => write!(f, ":scalar")?,
-            DispatchKernel::Indexed => write!(f, ":indexed")?,
-        }
-        match self.scan {
-            ScanImpl::Simd => Ok(()),
-            ScanImpl::Scalar => write!(f, ":scalar-scan"),
+            DispatchKernel::Auto => Ok(()),
+            DispatchKernel::Scalar => write!(f, ":scalar"),
+            DispatchKernel::Indexed => write!(f, ":indexed"),
         }
     }
 }
@@ -438,7 +417,6 @@ impl FromStr for PolicySpec {
 
         let mut tie: Option<TieBreak> = None;
         let mut kernel: Option<DispatchKernel> = None;
-        let mut scan: Option<ScanImpl> = None;
         for seg in parts {
             let parsed_tie = match seg {
                 "min" => Some(TieBreak::Min),
@@ -462,21 +440,10 @@ impl FromStr for PolicySpec {
                 "indexed" => Some(DispatchKernel::Indexed),
                 _ => None,
             };
-            if let Some(k) = parsed_kernel {
-                if kernel.replace(k).is_some() {
-                    return Err(err(format!("duplicate kernel in `{s}`")));
-                }
-                continue;
-            }
-            let parsed_scan = match seg {
-                "simd" => Some(ScanImpl::Simd),
-                "scalar-scan" => Some(ScanImpl::Scalar),
-                _ => None,
-            };
-            match parsed_scan {
-                Some(v) => {
-                    if scan.replace(v).is_some() {
-                        return Err(err(format!("duplicate scan in `{s}`")));
+            match parsed_kernel {
+                Some(k) => {
+                    if kernel.replace(k).is_some() {
+                        return Err(err(format!("duplicate kernel in `{s}`")));
                     }
                 }
                 None => return Err(err(format!("unknown segment `{seg}` in `{s}`"))),
@@ -554,7 +521,6 @@ impl FromStr for PolicySpec {
         Ok(PolicySpec {
             id,
             kernel: kernel.unwrap_or(DispatchKernel::Auto),
-            scan: scan.unwrap_or_default(),
         })
     }
 }
@@ -618,19 +584,6 @@ mod tests {
                 })
                 .with_kernel(DispatchKernel::Scalar),
             ),
-            (
-                "eft:scalar-scan",
-                PolicySpec::eft(TieBreak::Min, DispatchKernel::Auto).with_scan(ScanImpl::Scalar),
-            ),
-            (
-                "eft:scalar-scan:indexed:max",
-                PolicySpec::eft(TieBreak::Max, DispatchKernel::Indexed).with_scan(ScanImpl::Scalar),
-            ),
-            (
-                // Explicit `simd` parses and is the silent default.
-                "eft:min:simd",
-                PolicySpec::eft(TieBreak::Min, DispatchKernel::Auto),
-            ),
         ];
         for (s, want) in cases {
             assert_eq!(s.parse::<PolicySpec>().unwrap(), want, "`{s}`");
@@ -645,8 +598,8 @@ mod tests {
             "eft@3",
             "eft:min:min",
             "eft:scalar:indexed",
-            "eft:simd:scalar-scan",
-            "eft:scalar-scan:scalar-scan",
+            "eft:scalar-scan",
+            "eft:simd",
             "eft:bogus",
             "random",
             "random@x",

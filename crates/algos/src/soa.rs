@@ -16,9 +16,10 @@
 //!   [`scan_ties_simd`] built from them. These are *portable* SIMD:
 //!   explicit 8-element chunks with independent accumulators that LLVM
 //!   autovectorizes to `vminpd`-class code on stable Rust — no nightly
-//!   `std::simd`, no intrinsics, no target-feature gates. The scalar
-//!   one-pass scan (`eft::scan_ties`) stays behind as the proptest
-//!   oracle; [`ScanImpl`] is the seam that selects between them.
+//!   `std::simd`, no intrinsics, no target-feature gates. The EFT core
+//!   always runs [`scan_ties_simd`]; the scalar one-pass scan
+//!   (`eft::scan_ties`) stays behind as the oracle that
+//!   `tests/simd_scan.rs` and `benches/scan.rs` call directly.
 //! - [`SoaMinHeap`]: the cluster-heap of the indexed kernel with its
 //!   keys split into a dense `f64` array — sift comparisons touch the
 //!   key lane only, instead of dragging `(f64, usize)` pairs through
@@ -43,20 +44,6 @@ use flowsched_core::time::Time;
 
 /// Lane width of the SoA layout: 8 × `f64` = one 64-byte cache line.
 pub const LANE: usize = 8;
-
-/// Which tie-scan implementation [`EftState`](crate::eft::EftState) and
-/// the indexed kernel's fallback path run. Both produce bitwise-identical
-/// tie sets (see the module docs); the choice is purely a performance
-/// seam, kept so the scalar oracle stays reachable from benches and
-/// property tests.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ScanImpl {
-    /// The 8-wide two-pass scan over the padded lane array.
-    #[default]
-    Simd,
-    /// The one-pass scalar member scan (`eft::scan_ties`) — the oracle.
-    Scalar,
-}
 
 /// One cache line of completion times. `repr(C)` over `[f64; LANE]`
 /// (no padding: 8 × 8 bytes fills the 64-byte alignment exactly), so a

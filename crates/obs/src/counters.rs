@@ -45,7 +45,8 @@ pub enum Counter {
     /// Lazy-heap repairs in the clustered kernel: stale entries re-keyed
     /// or discarded while picking a minimum.
     HeapSelfHeals,
-    /// SLO envelope breaches flagged by the [`slo`](crate::slo) monitor.
+    /// SLO envelope breaches reported through
+    /// [`Recorder::slo_breach`](crate::Recorder::slo_breach).
     SloBreaches,
 }
 
@@ -123,7 +124,7 @@ impl Counter {
             Counter::HeapSelfHeals => {
                 "Stale heap entries re-keyed or discarded by the clustered kernel."
             }
-            Counter::SloBreaches => "SLO envelope breaches flagged by the slo monitor.",
+            Counter::SloBreaches => "SLO envelope breaches reported to the recorder.",
         }
     }
 

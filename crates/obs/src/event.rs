@@ -74,12 +74,12 @@ pub enum Event {
         /// Recovery time.
         at: f64,
     },
-    /// The live Fmax/OPT-proxy ratio crossed a paper envelope (see
-    /// [`slo`](crate::slo)).
+    /// The run's flow-time ratio crossed a paper envelope, as reported
+    /// through [`Recorder::slo_breach`](crate::Recorder::slo_breach).
     SloBreach {
-        /// Sim-time at which the breach was evaluated (window end).
+        /// Sim-time at which the breach was evaluated.
         at: f64,
-        /// Observed Fmax/OPT-proxy ratio.
+        /// Observed `Fmax` over a lower bound on the optimum.
         ratio: f64,
         /// The envelope that was crossed (e.g. `3 − 2/k`).
         bound: f64,

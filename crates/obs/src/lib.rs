@@ -42,11 +42,15 @@
 //!   and backpressure gauges for the sharded dispatch pipeline
 //!   ([`PipelineMetrics`] / [`NoopPipeline`], same zero-cost contract as
 //!   the recorders but over `std::time::Instant`).
-//! - **[`slo`]** — the theory-aware [`SloMonitor`]: live `Fmax`/OPT-proxy
-//!   ratios per tumbling window, alarmed against the paper envelopes
-//!   (`3 − 2/k` per Corollary 1, `m − k + 1` for interval adversaries)
-//!   and emitted as [`Event::SloBreach`] rows through the normal
-//!   recorder machinery.
+//! - **Breach rows** — [`Recorder::slo_breach`] reports a run whose
+//!   flow-time ratio crossed a paper envelope (`3 − 2/k` per
+//!   Corollary 1, `m − k + 1` for interval adversaries); a
+//!   [`MemoryRecorder`] counts it and traces an [`Event::SloBreach`],
+//!   which [`breach_marks`] turns into Perfetto instant events; the
+//!   Prometheus text exports the count as
+//!   `flowsched_slo_breaches_total`. No engine in the
+//!   workspace reports breaches yet: the ratio needs a certified lower
+//!   bound on the optimum, which only the offline solvers compute.
 //!
 //! [`Tee`] fans one hook stream into two recorders (aggregates + time
 //! series in one pass) and preserves the zero-cost contract.
@@ -85,7 +89,6 @@ pub mod memory;
 pub mod pipeline;
 pub mod recorder;
 pub mod shard;
-pub mod slo;
 pub mod snapshot;
 pub mod span;
 pub mod window;
@@ -100,7 +103,6 @@ pub use memory::{MemoryRecorder, ObsConfig};
 pub use pipeline::{NoopPipeline, PipelineMetrics, PipelineProbe, Stage, StageStats, StageTimer};
 pub use recorder::{NoopRecorder, Recorder, Tee};
 pub use shard::{merge_windows, ShardedRecorder};
-pub use slo::{SloBreach, SloEnvelope, SloMonitor};
 pub use snapshot::{render_summary, trace_to_json, ObsSnapshot};
 pub use span::{
     breach_marks, machine_spans, outage_spans, task_spans, BreachMark, MachineSpan, OutageSpan,
@@ -116,6 +118,5 @@ pub mod prelude {
     pub use crate::pipeline::{NoopPipeline, PipelineMetrics, PipelineProbe, Stage, StageTimer};
     pub use crate::recorder::{NoopRecorder, Recorder, Tee};
     pub use crate::shard::ShardedRecorder;
-    pub use crate::slo::{SloEnvelope, SloMonitor};
     pub use crate::window::{WindowConfig, WindowedMetrics};
 }

@@ -50,10 +50,12 @@ pub trait Recorder {
         let _ = (machine, at);
     }
 
-    /// The live Fmax/OPT-proxy `ratio` crossed the paper envelope
-    /// `bound` at sim-time `at` (see [`slo`](crate::slo)). Defaulted to
-    /// a no-op like [`machine_crash`](Recorder::machine_crash); trace
-    /// recorders override it to count the breach and emit an event.
+    /// The run's flow-time `ratio` (its `Fmax` over a lower bound on the
+    /// optimum) crossed the paper envelope `bound` at sim-time `at`. No
+    /// engine in the workspace calls it yet. Defaulted to a no-op like
+    /// [`machine_crash`](Recorder::machine_crash); trace recorders
+    /// override it to count the breach and emit an
+    /// [`Event::SloBreach`](crate::Event::SloBreach).
     #[inline(always)]
     fn slo_breach(&mut self, at: f64, ratio: f64, bound: f64) {
         let _ = (at, ratio, bound);

@@ -87,9 +87,9 @@ pub struct OutageSpan {
 /// a Perfetto instant event (see `export::chrome_trace_full`).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BreachMark {
-    /// When the breach was evaluated (window end).
+    /// When the breach was evaluated.
     pub at: f64,
-    /// Observed Fmax/OPT-proxy ratio.
+    /// Observed `Fmax` over a lower bound on the optimum.
     pub ratio: f64,
     /// The envelope that was crossed.
     pub bound: f64,

@@ -17,7 +17,7 @@ use flowsched_core::procset::ProcSet;
 use flowsched_core::task::Task;
 use flowsched_core::time::Time;
 
-use crate::outcome::{AdversaryOutcome, ReleaseLog, ReleaseSink, StreamingLog, StreamingOutcome};
+use crate::outcome::{AdversaryOutcome, ReleaseLog};
 
 /// Runs the Theorem 4 adversary with set size `k` against `algo`.
 ///
@@ -28,33 +28,6 @@ pub fn fixed_size_adversary<D: ImmediateDispatcher>(
     k: usize,
     p: Time,
 ) -> AdversaryOutcome {
-    let mut log = ReleaseLog::new(algo.machine_count());
-    drive_fixed_size_adversary(algo, k, p, &mut log);
-    log.finish(p)
-}
-
-/// [`fixed_size_adversary`] folded through a constant-memory
-/// [`StreamingLog`].
-///
-/// # Panics
-/// Panics unless `2 ≤ k ≤ m` and `p > log_k(m)`.
-pub fn fixed_size_adversary_streaming<D: ImmediateDispatcher>(
-    algo: &mut D,
-    k: usize,
-    p: Time,
-) -> StreamingOutcome {
-    let mut fold = StreamingLog::new();
-    drive_fixed_size_adversary(algo, k, p, &mut fold);
-    fold.finish(p)
-}
-
-/// The sink-generic core of the Theorem 4 construction.
-pub fn drive_fixed_size_adversary<D: ImmediateDispatcher, K: ReleaseSink>(
-    algo: &mut D,
-    k: usize,
-    p: Time,
-    sink: &mut K,
-) {
     let m_actual = algo.machine_count();
     assert!(k >= 2, "set size k must be at least 2");
     assert!(k <= m_actual, "set size k cannot exceed the machine count");
@@ -71,6 +44,7 @@ pub fn drive_fixed_size_adversary<D: ImmediateDispatcher, K: ReleaseSink>(
         "Theorem 4 requires p > log_k(m); got p = {p} for {levels} levels"
     );
 
+    let mut log = ReleaseLog::new(m_actual);
     let mut current: Vec<usize> = (0..m).collect();
 
     for level in 1..=levels {
@@ -79,13 +53,14 @@ pub fn drive_fixed_size_adversary<D: ImmediateDispatcher, K: ReleaseSink>(
         for chunk in current.chunks(k) {
             debug_assert_eq!(chunk.len(), k, "machine set sizes are powers of k");
             let set = ProcSet::new(chunk.to_vec());
-            let a = sink.release(algo, Task::new(release, p), set);
+            let a = log.release(algo, Task::new(release, p), set);
             chosen.push(a.machine.index());
         }
         chosen.sort_unstable();
         current = chosen;
     }
     debug_assert_eq!(current.len(), 1);
+    log.finish(p)
 }
 
 #[cfg(test)]
@@ -145,16 +120,6 @@ mod tests {
         let out = fixed_size_adversary(&mut algo, 2, 100.0);
         // 8 + 4 + 2 + 1 tasks.
         assert_eq!(out.instance.len(), 15);
-    }
-
-    #[test]
-    fn streaming_run_matches_the_materialized_outcome() {
-        let mut batch_algo = EftState::new(9, TieBreak::Min);
-        let out = fixed_size_adversary(&mut batch_algo, 3, 500.0);
-        let mut stream_algo = EftState::new(9, TieBreak::Min);
-        let streamed = fixed_size_adversary_streaming(&mut stream_algo, 3, 500.0);
-        assert_eq!(streamed.fmax, out.fmax());
-        assert_eq!(streamed.tasks, out.instance.len());
     }
 
     #[test]

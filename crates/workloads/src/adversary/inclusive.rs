@@ -17,7 +17,7 @@ use flowsched_core::procset::ProcSet;
 use flowsched_core::task::Task;
 use flowsched_core::time::Time;
 
-use crate::outcome::{AdversaryOutcome, ReleaseLog, ReleaseSink, StreamingLog, StreamingOutcome};
+use crate::outcome::{AdversaryOutcome, ReleaseLog};
 
 /// Runs the Theorem 3 adversary against `algo`.
 ///
@@ -27,31 +27,6 @@ use crate::outcome::{AdversaryOutcome, ReleaseLog, ReleaseSink, StreamingLog, St
 /// # Panics
 /// Panics if the cluster has fewer than 2 machines or `p ≤ log₂ m`.
 pub fn inclusive_adversary<D: ImmediateDispatcher>(algo: &mut D, p: Time) -> AdversaryOutcome {
-    let mut log = ReleaseLog::new(algo.machine_count());
-    drive_inclusive_adversary(algo, p, &mut log);
-    log.finish(p)
-}
-
-/// [`inclusive_adversary`] folded through a constant-memory
-/// [`StreamingLog`].
-///
-/// # Panics
-/// Panics if the cluster has fewer than 2 machines or `p ≤ log₂ m`.
-pub fn inclusive_adversary_streaming<D: ImmediateDispatcher>(
-    algo: &mut D,
-    p: Time,
-) -> StreamingOutcome {
-    let mut fold = StreamingLog::new();
-    drive_inclusive_adversary(algo, p, &mut fold);
-    fold.finish(p)
-}
-
-/// The sink-generic core of the Theorem 3 construction.
-pub fn drive_inclusive_adversary<D: ImmediateDispatcher, K: ReleaseSink>(
-    algo: &mut D,
-    p: Time,
-    sink: &mut K,
-) {
     let m_actual = algo.machine_count();
     assert!(m_actual >= 2, "the adversary needs at least two machines");
     let levels = m_actual.ilog2() as usize; // ⌊log₂ m'⌋
@@ -61,6 +36,7 @@ pub fn drive_inclusive_adversary<D: ImmediateDispatcher, K: ReleaseSink>(
         "Theorem 3 requires p > log2(m); got p = {p} for {levels} levels"
     );
 
+    let mut log = ReleaseLog::new(m_actual);
     let mut current: Vec<usize> = (0..m).collect();
     let mut task_count = vec![0usize; m_actual];
 
@@ -69,7 +45,7 @@ pub fn drive_inclusive_adversary<D: ImmediateDispatcher, K: ReleaseSink>(
         let release = (level - 1) as Time;
         let set = ProcSet::new(current.clone());
         for _ in 0..batch {
-            let a = sink.release(algo, Task::new(release, p), set.clone());
+            let a = log.release(algo, Task::new(release, p), set.clone());
             task_count[a.machine.index()] += 1;
         }
         // Shrink to the most-loaded half; stable by machine index among
@@ -83,7 +59,8 @@ pub fn drive_inclusive_adversary<D: ImmediateDispatcher, K: ReleaseSink>(
     // One machine survives; it carries at least log2(m) waiting tasks.
     debug_assert_eq!(current.len(), 1);
     let last_set = ProcSet::singleton(current[0]);
-    sink.release(algo, Task::new(levels as Time, p), last_set);
+    log.release(algo, Task::new(levels as Time, p), last_set);
+    log.finish(p)
 }
 
 #[cfg(test)]
@@ -145,17 +122,6 @@ mod tests {
         let out = inclusive_adversary(&mut algo, 3.0);
         let exact = flowsched_algos::offline::brute_force_fmax(&out.instance);
         assert!((exact - 3.0).abs() < 1e-9, "claimed OPT 3.0, exact {exact}");
-    }
-
-    #[test]
-    fn streaming_run_matches_the_materialized_outcome() {
-        let mut batch_algo = EftState::new(8, TieBreak::Min);
-        let out = inclusive_adversary(&mut batch_algo, 100.0);
-        let mut stream_algo = EftState::new(8, TieBreak::Min);
-        let streamed = inclusive_adversary_streaming(&mut stream_algo, 100.0);
-        assert_eq!(streamed.fmax, out.fmax());
-        assert_eq!(streamed.tasks, out.instance.len());
-        assert_eq!(streamed.ratio(), out.ratio());
     }
 
     #[test]

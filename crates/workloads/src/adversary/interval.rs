@@ -19,13 +19,11 @@
 //! *last* machine of its interval, keeping all flows at 1.
 
 use flowsched_algos::eft::ImmediateDispatcher;
-use flowsched_core::compact::ProcSetRef;
 use flowsched_core::instance::{Instance, InstanceBuilder};
 use flowsched_core::procset::ProcSet;
-use flowsched_core::stream::ArrivalStream;
 use flowsched_core::task::Task;
 
-use crate::outcome::{AdversaryOutcome, ReleaseLog, ReleaseSink, StreamingLog, StreamingOutcome};
+use crate::outcome::{AdversaryOutcome, ReleaseLog};
 
 /// The processing interval of a task of one-based type `λ` with interval
 /// size `k`: machines `M_λ … M_{λ+k−1}` (zero-based `[λ−1, λ+k−2]`).
@@ -84,102 +82,16 @@ pub fn run_interval_adversary<D: ImmediateDispatcher>(
     k: usize,
     rounds: usize,
 ) -> AdversaryOutcome {
-    let mut log = ReleaseLog::new(algo.machine_count());
-    drive_interval_adversary(algo, k, rounds, &mut log);
-    log.finish(1.0)
-}
-
-/// [`run_interval_adversary`] folded through a constant-memory
-/// [`StreamingLog`] — no instance or schedule is materialized, so
-/// `rounds` can be arbitrarily large.
-///
-/// # Panics
-/// Panics unless `1 < k < m`.
-pub fn run_interval_adversary_streaming<D: ImmediateDispatcher>(
-    algo: &mut D,
-    k: usize,
-    rounds: usize,
-) -> StreamingOutcome {
-    let mut fold = StreamingLog::new();
-    drive_interval_adversary(algo, k, rounds, &mut fold);
-    fold.finish(1.0)
-}
-
-/// The sink-generic core of the Theorem 8 stream: releases `rounds`
-/// steps of `m` typed unit tasks into `sink`.
-pub fn drive_interval_adversary<D: ImmediateDispatcher, K: ReleaseSink>(
-    algo: &mut D,
-    k: usize,
-    rounds: usize,
-    sink: &mut K,
-) {
     let m = algo.machine_count();
     assert!(k > 1 && k < m, "Theorem 8 requires 1 < k < m");
     let types = round_types(m, k);
+    let mut log = ReleaseLog::new(m);
     for t in 0..rounds {
         for &lambda in &types {
-            sink.release(algo, Task::unit(t as f64), type_interval(lambda, k, m));
+            log.release(algo, Task::unit(t as f64), type_interval(lambda, k, m));
         }
     }
-}
-
-/// The oblivious Theorem 8 stream as an [`ArrivalStream`]: the same
-/// arrivals as [`interval_adversary_instance`], generated lazily in
-/// `O(m)` memory (the construction does not depend on the algorithm's
-/// choices, so it streams without feedback). Each typed interval is
-/// emitted as a two-word [`ProcSetRef::Interval`] — nothing per-task is
-/// allocated no matter how large `m` or `k` grow.
-#[derive(Debug, Clone)]
-pub struct IntervalAdversaryStream {
-    m: usize,
-    k: usize,
-    types: Vec<usize>,
-    rounds: usize,
-    t: usize,
-    i: usize,
-}
-
-impl IntervalAdversaryStream {
-    /// Streams `rounds` steps of the `(m, k)` construction.
-    ///
-    /// # Panics
-    /// Panics unless `1 < k < m`.
-    pub fn new(m: usize, k: usize, rounds: usize) -> Self {
-        assert!(k > 1 && k < m, "Theorem 8 requires 1 < k < m");
-        IntervalAdversaryStream {
-            m,
-            k,
-            types: round_types(m, k),
-            rounds,
-            t: 0,
-            i: 0,
-        }
-    }
-}
-
-impl ArrivalStream for IntervalAdversaryStream {
-    fn machines(&self) -> usize {
-        self.m
-    }
-
-    fn next_arrival(&mut self) -> Option<(Task, ProcSetRef<'_>)> {
-        if self.t >= self.rounds {
-            return None;
-        }
-        let lambda = self.types[self.i];
-        let task = Task::unit(self.t as f64);
-        self.i += 1;
-        if self.i == self.types.len() {
-            self.i = 0;
-            self.t += 1;
-        }
-        // Same machines as `type_interval(lambda, k, m)`, without the Vec.
-        Some((task, ProcSetRef::interval(lambda - 1, lambda + self.k - 2)))
-    }
-
-    fn len_hint(&self) -> Option<usize> {
-        Some((self.rounds - self.t) * self.types.len() - self.i)
-    }
+    log.finish(1.0)
 }
 
 #[cfg(test)]
@@ -319,31 +231,5 @@ mod tests {
     #[should_panic(expected = "1 < k < m")]
     fn k_equal_m_rejected() {
         let _ = interval_adversary_instance(4, 4, 1);
-    }
-
-    #[test]
-    fn stream_replays_the_oblivious_instance() {
-        let (m, k, rounds) = (6, 3, 5);
-        let collected =
-            flowsched_core::stream::collect_stream(IntervalAdversaryStream::new(m, k, rounds))
-                .unwrap();
-        assert_eq!(collected, interval_adversary_instance(m, k, rounds));
-        let mut s = IntervalAdversaryStream::new(m, k, rounds);
-        assert_eq!(s.len_hint(), Some(rounds * m));
-        s.next_arrival().unwrap();
-        assert_eq!(s.len_hint(), Some(rounds * m - 1));
-    }
-
-    #[test]
-    fn streaming_run_matches_the_materialized_outcome() {
-        let (m, k, rounds) = (6, 3, 36);
-        let mut batch_algo = EftState::new(m, TieBreak::Min);
-        let out = run_interval_adversary(&mut batch_algo, k, rounds);
-        let mut stream_algo = EftState::new(m, TieBreak::Min);
-        let streamed = run_interval_adversary_streaming(&mut stream_algo, k, rounds);
-        assert_eq!(streamed.fmax, out.fmax());
-        assert_eq!(streamed.tasks, out.instance.len());
-        assert_eq!(streamed.opt_fmax, out.opt_fmax);
-        assert_eq!(streamed.fmax, (m - k + 1) as f64);
     }
 }

@@ -26,39 +26,20 @@ use flowsched_core::procset::ProcSet;
 use flowsched_core::task::Task;
 use flowsched_core::time::Time;
 
-use crate::outcome::{AdversaryOutcome, ReleaseLog, ReleaseSink, StreamingLog, StreamingOutcome};
+use crate::outcome::{AdversaryOutcome, ReleaseLog};
 
 /// Runs the Theorem 5 adversary against `algo` (unit tasks).
 ///
 /// # Panics
 /// Panics if the cluster has fewer than 2 machines.
 pub fn nested_adversary<D: ImmediateDispatcher>(algo: &mut D) -> AdversaryOutcome {
-    let mut log = ReleaseLog::new(algo.machine_count());
-    drive_nested_adversary(algo, &mut log);
-    log.finish(3.0)
-}
-
-/// [`nested_adversary`] folded through a constant-memory
-/// [`StreamingLog`].
-///
-/// # Panics
-/// Panics if the cluster has fewer than 2 machines.
-pub fn nested_adversary_streaming<D: ImmediateDispatcher>(algo: &mut D) -> StreamingOutcome {
-    let mut fold = StreamingLog::new();
-    drive_nested_adversary(algo, &mut fold);
-    fold.finish(3.0)
-}
-
-/// The sink-generic core of the Theorem 5 construction. The adaptive
-/// state it keeps (uncompleted singletons of the *current* interval) is
-/// `O(m · log m)`, independent of the sink.
-pub fn drive_nested_adversary<D: ImmediateDispatcher, K: ReleaseSink>(algo: &mut D, sink: &mut K) {
     let m_actual = algo.machine_count();
     assert!(m_actual >= 2, "the adversary needs at least two machines");
     let levels = m_actual.ilog2() as usize;
     let m = 1usize << levels;
     let phase_len = levels + 2; // F = log2(m) + 2
 
+    let mut log = ReleaseLog::new(m_actual);
     // Per released singleton task: (machine, completion time).
     let mut singletons: Vec<(usize, Time)> = Vec::new();
 
@@ -69,13 +50,13 @@ pub fn drive_nested_adversary<D: ImmediateDispatcher, K: ReleaseSink>(algo: &mut
         let interval = ProcSet::interval(u, u + s - 1);
         // G1: s interval-wide unit tasks at t0.
         for _ in 0..s {
-            sink.release(algo, Task::unit(t0), interval.clone());
+            log.release(algo, Task::unit(t0), interval.clone());
         }
         // G2: one unit task per machine per step of the phase.
         for step in 0..phase_len {
             let t = t0 + step as Time;
             for j in u..u + s {
-                let a = sink.release(algo, Task::unit(t), ProcSet::singleton(j));
+                let a = log.release(algo, Task::unit(t), ProcSet::singleton(j));
                 singletons.push((j, a.start + 1.0));
             }
         }
@@ -99,6 +80,7 @@ pub fn drive_nested_adversary<D: ImmediateDispatcher, K: ReleaseSink>(algo: &mut
         }
         s = half;
     }
+    log.finish(3.0)
 }
 
 #[cfg(test)]
@@ -159,18 +141,6 @@ mod tests {
         let opt = flowsched_algos::offline::optimal_unit_fmax(&out.instance);
         assert!(opt <= 3.0 + 1e-9, "OPT {opt} exceeds the paper's claim");
         assert!(out.fmax() >= 3.0 - 1e-9, "m=2: Fmax {}", out.fmax());
-    }
-
-    #[test]
-    fn streaming_run_matches_the_materialized_outcome() {
-        for tb in [TieBreak::Min, TieBreak::Rand { seed: 2 }] {
-            let mut batch_algo = EftState::new(8, tb);
-            let out = nested_adversary(&mut batch_algo);
-            let mut stream_algo = EftState::new(8, tb);
-            let streamed = nested_adversary_streaming(&mut stream_algo);
-            assert_eq!(streamed.fmax, out.fmax(), "{tb}");
-            assert_eq!(streamed.tasks, out.instance.len(), "{tb}");
-        }
     }
 
     #[test]

@@ -24,7 +24,7 @@ use flowsched_core::procset::ProcSet;
 use flowsched_core::task::Task;
 
 use crate::adversary::interval::round_types;
-use crate::outcome::{AdversaryOutcome, ReleaseLog, ReleaseSink, StreamingLog, StreamingOutcome};
+use crate::outcome::{AdversaryOutcome, ReleaseLog};
 
 /// The dyadic delay unit `δ` (2⁻¹⁰). Requires `m·δ < 1`, i.e. `m < 1024`.
 pub const DELTA: f64 = 1.0 / 1024.0;
@@ -60,39 +60,12 @@ pub fn padded_interval_adversary<D: ImmediateDispatcher>(
     k: usize,
     rounds: usize,
 ) -> AdversaryOutcome {
-    let mut log = ReleaseLog::new(algo.machine_count());
-    drive_padded_interval_adversary(algo, k, rounds, &mut log);
-    log.finish(1.0)
-}
-
-/// [`padded_interval_adversary`] folded through a constant-memory
-/// [`StreamingLog`].
-///
-/// # Panics
-/// Panics unless `1 < k < m ≤ 64`.
-pub fn padded_interval_adversary_streaming<D: ImmediateDispatcher>(
-    algo: &mut D,
-    k: usize,
-    rounds: usize,
-) -> StreamingOutcome {
-    let mut fold = StreamingLog::new();
-    drive_padded_interval_adversary(algo, k, rounds, &mut fold);
-    fold.finish(1.0)
-}
-
-/// The sink-generic core of the Theorem 10 stream: per integer step, the
-/// two small-task padding rounds followed by the Theorem 8 regulars.
-pub fn drive_padded_interval_adversary<D: ImmediateDispatcher, K: ReleaseSink>(
-    algo: &mut D,
-    k: usize,
-    rounds: usize,
-    sink: &mut K,
-) {
     let m = algo.machine_count();
     assert!(k > 1 && k < m, "Theorem 10 requires 1 < k < m");
     assert!(m <= 64, "ε constant sized for m ≤ 64");
 
     let types = round_types(m, k);
+    let mut log = ReleaseLog::new(m);
 
     for t in 0..rounds {
         let now = t as f64;
@@ -107,7 +80,7 @@ pub fn drive_padded_interval_adversary<D: ImmediateDispatcher, K: ReleaseSink>(
                 break;
             };
             let c = first_alloc.len() + 1;
-            let a = sink.release(
+            let a = log.release(
                 algo,
                 Task::new(now, c as f64 * EPSILON),
                 covering_interval(ic, k, m),
@@ -120,7 +93,7 @@ pub fn drive_padded_interval_adversary<D: ImmediateDispatcher, K: ReleaseSink>(
             let c = c0 + 1;
             let duration = (i + 1) as f64 * DELTA - c as f64 * EPSILON;
             debug_assert!(duration > 0.0);
-            let a = sink.release(algo, Task::new(now, duration), covering_interval(i, k, m));
+            let a = log.release(algo, Task::new(now, duration), covering_interval(i, k, m));
             debug_assert_eq!(
                 a.machine.index(),
                 i,
@@ -130,13 +103,14 @@ pub fn drive_padded_interval_adversary<D: ImmediateDispatcher, K: ReleaseSink>(
 
         // ---- Regular tasks: the Theorem 8 staircase + type-1 batch. ----
         for &lambda in &types {
-            sink.release(
+            log.release(
                 algo,
                 Task::new(now, 1.0),
                 ProcSet::interval(lambda - 1, lambda + k - 2),
             );
         }
     }
+    log.finish(1.0)
 }
 
 #[cfg(test)]
@@ -212,19 +186,6 @@ mod tests {
             ratio >= target * 0.95,
             "ratio {ratio} far below the asymptotic bound {target}"
         );
-    }
-
-    #[test]
-    fn streaming_run_matches_the_materialized_outcome() {
-        let (m, k) = (6, 3);
-        for tb in [TieBreak::Min, TieBreak::Max, TieBreak::Rand { seed: 77 }] {
-            let mut batch_algo = EftState::new(m, tb);
-            let out = padded_interval_adversary(&mut batch_algo, k, m * m);
-            let mut stream_algo = EftState::new(m, tb);
-            let streamed = padded_interval_adversary_streaming(&mut stream_algo, k, m * m);
-            assert_eq!(streamed.fmax, out.fmax(), "{tb}");
-            assert_eq!(streamed.tasks, out.instance.len(), "{tb}");
-        }
     }
 
     #[test]

@@ -16,10 +16,9 @@
 
 use flowsched_algos::eft::ImmediateDispatcher;
 use flowsched_core::procset::ProcSet;
-use flowsched_core::stream::ArrivalStream;
 use flowsched_core::task::Task;
 
-use crate::outcome::{AdversaryOutcome, ReleaseLog, ReleaseSink, StreamingLog, StreamingOutcome};
+use crate::outcome::{AdversaryOutcome, ReleaseLog};
 
 /// The per-step release sequence for a family of distinct interval sets:
 /// one task per set in decreasing order of interval start (ties: larger
@@ -45,110 +44,25 @@ pub fn staircase_round(sets: &[ProcSet], extra: usize) -> Vec<ProcSet> {
 /// hit the lowest set each step (Theorem 8 uses `k − 1` extras beyond
 /// the staircase's own type-1 task, i.e. `extra = k − 1`).
 ///
-/// The recorded optimum is computed exactly for short runs by the caller
-/// if needed; here it is set to 1 when a perfect matching of each round
-/// into distinct machines exists (the Theorem 8 situation), otherwise to
-/// the exact unit optimum of the generated instance — see
-/// [`run_staircase_with_exact_opt`].
+/// The recorded optimum is the trivial bound 1, valid for unit tasks, so
+/// [`AdversaryOutcome::ratio`] can only over-report;
+/// [`run_staircase_with_exact_opt`] computes the exact optimum of a
+/// three-round prefix instead.
 pub fn run_staircase<D: ImmediateDispatcher>(
     algo: &mut D,
     sets: &[ProcSet],
     extra: usize,
     rounds: usize,
 ) -> AdversaryOutcome {
-    let mut log = ReleaseLog::new(algo.machine_count());
-    drive_staircase(algo, sets, extra, rounds, &mut log);
-    // Optimum: exact when cheap, else the trivial lower bound 1.
-    log.finish(1.0)
-}
-
-/// [`run_staircase`] folded through a constant-memory [`StreamingLog`];
-/// the recorded optimum is the trivial lower bound 1 (use
-/// [`run_staircase_with_exact_opt`] when the exact one is needed).
-pub fn run_staircase_streaming<D: ImmediateDispatcher>(
-    algo: &mut D,
-    sets: &[ProcSet],
-    extra: usize,
-    rounds: usize,
-) -> StreamingOutcome {
-    let mut fold = StreamingLog::new();
-    drive_staircase(algo, sets, extra, rounds, &mut fold);
-    fold.finish(1.0)
-}
-
-/// The sink-generic core of the staircase stream.
-pub fn drive_staircase<D: ImmediateDispatcher, K: ReleaseSink>(
-    algo: &mut D,
-    sets: &[ProcSet],
-    extra: usize,
-    rounds: usize,
-    sink: &mut K,
-) {
     let round = staircase_round(sets, extra);
+    let mut log = ReleaseLog::new(algo.machine_count());
     for t in 0..rounds {
         for set in &round {
-            sink.release(algo, Task::unit(t as f64), set.clone());
+            log.release(algo, Task::unit(t as f64), set.clone());
         }
     }
-}
-
-/// The staircase workload as an oblivious [`ArrivalStream`] over an
-/// `m`-machine cluster: `rounds` repetitions of
-/// [`staircase_round`]`(sets, extra)` at integer times, lazily, holding
-/// only the one-round family in memory. Sets are lent straight out of
-/// that family — no per-task clone.
-#[derive(Debug, Clone)]
-pub struct StaircaseStream {
-    m: usize,
-    round: Vec<ProcSet>,
-    rounds: usize,
-    t: usize,
-    i: usize,
-}
-
-impl StaircaseStream {
-    /// Streams `rounds` staircase steps of the family over `m` machines.
-    ///
-    /// # Panics
-    /// Panics if the family is empty or a set exceeds the machine range.
-    pub fn new(m: usize, sets: &[ProcSet], extra: usize, rounds: usize) -> Self {
-        let round = staircase_round(sets, extra);
-        assert!(
-            round.iter().all(|s| s.max().is_none_or(|hi| hi < m)),
-            "staircase sets must fit the machine range"
-        );
-        StaircaseStream {
-            m,
-            round,
-            rounds,
-            t: 0,
-            i: 0,
-        }
-    }
-}
-
-impl ArrivalStream for StaircaseStream {
-    fn machines(&self) -> usize {
-        self.m
-    }
-
-    fn next_arrival(&mut self) -> Option<(Task, flowsched_core::compact::ProcSetRef<'_>)> {
-        if self.t >= self.rounds {
-            return None;
-        }
-        let task = Task::unit(self.t as f64);
-        let i = self.i;
-        self.i += 1;
-        if self.i == self.round.len() {
-            self.i = 0;
-            self.t += 1;
-        }
-        Some((task, self.round[i].compact_view()))
-    }
-
-    fn len_hint(&self) -> Option<usize> {
-        Some((self.rounds - self.t) * self.round.len() - self.i)
-    }
+    // The trivial bound: every unit task flows at least 1.
+    log.finish(1.0)
 }
 
 /// Like [`run_staircase`] but recomputes the exact offline optimum with
@@ -274,34 +188,5 @@ mod tests {
     #[should_panic(expected = "at least one set")]
     fn empty_family_rejected() {
         let _ = staircase_round(&[], 1);
-    }
-
-    #[test]
-    fn streaming_run_matches_the_materialized_outcome() {
-        let (m, k) = (12usize, 3usize);
-        let sets = family(ReplicationStrategy::Overlapping, m, k);
-        let mut batch_algo = EftState::new(m, TieBreak::Min);
-        let out = run_staircase(&mut batch_algo, &sets, k - 1, m * m);
-        let mut stream_algo = EftState::new(m, TieBreak::Min);
-        let streamed = run_staircase_streaming(&mut stream_algo, &sets, k - 1, m * m);
-        assert_eq!(streamed.fmax, out.fmax());
-        assert_eq!(streamed.tasks, out.instance.len());
-    }
-
-    #[test]
-    fn stream_replays_the_driven_releases() {
-        // StaircaseStream yields exactly the tasks drive_staircase
-        // releases, so EFT over the stream reproduces the run.
-        let (m, k) = (6usize, 3usize);
-        let sets = family(ReplicationStrategy::Disjoint, m, k);
-        let stream = StaircaseStream::new(m, &sets, k - 1, 10);
-        assert_eq!(
-            stream.len_hint(),
-            Some(10 * staircase_round(&sets, k - 1).len())
-        );
-        let inst = flowsched_core::stream::collect_stream(stream).unwrap();
-        let mut algo = EftState::new(m, TieBreak::Min);
-        let out = run_staircase(&mut algo, &sets, k - 1, 10);
-        assert_eq!(inst, out.instance);
     }
 }

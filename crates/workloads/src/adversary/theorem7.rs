@@ -19,7 +19,7 @@ use flowsched_core::procset::ProcSet;
 use flowsched_core::task::Task;
 use flowsched_core::time::Time;
 
-use crate::outcome::{AdversaryOutcome, ReleaseLog, ReleaseSink, StreamingLog, StreamingOutcome};
+use crate::outcome::{AdversaryOutcome, ReleaseLog};
 
 /// Runs the Theorem 7 adversary against `algo` with processing time `p`.
 /// The construction uses interval size `k = 2` on (at least) 4 machines.
@@ -27,37 +27,13 @@ use crate::outcome::{AdversaryOutcome, ReleaseLog, ReleaseSink, StreamingLog, St
 /// # Panics
 /// Panics if the cluster has fewer than 4 machines or `p < 1`.
 pub fn theorem7_adversary<D: ImmediateDispatcher>(algo: &mut D, p: Time) -> AdversaryOutcome {
-    let mut log = ReleaseLog::new(algo.machine_count());
-    drive_theorem7_adversary(algo, p, &mut log);
-    log.finish(p)
-}
-
-/// [`theorem7_adversary`] folded through a constant-memory
-/// [`StreamingLog`].
-///
-/// # Panics
-/// Panics if the cluster has fewer than 4 machines or `p < 1`.
-pub fn theorem7_adversary_streaming<D: ImmediateDispatcher>(
-    algo: &mut D,
-    p: Time,
-) -> StreamingOutcome {
-    let mut fold = StreamingLog::new();
-    drive_theorem7_adversary(algo, p, &mut fold);
-    fold.finish(p)
-}
-
-/// The sink-generic core of the Theorem 7 construction.
-pub fn drive_theorem7_adversary<D: ImmediateDispatcher, K: ReleaseSink>(
-    algo: &mut D,
-    p: Time,
-    sink: &mut K,
-) {
     let m = algo.machine_count();
     assert!(m >= 4, "Theorem 7 needs at least 4 machines");
     assert!(p >= 1.0, "the follow-up release at σ₁ + 1 needs p ≥ 1");
 
+    let mut log = ReleaseLog::new(m);
     // T1 on {M2, M3} (zero-based {1, 2}).
-    let a1 = sink.release(algo, Task::new(0.0, p), ProcSet::new(vec![1, 2]));
+    let a1 = log.release(algo, Task::new(0.0, p), ProcSet::new(vec![1, 2]));
 
     if a1.start < p {
         // Case analysis on the chosen machine.
@@ -67,10 +43,11 @@ pub fn drive_theorem7_adversary<D: ImmediateDispatcher, K: ReleaseSink>(
             ProcSet::new(vec![2, 3]) // {M3, M4}
         };
         let t = a1.start + 1.0;
-        sink.release(algo, Task::new(t, p), followup_set.clone());
-        sink.release(algo, Task::new(t, p), followup_set);
+        log.release(algo, Task::new(t, p), followup_set.clone());
+        log.release(algo, Task::new(t, p), followup_set);
     }
     // If σ₁ ≥ p the single task already flows ≥ 2p; no follow-up needed.
+    log.finish(p)
 }
 
 #[cfg(test)]
@@ -128,18 +105,6 @@ mod tests {
         let mut max_algo = EftState::new(4, TieBreak::Max);
         let out_max = theorem7_adversary(&mut max_algo, 5.0);
         assert_eq!(out_max.instance.sets()[1], ProcSet::new(vec![2, 3]));
-    }
-
-    #[test]
-    fn streaming_run_matches_the_materialized_outcome() {
-        for tb in [TieBreak::Min, TieBreak::Max] {
-            let mut batch_algo = EftState::new(4, tb);
-            let out = theorem7_adversary(&mut batch_algo, 50.0);
-            let mut stream_algo = EftState::new(4, tb);
-            let streamed = theorem7_adversary_streaming(&mut stream_algo, 50.0);
-            assert_eq!(streamed.fmax, out.fmax(), "{tb}");
-            assert_eq!(streamed.tasks, out.instance.len(), "{tb}");
-        }
     }
 
     #[test]

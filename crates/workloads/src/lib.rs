@@ -13,16 +13,13 @@
 //!   - Theorem 10 (the `δ/ε` small-task padding extending Theorem 8 to
 //!     every tie-break policy).
 //!
-//!   Adaptive adversaries drive any
-//!   [`ImmediateDispatcher`](flowsched_algos::ImmediateDispatcher).
-//!   Each one is a sink-generic `drive_*` core over a
-//!   [`ReleaseSink`]: the `run_*` wrappers
-//!   materialize an [`AdversaryOutcome`] (instance + schedule + the
-//!   paper's offline optimum); the `run_*_streaming` wrappers fold only
-//!   the running `Fmax` in O(1) memory. The oblivious constructions
-//!   (Theorem 8's stream, the generalized staircase) double as
-//!   [`ArrivalStream`](flowsched_core::ArrivalStream)s for the shared
-//!   engines.
+//!   Each adversary drives any
+//!   [`ImmediateDispatcher`](flowsched_algos::ImmediateDispatcher)
+//!   through a [`ReleaseLog`] and returns an [`AdversaryOutcome`]: the
+//!   instance it built, the schedule the algorithm committed to, and
+//!   the paper's offline optimum. [`adversary::search`] checks the
+//!   bounds' tightness: it searches small unit-task streams for
+//!   EFT-Min's worst ratio against the exact optimum.
 //!
 //! - [`faults`]: seeded random [`FaultPlan`](flowsched_core::FaultPlan)
 //!   generation — per-machine Poisson crash/recover processes, degraded
@@ -49,22 +46,16 @@ pub mod setup_thrash;
 pub mod trace;
 pub mod weighted;
 
-pub use adversary::fixed_size::{fixed_size_adversary, fixed_size_adversary_streaming};
-pub use adversary::inclusive::{inclusive_adversary, inclusive_adversary_streaming};
-pub use adversary::interval::{
-    interval_adversary_instance, run_interval_adversary, run_interval_adversary_streaming,
-    IntervalAdversaryStream,
-};
-pub use adversary::nested::{nested_adversary, nested_adversary_streaming};
-pub use adversary::padded::{padded_interval_adversary, padded_interval_adversary_streaming};
+pub use adversary::fixed_size::fixed_size_adversary;
+pub use adversary::inclusive::inclusive_adversary;
+pub use adversary::interval::{interval_adversary_instance, run_interval_adversary};
+pub use adversary::nested::nested_adversary;
+pub use adversary::padded::padded_interval_adversary;
 pub use adversary::search::{exhaustive_worst_ratio, greedy_adversary_stream, interval_types};
-pub use adversary::staircase::{
-    run_staircase, run_staircase_streaming, run_staircase_with_exact_opt, staircase_round,
-    StaircaseStream,
-};
-pub use adversary::theorem7::{theorem7_adversary, theorem7_adversary_streaming};
+pub use adversary::staircase::{run_staircase, run_staircase_with_exact_opt, staircase_round};
+pub use adversary::theorem7::theorem7_adversary;
 pub use faults::{random_fault_plan, FaultPlanConfig};
-pub use outcome::{AdversaryOutcome, ReleaseLog, ReleaseSink, StreamingLog, StreamingOutcome};
+pub use outcome::{AdversaryOutcome, ReleaseLog};
 pub use random::{
     random_instance, PoissonStream, PoissonStreamConfig, RandomInstanceConfig, StructureKind,
 };

@@ -1,11 +1,10 @@
 //! Shared plumbing for adversary constructions.
 //!
-//! Every adversary is written once as a sink-generic `drive_*` core that
-//! releases tasks through a [`ReleaseSink`]. Two sinks exist: the
-//! materializing [`ReleaseLog`] (assembles the full
-//! `(Instance, Schedule)` pair for structural assertions and exact-OPT
-//! cross-checks) and the constant-memory [`StreamingLog`] (folds only the
-//! running `Fmax`), so arbitrarily long adversary runs need `O(1)` space.
+//! Every adversary releases its tasks through a [`ReleaseLog`], which
+//! hands each one to the attacked algorithm and records the commitment,
+//! then assembles the `(Instance, Schedule)` pair of an
+//! [`AdversaryOutcome`] for structural assertions and exact-OPT
+//! cross-checks.
 
 use flowsched_core::instance::Instance;
 use flowsched_core::procset::ProcSet;
@@ -42,21 +41,6 @@ impl AdversaryOutcome {
     pub fn validate(&self) -> Result<(), flowsched_core::CoreError> {
         self.schedule.validate(&self.instance)
     }
-}
-
-/// Where an adversary's released tasks go: either materialized
-/// ([`ReleaseLog`]) or folded online ([`StreamingLog`]). The `drive_*`
-/// adversary cores are generic over this, so one construction serves both
-/// the exact batch outcome and O(1)-memory streaming runs.
-pub trait ReleaseSink {
-    /// Releases a task to the algorithm and records the commitment.
-    /// Releases must be non-decreasing (online arrival order).
-    fn release<D: ImmediateDispatcher + ?Sized>(
-        &mut self,
-        algo: &mut D,
-        task: Task,
-        set: ProcSet,
-    ) -> Assignment;
 }
 
 /// Records tasks as an adaptive adversary releases them, together with
@@ -126,100 +110,6 @@ impl ReleaseLog {
     }
 }
 
-impl ReleaseSink for ReleaseLog {
-    fn release<D: ImmediateDispatcher + ?Sized>(
-        &mut self,
-        algo: &mut D,
-        task: Task,
-        set: ProcSet,
-    ) -> Assignment {
-        ReleaseLog::release(self, algo, task, set)
-    }
-}
-
-/// The constant-memory sink: folds the running maximum flow over the
-/// released tasks and keeps nothing else. Arbitrarily long adversary runs
-/// through this sink never materialize an instance or schedule.
-#[derive(Debug, Clone, Default)]
-pub struct StreamingLog {
-    tasks: usize,
-    fmax: Time,
-    last_release: Time,
-}
-
-impl StreamingLog {
-    /// Starts an empty fold.
-    pub fn new() -> Self {
-        StreamingLog::default()
-    }
-
-    /// Number of tasks released so far.
-    pub fn len(&self) -> usize {
-        self.tasks
-    }
-
-    /// True when nothing was released.
-    pub fn is_empty(&self) -> bool {
-        self.tasks == 0
-    }
-
-    /// Maximum flow over the tasks released so far.
-    pub fn fmax(&self) -> Time {
-        self.fmax
-    }
-
-    /// Finalizes into a streaming outcome with the paper-provided optimum.
-    pub fn finish(self, opt_fmax: Time) -> StreamingOutcome {
-        StreamingOutcome {
-            tasks: self.tasks,
-            fmax: self.fmax,
-            opt_fmax,
-        }
-    }
-}
-
-impl ReleaseSink for StreamingLog {
-    fn release<D: ImmediateDispatcher + ?Sized>(
-        &mut self,
-        algo: &mut D,
-        task: Task,
-        set: ProcSet,
-    ) -> Assignment {
-        assert!(
-            task.release >= self.last_release,
-            "adversary must release tasks in non-decreasing time order"
-        );
-        self.last_release = task.release;
-        let a = algo.dispatch_task(task, set.view());
-        self.tasks += 1;
-        let flow = a.start + task.ptime - task.release;
-        if flow > self.fmax {
-            self.fmax = flow;
-        }
-        a
-    }
-}
-
-/// Result of a streaming adversary run — the aggregates of
-/// [`AdversaryOutcome`] without the materialized instance and schedule.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct StreamingOutcome {
-    /// Number of tasks the adversary released.
-    pub tasks: usize,
-    /// The algorithm's maximum flow time on the adversarial stream.
-    pub fmax: Time,
-    /// Offline optimal `F*max`, as established by the paper's
-    /// construction (not recomputed).
-    pub opt_fmax: Time,
-}
-
-impl StreamingOutcome {
-    /// Achieved competitive ratio `Fmax / F*max`.
-    pub fn ratio(&self) -> f64 {
-        self.fmax / self.opt_fmax
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -247,41 +137,5 @@ mod tests {
         let mut log = ReleaseLog::new(1);
         log.release(&mut algo, Task::unit(5.0), ProcSet::full(1));
         log.release(&mut algo, Task::unit(1.0), ProcSet::full(1));
-    }
-
-    #[test]
-    fn streaming_log_folds_the_same_fmax() {
-        // Drive the same releases through both sinks; the streaming fold
-        // must agree with the materialized schedule's Fmax.
-        let releases = [
-            (Task::unit(0.0), ProcSet::full(2)),
-            (Task::unit(0.0), ProcSet::full(2)),
-            (Task::unit(0.0), ProcSet::singleton(1)),
-            (Task::new(1.0, 2.5), ProcSet::singleton(1)),
-        ];
-        let mut batch_algo = EftState::new(2, TieBreak::Min);
-        let mut log = ReleaseLog::new(2);
-        let mut stream_algo = EftState::new(2, TieBreak::Min);
-        let mut fold = StreamingLog::new();
-        for (task, set) in releases {
-            let a = log.release(&mut batch_algo, task, set.clone());
-            let b = ReleaseSink::release(&mut fold, &mut stream_algo, task, set);
-            assert_eq!(a, b);
-        }
-        assert_eq!(fold.len(), log.len());
-        let streamed = fold.finish(1.0);
-        let out = log.finish(1.0);
-        assert_eq!(streamed.fmax, out.fmax());
-        assert_eq!(streamed.ratio(), out.ratio());
-        assert_eq!(streamed.tasks, out.instance.len());
-    }
-
-    #[test]
-    #[should_panic(expected = "non-decreasing")]
-    fn streaming_out_of_order_release_rejected() {
-        let mut algo = EftState::new(1, TieBreak::Min);
-        let mut fold = StreamingLog::new();
-        ReleaseSink::release(&mut fold, &mut algo, Task::unit(5.0), ProcSet::full(1));
-        ReleaseSink::release(&mut fold, &mut algo, Task::unit(1.0), ProcSet::full(1));
     }
 }

@@ -45,10 +45,14 @@
 #      m = 2^20 via FLOWSCHED_SMOKE_M/N — the SoA completion bank,
 #      SIMD tie scan, and the seven-level lane index (1.1 MiB above an
 #      8 MiB bank) at the million-machine scale
-#  12. performance-ledger smoke: perf_ledger's `--smoke` mode runs every
-#      ledger workload over 20k tasks with all of its output checks (no
-#      task of faulty_m256 runs across an outage, sharded and observed
-#      runs reproduce the sequential schedule) and exits non-zero on any
+#  12. performance ledger: perf_ledger is not a workspace member, so
+#      stage 3 does not reach it. Its own unit tests run first (cargo
+#      test --release --offline --manifest-path perf_ledger/Cargo.toml),
+#      which also proves the ledger still builds against the crates'
+#      public items. Then its `--smoke` mode runs every ledger workload
+#      over 20k tasks with all of its output checks (no task of
+#      faulty_m256 runs across an outage, sharded and observed runs
+#      reproduce the sequential schedule) and exits non-zero on any
 #      failure
 #  13. bench gate (warn-only): scripts/bench_gate.sh re-runs the benches
 #      behind BENCH_PR1/PR3/PR4/PR5/PR6/PR9/PR10.json and reports
@@ -145,7 +149,8 @@ FLOWSCHED_SMOKE_M=1048576 FLOWSCHED_SMOKE_N=200000 \
   cargo run -q --release -p flowsched-bench --bin smoke_scale
 
 echo
-echo "== performance-ledger smoke (every workload, every check) =="
+echo "== performance-ledger unit tests and smoke (every workload, every check) =="
+cargo test --release --offline -q --manifest-path perf_ledger/Cargo.toml
 cargo run --release --offline --manifest-path perf_ledger/Cargo.toml -- --smoke
 
 if [ "$RUN_BENCH_GATE" = 1 ]; then

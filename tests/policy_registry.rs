@@ -24,7 +24,6 @@ use flowsched::algos::indexed::DispatchKernel;
 use flowsched::algos::policies::Dispatcher;
 use flowsched::algos::registry::{PolicyId, PolicySpec};
 use flowsched::algos::setup::cluster_fingerprint;
-use flowsched::algos::soa::ScanImpl;
 use flowsched::algos::tiebreak::{Breaker, TieBreak};
 use flowsched::core::compact::ProcSetRef;
 use flowsched::core::fault::{FaultEventKind, FaultPlan, FaultyStream};
@@ -89,16 +88,8 @@ fn arb_id() -> impl Strategy<Value = PolicyId> {
     ]
 }
 
-fn arb_scan() -> impl Strategy<Value = ScanImpl> {
-    prop_oneof![Just(ScanImpl::Simd), Just(ScanImpl::Scalar)]
-}
-
 fn arb_spec() -> impl Strategy<Value = PolicySpec> {
-    (arb_id(), arb_kernel(), arb_scan()).prop_map(|(id, kernel, scan)| PolicySpec {
-        id,
-        kernel,
-        scan,
-    })
+    (arb_id(), arb_kernel()).prop_map(|(id, kernel)| PolicySpec { id, kernel })
 }
 
 /// The dispatcher each spec names, built outside the registry and run
@@ -378,14 +369,14 @@ proptest! {
     }
 
     /// Contract 1 for the EFT-family start rules at nonzero parameters:
-    /// `eft`, `weft@θ`, `setup@c` and `setup-obl@c`, on every kernel,
-    /// scan and tie-break, over hinted and hint-less streams of every
+    /// `eft`, `weft@θ`, `setup@c` and `setup-obl@c`, on every kernel
+    /// and tie-break, over hinted and hint-less streams of every
     /// set shape, with and without a fault plan of touching outage
     /// chains, match the reference loops on schedule and recorder trace.
     #[test]
     fn eft_family_rules_match_references(
         (rule, param, tie) in (0usize..4, 1u32..12, arb_tie()),
-        (kernel, scan, hinted) in (arb_kernel(), arb_scan(), any::<bool>()),
+        (kernel, hinted) in (arb_kernel(), any::<bool>()),
         m in prop_oneof![1usize..12, 60usize..72],
         raw in prop::collection::vec((0u32..3, 1u32..8, 0u32..4, 0u32..4, any::<u64>()), 1..140),
         faults in prop_oneof![Just(None), any::<u64>().prop_map(Some)],
@@ -397,7 +388,7 @@ proptest! {
             2 => PolicyId::SetupEft { tie, cost: param, aware: true },
             _ => PolicyId::SetupEft { tie, cost: param, aware: false },
         };
-        let spec = PolicySpec { id, kernel, scan };
+        let spec = PolicySpec { id, kernel };
         let plan = faults.map(|seed| chained_plan(m, seed));
         let stream = || ShapedStream::new(m, &raw, hinted);
 

@@ -1,15 +1,16 @@
-//! The SoA/SIMD dispatch contracts, pinned (ISSUE 10):
+//! The SoA/SIMD dispatch contracts, pinned:
 //!
 //! 1. **Scan equivalence**: the vectorized two-pass tie scan
 //!    ([`scan_ties_simd`] over a padded [`CompletionBank`]) produces the
 //!    *identical* tie vector to the one-pass scalar oracle
 //!    ([`scan_ties`]) for every processing-set shape, over random
 //!    completion arrays with exact ties (including idle machines at
-//!    0.0) and random release times — so [`ScanImpl`] is purely a
-//!    performance knob, never a semantic one.
-//! 2. **Scan choice is dispatch-invariant**: a full [`EftState`] run on
-//!    `ScanImpl::Simd` matches `ScanImpl::Scalar` assignment-for-
-//!    assignment under every tie-break, RNG draws included.
+//!    0.0) and random release times.
+//! 2. **The core dispatches as the oracle does**: a full [`EftState`]
+//!    run, which always takes the SIMD scan, matches a loop of
+//!    [`scan_ties`], one `Breaker::pick` and a commit
+//!    assignment-for-assignment under every tie-break, and ends on the
+//!    same completions — so its tie sets and RNG draws are the oracle's.
 //! 3. **Mid-stream kernel switches are transparent**: the EFT core on
 //!    `Auto` — which re-resolves its kernel from live structure
 //!    classification and *actually switches* mid-stream when the family
@@ -21,10 +22,12 @@ use proptest::prelude::*;
 use flowsched::algos::eft::{scan_ties, EftState};
 use flowsched::algos::engine::immediate_schedule;
 use flowsched::algos::indexed::DispatchKernel;
-use flowsched::algos::soa::{scan_ties_simd, CompletionBank, ScanImpl};
+use flowsched::algos::soa::{scan_ties_simd, CompletionBank};
 use flowsched::algos::tiebreak::TieBreak;
 use flowsched::core::compact::ProcSetRef;
+use flowsched::core::machine::MachineId;
 use flowsched::core::procset::ProcSet;
+use flowsched::core::schedule::Assignment;
 use flowsched::core::stream::FnStream;
 use flowsched::core::task::Task;
 use flowsched::obs::MemoryRecorder;
@@ -85,7 +88,8 @@ proptest! {
         prop_assert_eq!(simd, scalar, "shape {:?} release {}", set, release);
     }
 
-    /// Contract 2: a whole dispatch run never depends on the scan impl.
+    /// Contract 2: a whole dispatch run of the core matches the
+    /// one-pass oracle loop.
     #[test]
     fn scan_choice_never_changes_dispatch(
         m in 2usize..48,
@@ -96,21 +100,26 @@ proptest! {
         tb_idx in 0usize..3,
     ) {
         let tie = TIES[tb_idx];
-        let mut simd = EftState::with_scan(m, tie, ScanImpl::Simd);
-        let mut scalar = EftState::with_scan(m, tie, ScanImpl::Scalar);
+        let mut core = EftState::new(m, tie);
+        let mut breaker = tie.breaker();
+        let (mut completions, mut ties) = (vec![0.0; m], Vec::new());
         let mut t = 0.0;
         for &(gap, p, a, b) in &arrivals {
             t += gap as f64 * 0.25;
             let task = Task::new(t, p as f64 * 0.5);
             let lo = a % m;
             let set = ProcSetRef::interval(lo, lo + b % (m - lo));
+            scan_ties(&completions, set.iter(), task.release, &mut ties);
+            let u = breaker.pick(&ties);
+            let start = task.release.max(completions[u]);
+            completions[u] = start + task.ptime;
             prop_assert_eq!(
-                simd.dispatch_ref(task, set),
-                scalar.dispatch_ref(task, set),
+                core.dispatch_ref(task, set),
+                Assignment::new(MachineId(u), start),
                 "{:?} diverged at t={}", tie, t
             );
         }
-        prop_assert_eq!(simd.completions(), scalar.completions());
+        prop_assert_eq!(core.completions(), &completions[..]);
     }
 
     /// Contract 3: the adaptive wrapper matches both forced kernels per
