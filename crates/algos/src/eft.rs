@@ -21,11 +21,11 @@
 //!
 //! - The **kernel** ([`DispatchKernel`]) finds Equation (2)'s tie set
 //!   `T = {j ∈ Mᵢ : C_j ≤ t'min}`: the member scan
-//!   ([`scan_ties_simd`]), the lane index and cluster heaps
-//!   ([`indexed`](crate::indexed)), or `Auto`, which reclassifies the
-//!   arriving sets and switches between the two in place
-//!   ([`adaptive`](crate::adaptive)). Every kernel yields the same `T`
-//!   in the same ascending order, so the kernel is a performance choice
+//!   ([`scan_ties_simd`]) or the lane index and cluster heaps
+//!   ([`indexed`](crate::indexed)). It is fixed when the core is built;
+//!   `Auto` resolves there, from the source's structure promise
+//!   ([`DispatchKernel::resolve`]). Every kernel yields the same `T` in
+//!   the same ascending order, so the kernel is a performance choice
 //!   only.
 //! - The **start rule** decides which member's start wins: plain EFT,
 //!   weighted EFT's weight budget ([`weighted`](crate::weighted)), or
@@ -67,12 +67,8 @@ use flowsched_core::task::Task;
 use flowsched_core::time::Time;
 use flowsched_obs::{NoopRecorder, Recorder};
 
-use crate::adaptive::Reclassifier;
 use crate::engine::Run;
-use crate::indexed::{
-    ranges, ClusterCache, DispatchKernel, IndexRange, KernelStats, LaneIndex,
-    AUTO_INDEXED_MIN_MACHINES,
-};
+use crate::indexed::{ranges, ClusterCache, DispatchKernel, IndexRange, KernelStats, LaneIndex};
 use crate::registry::PolicySpec;
 use crate::setup::{cluster_fingerprint, SetupRule};
 use crate::soa::{collect_members_le, scan_ties_simd, CompletionBank};
@@ -145,13 +141,11 @@ pub(crate) enum StartRule {
 #[derive(Debug)]
 pub struct EftState {
     /// The completion bank as the lane index's leaf; the levels above
-    /// it exist only while the kernel is indexed.
+    /// it exist only on the indexed kernel.
     index: LaneIndex,
-    /// The live kernel: `Scalar` or `Indexed`, never `Auto`.
+    /// The kernel, fixed when the core is built: `Scalar` or `Indexed`,
+    /// never `Auto`.
     kernel: DispatchKernel,
-    /// `Auto`'s live reclassification, when the machine count lets the
-    /// verdict change.
-    auto: Option<Box<Reclassifier>>,
     /// The indexed kernel's explicit-set clusters.
     clusters: ClusterCache,
     breaker: Breaker,
@@ -171,7 +165,6 @@ impl EftState {
         EftState {
             index: LaneIndex::leaf(CompletionBank::new(m)),
             kernel: DispatchKernel::Scalar,
-            auto: None,
             clusters: ClusterCache::default(),
             breaker: policy.breaker(),
             rule: StartRule::Plain,
@@ -181,16 +174,15 @@ impl EftState {
         }
     }
 
-    /// This core on `kernel`. `Auto` starts from the machine-count rule
-    /// ([`DispatchKernel::resolve`]) and, from
-    /// [`AUTO_INDEXED_MIN_MACHINES`] machines on, reclassifies the
-    /// arriving sets live ([`adaptive`](crate::adaptive)).
+    /// This fresh core on `kernel`, for the rest of its life. A core
+    /// has no stream to read a structure promise from, so `Auto` is the
+    /// member scan here ([`DispatchKernel::resolve`] with no hint); a
+    /// caller with a stream resolves it first
+    /// ([`DispatchKernel::resolve_for_stream`]).
     pub fn with_kernel(mut self, kernel: DispatchKernel) -> Self {
-        let m = self.machines();
-        self.auto = (kernel == DispatchKernel::Auto && m >= AUTO_INDEXED_MIN_MACHINES)
-            .then(|| Box::new(Reclassifier::new(m)));
-        if kernel.resolve(m) != self.kernel {
-            self.set_kernel(kernel.resolve(m));
+        self.kernel = kernel.resolve(None, self.machines());
+        if self.kernel == DispatchKernel::Indexed {
+            self.index.build_levels();
         }
         self
     }
@@ -226,35 +218,15 @@ impl EftState {
         self.index.bank().values()
     }
 
-    /// The kernel the core runs now: `Scalar` or `Indexed`.
+    /// The kernel the core runs: `Scalar` or `Indexed`.
     pub fn kernel(&self) -> DispatchKernel {
         self.kernel
     }
 
-    /// Mid-stream kernel switches `Auto` has made so far.
-    pub fn switches(&self) -> u32 {
-        self.auto.as_ref().map_or(0, |auto| auto.switches)
-    }
-
-    /// Decision counters (see [`KernelStats`]); `None` when the lane
-    /// index never served this core.
+    /// Decision counters (see [`KernelStats`]); `Some` iff the core runs
+    /// the indexed kernel.
     pub fn kernel_stats(&self) -> Option<KernelStats> {
-        (self.kernel == DispatchKernel::Indexed || self.stats != KernelStats::default())
-            .then_some(self.stats)
-    }
-
-    /// Switches the kernel in place, keeping the bank, the breaker and
-    /// the counters; the index levels and the cluster cache are derived
-    /// state. Rare, so kept off the dispatch path.
-    #[cold]
-    fn set_kernel(&mut self, kernel: DispatchKernel) {
-        if kernel == DispatchKernel::Indexed {
-            self.index.build_levels();
-        } else {
-            self.index.drop_levels();
-            self.clusters = ClusterCache::default();
-        }
-        self.kernel = kernel;
+        (self.kernel == DispatchKernel::Indexed).then_some(self.stats)
     }
 
     /// Dispatches one task (Equation (2)): computes
@@ -288,10 +260,6 @@ impl EftState {
             set.max().is_some_and(|j| j < self.machines()),
             "processing set references a machine out of range"
         );
-        let current = self.kernel;
-        if let Some(kernel) = self.auto.as_mut().and_then(|a| a.observe(set, current)) {
-            self.set_kernel(kernel);
-        }
         let (u, start) = match (&self.rule, &self.faults) {
             (StartRule::Plain, None) => {
                 let u = self.pick(task.release, set);
@@ -451,16 +419,6 @@ impl EftState {
     pub fn backlog_into(&self, t: Time, out: &mut Vec<Time>) {
         out.clear();
         out.extend(self.completions().iter().map(|&c| (c - t).max(0.0)));
-    }
-
-    /// Signed slack `t − C_j` per machine into a caller-provided buffer
-    /// (cleared first): positive means the machine has been idle since
-    /// `C_j`, negative means `−slack` units of backlog remain. The
-    /// allocation-free companion of [`backlog_into`](Self::backlog_into)
-    /// for trace loops that need the idle side too.
-    pub fn slack_into(&self, t: Time, out: &mut Vec<Time>) {
-        out.clear();
-        out.extend(self.completions().iter().map(|&c| t - c));
     }
 }
 
@@ -748,18 +706,6 @@ mod tests {
             st.backlog_into(t, &mut buf);
             assert_eq!(buf, st.backlog_at(t), "t = {t}");
         }
-    }
-
-    #[test]
-    fn slack_into_reports_signed_idle_and_backlog() {
-        let mut st = EftState::new(2, TieBreak::Min);
-        st.dispatch(Task::new(0.0, 3.0), &ProcSet::full(2));
-        st.dispatch(Task::new(0.0, 1.0), &ProcSet::full(2));
-        let mut buf = vec![42.0; 5]; // stale contents must be cleared
-        st.slack_into(2.0, &mut buf);
-        assert_eq!(buf, vec![-1.0, 1.0]);
-        st.slack_into(0.0, &mut buf);
-        assert_eq!(buf, vec![-3.0, -1.0]);
     }
 
     /// The core's SIMD scan against the one-pass oracle loop:

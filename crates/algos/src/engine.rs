@@ -85,7 +85,7 @@ use flowsched_parallel::sharded::run_sharded_probed;
 pub use flowsched_parallel::sharded::ShardedConfig;
 
 use crate::eft::ImmediateDispatcher;
-use crate::indexed::KernelStats;
+use crate::indexed::{DispatchKernel, KernelStats};
 use crate::registry::{PolicySpec, PolicyState};
 use crate::tiebreak::TieBreak;
 
@@ -255,11 +255,12 @@ where
 ///   driven by [`run_immediate`].
 /// - **Sharded** (`shards: Some`): each cluster of the [`ShardPlan`]
 ///   dispatches on its own worker ([`run_sharded_probed`]) with a
-///   shard-local dispatcher ([`PolicySpec::for_shard`], `Auto`
-///   resolving on the shard's width), and the calling thread commits
-///   the decisions in arrival order through the same `CommitTracker`
-///   as the sequential path. Kernel counters from every shard sum into
-///   the recorder after the run, as [`run_immediate`] flushes its own.
+///   shard-local dispatcher ([`PolicySpec::for_shard`]; `Auto` resolves
+///   against the stream's structure hint at the shard's width), and the
+///   calling thread commits the decisions in arrival order through the
+///   same `CommitTracker` as the sequential path. Kernel counters from
+///   every shard sum into the recorder after the run, as
+///   [`run_immediate`] flushes its own.
 ///
 /// A fault plan is an input to both paths and to every policy. Its
 /// machine count is checked against the stream's, its crash/recover
@@ -431,8 +432,17 @@ fn sharded<S, D, B, R, K, P>(
     P: PipelineProbe,
 {
     let mut tracker = CommitTracker::new(R::ENABLED, stream.machines());
+    // The promise covers every shard's sets; each shard resolves `Auto`
+    // against it at its own width.
+    let hint = (policy.kernel == DispatchKernel::Auto)
+        .then(|| stream.structure_hint())
+        .flatten();
     let mut states: Vec<D> = (0..plan.shards())
-        .map(|s| build(policy.for_shard(s), plan.start_of(s), plan.len_of(s)))
+        .map(|s| {
+            let len = plan.len_of(s);
+            let spec = policy.with_kernel(policy.kernel.resolve(hint.as_ref(), len));
+            build(spec.for_shard(s), plan.start_of(s), len)
+        })
         .collect();
     let mut closures: Vec<_> = states
         .iter_mut()

@@ -74,9 +74,10 @@ impl KernelStats {
     }
 }
 
-/// Machine count at which [`DispatchKernel::Auto`] switches to the
-/// indexed kernel. Below it the scalar scan's cache-friendly sweep wins;
-/// above it the O(log m) index pays off even for moderate set widths.
+/// Machine count below which
+/// [`for_structure`](DispatchKernel::for_structure) keeps the member
+/// scan whatever the structure: below it the scan's cache-friendly sweep
+/// wins; above it the O(log m) index pays off on wide enough sets.
 pub const AUTO_INDEXED_MIN_MACHINES: usize = 64;
 
 /// Which EFT dispatch kernel to run. All choices produce
@@ -84,16 +85,12 @@ pub const AUTO_INDEXED_MIN_MACHINES: usize = 64;
 /// decision.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum DispatchKernel {
-    /// Adapt live: start from the machine-count rule
-    /// ([`AUTO_INDEXED_MIN_MACHINES`]), classify the arriving sets
-    /// incrementally, and re-resolve through
-    /// [`for_structure`](DispatchKernel::for_structure) after a warmup
-    /// window and on classification changes, switching the core's
-    /// kernel in place ([`adaptive`](crate::adaptive)). When the stream
-    /// offers a
-    /// [`structure_hint`](flowsched_core::stream::ArrivalStream::structure_hint),
-    /// [`resolve_for_stream`](DispatchKernel::resolve_for_stream)
-    /// settles the choice up front instead.
+    /// Decide once, when the dispatcher is built
+    /// ([`resolve`](DispatchKernel::resolve)):
+    /// [`for_structure`](DispatchKernel::for_structure) of the source's
+    /// [`structure_hint`](flowsched_core::stream::ArrivalStream::structure_hint)
+    /// at the dispatcher's machine count, or the member scan when the
+    /// source promises nothing.
     #[default]
     Auto,
     /// Force the member scan.
@@ -103,15 +100,14 @@ pub enum DispatchKernel {
 }
 
 impl DispatchKernel {
-    /// Resolves `Auto` for `m` machines.
-    pub fn resolve(self, m: usize) -> DispatchKernel {
+    /// Resolves `Auto` for a dispatcher over `m` machines whose source
+    /// promises `hint`: [`for_structure`](DispatchKernel::for_structure)
+    /// of the promise, or of the empty report when there is none, which
+    /// is `Scalar`. Explicit kernels pass through.
+    pub fn resolve(self, hint: Option<&StructureReport>, m: usize) -> DispatchKernel {
         match self {
             DispatchKernel::Auto => {
-                if m >= AUTO_INDEXED_MIN_MACHINES {
-                    DispatchKernel::Indexed
-                } else {
-                    DispatchKernel::Scalar
-                }
+                DispatchKernel::for_structure(&hint.copied().unwrap_or_default(), m)
             }
             other => other,
         }
@@ -120,8 +116,9 @@ impl DispatchKernel {
     /// Kernel suggested by a family classification
     /// ([`flowsched_core::structure::classify`]): structured families
     /// (interval, ring, inclusive, nested, disjoint) benefit from the
-    /// index once `m` crosses the auto threshold **and** the sets are
-    /// wide enough for O(log m) descents to beat the scalar sweep.
+    /// index once `m` reaches [`AUTO_INDEXED_MIN_MACHINES`] **and** the
+    /// sets are wide enough for O(log m) descents to beat the scalar
+    /// sweep.
     ///
     /// The width test is what fixes the BENCH_PR5 small-set regression:
     /// on `disjoint` blocks of width `m/16` the indexed kernel *lost*
@@ -148,23 +145,20 @@ impl DispatchKernel {
         }
     }
 
-    /// Resolves this kernel choice for a concrete stream: `Auto`
-    /// consults the stream's
+    /// [`resolve`](DispatchKernel::resolve) for a dispatcher over the
+    /// whole of `stream`: `Auto` reads the stream's
     /// [`structure_hint`](flowsched_core::stream::ArrivalStream::structure_hint)
-    /// through [`for_structure`](DispatchKernel::for_structure) when one
-    /// is available (the hint covers the whole stream, so the choice is
-    /// settled up front), and stays `Auto` — live reclassification —
-    /// when the source promises nothing. Explicit
-    /// choices pass through untouched.
+    /// (which covers the whole stream) and never stays `Auto`; a source
+    /// that promises nothing gets `Scalar`. Explicit choices pass
+    /// through without reading the hint.
     pub fn resolve_for_stream<S>(self, stream: &S) -> DispatchKernel
     where
         S: flowsched_core::stream::ArrivalStream + ?Sized,
     {
         match self {
-            DispatchKernel::Auto => match stream.structure_hint() {
-                Some(report) => DispatchKernel::for_structure(&report, stream.machines()),
-                None => DispatchKernel::Auto,
-            },
+            DispatchKernel::Auto => {
+                self.resolve(stream.structure_hint().as_ref(), stream.machines())
+            }
             other => other,
         }
     }
@@ -215,11 +209,6 @@ impl LaneIndex {
             let mins: Vec<Time> = (0..lanes).map(|i| lane_min(*top.lane(i))).collect();
             self.levels.push(CompletionBank::from_completions(&mins));
         }
-    }
-
-    /// Drops the levels above the leaf.
-    pub(crate) fn drop_levels(&mut self) {
-        self.levels.truncate(1);
     }
 
     /// The completion bank (the leaf level).
@@ -853,8 +842,9 @@ mod tests {
 
     #[test]
     fn kernel_state_resolves_auto_to_the_adaptive_wrapper() {
-        // Auto starts from the machine-count rule and keeps reclassifying;
-        // forced kernels stay as asked.
+        // A core built without a stream has no structure promise, so
+        // Auto is the member scan at any machine count; forced kernels
+        // stay as asked.
         let kernel = |m: usize, kernel: DispatchKernel| {
             let core = EftState::new(m, TieBreak::Min).with_kernel(kernel);
             (core.kernel(), core.kernel_stats().is_some())
@@ -865,7 +855,7 @@ mod tests {
         );
         assert_eq!(
             kernel(AUTO_INDEXED_MIN_MACHINES, DispatchKernel::Auto),
-            (DispatchKernel::Indexed, true)
+            (DispatchKernel::Scalar, false)
         );
         assert_eq!(
             kernel(4, DispatchKernel::Indexed),
@@ -945,8 +935,8 @@ mod tests {
         use flowsched_core::instance::InstanceBuilder;
         use flowsched_core::procset::ProcSet;
         use flowsched_core::stream::{FnStream, InstanceStream};
-        // Narrow disjoint blocks on many machines: the flat m-rule said
-        // Indexed, the structure-aware rule must say Scalar.
+        // Narrow disjoint blocks on many machines: past
+        // AUTO_INDEXED_MIN_MACHINES, but the promise says Scalar.
         let m = 256;
         let mut b = InstanceBuilder::new(m);
         for i in 0..32 {
@@ -961,12 +951,12 @@ mod tests {
             DispatchKernel::Auto.resolve_for_stream(&InstanceStream::new(&inst)),
             DispatchKernel::Scalar
         );
-        // Hint-less sources stay Auto — the adaptive kernel classifies
-        // the arriving sets live instead of trusting a blind m-rule…
+        // A hint-less source promises nothing, so it gets the scan, not
+        // the machine-count guess…
         let hintless = FnStream::new(m, || None);
         assert_eq!(
             DispatchKernel::Auto.resolve_for_stream(&hintless),
-            DispatchKernel::Auto
+            DispatchKernel::Scalar
         );
         // …and explicit choices always pass through.
         assert_eq!(

@@ -27,8 +27,9 @@
 //!   over the completion bank plus cluster heaps answering Equation (2)
 //!   in O(log m) per task over compact
 //!   [`ProcSetRef`](flowsched_core::ProcSetRef) views, bitwise-identical
-//!   to the member scan — and [`adaptive`], `Auto`'s live choice
-//!   between the two.
+//!   to the member scan. `Auto` chooses between the two once per
+//!   dispatcher, from the source's structure promise, when the
+//!   dispatcher is built.
 //! - [`weighted`] and [`setup`]: the start rules beyond plain EFT —
 //!   weighted-EFT packing for `max wᵢ·Fᵢ` (Azar–Touitou) and
 //!   setup-aware dispatch for batch-by-key serving (Mäcker et al.), each
@@ -54,7 +55,6 @@
 //!   general instances, and polynomial lower bounds on `F*max` used to
 //!   report competitive ratios when the exact optimum is out of reach.
 
-pub mod adaptive;
 pub mod compose;
 pub mod eft;
 pub mod engine;
@@ -71,8 +71,6 @@ pub mod setup;
 pub mod soa;
 pub mod tiebreak;
 pub mod weighted;
-
-pub use adaptive::ADAPTIVE_WARMUP_ARRIVALS;
 
 pub use compose::compose_disjoint;
 pub use eft::{eft, eft_stream, EftState, ImmediateDispatcher};

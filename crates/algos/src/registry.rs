@@ -21,13 +21,13 @@
 //!
 //! **Resolution invariants** (pinned by `tests/policy_registry.rs`):
 //!
-//! 1. [`PolicySpec::build`] resolves `Auto` kernels by machine count
-//!    (live reclassification from `AUTO_INDEXED_MIN_MACHINES` on), and
-//!    [`PolicySpec::build_for_stream`] first consults the stream's
-//!    structure hint via [`DispatchKernel::resolve_for_stream`]. The
-//!    kernel never changes a decision: every kernel and every
-//!    construction path yields the same schedule, recorder trace and
-//!    RNG draws.
+//! 1. Every dispatcher fixes its kernel when it is built.
+//!    [`PolicySpec::build_for_stream`] resolves `Auto` against the
+//!    stream's structure hint ([`DispatchKernel::resolve_for_stream`]);
+//!    [`PolicySpec::build`] and [`PolicySpec::build_faulty`] have no
+//!    stream, so their `Auto` is the member scan. The kernel never
+//!    changes a decision: every kernel and every construction path
+//!    yields the same schedule, recorder trace and RNG draws.
 //! 2. [`PolicySpec::for_shard`] derives shard-local policies with
 //!    exactly [`TieBreak::for_shard`]'s semantics: shard 0 keeps its
 //!    seed (a single-shard run reproduces the sequential stream), other
@@ -171,8 +171,8 @@ impl PolicySpec {
     }
 
     /// Shard-local spec — applies [`PolicyId::for_shard`], keeping the
-    /// kernel choice (Auto then re-resolves on the shard's width, as
-    /// the sharded engine always did).
+    /// kernel choice (the sharded engine resolves `Auto` at the shard's
+    /// width before it builds the shard's dispatcher).
     pub fn for_shard(self, shard: usize) -> PolicySpec {
         PolicySpec {
             id: self.id.for_shard(shard),
@@ -182,7 +182,10 @@ impl PolicySpec {
 
     /// Builds the dispatcher for `m` machines — the single construction
     /// path every engine entry point funnels through (resolution
-    /// invariant 1).
+    /// invariant 1). With no stream there is no structure promise, so
+    /// `Auto` builds the member scan; use
+    /// [`build_for_stream`](PolicySpec::build_for_stream) to let a
+    /// stream's promise choose.
     ///
     /// # Panics
     /// Panics when `m == 0` or a policy parameter is out of range
@@ -291,8 +294,8 @@ impl From<PolicyId> for PolicySpec {
 #[derive(Debug)]
 pub enum PolicyState {
     /// An EFT-family policy: the one core under its kernel label (boxed:
-    /// the core carries the index, the rule state and the
-    /// classifier, far larger than its peer).
+    /// the core carries the index and the rule state, far larger than
+    /// its peer).
     Eft(Box<EftKernelState>),
     /// Random / power-of-d / round-robin (the `policies` grab-bag).
     Rule(Dispatcher),
@@ -642,12 +645,22 @@ mod tests {
     #[test]
     fn build_resolves_kernels_like_the_direct_path() {
         use crate::indexed::AUTO_INDEXED_MIN_MACHINES;
-        // Auto starts from the machine-count rule and reclassifies live;
-        // forced kernels stay as asked, for every EFT-family rule.
-        let kernel = |spec: PolicySpec, m: usize| match spec.build(m) {
+        use flowsched_core::instance::InstanceBuilder;
+        use flowsched_core::procset::ProcSet;
+        use flowsched_core::stream::InstanceStream;
+        // Without a stream Auto is the member scan at any machine count;
+        // a stream's promise of wide intervals picks the index; forced
+        // kernels stay as asked, for every EFT-family rule.
+        let kernel = |state: PolicyState| match state {
             PolicyState::Eft(k) => k.core().kernel(),
             other => panic!("unexpected {other:?}"),
         };
+        let m = AUTO_INDEXED_MIN_MACHINES;
+        let mut b = InstanceBuilder::new(m);
+        for i in 0..8 {
+            b.push_unit(i as f64, ProcSet::interval(i, i + m / 2 - 1));
+        }
+        let wide = b.build().unwrap();
         for id in [
             PolicyId::Eft { tie: TieBreak::Min },
             PolicyId::WeightedEft {
@@ -661,15 +674,16 @@ mod tests {
             },
         ] {
             let spec = PolicySpec::new(id);
-            assert_eq!(kernel(spec, 4), DispatchKernel::Scalar);
+            assert_eq!(kernel(spec.build(4)), DispatchKernel::Scalar);
+            assert_eq!(kernel(spec.build(m)), DispatchKernel::Scalar);
             assert_eq!(
-                kernel(spec, AUTO_INDEXED_MIN_MACHINES),
+                kernel(spec.build_for_stream(&InstanceStream::new(&wide))),
                 DispatchKernel::Indexed
             );
             let indexed = spec.with_kernel(DispatchKernel::Indexed);
-            assert_eq!(kernel(indexed, 4), DispatchKernel::Indexed);
+            assert_eq!(kernel(indexed.build(4)), DispatchKernel::Indexed);
             let scalar = spec.with_kernel(DispatchKernel::Scalar);
-            assert_eq!(kernel(scalar, 256), DispatchKernel::Scalar);
+            assert_eq!(kernel(scalar.build(256)), DispatchKernel::Scalar);
         }
     }
 

@@ -184,6 +184,27 @@ impl FaultPlan {
         self
     }
 
+    /// Replaces machine `j`'s outages with `outages` (builder style), in
+    /// one allocation where a loop of [`with_outage`](Self::with_outage)
+    /// searches and grows the list once per outage.
+    ///
+    /// Panics if `j` is out of range or `outages` is not sorted and
+    /// pairwise disjoint (touching endpoints are allowed).
+    pub fn with_outages(mut self, j: usize, outages: &[Outage]) -> Self {
+        for w in outages.windows(2) {
+            assert!(
+                w[0].up <= w[1].down,
+                "outages of machine {j} must be sorted and disjoint: [{}, {}) then [{}, {})",
+                w[0].down,
+                w[0].up,
+                w[1].down,
+                w[1].up
+            );
+        }
+        self.machines[j].outages = outages.to_vec();
+        self
+    }
+
     /// Sets machine `j`'s speed factor (builder style). Panics unless
     /// `0 < speed ≤ 1`.
     pub fn with_speed(mut self, j: usize, speed: f64) -> Self {
@@ -777,6 +798,27 @@ mod tests {
                 .with_outage(0, 4.0, 6.0);
         });
         assert!(r.is_err());
+    }
+
+    #[test]
+    fn with_outages_matches_one_at_a_time_and_rejects_overlaps() {
+        let one_by_one = FaultPlan::none(2)
+            .with_outage(1, 0.0, 2.0)
+            .with_outage(1, 2.0, 5.0)
+            .with_outage(1, 7.0, 8.0);
+        let outages = [
+            Outage::new(0.0, 2.0),
+            Outage::new(2.0, 5.0),
+            Outage::new(7.0, 8.0),
+        ];
+        assert_eq!(FaultPlan::none(2).with_outages(1, &outages), one_by_one);
+        for bad in [
+            [outages[1], outages[0]],
+            [outages[1], Outage::new(4.0, 6.0)],
+        ] {
+            let r = std::panic::catch_unwind(|| FaultPlan::none(2).with_outages(1, &bad));
+            assert!(r.is_err(), "{bad:?} must be rejected");
+        }
     }
 
     #[test]

@@ -67,9 +67,7 @@ pub use procset::ProcSet;
 pub use schedule::{Assignment, Schedule};
 pub use shard::{ShardPlan, DEFAULT_MAX_SHARDS};
 pub use stream::{collect_stream, ArrivalStream, FnStream, InstanceStream};
-pub use structure::{
-    ProcSetStructure, StructureClassifier, StructureReport, CLASSIFIER_DISTINCT_CAP,
-};
+pub use structure::{ProcSetStructure, StructureReport};
 pub use task::{Task, TaskId};
 pub use time::Time;
 

@@ -50,9 +50,10 @@ pub trait ArrivalStream {
 
     /// What the source knows *a priori* about the structure of every
     /// set it will ever yield (the paper's families — Figure 1), or
-    /// `None` when it cannot promise anything. Kernels use this to pick
-    /// a dispatch strategy before the first arrival; the hint must hold
-    /// for the whole stream, so adaptive sources should stay with the
+    /// `None` when it cannot promise anything. The EFT dispatch kernel is
+    /// chosen from this once, when the dispatcher is built, and never
+    /// revised: no hint means the member scan. The hint must hold for
+    /// the whole stream, so adaptive sources should stay with the
     /// default.
     fn structure_hint(&self) -> Option<StructureReport> {
         None

@@ -22,8 +22,14 @@
 //! inclusive and disjoint families are nested; every nested family can be
 //! turned into an interval family by reordering machines
 //! ([`nested_to_interval_order`] computes such a permutation).
+//!
+//! Each structure is a property of the whole family, so it is known
+//! before the first arrival or not at all. [`classify`] reports every
+//! predicate of a materialized family at once. A stream states the same
+//! report up front as its promise
+//! ([`structure_hint`](crate::stream::ArrivalStream::structure_hint));
+//! nothing classifies sets as they arrive.
 
-use crate::compact::ProcSetRef;
 use crate::procset::ProcSet;
 
 /// The structure classes of the paper, ordered from most to least
@@ -196,212 +202,6 @@ pub fn classify(sets: &[ProcSet], m: usize) -> StructureReport {
         interval: is_interval_family(sets),
         ring_interval: is_ring_interval_family(sets, m),
         fixed_size: fixed_size(sets),
-    }
-}
-
-/// Distinct-set budget of the [`StructureClassifier`]: once a stream has
-/// shown more than this many *distinct* explicit member sets, the
-/// pairwise predicates (inclusive / disjoint / nested) are declared
-/// failed rather than tracked further — bounding the per-arrival cost.
-/// Structured workloads (the paper's interval, inclusive, disjoint
-/// families) reuse a small palette of sets, so the cap only bites on
-/// families that were headed to `General` anyway.
-pub const CLASSIFIER_DISTINCT_CAP: usize = 64;
-
-/// How a new set relates to a previously-seen distinct set — the
-/// pairwise lattice step of the incremental classifier.
-enum Relation {
-    /// No common machine.
-    Disjoint,
-    /// One set contains the other (strictly, since equal sets are
-    /// deduplicated before relating).
-    Contained,
-    /// Proper overlap: common machines but neither contains the other.
-    Overlap,
-}
-
-/// Merge-walk over two sorted member lists.
-fn relate(a: &[usize], b: &[usize]) -> Relation {
-    let (mut i, mut j, mut common) = (0, 0, 0usize);
-    while i < a.len() && j < b.len() {
-        match a[i].cmp(&b[j]) {
-            std::cmp::Ordering::Less => i += 1,
-            std::cmp::Ordering::Greater => j += 1,
-            std::cmp::Ordering::Equal => {
-                common += 1;
-                i += 1;
-                j += 1;
-            }
-        }
-    }
-    if common == 0 {
-        Relation::Disjoint
-    } else if common == a.len() || common == b.len() {
-        Relation::Contained
-    } else {
-        Relation::Overlap
-    }
-}
-
-/// Shape flags of one explicit member slice: `(interval, ring_interval)`.
-/// The slice is sorted strictly increasing (a [`ProcSetRef::Explicit`]
-/// invariant).
-fn explicit_shape(slice: &[usize], m: usize) -> (bool, bool) {
-    let (first, last) = (slice[0], slice[slice.len() - 1]);
-    if last - first + 1 == slice.len() {
-        return (true, true);
-    }
-    // A wrap-around ring segment reads as a prefix run, one gap, and a
-    // suffix run ending at m−1.
-    if first == 0 && last == m - 1 {
-        let gaps = slice.windows(2).filter(|w| w[1] != w[0] + 1).count();
-        if gaps == 1 {
-            return (false, true);
-        }
-    }
-    (false, false)
-}
-
-/// Incremental, online counterpart of [`classify`]: a running
-/// interval-hull / width / disjointness lattice over the
-/// [`ProcSetRef`]s a stream has shown so far, designed for the dispatch
-/// hot path.
-///
-/// Per arrival the cost is O(|set|) for the shape and width checks plus
-/// — only while some pairwise predicate is still alive — one merge-walk
-/// against each previously-seen *distinct* set (capped at
-/// [`CLASSIFIER_DISTINCT_CAP`]; structured families reuse a small
-/// palette, so almost every arrival is a table hit and does no pairwise
-/// work at all). Nothing is ever re-scanned: every flag is monotone
-/// (starts `true`, can only fall), so [`report`](Self::report) after
-/// `n` observations equals the batch [`classify`] of those `n` sets,
-/// modulo the cap.
-///
-/// The only non-monotone report field is `fixed_size`, which can move
-/// `Some(k) → None` when a second width appears — which is why
-/// consumers watch [`revision`](Self::revision) rather than individual
-/// flags: it bumps exactly when the report changes in any way.
-#[derive(Debug, Clone)]
-pub struct StructureClassifier {
-    m: usize,
-    seen: u64,
-    revision: u64,
-    inclusive: bool,
-    disjoint: bool,
-    nested: bool,
-    interval: bool,
-    ring_interval: bool,
-    size: Option<usize>,
-    size_varies: bool,
-    /// Distinct member sets seen so far (sorted, materialized), live
-    /// only while a pairwise predicate still holds.
-    distinct: Vec<Vec<usize>>,
-    scratch: Vec<usize>,
-}
-
-impl StructureClassifier {
-    /// Classifier for streams over `m` machines; before any observation
-    /// the report matches the batch classification of an empty family
-    /// (all predicates hold, no fixed size).
-    pub fn new(m: usize) -> Self {
-        StructureClassifier {
-            m,
-            seen: 0,
-            revision: 0,
-            inclusive: true,
-            disjoint: true,
-            nested: true,
-            interval: true,
-            ring_interval: true,
-            size: None,
-            size_varies: false,
-            distinct: Vec::new(),
-            scratch: Vec::new(),
-        }
-    }
-
-    /// Number of sets observed so far.
-    pub fn arrivals(&self) -> u64 {
-        self.seen
-    }
-
-    /// Bumped every time [`report`](Self::report) changes — consumers
-    /// re-resolve on a revision change instead of diffing reports.
-    pub fn revision(&self) -> u64 {
-        self.revision
-    }
-
-    /// The current classification of everything observed so far.
-    pub fn report(&self) -> StructureReport {
-        StructureReport {
-            inclusive: self.inclusive,
-            disjoint: self.disjoint,
-            nested: self.nested,
-            interval: self.interval,
-            ring_interval: self.ring_interval,
-            fixed_size: if self.size_varies { None } else { self.size },
-        }
-    }
-
-    /// Folds one observed processing set into the lattice.
-    pub fn observe(&mut self, set: ProcSetRef<'_>) {
-        let before = self.report();
-        self.seen += 1;
-        // Width lattice: one width → Some(k); a second width is final.
-        let len = set.len();
-        match self.size {
-            None if !self.size_varies => self.size = Some(len),
-            Some(k) if k != len => {
-                self.size = None;
-                self.size_varies = true;
-            }
-            _ => {}
-        }
-        // Shape lattice.
-        let (iv, ring) = match set {
-            ProcSetRef::Interval { .. } | ProcSetRef::Prefix { .. } => (true, true),
-            // Ring views are always genuinely wrapping (non-wrapping
-            // rings normalize to Interval), so they break plain
-            // interval-ness but keep the ring family.
-            ProcSetRef::Ring { .. } => (false, true),
-            ProcSetRef::Explicit(slice) => explicit_shape(slice, self.m),
-        };
-        self.interval &= iv;
-        self.ring_interval &= ring;
-        // Pairwise lattice, only while something is left to lose.
-        if self.inclusive || self.disjoint || self.nested {
-            self.scratch.clear();
-            self.scratch.extend(set.iter());
-            let duplicate = self.distinct.contains(&self.scratch);
-            if !duplicate {
-                if self.distinct.len() >= CLASSIFIER_DISTINCT_CAP {
-                    self.inclusive = false;
-                    self.disjoint = false;
-                    self.nested = false;
-                } else {
-                    for d in &self.distinct {
-                        match relate(d, &self.scratch) {
-                            Relation::Disjoint => self.inclusive = false,
-                            Relation::Contained => self.disjoint = false,
-                            Relation::Overlap => {
-                                self.inclusive = false;
-                                self.disjoint = false;
-                                self.nested = false;
-                            }
-                        }
-                    }
-                    let materialized = std::mem::take(&mut self.scratch);
-                    self.distinct.push(materialized);
-                }
-            }
-            if !(self.inclusive || self.disjoint || self.nested) {
-                // Nothing left for the table to decide — free it.
-                self.distinct = Vec::new();
-            }
-        }
-        if self.report() != before {
-            self.revision += 1;
-        }
     }
 }
 
@@ -636,83 +436,5 @@ mod tests {
         assert!(is_disjoint_family(&fam));
         assert!(is_nested(&fam));
         assert!(is_interval_family(&fam));
-    }
-
-    /// Feeds a family set-by-set and checks the incremental report
-    /// equals the batch classification after every prefix.
-    fn check_incremental_matches_batch(fam: &[ProcSet], m: usize) {
-        let mut cls = StructureClassifier::new(m);
-        assert_eq!(cls.report(), classify(&[], m), "empty prefix");
-        for i in 0..fam.len() {
-            cls.observe(fam[i].view());
-            assert_eq!(
-                cls.report(),
-                classify(&fam[..=i], m),
-                "prefix of {} sets of {fam:?}",
-                i + 1
-            );
-        }
-        assert_eq!(cls.arrivals(), fam.len() as u64);
-    }
-
-    #[test]
-    fn classifier_matches_batch_on_representative_families() {
-        // Inclusive chain (with repeats).
-        check_incremental_matches_batch(&[ps(&[0]), ps(&[0, 1]), ps(&[0]), ps(&[0, 1, 2, 3])], 6);
-        // Disjoint blocks.
-        check_incremental_matches_batch(&[ps(&[0, 1]), ps(&[2, 3]), ps(&[0, 1]), ps(&[4])], 6);
-        // Laminar but neither inclusive nor disjoint.
-        check_incremental_matches_batch(
-            &[ps(&[0, 1, 2, 3]), ps(&[0, 1]), ps(&[2, 3]), ps(&[0])],
-            6,
-        );
-        // Intervals that overlap (kills the pairwise predicates, keeps
-        // interval-ness).
-        check_incremental_matches_batch(&[ps(&[0, 1, 2]), ps(&[1, 2, 3]), ps(&[2, 3, 4])], 6);
-        // Ring segments: wrap-around kills interval, keeps ring.
-        check_incremental_matches_batch(
-            &[
-                ProcSet::ring_interval(4, 3, 6),
-                ProcSet::ring_interval(0, 3, 6),
-            ],
-            6,
-        );
-        // Structure break mid-stream: disjoint blocks, then an
-        // overlapping straggler, then scattered sets.
-        check_incremental_matches_batch(
-            &[ps(&[0, 1]), ps(&[2, 3]), ps(&[1, 2]), ps(&[0, 3, 5])],
-            6,
-        );
-        // Width change only: fixed_size Some(2) → None.
-        check_incremental_matches_batch(&[ps(&[0, 1]), ps(&[2, 3]), ps(&[4])], 6);
-    }
-
-    #[test]
-    fn classifier_revision_bumps_exactly_on_report_changes() {
-        let mut cls = StructureClassifier::new(8);
-        cls.observe(ps(&[0, 1]).view());
-        let r1 = cls.revision(); // fixed_size appeared
-        assert!(r1 > 0);
-        cls.observe(ps(&[0, 1]).view()); // duplicate: nothing changes
-        assert_eq!(cls.revision(), r1);
-        cls.observe(ps(&[2, 3]).view()); // inclusive falls
-        let r2 = cls.revision();
-        assert!(r2 > r1);
-        cls.observe(ps(&[1, 2]).view()); // overlap: disjoint/nested fall
-        assert!(cls.revision() > r2);
-    }
-
-    #[test]
-    fn classifier_cap_fails_pairwise_predicates_closed() {
-        // More distinct singletons than the cap: pairwise predicates
-        // must come back false (fail-closed), shape flags survive.
-        let mut cls = StructureClassifier::new(CLASSIFIER_DISTINCT_CAP + 8);
-        for j in 0..=CLASSIFIER_DISTINCT_CAP {
-            cls.observe(ps(&[j]).view());
-        }
-        let rep = cls.report();
-        assert!(!rep.inclusive && !rep.disjoint && !rep.nested);
-        assert!(rep.interval && rep.ring_interval);
-        assert_eq!(rep.fixed_size, Some(1));
     }
 }

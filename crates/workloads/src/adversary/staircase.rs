@@ -46,8 +46,8 @@ pub fn staircase_round(sets: &[ProcSet], extra: usize) -> Vec<ProcSet> {
 ///
 /// The recorded optimum is the trivial bound 1, valid for unit tasks, so
 /// [`AdversaryOutcome::ratio`] can only over-report;
-/// [`run_staircase_with_exact_opt`] computes the exact optimum of a
-/// three-round prefix instead.
+/// [`run_staircase_with_exact_opt`] records the exact optimum of the
+/// whole run instead.
 pub fn run_staircase<D: ImmediateDispatcher>(
     algo: &mut D,
     sets: &[ProcSet],
@@ -65,9 +65,10 @@ pub fn run_staircase<D: ImmediateDispatcher>(
     log.finish(1.0)
 }
 
-/// Like [`run_staircase`] but recomputes the exact offline optimum with
-/// the matching solver on a bounded prefix (the stream is periodic, so a
-/// short prefix determines per-round feasibility).
+/// Like [`run_staircase`], but records the exact offline optimum of the
+/// whole run, from the matching solver (the tasks are unit tasks). When
+/// a round overloads its sets the optimum grows with the number of
+/// rounds, so no prefix of the run bounds it.
 pub fn run_staircase_with_exact_opt<D: ImmediateDispatcher>(
     algo: &mut D,
     sets: &[ProcSet],
@@ -75,17 +76,7 @@ pub fn run_staircase_with_exact_opt<D: ImmediateDispatcher>(
     rounds: usize,
 ) -> AdversaryOutcome {
     let mut out = run_staircase(algo, sets, extra, rounds);
-    // Exact OPT of a 3-round prefix bounds the steady per-round optimum.
-    let m = out.instance.machines();
-    let round = staircase_round(sets, extra);
-    let mut b = flowsched_core::instance::InstanceBuilder::new(m);
-    for t in 0..rounds.min(3) {
-        for set in &round {
-            b.push_unit(t as f64, set.clone());
-        }
-    }
-    let prefix = b.build().expect("valid prefix");
-    out.opt_fmax = flowsched_algos::offline::optimal_unit_fmax(&prefix);
+    out.opt_fmax = flowsched_algos::offline::optimal_unit_fmax(&out.instance);
     out
 }
 
@@ -146,6 +137,21 @@ mod tests {
             "disjoint staircase ratio {} exceeds Corollary 1",
             out.ratio()
         );
+    }
+
+    #[test]
+    fn exact_opt_covers_every_round() {
+        // Two extras overload {0, 1}: three tasks a round on two machines
+        // pile up, so the optimum grows with the rounds (a three-round
+        // prefix reads 3). EFT-Min reaches the whole run's optimum.
+        let sets: Vec<ProcSet> = (0..3)
+            .map(|b| ProcSet::interval(2 * b, 2 * b + 1))
+            .collect();
+        let mut algo = EftState::new(6, TieBreak::Min);
+        let out = run_staircase_with_exact_opt(&mut algo, &sets, 2, 12);
+        out.validate().unwrap();
+        assert_eq!(out.opt_fmax, 7.0);
+        assert_eq!(out.ratio(), 1.0);
     }
 
     #[test]

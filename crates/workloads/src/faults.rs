@@ -8,7 +8,7 @@
 //! outages naturally sorted and disjoint. After each outage, with
 //! probability [`ZERO_GAP_PROB`] the next crash lands *exactly* at the
 //! recovery instant, producing the touching chains (`[a, b) + [b, c)`)
-//! that [`FaultPlan::with_outage`] permits — so property tests exercise
+//! that [`FaultPlan::with_outages`] permits — so property tests exercise
 //! the contiguously-down edge case, not just strictly-gapped outages.
 //! Independently, each machine
 //! is degraded with probability [`FaultPlanConfig::degraded_fraction`]
@@ -17,7 +17,7 @@
 //! [`derive_rng`] convention, so fault scenarios replay exactly across
 //! runs and thread counts.
 
-use flowsched_core::fault::FaultPlan;
+use flowsched_core::fault::{FaultPlan, Outage};
 use flowsched_stats::rng::derive_rng;
 use rand::Rng;
 
@@ -91,7 +91,9 @@ pub fn random_fault_plan(m: usize, cfg: &FaultPlanConfig, seed: u64) -> FaultPla
     );
     let mut rng = derive_rng(seed, 0xFA17);
     let mut plan = FaultPlan::none(m).with_latency(cfg.dispatch_latency);
+    let mut outages = Vec::new();
     for j in 0..m {
+        outages.clear();
         if cfg.crash_rate > 0.0 {
             let mut t = 0.0;
             let mut touching = false;
@@ -104,14 +106,15 @@ pub fn random_fault_plan(m: usize, cfg: &FaultPlanConfig, seed: u64) -> FaultPla
                 }
                 // Clamp vanishing downtimes so `down < up` always holds.
                 let d = sample_exp(&mut rng, cfg.mean_downtime).max(1e-9);
-                plan = plan.with_outage(j, t, t + d);
+                outages.push(Outage::new(t, t + d));
                 t += d;
                 // Occasionally crash again the instant the machine
-                // recovers — the exactly-touching chain with_outage
+                // recovers — the exactly-touching chain with_outages
                 // allows and next_alive/earliest_fit must skip through.
                 touching = rng.random::<f64>() < ZERO_GAP_PROB;
             }
         }
+        plan = plan.with_outages(j, &outages);
         if cfg.degraded_fraction > 0.0 && rng.random::<f64>() < cfg.degraded_fraction {
             let speed = cfg.min_speed + rng.random::<f64>() * (1.0 - cfg.min_speed);
             plan = plan.with_speed(j, speed.min(1.0));

@@ -53,7 +53,13 @@
 #      over 20k tasks with all of its output checks (no task of
 #      faulty_m256 runs across an outage, sharded and observed runs
 #      reproduce the sequential schedule) and exits non-zero on any
-#      failure
+#      failure. The smoke's 20k tasks are below every workload's full
+#      size, where the ledger's pinned schedule hashes apply, so the
+#      stage then runs each workload once at full size (`--workload W
+#      --seconds 0 --trace 0`: one child) at seeds 0x5EED and
+#      0xC0FFEE. That mode exits 0 either way, so the stage requires
+#      its last line to hold `"correct":true`, which fails on a
+#      schedule hash that differs from the pinned one
 #  13. bench gate (warn-only): scripts/bench_gate.sh re-runs the benches
 #      behind BENCH_PR1/PR3/PR4/PR5/PR6/PR9/PR10.json and reports
 #      medians that drifted past the noise tolerance — it never fails
@@ -149,9 +155,22 @@ FLOWSCHED_SMOKE_M=1048576 FLOWSCHED_SMOKE_N=200000 \
   cargo run -q --release -p flowsched-bench --bin smoke_scale
 
 echo
-echo "== performance-ledger unit tests and smoke (every workload, every check) =="
+echo "== performance-ledger unit tests, smoke and full-size pinned hashes =="
 cargo test --release --offline -q --manifest-path perf_ledger/Cargo.toml
 cargo run --release --offline --manifest-path perf_ledger/Cargo.toml -- --smoke
+for seed in 0x5EED 0xC0FFEE; do
+  for workload in disjoint_m256 prefix_m4k observed_m256 faulty_m256 sharded_m256_t2; do
+    verdict="$(cargo run -q --release --offline --manifest-path perf_ledger/Cargo.toml -- \
+      --workload "$workload" --seed "$seed" --seconds 0 --trace 0 | tail -n 1)"
+    case "$verdict" in
+      *'"correct":true'*) echo "  $workload at $seed: correct" ;;
+      *)
+        echo "ci_check: ledger $workload at seed $seed is not correct: $verdict" >&2
+        exit 1
+        ;;
+    esac
+  done
+done
 
 if [ "$RUN_BENCH_GATE" = 1 ]; then
   echo

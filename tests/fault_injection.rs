@@ -53,7 +53,7 @@ use flowsched::core::schedule::Assignment;
 use flowsched::core::shard::DEFAULT_MAX_SHARDS;
 use flowsched::core::stream::{ArrivalStream, FnStream, InstanceStream};
 use flowsched::core::task::Task;
-use flowsched::obs::{MemoryRecorder, NoopRecorder};
+use flowsched::obs::{Counter, MemoryRecorder, NoopRecorder};
 use flowsched::sim::driver::simulate_run;
 use flowsched::sim::report::ReportConfig;
 use flowsched::stats::rng::derive_rng;
@@ -513,6 +513,31 @@ fn displaced_tasks_reenter_in_arrival_order() {
     // the recovered machine: 10, 11, 13, then the fresh task at 16.
     let starts: Vec<f64> = sink.pairs[1..].iter().map(|(_, a)| a.start).collect();
     assert_eq!(starts, vec![10.0, 11.0, 13.0, 16.0]);
+}
+
+/// `Auto` decides once, from the stream's structure promise. Outages
+/// void the promise (`FaultyStream::structure_hint` is `None`), so a
+/// faulty run over hinted 16-wide disjoint blocks at m = 256 dispatches
+/// on the member scan from its first arrival: the indexed kernel's
+/// counters stay at zero.
+#[test]
+fn faulty_auto_scans_from_the_first_arrival() {
+    const M: usize = 256;
+    const N: usize = 2_000;
+    const LOAD: f64 = 0.9;
+    let cfg =
+        PoissonStreamConfig::unit_tasks(M, N, LOAD * M as f64, StructureKind::DisjointBlocks(16));
+    let stream = PoissonStream::new(&cfg, 0x5EED);
+    assert!(stream.structure_hint().is_some(), "the source promises");
+    let horizon = N as f64 / (LOAD * M as f64);
+    let plan = random_fault_plan(M, &FaultPlanConfig::crashes(horizon, 0.01, 2.0), 0x5EED);
+    assert!(!plan.events().is_empty(), "the plan must crash something");
+    let mut rec = MemoryRecorder::with_defaults(M);
+    faulty(&plan, TieBreak::Min).execute(stream, &mut rec, &mut PairSink::default());
+    let counters = rec.counters();
+    assert_eq!(counters.get(Counter::TasksDispatched), N as u64);
+    assert_eq!(counters.get(Counter::IndexedDescents), 0);
+    assert_eq!(counters.get(Counter::ScalarFallbackScans), 0);
 }
 
 /// The empirical guarantee-degradation envelope (the headline sweep).

@@ -244,3 +244,33 @@ fn instance_stream_hull_plan_round_trips() {
         sequential.validate(&inst).unwrap();
     }
 }
+
+/// Each shard resolves `Auto` once, against the stream's promise at its
+/// own width: 64-wide disjoint blocks at m = 256 make four 64-machine
+/// shards that run the index (one descent per task), and 16-wide blocks
+/// make shards below `AUTO_INDEXED_MIN_MACHINES` that scan.
+#[test]
+fn shards_resolve_auto_at_their_own_width() {
+    use flowsched::algos::engine::NullSink;
+    use flowsched::obs::Counter;
+
+    const M: usize = 256;
+    const N: usize = 1_000;
+    for (block, descents) in [(64, N as u64), (16, 0)] {
+        let stream = stream_for(StructureKind::DisjointBlocks(block), M, N, 7);
+        let plan = stream.shard_plan(DEFAULT_MAX_SHARDS);
+        assert_eq!(plan.shards(), M / block);
+        let mut rec = MemoryRecorder::with_defaults(M);
+        Run::new(PolicySpec::eft(TieBreak::Min, DispatchKernel::Auto))
+            .sharded(&plan, &ShardedConfig::with_threads(2))
+            .execute(stream, &mut rec, &mut NullSink);
+        let counters = rec.counters();
+        assert_eq!(counters.get(Counter::TasksDispatched), N as u64);
+        assert_eq!(
+            counters.get(Counter::IndexedDescents),
+            descents,
+            "blocks of {block}"
+        );
+        assert_eq!(counters.get(Counter::ScalarFallbackScans), 0);
+    }
+}
