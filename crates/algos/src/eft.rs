@@ -16,13 +16,14 @@
 //!
 //! [`EftState`] owns the machine state of every EFT-family dispatcher:
 //! the [`CompletionBank`] (the leaf level of the lane index), the
-//! [`Breaker`] with its RNG state, the tie scratch, the cluster cache
-//! and the [`KernelStats`]. Two parameters set what it computes.
+//! [`Breaker`] with its RNG state, the tie scratch and the
+//! [`KernelStats`]. Two parameters set what it computes.
 //!
 //! - The **kernel** ([`DispatchKernel`]) finds Equation (2)'s tie set
 //!   `T = {j ∈ Mᵢ : C_j ≤ t'min}`: the member scan
-//!   ([`scan_ties_simd`]) or the lane index and cluster heaps
-//!   ([`indexed`](crate::indexed)). It is fixed when the core is built;
+//!   ([`scan_ties_simd`]) or the lane index ([`indexed`](crate::indexed)),
+//!   which answers interval, prefix and ring sets and leaves explicit
+//!   sets to the scan. It is fixed when the core is built;
 //!   `Auto` resolves there, from the source's structure promise
 //!   ([`DispatchKernel::resolve`]). Every kernel yields the same `T` in
 //!   the same ascending order, so the kernel is a performance choice
@@ -68,7 +69,7 @@ use flowsched_core::time::Time;
 use flowsched_obs::{NoopRecorder, Recorder};
 
 use crate::engine::Run;
-use crate::indexed::{ranges, ClusterCache, DispatchKernel, IndexRange, KernelStats, LaneIndex};
+use crate::indexed::{ranges, DispatchKernel, IndexRange, KernelStats, LaneIndex};
 use crate::registry::PolicySpec;
 use crate::setup::{cluster_fingerprint, SetupRule};
 use crate::soa::{collect_members_le, scan_ties_simd, CompletionBank};
@@ -146,8 +147,6 @@ pub struct EftState {
     /// The kernel, fixed when the core is built: `Scalar` or `Indexed`,
     /// never `Auto`.
     kernel: DispatchKernel,
-    /// The indexed kernel's explicit-set clusters.
-    clusters: ClusterCache,
     breaker: Breaker,
     rule: StartRule,
     /// The outages every start skips; queries at `max(rᵢ, C_j)` and
@@ -165,7 +164,6 @@ impl EftState {
         EftState {
             index: LaneIndex::leaf(CompletionBank::new(m)),
             kernel: DispatchKernel::Scalar,
-            clusters: ClusterCache::default(),
             breaker: policy.breaker(),
             rule: StartRule::Plain,
             faults: None,
@@ -308,9 +306,8 @@ impl EftState {
 
     /// Equation (2)'s tie set `{j ∈ Mᵢ : C_j ≤ t'min}` into `ties`, in
     /// ascending order, from the kernel: on the indexed kernel the lane
-    /// index over compact ranges or a cluster heap over an explicit
-    /// slice, the member scan otherwise — and for explicit slices that
-    /// overlap a claimed cluster.
+    /// index over compact ranges, the member scan otherwise — and for
+    /// explicit sets, which the index cannot answer.
     fn tie_set(&mut self, release: Time, set: ProcSetRef<'_>) {
         if self.kernel == DispatchKernel::Indexed {
             if let Some((low, high)) = ranges(set) {
@@ -319,15 +316,6 @@ impl EftState {
                 self.ties.clear();
                 collect_ranges(&self.index, low, high, t_min, &mut self.ties);
                 return;
-            }
-            if let ProcSetRef::Explicit(slice) = set {
-                let bank = self.index.bank();
-                if self
-                    .clusters
-                    .ties(bank, release, slice, &mut self.ties, &mut self.stats)
-                {
-                    return;
-                }
             }
             // The counter name predates the SIMD scan it now counts.
             self.stats.scalar_fallback_scans += 1;

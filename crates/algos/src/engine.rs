@@ -226,7 +226,6 @@ fn flush_kernel_stats<R: Recorder>(stats: Option<KernelStats>, rec: &mut R) {
     if let Some(ks) = stats {
         rec.add(Counter::IndexedDescents, ks.indexed_descents);
         rec.add(Counter::ScalarFallbackScans, ks.scalar_fallback_scans);
-        rec.add(Counter::HeapSelfHeals, ks.heap_self_heals);
     }
 }
 
@@ -740,7 +739,6 @@ mod tests {
         );
         assert_eq!(rec.counters().get(Counter::IndexedDescents), 10);
         assert_eq!(rec.counters().get(Counter::ScalarFallbackScans), 0);
-        assert_eq!(rec.counters().get(Counter::HeapSelfHeals), 0);
     }
 
     #[test]
@@ -753,9 +751,8 @@ mod tests {
             let lo = if i % 2 == 0 { 0 } else { 4 };
             b.push_unit(i as f64 * 0.5, ProcSet::interval(lo, lo + 3));
         }
-        // Then per block a cluster, {lo+1, lo+3}, and a set overlapping
-        // it, {lo, lo+3}, which the member scan serves; its picks of
-        // lo+3 leave the cluster heap stale, so the heap self-heals.
+        // Then per block two explicit sets, {lo+1, lo+3} and {lo, lo+3},
+        // which the member scan serves on the indexed kernel too.
         for i in 40..60 {
             let lo = if i % 2 == 0 { 0 } else { 4 };
             let first = if (i / 2) % 2 == 0 { lo + 1 } else { lo };
@@ -766,16 +763,10 @@ mod tests {
         let counters = |run: Run<'_>| {
             let mut rec = MemoryRecorder::with_defaults(m);
             run.execute(InstanceStream::new(&inst), &mut rec, &mut NullSink);
-            [
-                Counter::IndexedDescents,
-                Counter::ScalarFallbackScans,
-                Counter::HeapSelfHeals,
-            ]
-            .map(|c| rec.counters().get(c))
+            [Counter::IndexedDescents, Counter::ScalarFallbackScans].map(|c| rec.counters().get(c))
         };
         let sequential = counters(Run::new(spec));
-        assert_eq!(sequential[..2], [50, 10], "descents, fallback scans");
-        assert!(sequential[2] > 0, "the cluster heaps self-healed");
+        assert_eq!(sequential, [40, 20], "descents, fallback scans");
         let plan = ShardPlan::blocks(m, 4, 16);
         assert_eq!(plan.shards(), 2);
         for threads in 1..=4 {

@@ -19,6 +19,7 @@
 //! exchange), so a node is just the vector of machine completion times.
 
 use flowsched_core::instance::Instance;
+use flowsched_core::structure::distinct_sets;
 use flowsched_core::time::Time;
 
 use crate::offline::fmax_lower_bound;
@@ -82,12 +83,7 @@ fn bounded_fmax(inst: &Instance, node_budget: u64, epsilon: f64) -> ExactResult 
 
     // Machine interchangeability signature: the set of distinct
     // processing sets containing each machine.
-    let mut distinct: Vec<&flowsched_core::ProcSet> = Vec::new();
-    for s in inst.sets() {
-        if !distinct.contains(&s) {
-            distinct.push(s);
-        }
-    }
+    let distinct = distinct_sets(inst.sets());
     let signature: Vec<u64> = (0..inst.machines())
         .map(|j| {
             let mut sig = 0u64;

@@ -2,11 +2,11 @@
 //! processing sets.
 //!
 //! The member scan evaluates Equation (2) by reading every member of
-//! `Mᵢ` — O(|Mᵢ|) per task, which on the paper's structured families
-//! (interval, inclusive, disjoint; Th. 3–10) is exactly the cost the
-//! structure makes avoidable. When [`EftState`] runs the
-//! [`DispatchKernel::Indexed`] kernel it exploits the compact
-//! [`ProcSetRef`] shapes arrival streams lend:
+//! `Mᵢ` — O(|Mᵢ|) per task, which on the paper's interval families
+//! (and every nested family, after the Figure 1 machine reordering) is
+//! exactly the cost the structure makes avoidable. When
+//! [`EftState`] runs the [`DispatchKernel::Indexed`] kernel it serves
+//! the compact [`ProcSetRef`] shapes arrival streams lend:
 //!
 //! - **Interval / prefix / ring sets** are one or two index ranges, so a
 //!   *lane index* over the machine completion times — the
@@ -16,51 +16,43 @@
 //!   O(log₈ m) lanes per task for plain `Min`/`Max` EFT, O(|U'ᵢ| log₈ m)
 //!   when the whole tie set is needed (`Rand`, whose `Breaker::pick`
 //!   draws `random_range(0..|U'ᵢ|)`, and every start rule).
-//! - **Explicit sets** go through a cluster cache: the first time a
-//!   member slice is seen, its machines are claimed and a per-cluster
-//!   binary min-heap of completions is built (the disjoint-family case,
-//!   Cor. 1 workloads); later tasks on the same set run in
-//!   O(|U'ᵢ| log k). Sets that overlap a claimed cluster fall back to
-//!   the member scan — correctness never depends on detection.
+//! - **Explicit sets** are not ranges, so the member scan answers them
+//!   on this kernel too. Per-set heaps once served them, and measured
+//!   2–16× slower than the scan on their own disjoint-block traffic
+//!   (EXPERIMENTS.md, "Explicit sets take the member scan").
 //!
 //! Every path computes the exact tie set `U'ᵢ` in ascending machine
 //! order, so schedules (and, via the engine's recorder convention,
 //! event traces) are bitwise-identical to the scan — pinned by
-//! `tests/kernel_equivalence.rs`.
-//!
-//! Staleness discipline: machine completions only ever *increase*, so a
-//! heap entry is allowed to understate its machine's completion. The
-//! lane index is updated eagerly on every commit, while cluster heap
-//! entries self-heal on peek (a stale top is re-keyed and re-sifted; an
-//! accurate top is the true minimum because every other entry
-//! understates or equals its own, later, completion).
+//! `tests/kernel_equivalence.rs`. The lane index is updated eagerly on
+//! every commit.
 
 use flowsched_core::compact::ProcSetRef;
 use flowsched_core::structure::StructureReport;
 use flowsched_core::time::Time;
 
 use crate::eft::EftState;
-use crate::soa::{CompletionBank, SoaMinHeap, LANE};
+use crate::soa::{CompletionBank, LANE};
 
 /// Decision counters of the indexed kernel — which path served each
-/// dispatch and how often the lazy structures had to repair themselves.
+/// dispatch.
 ///
 /// Monotone over a run; the engine flushes them into the recorder's
-/// `IndexedDescents` / `ScalarFallbackScans` / `HeapSelfHeals` counters
-/// at the end of a run. After a sharded run the engine sums its shard
-/// dispatchers' counters with [`merge`](KernelStats::merge) and flushes
-/// the sum, so the recorder sees the same counters as after a
-/// sequential run. A high
-/// `scalar_fallback_scans` share means the workload's explicit sets
-/// overlap and defeat the cluster index; a high `heap_self_heals` rate
-/// means interval and explicit traffic interleave on the same machines.
+/// `IndexedDescents` / `ScalarFallbackScans` counters at the end of a
+/// run. After a sharded run the engine sums its shard dispatchers'
+/// counters with [`merge`](KernelStats::merge) and flushes the sum, so
+/// the recorder sees the same counters as after a sequential run. A
+/// high `scalar_fallback_scans` share means the workload lends explicit
+/// sets, which the index cannot answer.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct KernelStats {
-    /// Dispatches answered by the lane index or a cluster heap.
+    /// Dispatches answered by the lane index.
     pub indexed_descents: u64,
-    /// Explicit-set dispatches that fell back to the scalar tie scan.
+    /// Explicit-set dispatches answered by the member scan.
     pub scalar_fallback_scans: u64,
-    /// Stale cluster-heap entries re-keyed and re-sifted on peek.
+    /// Always 0: nothing self-heals since the per-set heaps went. Kept
+    /// because the performance ledger (`perf_ledger/`) reads it, like
+    /// the [`EftKernelState`] labels.
     pub heap_self_heals: u64,
 }
 
@@ -95,7 +87,7 @@ pub enum DispatchKernel {
     Auto,
     /// Force the member scan.
     Scalar,
-    /// Force the lane index and the cluster heaps.
+    /// Force the lane index; explicit sets still take the member scan.
     Indexed,
 }
 
@@ -114,11 +106,14 @@ impl DispatchKernel {
     }
 
     /// Kernel suggested by a family classification
-    /// ([`flowsched_core::structure::classify`]): structured families
-    /// (interval, ring, inclusive, nested, disjoint) benefit from the
-    /// index once `m` reaches [`AUTO_INDEXED_MIN_MACHINES`] **and** the
-    /// sets are wide enough for O(log m) descents to beat the scalar
-    /// sweep.
+    /// ([`flowsched_core::structure::classify`]): interval and ring
+    /// families — the only sets the lane index answers — benefit from
+    /// the index once `m` reaches [`AUTO_INDEXED_MIN_MACHINES`] **and**
+    /// the sets are wide enough for O(log m) descents to beat the scalar
+    /// sweep. Inclusive, nested or disjoint families that are not
+    /// intervals in the machine order they arrive in (a chain over a
+    /// shuffled machine order, disjoint blocks of scattered machines)
+    /// lend explicit sets, so they get the scan.
     ///
     /// The width test is what fixes the BENCH_PR5 small-set regression:
     /// on `disjoint` blocks of width `m/16` the indexed kernel *lost*
@@ -131,12 +126,7 @@ impl DispatchKernel {
     /// sizes, `fixed_size == None`) keep the index, matching the
     /// measured interval/inclusive sweeps where it wins at every `m`.
     pub fn for_structure(report: &StructureReport, m: usize) -> DispatchKernel {
-        let structured = report.interval
-            || report.ring_interval
-            || report.inclusive
-            || report.nested
-            || report.disjoint;
-        if !structured || m < AUTO_INDEXED_MIN_MACHINES {
+        if !(report.interval || report.ring_interval) || m < AUTO_INDEXED_MIN_MACHINES {
             return DispatchKernel::Scalar;
         }
         match report.fixed_size {
@@ -455,121 +445,6 @@ pub(crate) fn ranges(set: ProcSetRef<'_>) -> Option<(Option<IndexRange>, IndexRa
     }
 }
 
-/// One detected explicit-set cluster: the member slice it was registered
-/// for and a SoA min-heap ([`SoaMinHeap`]) with exactly one
-/// `(completion, machine)` entry per member machine. A stored completion
-/// may *understate* the machine's current completion (never overstate) —
-/// see the module docs' staleness discipline.
-#[derive(Debug)]
-struct Cluster {
-    members: Vec<usize>,
-    heap: SoaMinHeap,
-}
-
-const UNOWNED: u32 = u32::MAX;
-
-/// The indexed kernel's cache of explicit-set clusters. A cache, not
-/// state: dropping it changes no dispatch decision.
-#[derive(Debug, Default)]
-pub(crate) struct ClusterCache {
-    /// Machine → cluster id claiming it, or [`UNOWNED`]; empty until the
-    /// first explicit set arrives.
-    owner: Vec<u32>,
-    clusters: Vec<Cluster>,
-}
-
-impl ClusterCache {
-    /// EFT's tie set `{j ∈ slice : C_j ≤ t'min}` from the slice's cluster
-    /// heap, into `ties` in ascending order. `false` when the slice
-    /// conflicts with a claimed cluster and must be scanned instead.
-    pub(crate) fn ties(
-        &mut self,
-        bank: &CompletionBank,
-        release: Time,
-        slice: &[usize],
-        ties: &mut Vec<usize>,
-        stats: &mut KernelStats,
-    ) -> bool {
-        let Some(cid) = self.cluster_for(bank, slice) else {
-            return false;
-        };
-        stats.indexed_descents += 1;
-        let cluster = &mut self.clusters[cid];
-        // Phase 1 — surface the true minimum completion: an accurate top
-        // entry is the minimum (all others understate-or-match their own
-        // completions, which are ≥ the top's); a stale top is re-keyed
-        // in place (one sift-down — behaviorally identical to pop+push
-        // under the heap's strict (key, machine) total order).
-        let min_c = loop {
-            let (key, machine) = cluster.heap.peek().expect("cluster heaps are never empty");
-            let actual = bank.get(machine);
-            if key == actual {
-                break actual;
-            }
-            stats.heap_self_heals += 1;
-            cluster.heap.rekey_top(actual);
-        };
-        let t_min = release.max(min_c);
-        // Phase 2 — pop the exact tie set {j : C_j ≤ t'min}. Once the
-        // (corrected) top exceeds t'min, so does every remaining entry.
-        ties.clear();
-        while let Some((key, machine)) = cluster.heap.peek() {
-            let actual = bank.get(machine);
-            if key < actual {
-                stats.heap_self_heals += 1;
-                cluster.heap.rekey_top(actual);
-                continue;
-            }
-            if key > t_min {
-                break;
-            }
-            cluster.heap.pop();
-            ties.push(machine);
-        }
-        // One entry per machine, so the popped machines are distinct;
-        // sort restores the ascending order Breaker::pick expects.
-        ties.sort_unstable();
-        // Phase 3 — restore the invariant. Each tie goes back with its
-        // pre-commit completion; the machine the dispatch picks then
-        // self-heals as a stale (understating) entry on a later peek.
-        for &j in ties.iter() {
-            cluster.heap.push(bank.get(j), j);
-        }
-        true
-    }
-
-    /// The cluster id serving `slice`, registering a new cluster when
-    /// its machines are all unclaimed. `None` means the slice conflicts
-    /// with an existing cluster (different membership or partial
-    /// overlap) and must be served by the member scan.
-    fn cluster_for(&mut self, bank: &CompletionBank, slice: &[usize]) -> Option<usize> {
-        if self.owner.is_empty() {
-            self.owner = vec![UNOWNED; bank.len()];
-        }
-        let cid = self.owner[slice[0]];
-        if cid != UNOWNED {
-            let cid = cid as usize;
-            return (self.clusters[cid].members == slice).then_some(cid);
-        }
-        if slice.iter().any(|&j| self.owner[j] != UNOWNED) {
-            return None;
-        }
-        let cid = self.clusters.len();
-        if cid >= UNOWNED as usize {
-            return None;
-        }
-        let heap = SoaMinHeap::from_entries(slice.iter().map(|&j| (bank.get(j), j)));
-        for &j in slice {
-            self.owner[j] = cid as u32;
-        }
-        self.clusters.push(Cluster {
-            members: slice.to_vec(),
-            heap,
-        });
-        Some(cid)
-    }
-}
-
 /// The kernel [`PolicySpec::build`](crate::registry::PolicySpec::build)
 /// built an EFT-family core for, as a label over the one [`EftState`].
 /// Kept because the performance ledger (`perf_ledger/`) matches its
@@ -772,72 +647,18 @@ mod tests {
         }
     }
 
-    /// Explicit sets that overlap a registered cluster must fall back to
-    /// the scalar scan and still agree exactly.
-    #[test]
-    fn overlapping_explicit_sets_fall_back_correctly() {
-        let mut rng = rand::rngs::StdRng::seed_from_u64(0xFA11);
-        let m = 10;
-        let mut scalar = EftState::new(m, TieBreak::Min);
-        let mut indexed = indexed(m, TieBreak::Min);
-        let cluster: Vec<usize> = vec![0, 2, 4, 6];
-        let overlapping: Vec<usize> = vec![2, 3, 4];
-        let mut release = 0.0;
-        for i in 0..200 {
-            release += 0.25 * rng.random_range(0..2) as f64;
-            let task = Task::new(release, 1.0);
-            let set = if rng.random_bool(0.5) {
-                ProcSetRef::Explicit(&cluster)
-            } else {
-                ProcSetRef::Explicit(&overlapping)
-            };
-            assert_eq!(
-                scalar.dispatch_ref(task, set),
-                indexed.dispatch_ref(task, set),
-                "dispatch {i}"
-            );
-        }
-    }
-
-    #[test]
-    fn cluster_heaps_self_heal_after_index_path_commits() {
-        // Interleave interval dispatches (which bump completions behind
-        // the cluster heap's back) with cluster dispatches.
-        let m = 8;
-        let mut scalar = EftState::new(m, TieBreak::Max);
-        let mut indexed = indexed(m, TieBreak::Max);
-        let members: Vec<usize> = vec![1, 3, 5];
-        for i in 0..60 {
-            let task = Task::new(i as f64 * 0.125, 0.5);
-            let set = if i % 2 == 0 {
-                ProcSetRef::interval(0, 5)
-            } else {
-                ProcSetRef::Explicit(&members)
-            };
-            assert_eq!(
-                scalar.dispatch_ref(task, set),
-                indexed.dispatch_ref(task, set),
-                "dispatch {i}"
-            );
-        }
-        let ks = indexed.kernel_stats().expect("the index served");
-        assert!(
-            ks.heap_self_heals > 0,
-            "interleaved interval/cluster traffic must exercise self-healing"
-        );
-    }
-
     #[test]
     fn kernel_stats_track_decision_paths() {
         let mut s = indexed(10, TieBreak::Min);
-        let cluster: Vec<usize> = vec![0, 2, 4];
+        let block: Vec<usize> = vec![0, 2, 4];
         let overlapping: Vec<usize> = vec![2, 3];
         s.dispatch_ref(Task::unit(0.0), ProcSetRef::interval(0, 9));
-        s.dispatch_ref(Task::unit(0.0), ProcSetRef::Explicit(&cluster));
+        s.dispatch_ref(Task::unit(0.0), ProcSetRef::Explicit(&block));
         s.dispatch_ref(Task::unit(0.0), ProcSetRef::Explicit(&overlapping));
         let ks = s.kernel_stats().expect("the index served");
-        assert_eq!(ks.indexed_descents, 2, "interval + claimed cluster");
-        assert_eq!(ks.scalar_fallback_scans, 1, "overlapping explicit set");
+        assert_eq!(ks.indexed_descents, 1, "the interval");
+        assert_eq!(ks.scalar_fallback_scans, 2, "both explicit sets");
+        assert_eq!(ks.heap_self_heals, 0);
     }
 
     #[test]
@@ -880,6 +701,21 @@ mod tests {
         );
         assert_eq!(
             DispatchKernel::for_structure(&rep, 8),
+            DispatchKernel::Scalar
+        );
+        // Disjoint 32-wide blocks of scattered machines (block b holds
+        // every machine j with j % 4 == b) lend explicit sets, which the
+        // index cannot answer: the scan, although they are disjoint and
+        // wide enough.
+        let scattered: Vec<ProcSet> = (0..4)
+            .map(|b| ProcSet::new((b..m).step_by(4).collect()))
+            .collect();
+        let rep = classify(&scattered, m);
+        assert!(rep.disjoint && rep.nested && !rep.interval && !rep.ring_interval);
+        assert_eq!(rep.fixed_size, Some(32));
+        assert!(32 >= indexed_min_width(m));
+        assert_eq!(
+            DispatchKernel::for_structure(&rep, m),
             DispatchKernel::Scalar
         );
     }

@@ -24,12 +24,12 @@
 //!   start rule decides among the members (the module docs carry the
 //!   argument why every rule runs on the EFT kernel).
 //! - [`indexed`]: the indexed kernel — an 8-ary lane index of minima
-//!   over the completion bank plus cluster heaps answering Equation (2)
-//!   in O(log m) per task over compact
+//!   over the completion bank answering Equation (2) in O(log m) per
+//!   task over interval, prefix and ring
 //!   [`ProcSetRef`](flowsched_core::ProcSetRef) views, bitwise-identical
-//!   to the member scan. `Auto` chooses between the two once per
-//!   dispatcher, from the source's structure promise, when the
-//!   dispatcher is built.
+//!   to the member scan, which answers explicit sets on either kernel.
+//!   `Auto` chooses between the two once per dispatcher, from the
+//!   source's structure promise, when the dispatcher is built.
 //! - [`weighted`] and [`setup`]: the start rules beyond plain EFT —
 //!   weighted-EFT packing for `max wᵢ·Fᵢ` (Azar–Touitou) and
 //!   setup-aware dispatch for batch-by-key serving (Mäcker et al.), each
@@ -89,7 +89,7 @@ pub use policies::{dispatch_stream, Dispatcher};
 pub use preemptive::optimal_preemptive_fmax;
 pub use registry::{ParsePolicyError, PolicyId, PolicySpec, PolicyState};
 pub use setup::cluster_fingerprint;
-pub use soa::{CompletionBank, SoaMinHeap};
+pub use soa::CompletionBank;
 pub use tiebreak::TieBreak;
 
 /// Most used items for downstream crates.

@@ -20,10 +20,6 @@
 //!   always runs [`scan_ties_simd`]; the scalar one-pass scan
 //!   (`eft::scan_ties`) stays behind as the oracle that
 //!   `tests/simd_scan.rs` and `benches/scan.rs` call directly.
-//! - [`SoaMinHeap`]: the cluster-heap of the indexed kernel with its
-//!   keys split into a dense `f64` array — sift comparisons touch the
-//!   key lane only, instead of dragging `(f64, usize)` pairs through
-//!   the cache.
 //!
 //! **Tie-order equivalence** (why the two-pass vectorized scan is
 //! bitwise-identical to the one-pass scalar scan): Equation (2)'s tie
@@ -294,135 +290,6 @@ pub(crate) fn collect_members_le(
     }
 }
 
-/// A binary min-heap of `(completion, machine)` entries in
-/// structure-of-arrays form: the `f64` keys in one dense array (what
-/// every sift comparison reads), the machine ids in a parallel `u32`
-/// array. Strict total order `(key, machine)` — machine ids are unique
-/// within a heap — so the sequence of peeks and pops is
-/// layout-independent, which is what lets this replace the AoS
-/// `BinaryHeap<Reverse<Entry>>` without disturbing the indexed kernel's
-/// bitwise equivalence.
-#[derive(Debug, Clone, Default)]
-pub struct SoaMinHeap {
-    keys: Vec<Time>,
-    machines: Vec<u32>,
-}
-
-impl SoaMinHeap {
-    /// Empty heap.
-    pub fn new() -> Self {
-        SoaMinHeap::default()
-    }
-
-    /// Heap over `(key, machine)` pairs, heapified in O(n).
-    pub fn from_entries(entries: impl IntoIterator<Item = (Time, usize)>) -> Self {
-        let mut heap = SoaMinHeap::new();
-        for (k, j) in entries {
-            heap.keys.push(k);
-            heap.machines.push(j as u32);
-        }
-        let n = heap.keys.len();
-        for i in (0..n / 2).rev() {
-            heap.sift_down(i);
-        }
-        heap
-    }
-
-    /// Number of entries.
-    #[inline]
-    pub fn len(&self) -> usize {
-        self.keys.len()
-    }
-
-    /// True when the heap holds no entries.
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        self.keys.is_empty()
-    }
-
-    /// The minimum `(key, machine)` entry, if any.
-    #[inline]
-    pub fn peek(&self) -> Option<(Time, usize)> {
-        (!self.keys.is_empty()).then(|| (self.keys[0], self.machines[0] as usize))
-    }
-
-    /// Inserts an entry.
-    pub fn push(&mut self, key: Time, machine: usize) {
-        self.keys.push(key);
-        self.machines.push(machine as u32);
-        self.sift_up(self.keys.len() - 1);
-    }
-
-    /// Removes and returns the minimum entry.
-    pub fn pop(&mut self) -> Option<(Time, usize)> {
-        let top = self.peek()?;
-        let last = self.keys.len() - 1;
-        self.keys.swap(0, last);
-        self.machines.swap(0, last);
-        self.keys.pop();
-        self.machines.pop();
-        if !self.keys.is_empty() {
-            self.sift_down(0);
-        }
-        Some(top)
-    }
-
-    /// Replaces the top entry's key (the machine stays) and restores
-    /// heap order — the one-sift form of pop-then-push that the indexed
-    /// kernel's self-healing protocol uses to re-key a stale top.
-    ///
-    /// # Panics
-    /// Panics on an empty heap.
-    pub fn rekey_top(&mut self, key: Time) {
-        assert!(!self.keys.is_empty(), "rekey_top on an empty heap");
-        self.keys[0] = key;
-        self.sift_down(0);
-    }
-
-    /// Strict `(key, machine)` order.
-    #[inline]
-    fn less(&self, a: usize, b: usize) -> bool {
-        let (ka, kb) = (self.keys[a], self.keys[b]);
-        ka < kb || (ka == kb && self.machines[a] < self.machines[b])
-    }
-
-    #[inline]
-    fn swap(&mut self, a: usize, b: usize) {
-        self.keys.swap(a, b);
-        self.machines.swap(a, b);
-    }
-
-    fn sift_up(&mut self, mut i: usize) {
-        while i > 0 {
-            let parent = (i - 1) / 2;
-            if !self.less(i, parent) {
-                break;
-            }
-            self.swap(i, parent);
-            i = parent;
-        }
-    }
-
-    fn sift_down(&mut self, mut i: usize) {
-        let n = self.keys.len();
-        loop {
-            let (l, r) = (2 * i + 1, 2 * i + 2);
-            let mut smallest = i;
-            if l < n && self.less(l, smallest) {
-                smallest = l;
-            }
-            if r < n && self.less(r, smallest) {
-                smallest = r;
-            }
-            if smallest == i {
-                return;
-            }
-            self.swap(i, smallest);
-            i = smallest;
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -478,42 +345,6 @@ mod tests {
                 .fold(f64::INFINITY, f64::min);
             assert_eq!(gather_min(&vals, &members), expect, "k={k}");
         }
-    }
-
-    #[test]
-    fn soa_heap_pops_in_total_order() {
-        let mut rng = rand::rngs::StdRng::seed_from_u64(33);
-        let entries: Vec<(Time, usize)> = (0..64)
-            .map(|j| (rng.random_range(0..6) as f64, j))
-            .collect();
-        let mut heap = SoaMinHeap::from_entries(entries.iter().copied());
-        let mut expect = entries.clone();
-        expect.sort_by(|a, b| a.partial_cmp(b).unwrap());
-        let mut got = Vec::new();
-        while let Some(e) = heap.pop() {
-            got.push(e);
-        }
-        assert_eq!(got, expect);
-    }
-
-    #[test]
-    fn soa_heap_rekey_top_matches_pop_push() {
-        // The heaps' observable behavior (pop order) must agree whether
-        // the top is re-keyed in place or popped and re-pushed.
-        let entries = [(1.0, 4), (2.0, 1), (2.0, 7), (3.0, 2)];
-        let mut a = SoaMinHeap::from_entries(entries);
-        let mut b = SoaMinHeap::from_entries(entries);
-        a.rekey_top(2.5);
-        let (_, j) = b.pop().unwrap();
-        b.push(2.5, j);
-        let drain = |mut h: SoaMinHeap| {
-            let mut out = Vec::new();
-            while let Some(e) = h.pop() {
-                out.push(e);
-            }
-            out
-        };
-        assert_eq!(drain(a), drain(b));
     }
 
     #[test]

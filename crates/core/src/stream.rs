@@ -135,8 +135,8 @@ impl ArrivalStream for InstanceStream<'_> {
 
     fn structure_hint(&self) -> Option<StructureReport> {
         // The whole instance is in hand, so the classifier's verdict is
-        // exact — and O(total set size), paid once per stream, which the
-        // batch wrappers can afford.
+        // exact. It is paid once per stream: a hashing pass over the sets,
+        // then pairwise checks over the distinct ones only.
         Some(classify(self.inst.sets(), self.inst.machines()))
     }
 

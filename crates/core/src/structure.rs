@@ -30,6 +30,8 @@
 //! ([`structure_hint`](crate::stream::ArrivalStream::structure_hint));
 //! nothing classifies sets as they arrive.
 
+use std::collections::HashSet;
+
 use crate::procset::ProcSet;
 
 /// The structure classes of the paper, ordered from most to least
@@ -109,20 +111,20 @@ pub fn is_inclusive(sets: &[ProcSet]) -> bool {
     order.windows(2).all(|w| w[0].is_subset_of(w[1]))
 }
 
+/// The distinct sets of a family, each at its first occurrence, in
+/// input order. Families repeat sets heavily (every key-value workload
+/// does), and the family predicates work on the distinct sets; one hash
+/// lookup per set keeps this O(total set size).
+pub fn distinct_sets(sets: &[ProcSet]) -> Vec<&ProcSet> {
+    let mut seen = HashSet::with_capacity(sets.len());
+    sets.iter().filter(|s| seen.insert(*s)).collect()
+}
+
 /// True when any two sets of the family are equal or disjoint.
 pub fn is_disjoint_family(sets: &[ProcSet]) -> bool {
-    // Deduplicate (families repeat sets heavily in key-value workloads),
-    // then check pairwise disjointness of the distinct sets via a machine
+    // Check pairwise disjointness of the distinct sets via a machine
     // ownership map: each machine may belong to at most one distinct set.
-    let mut distinct: Vec<&ProcSet> = Vec::new();
-    'outer: for s in sets {
-        for d in &distinct {
-            if *d == s {
-                continue 'outer;
-            }
-        }
-        distinct.push(s);
-    }
+    let distinct = distinct_sets(sets);
     let mut owner: std::collections::HashMap<usize, usize> = std::collections::HashMap::new();
     for (i, s) in distinct.iter().enumerate() {
         for &j in s.as_slice() {
@@ -144,15 +146,7 @@ pub fn is_nested(sets: &[ProcSet]) -> bool {
     // from, every earlier (larger-or-equal) set. Pairwise check is O(n²·m)
     // worst case but families are deduplicated first, and distinct laminar
     // families over m machines have at most 2m sets.
-    let mut distinct: Vec<&ProcSet> = Vec::new();
-    'outer: for s in sets {
-        for d in &distinct {
-            if *d == s {
-                continue 'outer;
-            }
-        }
-        distinct.push(s);
-    }
+    let mut distinct = distinct_sets(sets);
     distinct.sort_by_key(|s| std::cmp::Reverse(s.len()));
     for i in 0..distinct.len() {
         for j in (i + 1)..distinct.len() {
@@ -221,15 +215,7 @@ pub fn nested_to_interval_order(sets: &[ProcSet], m: usize) -> Option<Vec<usize>
         return None;
     }
     // Distinct sets, sorted by decreasing size → parents before children.
-    let mut distinct: Vec<&ProcSet> = Vec::new();
-    'outer: for s in sets {
-        for d in &distinct {
-            if *d == s {
-                continue 'outer;
-            }
-        }
-        distinct.push(s);
-    }
+    let mut distinct = distinct_sets(sets);
     distinct.sort_by_key(|s| std::cmp::Reverse(s.len()));
 
     // Build the laminar forest: parent of a set is the smallest strict
@@ -427,6 +413,24 @@ mod tests {
         let perm = nested_to_interval_order(&fam, 7).unwrap();
         let renamed = apply_machine_permutation(&fam, &perm);
         assert!(is_interval_family(&renamed));
+    }
+
+    #[test]
+    fn distinct_sets_keeps_first_occurrences_in_order() {
+        let fam = [
+            ps(&[2, 3]),
+            ps(&[0]),
+            ps(&[2, 3]),
+            ps(&[1, 4]),
+            ps(&[0]),
+            ps(&[0, 1]),
+        ];
+        let distinct = distinct_sets(&fam);
+        assert_eq!(distinct, [&fam[0], &fam[1], &fam[3], &fam[5]]);
+        // First occurrences, not equal later copies.
+        assert!(std::ptr::eq(distinct[0], &fam[0]));
+        assert!(std::ptr::eq(distinct[1], &fam[1]));
+        assert!(distinct_sets(&[]).is_empty());
     }
 
     #[test]

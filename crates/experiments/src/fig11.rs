@@ -11,8 +11,7 @@ use flowsched_algos::tiebreak::TieBreak;
 use flowsched_kvstore::cluster::{ClusterConfig, KvCluster};
 use flowsched_kvstore::replication::ReplicationStrategy;
 use flowsched_obs::{
-    merge_windows, MemoryRecorder, NoopRecorder, ObsConfig, Recorder, ShardedRecorder, Tee,
-    WindowConfig, WindowedMetrics,
+    MemoryRecorder, NoopRecorder, ObsConfig, Recorder, Tee, WindowConfig, WindowedMetrics,
 };
 use flowsched_parallel::par_map;
 use flowsched_sim::driver::{simulate_with, SimConfig};
@@ -216,8 +215,9 @@ pub struct Fig11Telemetry {
 }
 
 /// [`run`] with full telemetry: each `par_map` job records into its own
-/// shard ([`ShardedRecorder`]), and the shards are merged in job order
-/// — so the merged snapshot is byte-identical to a sequential sweep's
+/// recorder and windowed series, and these are merged in job order
+/// ([`MemoryRecorder::merge`], [`WindowedMetrics::merge`]) — so the
+/// merged snapshot is byte-identical to a sequential sweep's
 /// ([`run_instrumented_sequential`]) regardless of worker interleaving,
 /// the acceptance property `fig11` tests pin.
 ///
@@ -250,7 +250,7 @@ fn run_instrumented_impl(
     let jobs = curve_jobs();
     let sim_job = |job: &Job| {
         let mut rec = Tee(
-            ShardedRecorder::shard(obs),
+            MemoryRecorder::new(obs),
             WindowedMetrics::new(window.clone()),
         );
         let point = run_job(job, scale, &mut rec);
@@ -262,20 +262,20 @@ fn run_instrumented_impl(
         jobs.iter().map(sim_job).collect()
     };
     let mut points = Vec::with_capacity(results.len());
-    let mut shards = Vec::with_capacity(results.len());
-    let mut window_shards = Vec::with_capacity(results.len());
-    for (point, shard, wins) in results {
+    let mut recorder = MemoryRecorder::new(obs);
+    let mut windows = WindowedMetrics::new(window.clone());
+    for (point, rec, wins) in results {
         points.push(point);
-        shards.push(shard);
-        window_shards.push(wins);
+        recorder.merge(&rec);
+        windows.merge(&wins);
     }
     Fig11Telemetry {
         output: Fig11Output {
             points,
             max_loads: lp_max_loads(scale),
         },
-        recorder: ShardedRecorder::from_shards(shards).merged(obs),
-        windows: merge_windows(window, window_shards.iter()),
+        recorder,
+        windows,
     }
 }
 

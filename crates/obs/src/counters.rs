@@ -36,15 +36,12 @@ pub enum Counter {
     MatchingAugmentations,
     /// Trace events overwritten because the ring buffer was full.
     TraceEventsDropped,
-    /// Index-tree descents taken by the indexed EFT kernel (lane-index
-    /// searches and cluster-heap dispatches).
+    /// Dispatches the indexed EFT kernel answered from its lane index
+    /// (interval, prefix and ring sets).
     IndexedDescents,
-    /// Dispatches where the indexed kernel fell back to a scalar scan
-    /// (explicit sets that straddle cluster boundaries).
+    /// Dispatches the indexed EFT kernel left to the member scan
+    /// (explicit sets, which the lane index cannot answer).
     ScalarFallbackScans,
-    /// Lazy-heap repairs in the clustered kernel: stale entries re-keyed
-    /// or discarded while picking a minimum.
-    HeapSelfHeals,
     /// SLO envelope breaches reported through
     /// [`Recorder::slo_breach`](crate::Recorder::slo_breach).
     SloBreaches,
@@ -52,7 +49,7 @@ pub enum Counter {
 
 impl Counter {
     /// Every counter, in snapshot order.
-    pub const ALL: [Counter; 17] = [
+    pub const ALL: [Counter; 16] = [
         Counter::TasksArrived,
         Counter::TasksDispatched,
         Counter::TasksCompleted,
@@ -68,7 +65,6 @@ impl Counter {
         Counter::TraceEventsDropped,
         Counter::IndexedDescents,
         Counter::ScalarFallbackScans,
-        Counter::HeapSelfHeals,
         Counter::SloBreaches,
     ];
 
@@ -90,7 +86,6 @@ impl Counter {
             Counter::TraceEventsDropped => "trace_events_dropped",
             Counter::IndexedDescents => "indexed_descents",
             Counter::ScalarFallbackScans => "scalar_fallback_scans",
-            Counter::HeapSelfHeals => "heap_self_heals",
             Counter::SloBreaches => "slo_breaches",
         }
     }
@@ -117,12 +112,11 @@ impl Counter {
             Counter::TraceEventsDropped => {
                 "Trace events overwritten because the ring buffer was full."
             }
-            Counter::IndexedDescents => "Index-tree descents taken by the indexed EFT kernel.",
-            Counter::ScalarFallbackScans => {
-                "Dispatches where the indexed kernel fell back to a scalar scan."
+            Counter::IndexedDescents => {
+                "Dispatches the indexed EFT kernel answered from its lane index."
             }
-            Counter::HeapSelfHeals => {
-                "Stale heap entries re-keyed or discarded by the clustered kernel."
+            Counter::ScalarFallbackScans => {
+                "Explicit-set dispatches the indexed EFT kernel left to the member scan."
             }
             Counter::SloBreaches => "SLO envelope breaches reported to the recorder.",
         }

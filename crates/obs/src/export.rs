@@ -58,25 +58,16 @@ fn s(v: &str) -> Value {
 /// module docs for the track layout). Events are sorted by timestamp as
 /// Perfetto's JSON importer expects.
 pub fn chrome_trace(tasks: &[TaskSpan], machines: &[MachineSpan]) -> String {
-    chrome_trace_with_outages(tasks, machines, &[])
+    chrome_trace_full(tasks, machines, &[], &[])
 }
 
-/// [`chrome_trace`] plus fault-injection outages: each [`OutageSpan`]
-/// renders as a `"down"` complete event on the machine's pid-1 row,
-/// so crash windows appear inline with the busy intervals they
-/// interrupt.
-pub fn chrome_trace_with_outages(
-    tasks: &[TaskSpan],
-    machines: &[MachineSpan],
-    outages: &[OutageSpan],
-) -> String {
-    chrome_trace_full(tasks, machines, outages, &[])
-}
-
-/// [`chrome_trace_with_outages`] plus SLO breach marks: each
-/// [`BreachMark`] renders as a global `"ph": "i"` instant event named
-/// `"slo_breach"` carrying the ratio and the crossed bound in its args,
-/// so breaches show up as flagpoles across the whole Perfetto timeline.
+/// [`chrome_trace`] plus fault-injection outages and SLO breach marks.
+/// Each [`OutageSpan`] renders as a `"down"` complete event on the
+/// machine's pid-1 row, so crash windows appear inline with the busy
+/// intervals they interrupt. Each [`BreachMark`] renders as a global
+/// `"ph": "i"` instant event named `"slo_breach"` carrying the ratio
+/// and the crossed bound in its args, so breaches show up as flagpoles
+/// across the whole Perfetto timeline.
 pub fn chrome_trace_full(
     tasks: &[TaskSpan],
     machines: &[MachineSpan],
@@ -433,7 +424,7 @@ mod tests {
             start: 0.25,
             end: 0.75,
         }];
-        let json = chrome_trace_with_outages(&tasks, &machines, &outages);
+        let json = chrome_trace_full(&tasks, &machines, &outages, &[]);
         let v: Value = serde_json::from_str(&json).expect("valid JSON");
         let events = match v.get("traceEvents").expect("traceEvents key") {
             Value::Array(items) => items.clone(),

@@ -35,9 +35,6 @@
 //! - **[`export`]** — Chrome trace-event JSON (Perfetto), Prometheus
 //!   text exposition, and CSV time series; driven end-to-end by
 //!   `flowsched-bench --bin timeline`.
-//! - **[`shard`]** — per-job recorder shards for
-//!   `flowsched_parallel::par_map` sweeps, merged in job order into a
-//!   snapshot identical to a single-threaded run's.
 //! - **[`pipeline`]** — *wall-clock* stage spans, nanosecond histograms,
 //!   and backpressure gauges for the sharded dispatch pipeline
 //!   ([`PipelineMetrics`] / [`NoopPipeline`], same zero-cost contract as
@@ -88,7 +85,6 @@ pub mod export;
 pub mod memory;
 pub mod pipeline;
 pub mod recorder;
-pub mod shard;
 pub mod snapshot;
 pub mod span;
 pub mod window;
@@ -96,13 +92,12 @@ pub mod window;
 pub use counters::{Counter, Counters};
 pub use event::{Event, EventRing, ProbeKind};
 pub use export::{
-    chrome_trace, chrome_trace_full, chrome_trace_with_outages, prometheus_text,
-    prometheus_text_with, windows_to_csv, ExtraGauge, PromOptions,
+    chrome_trace, chrome_trace_full, prometheus_text, prometheus_text_with, windows_to_csv,
+    ExtraGauge, PromOptions,
 };
 pub use memory::{MemoryRecorder, ObsConfig};
 pub use pipeline::{NoopPipeline, PipelineMetrics, PipelineProbe, Stage, StageStats, StageTimer};
 pub use recorder::{NoopRecorder, Recorder, Tee};
-pub use shard::{merge_windows, ShardedRecorder};
 pub use snapshot::{render_summary, trace_to_json, ObsSnapshot};
 pub use span::{
     breach_marks, machine_spans, outage_spans, task_spans, BreachMark, MachineSpan, OutageSpan,
@@ -117,6 +112,5 @@ pub mod prelude {
     pub use crate::memory::{MemoryRecorder, ObsConfig};
     pub use crate::pipeline::{NoopPipeline, PipelineMetrics, PipelineProbe, Stage, StageTimer};
     pub use crate::recorder::{NoopRecorder, Recorder, Tee};
-    pub use crate::shard::ShardedRecorder;
     pub use crate::window::{WindowConfig, WindowedMetrics};
 }

@@ -367,6 +367,22 @@ mod tests {
         }
     }
 
+    /// Merged series keep every window either one opened, summed cell
+    /// by cell: `b`'s completion at exactly 1.0 opens window 1.
+    #[test]
+    fn merge_keeps_the_windows_either_series_opened() {
+        let cfg = WindowConfig::defaults(1, 1.0);
+        let mut a = WindowedMetrics::new(cfg.clone());
+        a.task_dispatch(0, 0, 0.0, 0.0, 0.5);
+        let mut b = WindowedMetrics::new(cfg);
+        b.task_dispatch(1, 0, 0.2, 0.5, 0.5);
+        a.merge(&b);
+        assert_eq!(a.windows().len(), 2);
+        assert_eq!(a.windows()[0].starts, 2);
+        assert_eq!(a.windows()[1].completions, 1);
+        assert!((a.windows()[0].busy[0] - 1.0).abs() < 1e-12);
+    }
+
     #[test]
     #[should_panic(expected = "identical width")]
     fn merge_rejects_mismatched_widths() {

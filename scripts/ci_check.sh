@@ -14,8 +14,10 @@
 #   4. clippy with warnings promoted to errors
 #   5. rustdoc with warnings promoted to errors (broken intra-doc
 #      links, missing docs on public items) for the root package and
-#      all eleven flowsched-* crates; the vendored stand-ins (proptest
-#      among them) stay out of the stage
+#      all eleven flowsched-* crates, private items included
+#      (--document-private-items), so a stale link in a private item's
+#      docs fails too; the vendored stand-ins (proptest among them)
+#      stay out of the stage
 #   6. large-m smoke run: 100k-machine streams through the indexed
 #      dispatch kernel (cargo run --release -p flowsched-bench --bin
 #      smoke_scale), panicking on any degenerate report
@@ -111,8 +113,8 @@ DOC_PACKAGES=(
   -p flowsched-parallel -p flowsched-sim -p flowsched-solver
   -p flowsched-stats -p flowsched-workloads
 )
-echo "== RUSTDOCFLAGS=\"-D warnings\" cargo doc --no-deps ${DOC_PACKAGES[*]} =="
-RUSTDOCFLAGS="-D warnings" cargo doc --no-deps -q "${DOC_PACKAGES[@]}"
+echo "== RUSTDOCFLAGS=\"-D warnings\" cargo doc --no-deps --document-private-items ${DOC_PACKAGES[*]} =="
+RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --document-private-items -q "${DOC_PACKAGES[@]}"
 
 echo
 echo "== 100k-machine smoke run (indexed dispatch) =="

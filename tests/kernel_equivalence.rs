@@ -233,8 +233,8 @@ fn warm_started_unit_fmax_matches_seed_binary_search_on_200_instances() {
 }
 
 // ---------------------------------------------------------------------------
-// Dispatch kernels: the indexed (lane-index / cluster-heap) EFT state
-// against the scalar linear-scan oracle.
+// Dispatch kernels: the indexed (lane-index) EFT state against the
+// scalar linear-scan oracle.
 // ---------------------------------------------------------------------------
 
 use flowsched::algos::eft::{EftState, ImmediateDispatcher};
@@ -245,8 +245,8 @@ use flowsched::algos::tiebreak::TieBreak;
 use flowsched::obs::MemoryRecorder;
 use flowsched::workloads::random::{random_instance, RandomInstanceConfig, StructureKind};
 
-/// The structured families of the paper (plus General, which exercises
-/// the explicit-slice and overlapping-cluster fallbacks).
+/// The structured families of the paper (plus General, whose explicit
+/// slices take the member scan on either kernel).
 fn kind_for(idx: usize, k: usize) -> StructureKind {
     match idx {
         0 => StructureKind::IntervalFixed(k),
@@ -288,8 +288,8 @@ proptest! {
         seed in any::<u64>(),
     ) {
         // The inclusive-chain skeleton costs O(m²) to build (seconds per
-        // instance at m = 4096 in debug builds), and its explicit sets go
-        // through the cluster heaps, not the lane index.
+        // instance at m = 4096 in debug builds), and its explicit sets
+        // take the member scan on either kernel, not the lane index.
         let m = if family == 4 { m.min(530) } else { m };
         let k = 1 + k_raw % m;
         let mut config = RandomInstanceConfig::unit_tasks(m, n, kind_for(family, k));
@@ -299,9 +299,12 @@ proptest! {
 
         let mut scalar = EftState::new(m, tb);
         let mut indexed = EftState::new(m, tb).with_kernel(DispatchKernel::Indexed);
+        // The indexed side gets each set's compact view, as instance
+        // streams lend it: contiguous sets reach its lane index, the
+        // rest its member scan. The scalar side scans every set.
         for (id, task, set) in inst.iter() {
             let a = scalar.dispatch(task, set);
-            let b = indexed.dispatch_task(task, set.view());
+            let b = indexed.dispatch_task(task, set.compact_view());
             prop_assert_eq!(a, b, "task {} diverged ({:?})", id.0, tb);
         }
         prop_assert_eq!(scalar.completions(), indexed.machine_completions());
@@ -315,7 +318,7 @@ proptest! {
             let task = Task::unit(tail_release);
             prop_assert_eq!(
                 scalar.dispatch(task, &everyone),
-                indexed.dispatch_task(task, everyone.view()),
+                indexed.dispatch_task(task, everyone.compact_view()),
                 "RNG streams desynchronized after the structured prefix"
             );
         }
@@ -385,5 +388,68 @@ fn auto_kernel_is_always_one_of_the_two_paths() {
             &mut flowsched::obs::NoopRecorder,
         );
         assert_eq!(auto, forced, "m = {m}");
+    }
+}
+
+/// An explicit disjoint family — 64-wide blocks cut from a seeded
+/// shuffle of 1,024 machines — lends explicit sets, which the lane index
+/// cannot answer. `Auto` resolves to the member scan, a forced `Indexed`
+/// kernel answers every dispatch by the scan, and all three kernels give
+/// the same schedule and recorder trace.
+#[test]
+fn explicit_disjoint_blocks_take_the_member_scan() {
+    use flowsched::core::stream::{ArrivalStream, InstanceStream};
+    use flowsched::obs::Counter;
+    let (m, k, n) = (1024, 64, 4000);
+    let mut rng = rand::rngs::StdRng::seed_from_u64(0xB10C);
+    let mut order: Vec<usize> = (0..m).collect();
+    for i in (1..m).rev() {
+        order.swap(i, rng.random_range(0..=i));
+    }
+    let blocks: Vec<ProcSet> = order.chunks(k).map(|c| ProcSet::new(c.to_vec())).collect();
+    let mut b = InstanceBuilder::new(m);
+    for i in 0..n {
+        // 64 arrivals every 0.07 time units: load ~0.9 on 1,024 machines.
+        let block = &blocks[rng.random_range(0..blocks.len())];
+        b.push_unit((i / 64) as f64 * 0.07, block.clone());
+    }
+    let inst = b.build().unwrap();
+    let hint = InstanceStream::new(&inst)
+        .structure_hint()
+        .expect("instance streams classify");
+    assert!(hint.disjoint && !hint.interval && !hint.ring_interval);
+    assert_eq!(hint.fixed_size, Some(k));
+    assert_eq!(
+        DispatchKernel::Auto.resolve_for_stream(&InstanceStream::new(&inst)),
+        DispatchKernel::Scalar
+    );
+    for tb in [TieBreak::Min, TieBreak::Max, TieBreak::Rand { seed: 0x5CA }] {
+        let [scalar, auto, indexed] = [
+            DispatchKernel::Scalar,
+            DispatchKernel::Auto,
+            DispatchKernel::Indexed,
+        ]
+        .map(|kernel| {
+            let mut rec = MemoryRecorder::with_defaults(m);
+            let schedule = Run::new(PolicySpec::eft(tb, kernel))
+                .schedule(InstanceStream::new(&inst), &mut rec);
+            (schedule, rec)
+        });
+        scalar.0.validate(&inst).unwrap();
+        for (kernel, (schedule, rec)) in [("Auto", &auto), ("Indexed", &indexed)] {
+            assert_eq!(*schedule, scalar.0, "{kernel} {tb:?}: schedules differ");
+            assert_eq!(
+                rec.trace().to_vec(),
+                scalar.1.trace().to_vec(),
+                "{kernel} {tb:?}: recorder traces differ"
+            );
+        }
+        let counters = indexed.1.counters();
+        assert_eq!(
+            counters.get(Counter::ScalarFallbackScans),
+            n as u64,
+            "{tb:?}"
+        );
+        assert_eq!(counters.get(Counter::IndexedDescents), 0, "{tb:?}");
     }
 }

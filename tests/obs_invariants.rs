@@ -19,8 +19,8 @@ use flowsched::core::stream::{ArrivalStream, InstanceStream};
 use flowsched::core::task::TaskId;
 use flowsched::core::ProcSet;
 use flowsched::obs::{
-    merge_windows, Counter, Event, MemoryRecorder, NoopRecorder, ObsConfig, ProbeKind, Recorder,
-    ShardedRecorder, Tee, WindowConfig, WindowedMetrics,
+    Counter, Event, MemoryRecorder, NoopRecorder, ObsConfig, ProbeKind, Recorder, Tee,
+    WindowConfig, WindowedMetrics,
 };
 use flowsched::sim::driver::{simulate, simulate_with, SimConfig};
 use flowsched::sim::stepped::run_stepped_stream;
@@ -390,7 +390,7 @@ proptest! {
                 ..ObsConfig::defaults(6)
             };
             let mut rec = Tee(
-                ShardedRecorder::shard(&cfg),
+                MemoryRecorder::new(&cfg),
                 WindowedMetrics::new(WindowConfig::defaults(6, 4.0)),
             );
             let _ = simulate_with(inst, &SimConfig { policy: tb, ..Default::default() }, &mut rec);
@@ -432,9 +432,13 @@ proptest! {
         };
         let window_cfg = WindowConfig::defaults(6, 4.0);
         let merge = |shards: Vec<(MemoryRecorder, WindowedMetrics)>| {
-            let (recs, wins): (Vec<_>, Vec<_>) = shards.into_iter().unzip();
-            let merged = ShardedRecorder::from_shards(recs).merged(&merge_cfg);
-            (merged, merge_windows(&window_cfg, wins.iter()))
+            let mut merged = MemoryRecorder::new(&merge_cfg);
+            let mut windows = WindowedMetrics::new(window_cfg.clone());
+            for (rec, wins) in &shards {
+                merged.merge(rec);
+                windows.merge(wins);
+            }
+            (merged, windows)
         };
         let (seq_rec, seq_win) = merge(seq);
         let (par_rec, par_win) = merge(par);
@@ -529,7 +533,7 @@ proptest! {
         let run_merged = |threads: usize| {
             let shards: Vec<MemoryRecorder> = (0..jobs)
                 .map(|j| {
-                    let mut rec = ShardedRecorder::shard(&cfg);
+                    let mut rec = MemoryRecorder::new(&cfg);
                     let stream = stream_of(j);
                     let shard_plan = stream.shard_plan(DEFAULT_MAX_SHARDS);
                     Run::new(PolicySpec::eft(tb, DispatchKernel::Auto))
@@ -539,7 +543,11 @@ proptest! {
                     rec
                 })
                 .collect();
-            ShardedRecorder::from_shards(shards).merged(&cfg)
+            let mut merged = MemoryRecorder::new(&cfg);
+            for shard in &shards {
+                merged.merge(shard);
+            }
+            merged
         };
         let one = run_merged(1); // inline path
         let four = run_merged(4); // threaded path
