@@ -21,13 +21,14 @@
 //!
 //! - The **kernel** ([`DispatchKernel`]) finds Equation (2)'s tie set
 //!   `T = {j ∈ Mᵢ : C_j ≤ t'min}`: the member scan
-//!   ([`scan_ties_simd`]) or the lane index ([`indexed`](crate::indexed)),
-//!   which answers interval, prefix and ring sets and leaves explicit
-//!   sets to the scan. It is fixed when the core is built;
-//!   `Auto` resolves there, from the source's structure promise
-//!   ([`DispatchKernel::resolve`]). Every kernel yields the same `T` in
-//!   the same ascending order, so the kernel is a performance choice
-//!   only.
+//!   ([`scan_ties_simd`], one pass over sets of fewer than 8 members
+//!   and two SIMD passes over wider ones) or the lane index
+//!   ([`indexed`](crate::indexed)), which answers interval, prefix and
+//!   ring sets and leaves explicit sets to the scan. It is fixed when
+//!   the core is built; `Auto` resolves there, from the source's
+//!   structure promise ([`DispatchKernel::resolve`]). Every kernel
+//!   yields the same `T` in the same ascending order, so the kernel is
+//!   a performance choice only.
 //! - The **start rule** decides which member's start wins: plain EFT,
 //!   weighted EFT's weight budget ([`weighted`](crate::weighted)), or
 //!   the setup penalty of setup-aware dispatch ([`setup`](crate::setup)).
@@ -74,50 +75,6 @@ use crate::registry::PolicySpec;
 use crate::setup::{cluster_fingerprint, SetupRule};
 use crate::soa::{collect_members_le, scan_ties_simd, CompletionBank};
 use crate::tiebreak::{Breaker, TieBreak};
-
-/// Equation (2) in one pass: computes the tie set
-/// `U'ᵢ = {j ∈ Mᵢ : C_j ≤ t'min}` with `t'min = max(rᵢ, min_j C_j)` while
-/// folding the minimum, instead of a min-fold followed by a collection
-/// scan. The pass starts in argmin mode (all completions seen so far
-/// exceed the release, so the tie set is the running argmin set) and
-/// switches permanently to release mode the first time some
-/// `C_j ≤ rᵢ` — from then on `t'min = rᵢ` and every machine with
-/// `C_j ≤ rᵢ` qualifies. Members must arrive in increasing machine
-/// order; `ties` comes back in that same order, as `Breaker::pick`
-/// requires.
-///
-/// This is the scalar oracle: [`EftState`] runs the two-pass
-/// vectorized [`scan_ties_simd`] over the padded SoA bank, which
-/// produces the bitwise-identical tie set (proof sketch in the
-/// [`soa`](crate::soa) module docs, pinned by `tests/simd_scan.rs`).
-pub fn scan_ties(
-    completions: &[Time],
-    members: impl Iterator<Item = usize>,
-    release: Time,
-    ties: &mut Vec<usize>,
-) {
-    ties.clear();
-    let mut released = false;
-    let mut min_c = f64::INFINITY;
-    for j in members {
-        let c = completions[j];
-        if released {
-            if c <= release {
-                ties.push(j);
-            }
-        } else if c <= release {
-            released = true;
-            ties.clear();
-            ties.push(j);
-        } else if c < min_c {
-            min_c = c;
-            ties.clear();
-            ties.push(j);
-        } else if c == min_c {
-            ties.push(j);
-        }
-    }
-}
 
 /// Which member's start wins a dispatch (module docs).
 #[derive(Debug)]
@@ -604,6 +561,7 @@ pub fn eft_stream<S: ArrivalStream, R: Recorder>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::soa::scan_ties;
     use flowsched_core::instance::InstanceBuilder;
     use flowsched_core::task::TaskId;
 
@@ -696,20 +654,26 @@ mod tests {
         }
     }
 
-    /// The core's SIMD scan against the one-pass oracle loop:
-    /// `scan_ties`, one `Breaker::pick`, commit. Equal assignments and
-    /// completions under `Rand` mean equal tie sets and RNG draws.
+    /// The core's member scan, on both sides of its width cut (3- and
+    /// 9-wide sets), against the one-pass oracle loop: `scan_ties`, one
+    /// `Breaker::pick`, commit. Equal assignments and completions under
+    /// `Rand` mean equal tie sets and RNG draws.
     #[test]
     fn scalar_scan_matches_default_simd_scan() {
-        let mut b = InstanceBuilder::new(6);
+        let m = 12;
+        let mut b = InstanceBuilder::new(m);
         for i in 0..60 {
-            b.push_unit(i as f64 * 0.3, ProcSet::interval(i % 4, (i % 4) + 2));
+            let width = if i % 2 == 0 { 3 } else { 9 };
+            b.push_unit(
+                i as f64 * 0.3,
+                ProcSet::interval(i % 4, (i % 4) + width - 1),
+            );
         }
         let inst = b.build().unwrap();
         for tb in [TieBreak::Min, TieBreak::Max, TieBreak::Rand { seed: 5 }] {
-            let mut core = EftState::new(6, tb);
+            let mut core = EftState::new(m, tb);
             let mut breaker = tb.breaker();
-            let (mut completions, mut ties) = (vec![0.0; 6], Vec::new());
+            let (mut completions, mut ties) = (vec![0.0; m], Vec::new());
             for (_, task, set) in inst.iter() {
                 scan_ties(&completions, set.view().iter(), task.release, &mut ties);
                 let u = breaker.pick(&ties);

@@ -49,9 +49,8 @@
 //! strictly alternate starting with busy; the idle at a machine's
 //! previous completion is emitted lazily once the gap's end is known;
 //! the trailing idle is never emitted. Because the engine — not the
-//! dispatcher — owns this, the convention now holds uniformly for every
-//! immediate-dispatch rule, including the stepped integer fast path
-//! (`flowsched_sim::stepped`). [`run_fifo`] knows transition times
+//! dispatcher — owns this, the convention holds uniformly for every
+//! immediate-dispatch rule. [`run_fifo`] knows transition times
 //! exactly and emits *actual* transitions: idle at every completion,
 //! busy at every pull, equal timestamps allowed.
 //!

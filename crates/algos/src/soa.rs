@@ -12,14 +12,18 @@
 //!   padding is `+∞` — neutral under `min` — so vectorized reductions
 //!   never need a tail guard when they run over whole lanes.
 //! - The 8-wide scan kernels ([`min_in`], [`collect_le`],
-//!   [`gather_min`], [`gather_collect_le`]) and the fused
+//!   [`gather_min`], [`gather_collect_le`]) and the member scan
 //!   [`scan_ties_simd`] built from them. These are *portable* SIMD:
 //!   explicit 8-element chunks with independent accumulators that LLVM
 //!   autovectorizes to `vminpd`-class code on stable Rust — no nightly
-//!   `std::simd`, no intrinsics, no target-feature gates. The EFT core
-//!   always runs [`scan_ties_simd`]; the scalar one-pass scan
-//!   (`eft::scan_ties`) stays behind as the oracle that
-//!   `tests/simd_scan.rs` and `benches/scan.rs` call directly.
+//!   `std::simd`, no intrinsics, no target-feature gates.
+//! - The scalar one-pass scan [`scan_ties`]. Every kernel and start
+//!   rule reaches the member scan through [`scan_ties_simd`], which
+//!   takes the one-pass scan for sets narrower than one lane (the
+//!   two-pass scan's reduction only pays off from 8 members) and the
+//!   two-pass scan from there up. Called directly, [`scan_ties`] is
+//!   the oracle that `tests/simd_scan.rs` and `benches/scan.rs` hold
+//!   the two-pass arm to.
 //!
 //! **Tie-order equivalence** (why the two-pass vectorized scan is
 //! bitwise-identical to the one-pass scalar scan): Equation (2)'s tie
@@ -245,15 +249,73 @@ pub fn gather_collect_le(vals: &[Time], members: &[usize], bound: Time, out: &mu
     }
 }
 
-/// The vectorized tie scan: Equation (2) as two passes over the padded
-/// lane array — an 8-wide min reduction, then an ascending collection
-/// of `{j ∈ Mᵢ : C_j ≤ max(release, min)}`. Bitwise-identical to the
-/// scalar `eft::scan_ties` (module docs sketch the proof; the proptest
-/// in `tests/simd_scan.rs` pins it).
+/// Equation (2) in one pass: computes the tie set
+/// `U'ᵢ = {j ∈ Mᵢ : C_j ≤ t'min}` with `t'min = max(rᵢ, min_j C_j)` while
+/// folding the minimum, instead of a min-fold followed by a collection
+/// scan. The pass starts in argmin mode (all completions seen so far
+/// exceed the release, so the tie set is the running argmin set) and
+/// switches permanently to release mode the first time some
+/// `C_j ≤ rᵢ` — from then on `t'min = rᵢ` and every machine with
+/// `C_j ≤ rᵢ` qualifies. Members must arrive in increasing machine
+/// order; `ties` comes back in that same order, as `Breaker::pick`
+/// requires.
+///
+/// [`scan_ties_simd`] runs this scan for sets narrower than one lane;
+/// called directly, it is the oracle the two-pass arm is held to (proof
+/// sketch in the module docs, pinned by `tests/simd_scan.rs`).
+pub fn scan_ties(
+    completions: &[Time],
+    members: impl Iterator<Item = usize>,
+    release: Time,
+    ties: &mut Vec<usize>,
+) {
+    ties.clear();
+    let mut released = false;
+    let mut min_c = f64::INFINITY;
+    for j in members {
+        let c = completions[j];
+        if released {
+            if c <= release {
+                ties.push(j);
+            }
+        } else if c <= release {
+            released = true;
+            ties.clear();
+            ties.push(j);
+        } else if c < min_c {
+            min_c = c;
+            ties.clear();
+            ties.push(j);
+        } else if c == min_c {
+            ties.push(j);
+        }
+    }
+}
+
+/// Sets with fewer members than this take the one-pass [`scan_ties`]
+/// inside [`scan_ties_simd`]: below one lane the two-pass scan's 8-wide
+/// reduction has nothing to vectorize and its second pass re-reads the
+/// set. The cut is measured, not derived: EXPERIMENTS.md ("Stepped fast
+/// path against the float engine") holds the width sweep behind it,
+/// where, through the streaming engine, the one-pass scan reads faster
+/// at every width below 8 and a cut at 16 reads slower at widths 8
+/// and 12.
+const ONE_PASS_BELOW: usize = 8;
+
+/// The member scan: Equation (2)'s tie set, in ascending member order.
+/// Sets of fewer than 8 members take the one-pass [`scan_ties`]; wider
+/// ones take two passes over the padded lane array — an 8-wide min
+/// reduction, then an ascending collection of
+/// `{j ∈ Mᵢ : C_j ≤ max(release, min)}`. Both arms return the same tie
+/// vector (module docs sketch the proof; the proptest in
+/// `tests/simd_scan.rs` pins it), so the width decides speed only.
 ///
 /// `padded` is the bank's [`CompletionBank::padded`] view; members of
 /// `set` must lie below the bank's live length.
 pub fn scan_ties_simd(padded: &[Time], set: ProcSetRef<'_>, release: Time, ties: &mut Vec<usize>) {
+    if set.len() < ONE_PASS_BELOW {
+        return scan_ties(padded, set.iter(), release, ties);
+    }
     ties.clear();
     let min = match set {
         ProcSetRef::Interval { lo, hi } => min_in(&padded[lo..=hi]),
@@ -369,7 +431,7 @@ mod tests {
                 let mut simd = Vec::new();
                 scan_ties_simd(bank.padded(), set, release, &mut simd);
                 let mut scalar = Vec::new();
-                crate::eft::scan_ties(&vals, set.iter(), release, &mut scalar);
+                scan_ties(&vals, set.iter(), release, &mut scalar);
                 assert_eq!(simd, scalar, "set {set:?} release {release}");
             }
         }

@@ -26,11 +26,10 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 
-use flowsched_algos::eft::scan_ties;
 use flowsched_algos::engine::Run;
 use flowsched_algos::indexed::DispatchKernel;
 use flowsched_algos::registry::PolicySpec;
-use flowsched_algos::soa::{scan_ties_simd, CompletionBank};
+use flowsched_algos::soa::{scan_ties, scan_ties_simd, CompletionBank};
 use flowsched_algos::tiebreak::TieBreak;
 use flowsched_core::compact::ProcSetRef;
 use flowsched_obs::NoopRecorder;

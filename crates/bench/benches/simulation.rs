@@ -1,5 +1,6 @@
 //! Criterion benchmarks: end-to-end simulation throughput (one Figure 11
-//! point) and the parallel sweep utilities (DESIGN.md ablation 4).
+//! point, the Theorem 8 stream) and the parallel sweep utilities
+//! (DESIGN.md ablation 4).
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
@@ -66,12 +67,11 @@ fn bench_par_map_grain(c: &mut Criterion) {
     g.finish();
 }
 
-fn bench_event_vs_stepped(c: &mut Criterion) {
-    // DESIGN.md ablation 3: event-driven EFT vs the integer time-stepped
-    // fast path on the Theorem 8 stream.
+fn bench_theorem8_stream(c: &mut Criterion) {
+    // DESIGN.md ablation 3: the event-driven EFT core on the Theorem 8
+    // stream, whose 3-wide sets take the core's one-pass scan.
     use flowsched_algos::eft::EftState;
     use flowsched_algos::tiebreak::TieBreak;
-    use flowsched_sim::stepped::run_stepped_interval_adversary;
     use flowsched_workloads::adversary::interval::run_interval_adversary;
 
     let (m, k, rounds) = (15usize, 3usize, 225usize);
@@ -82,9 +82,6 @@ fn bench_event_vs_stepped(c: &mut Criterion) {
             black_box(run_interval_adversary(&mut algo, k, rounds))
         })
     });
-    g.bench_function("time_stepped", |b| {
-        b.iter(|| black_box(run_stepped_interval_adversary(m, k, rounds, TieBreak::Min)))
-    });
     g.finish();
 }
 
@@ -93,6 +90,6 @@ criterion_group!(
     bench_fig11_point,
     bench_request_generation,
     bench_par_map_grain,
-    bench_event_vs_stepped
+    bench_theorem8_stream
 );
 criterion_main!(benches);

@@ -480,7 +480,7 @@ mod tests {
     fn to_procset_round_trips() {
         let v = ProcSetRef::ring(4, 4, 6); // {4,5,0,1}
         assert_eq!(v.to_procset(), ProcSet::ring_interval(4, 4, 6));
-        assert_eq!(v.to_procset().compact_view(), ProcSetRef::ring(4, 4, 6));
+        assert_eq!(v.to_procset().compact_view(6), ProcSetRef::ring(4, 4, 6));
     }
 
     #[test]

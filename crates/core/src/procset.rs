@@ -255,15 +255,33 @@ impl ProcSet {
         ProcSetRef::Explicit(&self.machines)
     }
 
-    /// Borrows the set as the most compact [`ProcSetRef`] detectable in
-    /// O(1): an `Interval` when the members are contiguous, otherwise
-    /// the explicit slice.
+    /// Borrows the set as the most compact [`ProcSetRef`] on `m`
+    /// machines: an `Interval` when the members are contiguous, a `Ring`
+    /// when they wrap around from `m − 1` to 0 (one binary search finds
+    /// the break; any other set costs O(1)), otherwise the explicit slice.
     #[inline]
-    pub fn compact_view(&self) -> ProcSetRef<'_> {
-        match self.as_contiguous_interval() {
-            Some((lo, hi)) => ProcSetRef::Interval { lo, hi },
-            None => ProcSetRef::Explicit(&self.machines),
+    pub fn compact_view(&self, m: usize) -> ProcSetRef<'_> {
+        if let Some((lo, hi)) = self.as_contiguous_interval() {
+            return ProcSetRef::Interval { lo, hi };
         }
+        let (s, k) = (&self.machines, self.machines.len());
+        if k > 1 && s[0] == 0 && s[k - 1] + 1 == m {
+            // The low run is the prefix where `s[i] == i`; the high run
+            // after it must reach m − 1 without a gap.
+            let (mut lo, mut hi) = (0, k);
+            while lo < hi {
+                let mid = (lo + hi) / 2;
+                (lo, hi) = if s[mid] == mid {
+                    (mid + 1, hi)
+                } else {
+                    (lo, mid)
+                };
+            }
+            if s[lo] + (k - lo) == m {
+                return ProcSetRef::ring(s[lo], k, m);
+            }
+        }
+        ProcSetRef::Explicit(s)
     }
 
     /// If the set is a *circular* interval on a ring of `m` machines —
@@ -353,15 +371,49 @@ mod tests {
         let iv = ProcSet::interval(2, 4);
         assert_eq!(iv.as_contiguous(), Some((2, 4)));
         assert!(matches!(
-            iv.compact_view(),
+            iv.compact_view(6),
             ProcSetRef::Interval { lo: 2, hi: 4 }
         ));
-        assert_eq!(iv.view(), iv.compact_view());
+        assert_eq!(iv.view(), iv.compact_view(6));
 
         let gap = ProcSet::new(vec![0, 2, 4]);
         assert_eq!(gap.as_contiguous(), None);
-        assert!(matches!(gap.compact_view(), ProcSetRef::Explicit(_)));
-        assert_eq!(gap.compact_view(), gap);
+        assert!(matches!(gap.compact_view(6), ProcSetRef::Explicit(_)));
+        assert_eq!(gap.compact_view(6), gap);
+    }
+
+    #[test]
+    fn compact_view_detects_wrapping_ring_segments() {
+        let ring = ProcSet::ring_interval(4, 3, 6); // {0, 4, 5}
+        assert!(matches!(
+            ring.compact_view(6),
+            ProcSetRef::Ring {
+                start: 4,
+                len: 3,
+                m: 6
+            }
+        ));
+        assert_eq!(ring.compact_view(6), ring);
+        // On 7 machines the same members miss machine 6: no wrap.
+        assert!(matches!(ring.compact_view(7), ProcSetRef::Explicit(_)));
+        for members in [vec![0, 1, 4], vec![0, 2, 5]] {
+            let set = ProcSet::new(members);
+            assert!(
+                matches!(set.compact_view(6), ProcSetRef::Explicit(_)),
+                "{set:?}"
+            );
+        }
+        // Every wrapping segment of an 8-ring, at every start and length.
+        for start in 1..8 {
+            for len in (9 - start)..8 {
+                let set = ProcSet::ring_interval(start, len, 8);
+                assert!(
+                    matches!(set.compact_view(8), ProcSetRef::Ring { .. }),
+                    "start {start} len {len}"
+                );
+                assert_eq!(set.compact_view(8), ProcSetRef::ring(start, len, 8));
+            }
+        }
     }
 
     #[test]

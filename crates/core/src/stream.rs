@@ -126,7 +126,8 @@ impl ArrivalStream for InstanceStream<'_> {
         }
         let id = TaskId(self.next);
         self.next += 1;
-        Some((self.inst.task(id), self.inst.set(id).compact_view()))
+        let set = self.inst.set(id).compact_view(self.inst.machines());
+        Some((self.inst.task(id), set))
     }
 
     fn len_hint(&self) -> Option<usize> {
@@ -194,7 +195,7 @@ where
     fn next_arrival(&mut self) -> Option<(Task, ProcSetRef<'_>)> {
         let (task, set) = (self.gen)()?;
         self.scratch = set;
-        Some((task, self.scratch.compact_view()))
+        Some((task, self.scratch.compact_view(self.m)))
     }
 }
 

@@ -64,30 +64,14 @@ impl ReplicationStrategy {
     /// # Panics
     /// Panics unless `u < m` and `1 ≤ k ≤ m`.
     pub fn replica_set(self, owner: usize, k: usize, m: usize) -> ProcSet {
-        assert!(owner < m, "owner machine out of range");
-        assert!(k >= 1 && k <= m, "replication factor must be in 1..=m");
-        match self {
-            ReplicationStrategy::Overlapping => ProcSet::ring_interval(owner, k, m),
-            ReplicationStrategy::Disjoint => {
-                let base = k * (owner / k);
-                ProcSet::interval(base, (base + k - 1).min(m - 1))
-            }
-            ReplicationStrategy::Staggered => {
-                // Layout A for even owners, layout B (shifted ⌊k/2⌋) for
-                // odd owners; the owner's block on the ring.
-                let offset = if owner.is_multiple_of(2) { 0 } else { k / 2 };
-                let pos = (owner + m - offset % m) % m;
-                let start = (offset + k * (pos / k)) % m;
-                ProcSet::ring_interval(start, k, m)
-            }
-        }
+        self.replica_ref(owner, k, m).to_procset()
     }
 
     /// The replica set `I_k(u)` as a compact [`ProcSetRef`] — every
     /// strategy is a (possibly wrapping) interval on the ring, so the
-    /// member vector never needs to exist. Semantically equal to
-    /// [`ReplicationStrategy::replica_set`] for the same arguments;
-    /// streams lend this to the engines at O(1) per request.
+    /// member vector never needs to exist.
+    /// [`ReplicationStrategy::replica_set`] materializes this view;
+    /// streams lend it to the engines at O(1) per request.
     ///
     /// # Panics
     /// Panics unless `u < m` and `1 ≤ k ≤ m`.

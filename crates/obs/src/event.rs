@@ -97,21 +97,6 @@ pub enum Event {
 }
 
 impl Event {
-    /// Stable snake_case tag for snapshots and summaries.
-    pub fn kind_name(&self) -> &'static str {
-        match self {
-            Event::TaskArrival { .. } => "task_arrival",
-            Event::TaskDispatch { .. } => "task_dispatch",
-            Event::TaskCompletion { .. } => "task_completion",
-            Event::MachineBusy { .. } => "machine_busy",
-            Event::MachineIdle { .. } => "machine_idle",
-            Event::MachineCrash { .. } => "machine_crash",
-            Event::MachineRecover { .. } => "machine_recover",
-            Event::SloBreach { .. } => "slo_breach",
-            Event::SolverProbe { .. } => "solver_probe",
-        }
-    }
-
     /// The timestamp the event carries (`NaN`-free by construction);
     /// solver probes are timeless and report 0.
     pub fn time(&self) -> f64 {
@@ -311,55 +296,6 @@ mod tests {
             assert_eq!(last, i, "newest event is always last");
         }
         assert_eq!(r.dropped(), 98);
-    }
-
-    #[test]
-    fn kind_names_cover_every_variant() {
-        let evs = [
-            Event::TaskArrival { task: 0, at: 0.0 },
-            Event::TaskDispatch {
-                task: 0,
-                machine: 0,
-                start: 0.0,
-                ptime: 1.0,
-            },
-            Event::TaskCompletion {
-                task: 0,
-                machine: 0,
-                at: 1.0,
-                flow: 1.0,
-            },
-            Event::MachineBusy {
-                machine: 0,
-                at: 0.0,
-            },
-            Event::MachineIdle {
-                machine: 0,
-                at: 1.0,
-            },
-            Event::MachineCrash {
-                machine: 0,
-                at: 2.0,
-            },
-            Event::MachineRecover {
-                machine: 0,
-                at: 3.0,
-            },
-            Event::SloBreach {
-                at: 4.0,
-                ratio: 3.1,
-                bound: 3.0,
-            },
-            Event::SolverProbe {
-                kind: ProbeKind::LoadFeasibility,
-                iterations: 1,
-                value: 2.0,
-            },
-        ];
-        let mut names: Vec<&str> = evs.iter().map(|e| e.kind_name()).collect();
-        names.sort_unstable();
-        names.dedup();
-        assert_eq!(names.len(), evs.len());
     }
 
     #[test]

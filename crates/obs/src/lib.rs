@@ -20,7 +20,6 @@
 //!   ([`EventRing`]) where the newest events win.
 //! - **Snapshots** — [`ObsSnapshot`] freezes the aggregates into a
 //!   serde-serializable record ([`ObsSnapshot::to_json`]);
-//!   [`trace_to_json`] exports the raw event trace;
 //!   [`render_summary`] prints the terminal summary that
 //!   `flowsched-bench --bin obs` shows next to `SimReport`.
 //!
@@ -55,11 +54,10 @@
 //! ## Hook sites
 //!
 //! - `flowsched_algos::engine::run_immediate` — the shared streaming
-//!   engine behind `eft_stream`, `dispatch_stream`, and
-//!   `run_stepped_stream`: arrivals, dispatches, projected completions,
-//!   machine busy/idle transitions (the engine, not the dispatcher,
-//!   emits transitions — one convention for every immediate rule,
-//!   including the integer stepped fast path).
+//!   engine behind `eft_stream` and `dispatch_stream`: arrivals,
+//!   dispatches, projected completions, machine busy/idle transitions
+//!   (the engine, not the dispatcher, emits transitions — one
+//!   convention for every immediate rule).
 //! - `flowsched_algos::engine::run_fifo` (via `fifo_stream`) — the same
 //!   events with *actual* transition times from the event loop.
 //! - `flowsched_sim::driver::{simulate_with, simulate_stream}` —
@@ -98,7 +96,7 @@ pub use export::{
 pub use memory::{MemoryRecorder, ObsConfig};
 pub use pipeline::{NoopPipeline, PipelineMetrics, PipelineProbe, Stage, StageStats, StageTimer};
 pub use recorder::{NoopRecorder, Recorder, Tee};
-pub use snapshot::{render_summary, trace_to_json, ObsSnapshot};
+pub use snapshot::{render_summary, ObsSnapshot};
 pub use span::{
     breach_marks, machine_spans, outage_spans, task_spans, BreachMark, MachineSpan, OutageSpan,
     TaskSpan,

@@ -2,13 +2,12 @@
 //!
 //! A snapshot is the frozen aggregate state of a [`MemoryRecorder`]
 //! (counters, histogram, probe stats, utilization) — everything except
-//! the individual trace events, which are exported separately by
-//! [`trace_to_json`] because traces can be large and are usually only
-//! wanted for debugging.
+//! the individual trace events, which the Chrome trace exporter
+//! ([`chrome_trace`](crate::export::chrome_trace)) writes out because
+//! traces can be large and are usually only wanted for debugging.
 
-use serde::{Serialize, Value};
+use serde::Serialize;
 
-use crate::event::Event;
 use crate::memory::MemoryRecorder;
 
 /// One named counter value.
@@ -83,75 +82,6 @@ impl ObsSnapshot {
     }
 }
 
-/// Renders one trace event as a JSON object (tag + payload fields).
-fn event_to_value(ev: &Event) -> Value {
-    let mut fields: Vec<(String, Value)> = vec![(
-        "kind".to_string(),
-        Value::String(ev.kind_name().to_string()),
-    )];
-    let num = |name: &str, v: f64| (name.to_string(), Value::Number(v));
-    match *ev {
-        Event::TaskArrival { task, at } => {
-            fields.push(num("task", task as f64));
-            fields.push(num("at", at));
-        }
-        Event::TaskDispatch {
-            task,
-            machine,
-            start,
-            ptime,
-        } => {
-            fields.push(num("task", task as f64));
-            fields.push(num("machine", machine as f64));
-            fields.push(num("start", start));
-            fields.push(num("ptime", ptime));
-        }
-        Event::TaskCompletion {
-            task,
-            machine,
-            at,
-            flow,
-        } => {
-            fields.push(num("task", task as f64));
-            fields.push(num("machine", machine as f64));
-            fields.push(num("at", at));
-            fields.push(num("flow", flow));
-        }
-        Event::MachineBusy { machine, at } => {
-            fields.push(num("machine", machine as f64));
-            fields.push(num("at", at));
-        }
-        Event::MachineIdle { machine, at }
-        | Event::MachineCrash { machine, at }
-        | Event::MachineRecover { machine, at } => {
-            fields.push(num("machine", machine as f64));
-            fields.push(num("at", at));
-        }
-        Event::SloBreach { at, ratio, bound } => {
-            fields.push(num("at", at));
-            fields.push(num("ratio", ratio));
-            fields.push(num("bound", bound));
-        }
-        Event::SolverProbe {
-            kind,
-            iterations,
-            value,
-        } => {
-            fields.push(("probe".to_string(), Value::String(kind.name().to_string())));
-            fields.push(num("iterations", iterations as f64));
-            fields.push(num("value", value));
-        }
-    }
-    Value::Object(fields)
-}
-
-/// Exports the recorder's retained trace (oldest → newest) as a JSON
-/// array of tagged event objects.
-pub fn trace_to_json(rec: &MemoryRecorder) -> String {
-    let items: Vec<Value> = rec.trace().iter().map(event_to_value).collect();
-    serde_json::to_string_pretty(&Value::Array(items)).expect("trace serialization is infallible")
-}
-
 /// Renders a compact terminal summary of a recorder: counters, probe
 /// aggregates, utilization, and the flow-time histogram sparkline.
 /// This is what `flowsched-bench --bin obs` prints next to `SimReport`.
@@ -217,6 +147,7 @@ mod tests {
     use super::*;
     use crate::event::ProbeKind;
     use crate::recorder::Recorder;
+    use serde::Value;
 
     fn populated() -> MemoryRecorder {
         let mut r = MemoryRecorder::with_defaults(2);
@@ -242,21 +173,6 @@ mod tests {
             .unwrap()
             .get("kind")
             .is_some());
-    }
-
-    #[test]
-    fn trace_json_is_an_array_of_tagged_events() {
-        let json = trace_to_json(&populated());
-        let v: Value = serde_json::from_str(&json).expect("valid JSON");
-        let first = v.get_index(0).expect("non-empty trace");
-        assert_eq!(
-            first.get("kind"),
-            Some(&Value::String("task_arrival".to_string()))
-        );
-        // Dispatch synthesizes a completion: arrival, dispatch,
-        // completion, busy, probe.
-        assert!(v.get_index(4).is_some());
-        assert!(v.get_index(5).is_none());
     }
 
     #[test]

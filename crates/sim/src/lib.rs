@@ -1,17 +1,15 @@
 //! # flowsched-sim
 //!
 //! Simulation driver for the paper's Section 7.4 experiments and for the
-//! profile-dynamics illustrations of Theorem 8 (Figures 4–6).
+//! profile-dynamics illustrations of Theorem 8 (Figures 4–6). EFT runs,
+//! the adversaries' synchronous unit batches included, dispatch through
+//! the one EFT core ([`EftState`](flowsched_algos::eft::EftState)).
 //!
 //! - [`driver`]: runs an online scheduler over an instance (batch) or
 //!   folds any [`Run`](flowsched_algos::engine::Run) over an
 //!   [`ArrivalStream`](flowsched_core::ArrivalStream) into a report in
 //!   constant memory ([`simulate_run`]), with optional warm-up
 //!   exclusion, and samples the schedule profile `w_t` over time.
-//! - [`stepped`]: an integer time-stepped fast path for synchronous
-//!   unit-task batch workloads (the adversary streams), expressed as a
-//!   specialization of the shared streaming engine and pinned to the
-//!   event-driven `EftState` by tests.
 //! - [`report`]: flow-time metrics (max, mean, tail percentiles),
 //!   per-machine utilization, and a saturation heuristic (when the
 //!   offered load exceeds the cluster's theoretical max load, flow times
@@ -26,15 +24,10 @@
 
 pub mod driver;
 pub mod report;
-pub mod stepped;
 pub mod telemetry;
 
 pub use driver::{
     profile_trace, simulate, simulate_run, simulate_stream, simulate_with, SimConfig,
 };
 pub use report::{ReportBuilder, ReportConfig, SimReport};
-pub use stepped::{
-    run_stepped, run_stepped_interval_adversary, run_stepped_stream, SteppedEftState,
-    SteppedOutcome,
-};
 pub use telemetry::{simulate_stream_telemetry, Telemetry, TelemetryConfig};

@@ -299,11 +299,11 @@ impl ArrivalStream for PoissonStream {
             }
             StructureKind::InclusiveChain | StructureKind::NestedLaminar => {
                 let i = self.rng.random_range(0..self.chain.len());
-                self.chain[i].compact_view()
+                self.chain[i].compact_view(m)
             }
             StructureKind::General => {
                 self.scratch = sample_set(StructureKind::General, m, &self.chain, &mut self.rng);
-                self.scratch.compact_view()
+                self.scratch.compact_view(m)
             }
         };
         Some((Task::new(release, ptime), set))

@@ -83,7 +83,7 @@ impl ArrivalStream for SetupThrashStream {
             self.i = 0;
             self.t += 1;
         }
-        Some((task, self.sets[i].compact_view()))
+        Some((task, self.sets[i].compact_view(self.m)))
     }
 
     fn len_hint(&self) -> Option<usize> {

@@ -89,7 +89,7 @@ impl ArrivalStream for WeightedBurstStream {
             self.i = 0;
             self.round += 1;
         }
-        Some((task, self.full.compact_view()))
+        Some((task, self.full.compact_view(self.m)))
     }
 
     fn len_hint(&self) -> Option<usize> {

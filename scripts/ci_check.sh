@@ -11,7 +11,10 @@
 #      (tests/obs_invariants.rs, tests/report_consistency.rs,
 #      tests/prometheus_lint.rs) and the streaming-core suites
 #      (tests/streaming_equivalence.rs, tests/streaming_memory.rs)
-#   4. clippy with warnings promoted to errors
+#   4. clippy with warnings promoted to errors over every target of
+#      every workspace member (`--workspace --all-targets`: the member
+#      crates' unit tests, benches and bins too, not just the root
+#      package)
 #   5. rustdoc with warnings promoted to errors (broken intra-doc
 #      links, missing docs on public items) for the root package and
 #      all eleven flowsched-* crates, private items included
@@ -102,8 +105,8 @@ cargo test -q --workspace
 
 if [ "$RUN_CLIPPY" = 1 ]; then
   echo
-  echo "== cargo clippy --all-targets -- -D warnings =="
-  cargo clippy --all-targets -- -D warnings
+  echo "== cargo clippy --workspace --all-targets -- -D warnings =="
+  cargo clippy --workspace --all-targets -- -D warnings
 fi
 
 echo

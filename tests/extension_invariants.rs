@@ -1,6 +1,6 @@
 //! Property tests across the extension modules: solver ladder ordering,
-//! stepped-vs-event equivalence, JSON round-trips, dispatch-rule
-//! feasibility, and local-search dominance.
+//! JSON round-trips, dispatch-rule feasibility, and local-search
+//! dominance.
 
 use proptest::prelude::*;
 
@@ -85,43 +85,6 @@ proptest! {
         };
         let s = dispatch(&inst, rule);
         prop_assert!(s.validate(&inst).is_ok());
-    }
-
-    #[test]
-    fn stepped_equals_event_driven_on_random_batches(
-        m in 2usize..6,
-        rounds in 1usize..12,
-        type_seed in any::<u64>(),
-    ) {
-        use flowsched::sim::stepped::run_stepped;
-        use flowsched::stats::rng::derive_rng;
-        use rand::Rng;
-
-        // Random synchronous unit batches over random interval sets.
-        let mut rng = derive_rng(type_seed, 0);
-        let batches: Vec<Vec<ProcSet>> = (0..rounds)
-            .map(|_| {
-                (0..m)
-                    .map(|_| {
-                        let lo = rng.random_range(0..m);
-                        let hi = rng.random_range(lo..m);
-                        ProcSet::interval(lo, hi)
-                    })
-                    .collect()
-            })
-            .collect();
-        // Event-driven reference.
-        let mut b = InstanceBuilder::new(m);
-        for (t, batch) in batches.iter().enumerate() {
-            for set in batch {
-                b.push_unit(t as f64, set.clone());
-            }
-        }
-        let inst = b.build().unwrap();
-        let event_fmax = eft(&inst, TieBreak::Min).fmax(&inst);
-
-        let stepped = run_stepped(m, rounds, TieBreak::Min, |t| batches[t].clone());
-        prop_assert_eq!(stepped.fmax as f64, event_fmax);
     }
 
     #[test]

@@ -300,11 +300,12 @@ proptest! {
         let mut scalar = EftState::new(m, tb);
         let mut indexed = EftState::new(m, tb).with_kernel(DispatchKernel::Indexed);
         // The indexed side gets each set's compact view, as instance
-        // streams lend it: contiguous sets reach its lane index, the
-        // rest its member scan. The scalar side scans every set.
+        // streams lend it: interval and wrapping ring sets reach its
+        // lane index, the rest its member scan. The scalar side scans
+        // every set.
         for (id, task, set) in inst.iter() {
             let a = scalar.dispatch(task, set);
-            let b = indexed.dispatch_task(task, set.compact_view());
+            let b = indexed.dispatch_task(task, set.compact_view(m));
             prop_assert_eq!(a, b, "task {} diverged ({:?})", id.0, tb);
         }
         prop_assert_eq!(scalar.completions(), indexed.machine_completions());
@@ -318,7 +319,7 @@ proptest! {
             let task = Task::unit(tail_release);
             prop_assert_eq!(
                 scalar.dispatch(task, &everyone),
-                indexed.dispatch_task(task, everyone.compact_view()),
+                indexed.dispatch_task(task, everyone.compact_view(m)),
                 "RNG streams desynchronized after the structured prefix"
             );
         }
@@ -452,4 +453,35 @@ fn explicit_disjoint_blocks_take_the_member_scan() {
         );
         assert_eq!(counters.get(Counter::IndexedDescents), 0, "{tb:?}");
     }
+}
+
+/// A ring family lends its wrapping sets as compact `Ring` views, so
+/// the lane index answers every dispatch: on 64-wide ring segments of
+/// 256 machines `Auto` resolves to the index, which descends once per
+/// task and never falls back to the member scan, and the schedule and
+/// recorder trace equal the forced scan's.
+#[test]
+fn wrapping_ring_sets_reach_the_lane_index() {
+    use flowsched::core::stream::InstanceStream;
+    use flowsched::obs::Counter;
+    let (m, n) = (256, 20_000);
+    let inst = random_instance(
+        &RandomInstanceConfig::unit_tasks(m, n, StructureKind::RingFixed(64)),
+        7,
+    );
+    assert_eq!(
+        DispatchKernel::Auto.resolve_for_stream(&InstanceStream::new(&inst)),
+        DispatchKernel::Indexed
+    );
+    let [auto, scalar] = [DispatchKernel::Auto, DispatchKernel::Scalar].map(|kernel| {
+        let mut rec = MemoryRecorder::with_defaults(m);
+        let schedule = Run::new(PolicySpec::eft(TieBreak::Min, kernel))
+            .schedule(InstanceStream::new(&inst), &mut rec);
+        (schedule, rec)
+    });
+    let counters = auto.1.counters();
+    assert_eq!(counters.get(Counter::IndexedDescents), n as u64);
+    assert_eq!(counters.get(Counter::ScalarFallbackScans), 0);
+    assert_eq!(auto.0, scalar.0, "schedules differ");
+    assert_eq!(auto.1.trace().to_vec(), scalar.1.trace().to_vec());
 }

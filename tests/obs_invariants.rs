@@ -17,13 +17,11 @@ use flowsched::core::fault::FaultEventKind;
 use flowsched::core::shard::DEFAULT_MAX_SHARDS;
 use flowsched::core::stream::{ArrivalStream, InstanceStream};
 use flowsched::core::task::TaskId;
-use flowsched::core::ProcSet;
 use flowsched::obs::{
     Counter, Event, MemoryRecorder, NoopRecorder, ObsConfig, ProbeKind, Recorder, Tee,
     WindowConfig, WindowedMetrics,
 };
 use flowsched::sim::driver::{simulate, simulate_with, SimConfig};
-use flowsched::sim::stepped::run_stepped_stream;
 use flowsched::workloads::faults::{random_fault_plan, FaultPlanConfig};
 use flowsched::workloads::random::{
     random_instance, PoissonStream, PoissonStreamConfig, RandomInstanceConfig, StructureKind,
@@ -279,89 +277,6 @@ proptest! {
             }
         }
         prop_assert_eq!(next_task, inst.len());
-    }
-
-    /// The stepped fast path follows the same machine-transition
-    /// convention as every other engine run: per machine, busy/idle
-    /// strictly alternate starting with busy at non-decreasing
-    /// timestamps, and the transition lists are *identical* to those
-    /// the event-driven engine emits on the materialized instance.
-    #[test]
-    fn stepped_transitions_follow_the_engine_convention(
-        tb in any_tiebreak(),
-        m in 2usize..6,
-        steps in 1usize..16,
-        batches in prop::collection::vec(
-            prop::collection::vec((0usize..6, 0usize..6), 0..4),
-            1..16,
-        ),
-    ) {
-        // Deterministic per-round batches of non-empty interval sets.
-        let rounds: Vec<Vec<ProcSet>> = (0..steps)
-            .map(|t| {
-                batches[t % batches.len()]
-                    .iter()
-                    .map(|&(a, b)| {
-                        let (lo, hi) = (a.min(b) % m, a.max(b) % m);
-                        ProcSet::interval(lo.min(hi), lo.max(hi))
-                    })
-                    .collect()
-            })
-            .collect();
-        let total: usize = rounds.iter().map(Vec::len).sum();
-
-        let mut rec = lossless_recorder(m, total.max(1));
-        let outcome = run_stepped_stream(m, steps, tb, |t| rounds[t].clone(), &mut rec);
-        prop_assert_eq!(outcome.tasks, total);
-        prop_assert_eq!(rec.trace().dropped(), 0, "lossless ring must not drop");
-
-        let transitions = |rec: &MemoryRecorder| -> Vec<(bool, u32, f64)> {
-            rec.trace()
-                .iter()
-                .filter_map(|ev| match *ev {
-                    Event::MachineBusy { machine, at } => Some((true, machine, at)),
-                    Event::MachineIdle { machine, at } => Some((false, machine, at)),
-                    _ => None,
-                })
-                .collect()
-        };
-        let stepped_transitions = transitions(&rec);
-
-        // Alternation invariant, per machine.
-        let mut machine_state: Vec<(Option<bool>, f64)> = vec![(None, 0.0); m];
-        for &(busy, machine, at) in &stepped_transitions {
-            let (last, t) = machine_state[machine as usize];
-            if busy {
-                prop_assert!(last != Some(true), "machine {}: busy twice", machine);
-            } else {
-                prop_assert_eq!(last, Some(true), "idle without a preceding busy");
-            }
-            prop_assert!(at >= t, "machine {}: time went backwards", machine);
-            machine_state[machine as usize] = (Some(busy), at);
-        }
-        if total > 0 {
-            prop_assert!(
-                stepped_transitions.iter().any(|&(busy, _, _)| busy),
-                "a non-empty stepped run must emit at least one busy transition"
-            );
-        }
-
-        // Cross-engine: the event-driven engine on the materialized
-        // instance emits the identical transition list.
-        let mut b = flowsched::core::InstanceBuilder::new(m);
-        for (t, round) in rounds.iter().enumerate() {
-            for set in round {
-                b.push_unit(t as f64, set.clone());
-            }
-        }
-        if let Ok(inst) = b.build() {
-            let mut event_rec = lossless_recorder(m, total.max(1));
-            let _ = eft_stream(InstanceStream::new(&inst), tb, &mut event_rec);
-            prop_assert_eq!(stepped_transitions, transitions(&event_rec));
-        } else {
-            // Empty instance: no transitions expected either.
-            prop_assert!(stepped_transitions.is_empty());
-        }
     }
 
     /// Sharded telemetry is independent of worker interleaving: running

@@ -1,16 +1,18 @@
 //! The SoA/SIMD dispatch contracts, pinned:
 //!
-//! 1. **Scan equivalence**: the vectorized two-pass tie scan
-//!    ([`scan_ties_simd`] over a padded [`CompletionBank`]) produces the
-//!    *identical* tie vector to the one-pass scalar oracle
-//!    ([`scan_ties`]) for every processing-set shape, over random
-//!    completion arrays with exact ties (including idle machines at
-//!    0.0) and random release times.
+//! 1. **Scan equivalence**: the member scan ([`scan_ties_simd`] over a
+//!    padded [`CompletionBank`], two vectorized passes from 8 members
+//!    up) produces the *identical* tie vector to the one-pass scalar
+//!    oracle ([`scan_ties`]) for every processing-set shape, over
+//!    random completion arrays with exact ties (including idle
+//!    machines at 0.0) and random release times.
 //! 2. **The core dispatches as the oracle does**: a full [`EftState`]
-//!    run, which always takes the SIMD scan, matches a loop of
-//!    [`scan_ties`], one `Breaker::pick` and a commit
-//!    assignment-for-assignment under every tie-break, and ends on the
-//!    same completions — so its tie sets and RNG draws are the oracle's.
+//!    run, whose member scan takes the one-pass arm on sets of fewer
+//!    than 8 members and the SIMD arm on wider ones (the drawn
+//!    intervals span both), matches a loop of [`scan_ties`], one
+//!    `Breaker::pick` and a commit assignment-for-assignment under
+//!    every tie-break, and ends on the same completions — so its tie
+//!    sets and RNG draws are the oracle's.
 //! 3. **`Auto` is invisible**: on a stream that promises no structure,
 //!    the EFT core on `Auto` (which resolves to one kernel when it is
 //!    built) produces the bitwise-same schedule and recorder trace as
@@ -19,10 +21,10 @@
 
 use proptest::prelude::*;
 
-use flowsched::algos::eft::{scan_ties, EftState};
+use flowsched::algos::eft::EftState;
 use flowsched::algos::engine::immediate_schedule;
 use flowsched::algos::indexed::DispatchKernel;
-use flowsched::algos::soa::{scan_ties_simd, CompletionBank};
+use flowsched::algos::soa::{scan_ties, scan_ties_simd, CompletionBank};
 use flowsched::algos::tiebreak::TieBreak;
 use flowsched::core::compact::ProcSetRef;
 use flowsched::core::machine::MachineId;

@@ -66,10 +66,14 @@ fn adversary_at_m64() {
 }
 
 #[test]
-fn stepped_fast_path_handles_long_streams() {
-    use flowsched::sim::stepped::run_stepped_interval_adversary;
-    // 10 000 rounds × 15 tasks = 150k dispatches on the integer path.
-    let out = run_stepped_interval_adversary(15, 3, 10_000, TieBreak::Min);
-    assert_eq!(out.fmax, 13);
-    assert_eq!(out.tasks, 150_000);
+fn eft_core_handles_long_theorem8_streams() {
+    use flowsched::obs::NoopRecorder;
+    use flowsched::workloads::adversary::interval::interval_adversary_instance;
+    // 10 000 rounds × 15 tasks = 150k dispatches of 3-wide sets, which
+    // take the core's one-pass scan.
+    let (m, k) = (15, 3);
+    let inst = interval_adversary_instance(m, k, 10_000);
+    let schedule = eft_stream(InstanceStream::new(&inst), TieBreak::Min, &mut NoopRecorder);
+    assert_eq!(inst.len(), 150_000);
+    assert_eq!(schedule.fmax(&inst), (m - k + 1) as f64);
 }
