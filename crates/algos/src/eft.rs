@@ -26,9 +26,10 @@
 //!   ([`indexed`](crate::indexed)), which answers interval, prefix and
 //!   ring sets and leaves explicit sets to the scan. It is fixed when
 //!   the core is built; `Auto` resolves there, from the source's
-//!   structure promise ([`DispatchKernel::resolve`]). Every kernel
-//!   yields the same `T` in the same ascending order, so the kernel is
-//!   a performance choice only.
+//!   structure promise ([`DispatchKernel::resolve`]), to the index only
+//!   for interval and ring families whose widest set has at least 96
+//!   members. Every kernel yields the same `T` in the same ascending
+//!   order, so the kernel is a performance choice only.
 //! - The **start rule** decides which member's start wins: plain EFT,
 //!   weighted EFT's weight budget ([`weighted`](crate::weighted)), or
 //!   the setup penalty of setup-aware dispatch ([`setup`](crate::setup)).
@@ -135,7 +136,7 @@ impl EftState {
     /// caller with a stream resolves it first
     /// ([`DispatchKernel::resolve_for_stream`]).
     pub fn with_kernel(mut self, kernel: DispatchKernel) -> Self {
-        self.kernel = kernel.resolve(None, self.machines());
+        self.kernel = kernel.resolve(None);
         if self.kernel == DispatchKernel::Indexed {
             self.index.build_levels();
         }

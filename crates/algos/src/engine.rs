@@ -84,7 +84,7 @@ use flowsched_parallel::sharded::run_sharded_probed;
 pub use flowsched_parallel::sharded::ShardedConfig;
 
 use crate::eft::ImmediateDispatcher;
-use crate::indexed::{DispatchKernel, KernelStats};
+use crate::indexed::KernelStats;
 use crate::registry::{PolicySpec, PolicyState};
 use crate::tiebreak::TieBreak;
 
@@ -229,7 +229,7 @@ fn flush_kernel_stats<R: Recorder>(stats: Option<KernelStats>, rec: &mut R) {
 }
 
 /// [`run_immediate`] collecting the full [`Schedule`] — the batch-shaped
-/// convenience every `eft`/`dispatch` wrapper uses.
+/// convenience the `eft` wrappers use.
 pub fn immediate_schedule<S, D, R>(stream: S, disp: &mut D, rec: &mut R) -> Schedule
 where
     S: ArrivalStream,
@@ -246,19 +246,20 @@ where
 /// [`execute`](Run::execute) has exactly two paths, and they are the
 /// only code that builds dispatchers from a [`PolicySpec`].
 ///
+/// Both paths resolve an `Auto` kernel once, against the stream's
+/// structure hint
+/// ([`resolve_for_stream`](crate::indexed::DispatchKernel::resolve_for_stream)),
+/// before they build any dispatcher.
+///
 /// - **Sequential** (`shards: None`): one dispatcher for the whole
-///   machine range, its `Auto` kernel resolved against the stream's
-///   structure hint
-///   ([`resolve_for_stream`](crate::indexed::DispatchKernel::resolve_for_stream)),
-///   driven by [`run_immediate`].
+///   machine range, driven by [`run_immediate`].
 /// - **Sharded** (`shards: Some`): each cluster of the [`ShardPlan`]
 ///   dispatches on its own worker ([`run_sharded_probed`]) with a
-///   shard-local dispatcher ([`PolicySpec::for_shard`]; `Auto` resolves
-///   against the stream's structure hint at the shard's width), and the
-///   calling thread commits the decisions in arrival order through the
-///   same `CommitTracker` as the sequential path. Kernel counters from
-///   every shard sum into the recorder after the run, as
-///   [`run_immediate`] flushes its own.
+///   shard-local dispatcher ([`PolicySpec::for_shard`]) on the run's one
+///   kernel, and the calling thread commits the decisions in arrival
+///   order through the same `CommitTracker` as the sequential path.
+///   Kernel counters from every shard sum into the recorder after the
+///   run, as [`run_immediate`] flushes its own.
 ///
 /// A fault plan is an input to both paths and to every policy. Its
 /// machine count is checked against the stream's, its crash/recover
@@ -430,17 +431,9 @@ fn sharded<S, D, B, R, K, P>(
     P: PipelineProbe,
 {
     let mut tracker = CommitTracker::new(R::ENABLED, stream.machines());
-    // The promise covers every shard's sets; each shard resolves `Auto`
-    // against it at its own width.
-    let hint = (policy.kernel == DispatchKernel::Auto)
-        .then(|| stream.structure_hint())
-        .flatten();
+    let spec = policy.with_kernel(policy.kernel.resolve_for_stream(&stream));
     let mut states: Vec<D> = (0..plan.shards())
-        .map(|s| {
-            let len = plan.len_of(s);
-            let spec = policy.with_kernel(policy.kernel.resolve(hint.as_ref(), len));
-            build(spec.for_shard(s), plan.start_of(s), len)
-        })
+        .map(|s| build(spec.for_shard(s), plan.start_of(s), plan.len_of(s)))
         .collect();
     let mut closures: Vec<_> = states
         .iter_mut()
@@ -642,19 +635,6 @@ where
     }
 }
 
-/// [`run_fifo`] collecting the full [`Schedule`]. FIFO dispatches the
-/// central queue in arrival order, so assignments reach the sink in
-/// task order and collect directly.
-pub fn fifo_schedule<S, R>(stream: S, policy: TieBreak, rec: &mut R) -> Schedule
-where
-    S: ArrivalStream,
-    R: Recorder,
-{
-    let mut assignments = Vec::with_capacity(stream.len_hint().unwrap_or(0));
-    run_fifo(stream, policy, rec, &mut assignments);
-    Schedule::new(assignments)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -715,7 +695,7 @@ mod tests {
     #[test]
     fn fifo_engine_handles_empty_streams() {
         let stream = FnStream::new(3, || None);
-        let s = fifo_schedule(stream, TieBreak::Min, &mut NoopRecorder);
+        let s = crate::fifo::fifo_stream(stream, TieBreak::Min, &mut NoopRecorder);
         assert!(s.is_empty());
     }
 

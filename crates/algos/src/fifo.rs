@@ -63,7 +63,11 @@ pub fn fifo_stream<S: ArrivalStream, R: Recorder>(
     policy: TieBreak,
     rec: &mut R,
 ) -> Schedule {
-    engine::fifo_schedule(stream, policy, rec)
+    // The central queue dispatches in arrival order, so assignments
+    // reach the sink in task order and collect directly.
+    let mut assignments = Vec::with_capacity(stream.len_hint().unwrap_or(0));
+    engine::run_fifo(stream, policy, rec, &mut assignments);
+    Schedule::new(assignments)
 }
 
 #[cfg(test)]

@@ -26,6 +26,10 @@
 //! event traces) are bitwise-identical to the scan — pinned by
 //! `tests/kernel_equivalence.rs`. The lane index is updated eagerly on
 //! every commit.
+//!
+//! `Auto` resolves to this kernel only for interval and ring families
+//! whose widest set has at least 96 members
+//! ([`DispatchKernel::for_structure`]); narrower sets scan faster.
 
 use flowsched_core::compact::ProcSetRef;
 use flowsched_core::structure::StructureReport;
@@ -66,11 +70,13 @@ impl KernelStats {
     }
 }
 
-/// Machine count below which
-/// [`for_structure`](DispatchKernel::for_structure) keeps the member
-/// scan whatever the structure: below it the scan's cache-friendly sweep
-/// wins; above it the O(log m) index pays off on wide enough sets.
-pub const AUTO_INDEXED_MIN_MACHINES: usize = 64;
+/// Widest-set size from which [`for_structure`](DispatchKernel::for_structure)
+/// gives an interval or ring family the lane index. A sweep of both
+/// forced kernels over contiguous w-wide blocks (EXPERIMENTS.md, "One
+/// measured width decides `Auto`") put the crossover between 64 and 128
+/// members at every m from 256 to 16,384: the scan read faster at
+/// w ≤ 64 and the index at w ≥ 128, whatever the machine count.
+const INDEX_FROM_WIDTH: usize = 96;
 
 /// Which EFT dispatch kernel to run. All choices produce
 /// bitwise-identical schedules; the choice is purely a performance
@@ -80,9 +86,8 @@ pub enum DispatchKernel {
     /// Decide once, when the dispatcher is built
     /// ([`resolve`](DispatchKernel::resolve)):
     /// [`for_structure`](DispatchKernel::for_structure) of the source's
-    /// [`structure_hint`](flowsched_core::stream::ArrivalStream::structure_hint)
-    /// at the dispatcher's machine count, or the member scan when the
-    /// source promises nothing.
+    /// [`structure_hint`](flowsched_core::stream::ArrivalStream::structure_hint),
+    /// or the member scan when the source promises nothing.
     #[default]
     Auto,
     /// Force the member scan.
@@ -92,51 +97,39 @@ pub enum DispatchKernel {
 }
 
 impl DispatchKernel {
-    /// Resolves `Auto` for a dispatcher over `m` machines whose source
-    /// promises `hint`: [`for_structure`](DispatchKernel::for_structure)
-    /// of the promise, or of the empty report when there is none, which
-    /// is `Scalar`. Explicit kernels pass through.
-    pub fn resolve(self, hint: Option<&StructureReport>, m: usize) -> DispatchKernel {
+    /// Resolves `Auto` for a dispatcher whose source promises `hint`:
+    /// [`for_structure`](DispatchKernel::for_structure) of the promise,
+    /// or of the empty report when there is none, which is `Scalar`.
+    /// Explicit kernels pass through.
+    pub fn resolve(self, hint: Option<&StructureReport>) -> DispatchKernel {
         match self {
             DispatchKernel::Auto => {
-                DispatchKernel::for_structure(&hint.copied().unwrap_or_default(), m)
+                DispatchKernel::for_structure(&hint.copied().unwrap_or_default())
             }
             other => other,
         }
     }
 
     /// Kernel suggested by a family classification
-    /// ([`flowsched_core::structure::classify`]): interval and ring
-    /// families — the only sets the lane index answers — benefit from
-    /// the index once `m` reaches [`AUTO_INDEXED_MIN_MACHINES`] **and**
-    /// the sets are wide enough for O(log m) descents to beat the scalar
-    /// sweep. Inclusive, nested or disjoint families that are not
-    /// intervals in the machine order they arrive in (a chain over a
-    /// shuffled machine order, disjoint blocks of scattered machines)
-    /// lend explicit sets, so they get the scan.
-    ///
-    /// The width test is what fixes the BENCH_PR5 small-set regression:
-    /// on `disjoint` blocks of width `m/16` the indexed kernel *lost*
-    /// below the crossover (m = 64: 614 µs indexed vs 348 µs scalar for
-    /// k = 4; m = 256: 761 µs vs 575 µs for k = 16) and won above it
-    /// (m = 1024: 1.11 ms vs 1.45 ms for k = 64) — scanning a handful
-    /// of members is cheaper than an index descent, however large `m` is.
-    /// [`indexed_min_width`] places the cut between those measured
-    /// points; families with no fixed width (mixed or unknown set
-    /// sizes, `fixed_size == None`) keep the index, matching the
-    /// measured interval/inclusive sweeps where it wins at every `m`.
-    pub fn for_structure(report: &StructureReport, m: usize) -> DispatchKernel {
-        if !(report.interval || report.ring_interval) || m < AUTO_INDEXED_MIN_MACHINES {
-            return DispatchKernel::Scalar;
-        }
-        match report.fixed_size {
-            Some(k) if k < indexed_min_width(m) => DispatchKernel::Scalar,
-            _ => DispatchKernel::Indexed,
+    /// ([`flowsched_core::structure::classify`]): the lane index for an
+    /// interval or ring family — the only sets it answers — whose widest
+    /// set has at least 96 members, and the member scan otherwise.
+    /// Below that width the scan reads a set's members faster than the
+    /// index descends, at every machine count measured. Inclusive,
+    /// nested or disjoint families that are not intervals in the machine
+    /// order they arrive in (a chain over a shuffled machine order,
+    /// disjoint blocks of scattered machines) lend explicit sets, so
+    /// they get the scan.
+    pub fn for_structure(report: &StructureReport) -> DispatchKernel {
+        if (report.interval || report.ring_interval) && report.max_size >= INDEX_FROM_WIDTH {
+            DispatchKernel::Indexed
+        } else {
+            DispatchKernel::Scalar
         }
     }
 
-    /// [`resolve`](DispatchKernel::resolve) for a dispatcher over the
-    /// whole of `stream`: `Auto` reads the stream's
+    /// [`resolve`](DispatchKernel::resolve) for the dispatchers of a run
+    /// over `stream`, whole or sharded: `Auto` reads the stream's
     /// [`structure_hint`](flowsched_core::stream::ArrivalStream::structure_hint)
     /// (which covers the whole stream) and never stays `Auto`; a source
     /// that promises nothing gets `Scalar`. Explicit choices pass
@@ -146,25 +139,10 @@ impl DispatchKernel {
         S: flowsched_core::stream::ArrivalStream + ?Sized,
     {
         match self {
-            DispatchKernel::Auto => {
-                self.resolve(stream.structure_hint().as_ref(), stream.machines())
-            }
+            DispatchKernel::Auto => self.resolve(stream.structure_hint().as_ref()),
             other => other,
         }
     }
-}
-
-/// Minimum fixed set width for which the indexed kernel is expected to
-/// beat the scalar scan on `m` machines: `2·⌈log₂ m⌉`-ish (two binary
-/// descents' worth of nodes). A scalar dispatch touches `k` completion
-/// slots sequentially; an indexed one touches O(log m) scattered index
-/// entries for the query plus more for the commit — so narrow sets on
-/// huge machine counts still favor the sweep. The constant is pinned by
-/// the BENCH_PR5 medians quoted at
-/// [`for_structure`](DispatchKernel::for_structure), measured when the
-/// index was a binary segment tree.
-pub fn indexed_min_width(m: usize) -> usize {
-    2 * (usize::BITS - m.leading_zeros()) as usize
 }
 
 /// A lane index over the completion bank, the min index of the indexed
@@ -675,7 +653,7 @@ mod tests {
             (DispatchKernel::Scalar, false)
         );
         assert_eq!(
-            kernel(AUTO_INDEXED_MIN_MACHINES, DispatchKernel::Auto),
+            kernel(256, DispatchKernel::Auto),
             (DispatchKernel::Scalar, false)
         );
         assert_eq!(
@@ -692,78 +670,61 @@ mod tests {
     fn for_structure_prefers_the_index_on_structured_families() {
         use flowsched_core::procset::ProcSet;
         use flowsched_core::structure::classify;
-        let m = 128;
-        let intervals: Vec<ProcSet> = (0..8).map(|i| ProcSet::interval(i, i + 16)).collect();
+        let m = 256;
+        let intervals: Vec<ProcSet> = (0..8).map(|i| ProcSet::interval(i, i + 96)).collect();
         let rep = classify(&intervals, m);
+        assert_eq!(DispatchKernel::for_structure(&rep), DispatchKernel::Indexed);
+        let narrow: Vec<ProcSet> = (0..8).map(|i| ProcSet::interval(i, i + 16)).collect();
         assert_eq!(
-            DispatchKernel::for_structure(&rep, m),
-            DispatchKernel::Indexed
-        );
-        assert_eq!(
-            DispatchKernel::for_structure(&rep, 8),
+            DispatchKernel::for_structure(&classify(&narrow, m)),
             DispatchKernel::Scalar
         );
-        // Disjoint 32-wide blocks of scattered machines (block b holds
-        // every machine j with j % 4 == b) lend explicit sets, which the
+        // Disjoint 128-wide blocks of scattered machines (block b holds
+        // every machine j with j % 2 == b) lend explicit sets, which the
         // index cannot answer: the scan, although they are disjoint and
         // wide enough.
-        let scattered: Vec<ProcSet> = (0..4)
-            .map(|b| ProcSet::new((b..m).step_by(4).collect()))
+        let scattered: Vec<ProcSet> = (0..2)
+            .map(|b| ProcSet::new((b..m).step_by(2).collect()))
             .collect();
         let rep = classify(&scattered, m);
         assert!(rep.disjoint && rep.nested && !rep.interval && !rep.ring_interval);
-        assert_eq!(rep.fixed_size, Some(32));
-        assert!(32 >= indexed_min_width(m));
-        assert_eq!(
-            DispatchKernel::for_structure(&rep, m),
-            DispatchKernel::Scalar
-        );
+        assert_eq!(rep.max_size, 128);
+        assert_eq!(DispatchKernel::for_structure(&rep), DispatchKernel::Scalar);
     }
 
-    /// Pins the width-aware crossover against the recorded BENCH_PR5
-    /// medians (`dispatch_disjoint`, blocks of width m/16): the scalar
-    /// scan measured faster at (m=64, k=4) [348 µs vs 614 µs] and
-    /// (m=256, k=16) [575 µs vs 761 µs], the indexed kernel faster at
-    /// (m=1024, k=64) [1.11 ms vs 1.45 ms] and every larger point —
-    /// `for_structure` must land on the measured winner at each.
+    /// Pins the width cut to the lane-index sweep (EXPERIMENTS.md, "One
+    /// measured width decides `Auto`"): on contiguous w-wide blocks the
+    /// scan read faster at w = 64 and the index at w = 128, at every
+    /// machine count from 256 to 16,384, and the cut sits between them.
+    /// It reads no machine count, so below 96 machines no set reaches
+    /// it: 64 full-width intervals on 64 machines scan, although the
+    /// index read faster there — an accepted cost, since nothing runs
+    /// `Auto` at that size.
     #[test]
-    fn width_threshold_matches_bench_pr5_crossover() {
+    fn width_cut_matches_the_lane_index_sweep() {
         use flowsched_core::procset::ProcSet;
         use flowsched_core::structure::classify;
-        let disjoint = |m: usize, k: usize| {
-            let sets: Vec<ProcSet> = (0..m / k)
-                .map(|b| ProcSet::interval(b * k, b * k + k - 1))
+        let blocks = |m: usize, w: usize| {
+            let sets: Vec<ProcSet> = (0..m / w)
+                .map(|b| ProcSet::interval(b * w, b * w + w - 1))
                 .collect();
             classify(&sets, m)
         };
-        for (m, winner) in [
-            (64, DispatchKernel::Scalar),
-            (256, DispatchKernel::Scalar),
-            (1024, DispatchKernel::Indexed),
-            (4096, DispatchKernel::Indexed),
-        ] {
-            let rep = disjoint(m, m / 16);
-            assert_eq!(rep.fixed_size, Some(m / 16));
-            assert_eq!(
-                DispatchKernel::for_structure(&rep, m),
-                winner,
-                "disjoint m={m} k={}",
-                m / 16
-            );
+        for m in [256, 1024, 4096, 16_384] {
+            for (w, winner) in [
+                (64, DispatchKernel::Scalar),
+                (96, DispatchKernel::Indexed),
+                (128, DispatchKernel::Indexed),
+            ] {
+                let rep = blocks(m, w);
+                assert_eq!(rep.max_size, w);
+                assert_eq!(DispatchKernel::for_structure(&rep), winner, "m={m} w={w}");
+            }
         }
-        // Interval/inclusive sweeps (widths ~m/2 or mixed) measured the
-        // index ahead at every m ≥ 64 — wide or unknown widths keep it.
-        let wide = classify(
-            &(0..4)
-                .map(|i| ProcSet::interval(i, i + 31))
-                .collect::<Vec<_>>(),
-            64,
-        );
         assert_eq!(
-            DispatchKernel::for_structure(&wide, 64),
-            DispatchKernel::Indexed
+            DispatchKernel::for_structure(&blocks(64, 64)),
+            DispatchKernel::Scalar
         );
-        assert!(indexed_min_width(64) <= 32 && indexed_min_width(64) > 4);
     }
 
     #[test]
@@ -771,8 +732,8 @@ mod tests {
         use flowsched_core::instance::InstanceBuilder;
         use flowsched_core::procset::ProcSet;
         use flowsched_core::stream::{FnStream, InstanceStream};
-        // Narrow disjoint blocks on many machines: past
-        // AUTO_INDEXED_MIN_MACHINES, but the promise says Scalar.
+        // Narrow disjoint blocks on many machines: the promise says
+        // Scalar.
         let m = 256;
         let mut b = InstanceBuilder::new(m);
         for i in 0..32 {
@@ -787,8 +748,7 @@ mod tests {
             DispatchKernel::Auto.resolve_for_stream(&InstanceStream::new(&inst)),
             DispatchKernel::Scalar
         );
-        // A hint-less source promises nothing, so it gets the scan, not
-        // the machine-count guess…
+        // A hint-less source promises nothing, so it gets the scan…
         let hintless = FnStream::new(m, || None);
         assert_eq!(
             DispatchKernel::Auto.resolve_for_stream(&hintless),

@@ -75,17 +75,17 @@ pub mod weighted;
 pub use compose::compose_disjoint;
 pub use eft::{eft, eft_stream, EftState, ImmediateDispatcher};
 pub use engine::{
-    fifo_schedule, immediate_schedule, run_fifo, run_immediate, run_policy_sharded,
-    run_policy_sharded_probed, DispatchSink, NullSink, Run, ShardedConfig,
+    immediate_schedule, run_fifo, run_immediate, run_policy_sharded, run_policy_sharded_probed,
+    DispatchSink, NullSink, Run, ShardedConfig,
 };
 pub use exact::{approx_fmax, exact_fmax, ExactResult};
 pub use fifo::{fifo, fifo_stream};
-pub use indexed::{indexed_min_width, DispatchKernel, KernelStats, AUTO_INDEXED_MIN_MACHINES};
+pub use indexed::{DispatchKernel, KernelStats};
 pub use localsearch::{eft_plus_local_search, improve};
 pub use offline::{
     brute_force_fmax, fmax_lower_bound, optimal_unit_fmax, optimal_unit_weighted_fmax,
 };
-pub use policies::{dispatch_stream, Dispatcher};
+pub use policies::Dispatcher;
 pub use preemptive::optimal_preemptive_fmax;
 pub use registry::{ParsePolicyError, PolicyId, PolicySpec, PolicyState};
 pub use setup::cluster_fingerprint;

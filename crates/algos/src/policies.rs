@@ -19,7 +19,8 @@
 //!
 //! A [`Dispatcher`] is an [`ImmediateDispatcher`], so every adversary in
 //! `flowsched-workloads` can be aimed at it unchanged; the registry
-//! ([`PolicySpec`]) builds it for these three ids.
+//! ([`PolicySpec`](crate::registry::PolicySpec)) builds it for these
+//! three ids.
 
 use std::collections::HashMap;
 
@@ -27,7 +28,7 @@ use flowsched_core::compact::ProcSetRef;
 use flowsched_core::fault::{FaultCursor, FaultPlan};
 use flowsched_core::machine::MachineId;
 use flowsched_core::procset::ProcSet;
-use flowsched_core::schedule::{Assignment, Schedule};
+use flowsched_core::schedule::Assignment;
 use flowsched_core::task::Task;
 use flowsched_core::time::Time;
 use flowsched_stats::rng::derive_rng;
@@ -35,7 +36,7 @@ use rand::rngs::StdRng;
 use rand::Rng;
 
 use crate::eft::ImmediateDispatcher;
-use crate::registry::{PolicyId, PolicySpec};
+use crate::registry::PolicyId;
 
 /// The state of a random, power-of-d or round-robin dispatcher.
 #[derive(Debug)]
@@ -59,7 +60,7 @@ impl Dispatcher {
     /// # Panics
     /// Panics when `m == 0`, when `d == 0`, or for an EFT-family id
     /// (those run on [`EftState`](crate::eft::EftState); build them
-    /// through [`PolicySpec`]).
+    /// through [`PolicySpec`](crate::registry::PolicySpec)).
     pub fn new(m: usize, id: PolicyId) -> Self {
         assert!(m > 0, "need at least one machine");
         let kind = match id {
@@ -148,37 +149,21 @@ impl ImmediateDispatcher for Dispatcher {
     }
 }
 
-/// Runs a policy over a whole instance.
-pub fn dispatch(inst: &flowsched_core::Instance, policy: impl Into<PolicySpec>) -> Schedule {
-    use flowsched_core::stream::InstanceStream;
-    dispatch_stream(
-        InstanceStream::new(inst),
-        policy,
-        &mut flowsched_obs::NoopRecorder,
-    )
-}
-
-/// Runs a policy over an arbitrary
-/// [`ArrivalStream`](flowsched_core::stream::ArrivalStream) on the
-/// automatic kernel: the shorthand for a sequential, fault-free
-/// [`Run`](crate::engine::Run), kept for the rule-comparison callers.
-/// Because the engine, not the rule, emits busy/idle transitions, `rec`
-/// sees the same uniform transition convention for every rule (random,
-/// power-of-d, round-robin) that the EFT trace follows.
-pub fn dispatch_stream<S, R>(stream: S, policy: impl Into<PolicySpec>, rec: &mut R) -> Schedule
-where
-    S: flowsched_core::stream::ArrivalStream,
-    R: flowsched_obs::Recorder,
-{
-    crate::engine::Run::new(policy.into()).schedule(stream, rec)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::Run;
     use crate::tiebreak::TieBreak;
-    use flowsched_core::instance::InstanceBuilder;
+    use flowsched_core::instance::{Instance, InstanceBuilder};
+    use flowsched_core::schedule::Schedule;
+    use flowsched_core::stream::InstanceStream;
     use flowsched_core::task::TaskId;
+    use flowsched_obs::NoopRecorder;
+
+    /// A sequential, fault-free run of `rule` over `inst`.
+    fn dispatch(inst: &Instance, rule: PolicyId) -> Schedule {
+        Run::new(rule.into()).schedule(InstanceStream::new(inst), &mut NoopRecorder)
+    }
 
     fn burst_instance(m: usize, per_step: usize, steps: usize) -> flowsched_core::Instance {
         let mut b = InstanceBuilder::new(m);

@@ -23,7 +23,9 @@
 //!
 //! 1. Every dispatcher fixes its kernel when it is built.
 //!    [`PolicySpec::build_for_stream`] resolves `Auto` against the
-//!    stream's structure hint ([`DispatchKernel::resolve_for_stream`]);
+//!    stream's structure hint ([`DispatchKernel::resolve_for_stream`]),
+//!    as a [`Run`](crate::engine::Run) does once per run, so every shard
+//!    of a sharded run gets the sequential run's kernel;
 //!    [`PolicySpec::build`] and [`PolicySpec::build_faulty`] have no
 //!    stream, so their `Auto` is the member scan. The kernel never
 //!    changes a decision: every kernel and every construction path
@@ -644,7 +646,6 @@ mod tests {
 
     #[test]
     fn build_resolves_kernels_like_the_direct_path() {
-        use crate::indexed::AUTO_INDEXED_MIN_MACHINES;
         use flowsched_core::instance::InstanceBuilder;
         use flowsched_core::procset::ProcSet;
         use flowsched_core::stream::InstanceStream;
@@ -655,7 +656,7 @@ mod tests {
             PolicyState::Eft(k) => k.core().kernel(),
             other => panic!("unexpected {other:?}"),
         };
-        let m = AUTO_INDEXED_MIN_MACHINES;
+        let m = 256;
         let mut b = InstanceBuilder::new(m);
         for i in 0..8 {
             b.push_unit(i as f64, ProcSet::interval(i, i + m / 2 - 1));

@@ -4,12 +4,14 @@
 //! three orders of magnitude past the paper's m ≈ 10² — once per
 //! structured family that the compact-set / lane-index path serves
 //! (wide intervals, inclusive prefixes, disjoint blocks, replication
-//! rings). `DispatchKernel::Auto` selects the indexed kernel at this
-//! scale; the run exists to prove the whole pipeline (generator →
-//! compact `ProcSetRef` views → lane-index dispatch → report fold)
-//! completes in seconds and constant memory where the scalar scan would
-//! need ~10¹⁰ machine visits. Prints one line per family and fails
-//! loudly (panics) if any report comes back degenerate.
+//! rings). `DispatchKernel::Auto` selects the indexed kernel for the
+//! intervals, prefixes and blocks, whose widest sets hold far more than
+//! its 96-member cut, and the member scan for the 3-wide rings; the run
+//! exists to prove the whole pipeline (generator → compact `ProcSetRef`
+//! views → lane-index dispatch → report fold) completes in seconds and
+//! constant memory where the scalar scan would need ~10¹⁰ machine
+//! visits. Prints one line per family and fails loudly (panics) if any
+//! report comes back degenerate.
 //!
 //! `FLOWSCHED_SMOKE_M` / `FLOWSCHED_SMOKE_N` override the machine and
 //! task counts — the ISSUE 10 CI stage runs the same binary at

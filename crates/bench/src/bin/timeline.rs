@@ -7,9 +7,10 @@
 //!     [--window <width>] [--timeline <dir>] [--paper] [--seed <u64>]
 //! ```
 //!
-//! One streaming pass (`simulate_stream_telemetry`) produces the
-//! `SimReport`, the aggregate recorder, and the tumbling-window time
-//! series; the spans derived from the trace are then written as:
+//! One streaming pass (`simulate_stream` under a `Tee` of a
+//! `MemoryRecorder` and a `WindowedMetrics`) produces the `SimReport`,
+//! the aggregate recorder, and the tumbling-window time series; the
+//! spans derived from the trace are then written as:
 //!
 //! - `trace.json` — Chrome trace-event JSON; open in
 //!   <https://ui.perfetto.dev> (or `chrome://tracing`) to see per-machine
@@ -33,10 +34,10 @@ use flowsched_kvstore::cluster::{ClusterConfig, KvCluster};
 use flowsched_kvstore::replication::ReplicationStrategy;
 use flowsched_obs::{
     chrome_trace, machine_spans, prometheus_text_with, render_summary, task_spans, windows_to_csv,
-    ExtraGauge, PromOptions,
+    ExtraGauge, MemoryRecorder, ObsConfig, PromOptions, Tee, WindowConfig, WindowedMetrics,
 };
+use flowsched_sim::driver::simulate_stream;
 use flowsched_sim::report::ReportConfig;
-use flowsched_sim::telemetry::{simulate_stream_telemetry, Telemetry, TelemetryConfig};
 use flowsched_stats::zipf::BiasCase;
 use flowsched_workloads::adversary::interval::interval_adversary_instance;
 use flowsched_workloads::random::{PoissonStream, PoissonStreamConfig, StructureKind};
@@ -79,11 +80,15 @@ fn main() {
 
     // Lossless trace: ~5 events per task (arrival, dispatch, projected
     // completion, amortized busy/idle) plus slack.
-    let mut telemetry_cfg = TelemetryConfig::defaults(scale.m, width);
-    telemetry_cfg.obs.trace_capacity = 6 * scale.tasks + 64;
+    let mut obs = ObsConfig::defaults(scale.m);
+    obs.trace_capacity = 6 * scale.tasks + 64;
+    let mut rec = Tee(
+        MemoryRecorder::new(&obs),
+        WindowedMetrics::new(WindowConfig::defaults(scale.m, width)),
+    );
 
     let report_cfg = ReportConfig::default();
-    let telemetry: Telemetry = match workload.as_str() {
+    let report = match workload.as_str() {
         "kv" => {
             let mut rng = rand::rngs::StdRng::seed_from_u64(scale.seed);
             let cluster = KvCluster::new(
@@ -99,12 +104,7 @@ fn main() {
             // 70% offered load: busy enough for visible queueing, stable
             // enough that the timeline has an end.
             let inst = cluster.requests(scale.tasks, 0.7 * scale.m as f64, &mut rng);
-            simulate_stream_telemetry(
-                InstanceStream::new(&inst),
-                policy,
-                &report_cfg,
-                &telemetry_cfg,
-            )
+            simulate_stream(InstanceStream::new(&inst), policy, &report_cfg, &mut rec)
         }
         "poisson" => {
             let cfg = PoissonStreamConfig {
@@ -115,26 +115,21 @@ fn main() {
                 unit: true,
                 ptime_steps: 4,
             };
-            simulate_stream_telemetry(
+            simulate_stream(
                 PoissonStream::new(&cfg, scale.seed),
                 policy,
                 &report_cfg,
-                &telemetry_cfg,
+                &mut rec,
             )
         }
         "adversary" => {
             let inst = interval_adversary_instance(scale.m, scale.k, scale.m * scale.m);
-            simulate_stream_telemetry(
-                InstanceStream::new(&inst),
-                policy,
-                &report_cfg,
-                &telemetry_cfg,
-            )
+            simulate_stream(InstanceStream::new(&inst), policy, &report_cfg, &mut rec)
         }
         other => panic!("unknown --workload {other:?}; supported: kv, poisson, adversary"),
     };
 
-    let rec = &telemetry.recorder;
+    let Tee(rec, windows) = &rec;
     let tasks = task_spans(rec.trace().iter());
     let machines = machine_spans(rec.trace().iter(), rec.makespan_seen());
 
@@ -153,15 +148,14 @@ fn main() {
         extra_gauges: vec![ExtraGauge {
             name: "weighted_fmax",
             help: "Maximum weighted flow time max w_i*F_i of the run",
-            value: telemetry.report.weighted_fmax,
+            value: report.weighted_fmax,
         }],
     };
     write("trace.json", chrome_trace(&tasks, &machines));
     write("metrics.prom", prometheus_text_with(rec, &prom_opts));
-    write("windows.csv", windows_to_csv(&telemetry.windows));
+    write("windows.csv", windows_to_csv(windows));
     write("snapshot.json", rec.snapshot().to_json());
 
-    let report = &telemetry.report;
     println!(
         "timeline: {workload}/{policy:?} — m={}, n={}, window width {width}, seed={:#x}",
         scale.m, scale.tasks, scale.seed
@@ -174,7 +168,7 @@ fn main() {
         "spans: {} task spans, {} machine busy spans over {} windows",
         tasks.len(),
         machines.len(),
-        telemetry.windows.windows().len()
+        windows.windows().len()
     );
     print!("{}", render_summary(rec));
 }

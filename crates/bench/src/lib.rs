@@ -3,21 +3,20 @@
 //! Regeneration harness for every table and figure of the paper, plus
 //! Criterion micro-benchmarks of the substrates.
 //!
-//! Each `src/bin/*` binary prints one table/figure:
+//! The tables and sweeps run through the root binary
+//! (`cargo run --release --bin flowsched -- run <name>`: `table1`,
+//! `table2`, `fig08`, `fig10a`, `fig10b`, `fig11`, `ablation`, `openq`,
+//! `policies`, `service`). Each `src/bin/*` binary here prints a figure
+//! the root binary does not draw, or runs a CI smoke:
 //!
 //! ```text
-//! cargo run --release -p flowsched-bench --bin table1
-//! cargo run --release -p flowsched-bench --bin table2
 //! cargo run --release -p flowsched-bench --bin fig01   # structure reduction graph
 //! cargo run --release -p flowsched-bench --bin fig03   # EFT-Min adversary Gantt
 //! cargo run --release -p flowsched-bench --bin fig04   # profile convergence
 //! cargo run --release -p flowsched-bench --bin fig07   # Th. 10 padding
-//! cargo run --release -p flowsched-bench --bin fig08   # load distributions
 //! cargo run --release -p flowsched-bench --bin fig09   # replication strategies
-//! cargo run --release -p flowsched-bench --bin fig10a  # LP max-load sweep
-//! cargo run --release -p flowsched-bench --bin fig10b  # overlapping/disjoint ratio
-//! cargo run --release -p flowsched-bench --bin fig11   # Fmax vs load
-//! cargo run --release -p flowsched-bench --bin ablation
+//! cargo run --release -p flowsched-bench --bin fig11   # Fmax vs load (--timeline <dir>)
+//! cargo run --release -p flowsched-bench --bin openq   # staggered replication (--timeline <dir>)
 //! ```
 //!
 //! Every binary accepts `--paper` for the paper's full parameters

@@ -143,20 +143,6 @@ impl Instance {
             .unwrap_or(0.0)
     }
 
-    /// `p_max,i`: the maximum processing time among the first `i+1` tasks,
-    /// as used in the paper's Lemma 1. Returns the running prefix maxima.
-    pub fn pmax_prefix(&self) -> Vec<Time> {
-        let mut out = Vec::with_capacity(self.tasks.len());
-        let mut cur: Time = 0.0;
-        for t in &self.tasks {
-            if t.ptime > cur {
-                cur = t.ptime;
-            }
-            out.push(cur);
-        }
-        out
-    }
-
     /// True when all tasks are unit tasks (`pᵢ = 1`).
     pub fn is_unit(&self) -> bool {
         self.tasks.iter().all(|t| t.ptime == 1.0)
@@ -338,12 +324,6 @@ mod tests {
         // Stability: among the 2.0 releases, push order preserved.
         assert_eq!(inst.set(TaskId(1)), &ProcSet::singleton(0));
         assert_eq!(inst.set(TaskId(2)), &ProcSet::singleton(1));
-    }
-
-    #[test]
-    fn pmax_prefix_is_running_max() {
-        let inst = Instance::unrestricted(2, vec![t(0.0, 2.0), t(1.0, 1.0), t(2.0, 5.0)]).unwrap();
-        assert_eq!(inst.pmax_prefix(), vec![2.0, 2.0, 5.0]);
     }
 
     #[test]

@@ -24,16 +24,6 @@ impl MachineId {
     pub fn paper_index(self) -> usize {
         self.0 + 1
     }
-
-    /// Builds a machine id from the paper's one-based numbering.
-    ///
-    /// # Panics
-    /// Panics if `one_based == 0`.
-    #[inline]
-    pub fn from_paper_index(one_based: usize) -> Self {
-        assert!(one_based >= 1, "paper machine indices start at 1");
-        MachineId(one_based - 1)
-    }
 }
 
 impl fmt::Display for MachineId {
@@ -48,11 +38,6 @@ impl From<usize> for MachineId {
     }
 }
 
-/// Iterator over all machine ids of an `m`-machine cluster.
-pub fn all_machines(m: usize) -> impl DoubleEndedIterator<Item = MachineId> + ExactSizeIterator {
-    (0..m).map(MachineId)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -61,25 +46,5 @@ mod tests {
     fn display_is_one_based() {
         assert_eq!(MachineId(0).to_string(), "M1");
         assert_eq!(MachineId(14).to_string(), "M15");
-    }
-
-    #[test]
-    fn paper_index_round_trips() {
-        for i in 1..=20 {
-            assert_eq!(MachineId::from_paper_index(i).paper_index(), i);
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "start at 1")]
-    fn paper_index_zero_rejected() {
-        let _ = MachineId::from_paper_index(0);
-    }
-
-    #[test]
-    fn all_machines_enumerates() {
-        let v: Vec<_> = all_machines(3).collect();
-        assert_eq!(v, vec![MachineId(0), MachineId(1), MachineId(2)]);
-        assert_eq!(all_machines(5).len(), 5);
     }
 }

@@ -63,11 +63,6 @@ pub fn compare_profiles(a: &[Time], b: &[Time]) -> Option<std::cmp::Ordering> {
     }
 }
 
-/// Total waiting work `Σⱼ w_t(j)` of a profile.
-pub fn total_waiting(profile: &[Time]) -> Time {
-    profile.iter().sum()
-}
-
 /// The *weighted distance* of the paper's Theorem 9 analysis:
 /// `ϕ_t(j) = 2^{w_τ(j)} · (m − k + 1 − w_t(j))`, summed over machines.
 /// Lemma 5 shows Φ is non-increasing under the interval adversary and
@@ -146,12 +141,6 @@ mod tests {
         assert!(is_non_increasing(&[3.0, 3.0, 1.0, 0.0]));
         assert!(!is_non_increasing(&[1.0, 2.0]));
         assert!(is_non_increasing(&[]));
-    }
-
-    #[test]
-    fn total_waiting_sums() {
-        // [3,3,3,2,1,0] sums to 12.
-        assert_eq!(total_waiting(&stable_profile(6, 3)), 12.0);
     }
 
     #[test]

@@ -206,14 +206,6 @@ impl Schedule {
         }
         Ok(())
     }
-
-    /// Sum of idle time across machines between time 0 and the makespan.
-    /// Useful for diagnosing scheduler behaviour in experiments.
-    pub fn total_idle(&self, inst: &Instance) -> Time {
-        let horizon = self.makespan(inst);
-        let busy: Time = inst.tasks().iter().map(|t| t.ptime).sum();
-        (horizon * inst.machines() as Time - busy).max(0.0)
-    }
 }
 
 #[cfg(test)]
@@ -389,13 +381,5 @@ mod tests {
         assert_eq!(s.fmax(&inst), 0.0);
         assert_eq!(s.mean_flow(&inst), 0.0);
         assert_eq!(s.argmax_flow(&inst), None);
-    }
-
-    #[test]
-    fn total_idle_accounts_for_gaps() {
-        let inst = small_instance();
-        let s = valid_schedule();
-        // Makespan 2, 2 machines → capacity 4; busy work = 2+1+1 = 4 → idle 0.
-        assert_eq!(s.total_idle(&inst), 0.0);
     }
 }

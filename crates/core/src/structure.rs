@@ -80,9 +80,8 @@ pub struct StructureReport {
     pub interval: bool,
     /// All sets are contiguous or wrap-around ring intervals.
     pub ring_interval: bool,
-    /// All sets share one size `k` (`Some(k)`), or `None` if sizes vary
-    /// or the family is empty.
-    pub fixed_size: Option<usize>,
+    /// No set has more members; 0 for an empty family.
+    pub max_size: usize,
 }
 
 impl StructureReport {
@@ -195,7 +194,7 @@ pub fn classify(sets: &[ProcSet], m: usize) -> StructureReport {
         nested: is_nested(sets),
         interval: is_interval_family(sets),
         ring_interval: is_ring_interval_family(sets, m),
-        fixed_size: fixed_size(sets),
+        max_size: sets.iter().map(ProcSet::len).max().unwrap_or(0),
     }
 }
 
@@ -369,10 +368,11 @@ mod tests {
         assert_eq!(rep.most_specific(), ProcSetStructure::Inclusive);
 
         // Disjoint families are nested.
-        let fam = [ps(&[0, 1]), ps(&[2, 3])];
-        let rep = classify(&fam, 4);
+        let fam = [ps(&[0, 1]), ps(&[2, 3, 4])];
+        let rep = classify(&fam, 5);
         assert!(rep.disjoint && rep.nested);
         assert_eq!(rep.most_specific(), ProcSetStructure::Disjoint);
+        assert_eq!(rep.max_size, 3);
 
         // General family.
         let fam = [ps(&[0, 2]), ps(&[1, 2])];
@@ -440,5 +440,6 @@ mod tests {
         assert!(is_disjoint_family(&fam));
         assert!(is_nested(&fam));
         assert!(is_interval_family(&fam));
+        assert_eq!(classify(&fam, 4).max_size, 0);
     }
 }

@@ -23,12 +23,6 @@ pub fn time_eq(a: Time, b: Time) -> bool {
     (a - b).abs() <= TIME_EPS * scale
 }
 
-/// Returns `true` when `a ≤ b` up to [`TIME_EPS`] (scaled).
-#[inline]
-pub fn time_le(a: Time, b: Time) -> bool {
-    a <= b || time_eq(a, b)
-}
-
 /// Returns `true` when `a < b` strictly beyond the tolerance.
 #[inline]
 pub fn time_lt(a: Time, b: Time) -> bool {
@@ -43,26 +37,6 @@ pub fn time_lt(a: Time, b: Time) -> bool {
 pub fn time_cmp(a: Time, b: Time) -> std::cmp::Ordering {
     a.partial_cmp(&b)
         .expect("times must not be NaN in scheduling computations")
-}
-
-/// Maximum of two times (NaN-free).
-#[inline]
-pub fn time_max(a: Time, b: Time) -> Time {
-    if time_cmp(a, b) == std::cmp::Ordering::Less {
-        b
-    } else {
-        a
-    }
-}
-
-/// Minimum of two times (NaN-free).
-#[inline]
-pub fn time_min(a: Time, b: Time) -> Time {
-    if time_cmp(a, b) == std::cmp::Ordering::Greater {
-        b
-    } else {
-        a
-    }
 }
 
 #[cfg(test)]
@@ -84,9 +58,7 @@ mod tests {
     }
 
     #[test]
-    fn le_and_lt_are_consistent() {
-        assert!(time_le(1.0, 1.0));
-        assert!(time_le(1.0, 2.0));
+    fn lt_is_strict_beyond_the_tolerance() {
         assert!(!time_lt(1.0, 1.0 + 1e-12));
         assert!(time_lt(1.0, 1.1));
     }
@@ -102,13 +74,5 @@ mod tests {
     #[should_panic(expected = "NaN")]
     fn cmp_rejects_nan() {
         let _ = time_cmp(f64::NAN, 1.0);
-    }
-
-    #[test]
-    fn min_max() {
-        assert_eq!(time_max(1.0, 2.0), 2.0);
-        assert_eq!(time_max(2.0, 1.0), 2.0);
-        assert_eq!(time_min(1.0, 2.0), 1.0);
-        assert_eq!(time_min(2.0, 1.0), 1.0);
     }
 }

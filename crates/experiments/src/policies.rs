@@ -8,11 +8,13 @@
 //! load-oblivious random dispatch shrugs off the adversary but pays a
 //! heavy average-case price; sampled two-choices sits in between.
 
-use flowsched_algos::policies::dispatch;
+use flowsched_algos::engine::Run;
 use flowsched_algos::registry::{PolicyId, PolicySpec};
 use flowsched_algos::tiebreak::TieBreak;
+use flowsched_core::stream::InstanceStream;
 use flowsched_kvstore::cluster::{ClusterConfig, KvCluster};
 use flowsched_kvstore::replication::ReplicationStrategy;
+use flowsched_obs::NoopRecorder;
 use flowsched_parallel::par_map;
 use flowsched_sim::report::SimReport;
 use flowsched_stats::descriptive::median;
@@ -79,7 +81,8 @@ pub fn run(scale: &Scale) -> Vec<PolicyRow> {
                 &mut rng,
             );
             let inst = cluster.requests(scale.tasks, 0.5 * m as f64, &mut rng);
-            let schedule = dispatch(&inst, *rule);
+            let schedule = Run::new(PolicySpec::new(*rule))
+                .schedule(InstanceStream::new(&inst), &mut NoopRecorder);
             let warmup = inst.len() / 10;
             let report = SimReport::from_schedule(&schedule, &inst, warmup);
             fmaxes.push(report.fmax);

@@ -70,26 +70,6 @@ impl TableBuilder {
         }
         out
     }
-
-    /// Renders the table as CSV (comma-separated, quotes around cells
-    /// containing commas).
-    pub fn to_csv(&self) -> String {
-        let esc = |s: &String| -> String {
-            if s.contains(',') || s.contains('"') {
-                format!("\"{}\"", s.replace('"', "\"\""))
-            } else {
-                s.clone()
-            }
-        };
-        let mut out = String::new();
-        out.push_str(&self.header.iter().map(esc).collect::<Vec<_>>().join(","));
-        out.push('\n');
-        for row in &self.rows {
-            out.push_str(&row.iter().map(esc).collect::<Vec<_>>().join(","));
-            out.push('\n');
-        }
-        out
-    }
 }
 
 /// Formats a float with sensible experiment precision.
@@ -119,14 +99,6 @@ mod tests {
         let off = lines[2].find('1').unwrap();
         let off2 = lines[3].find("2.5").unwrap();
         assert_eq!(off, off2);
-    }
-
-    #[test]
-    fn csv_escapes_commas() {
-        let mut t = TableBuilder::new(&["a", "b"]);
-        t.row(vec!["x,y".into(), "plain".into()]);
-        let csv = t.to_csv();
-        assert!(csv.contains("\"x,y\",plain"));
     }
 
     #[test]

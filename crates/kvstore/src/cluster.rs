@@ -26,19 +26,6 @@ pub struct ClusterConfig {
     pub case: BiasCase,
 }
 
-impl ClusterConfig {
-    /// The paper's Section 7.4 baseline: `m = 15`, `k = 3`.
-    pub fn paper_default(strategy: ReplicationStrategy, s: f64, case: BiasCase) -> Self {
-        ClusterConfig {
-            m: 15,
-            k: 3,
-            strategy,
-            s,
-            case,
-        }
-    }
-}
-
 /// A cluster with a materialized popularity distribution, ready to
 /// generate request streams.
 #[derive(Debug, Clone)]
@@ -181,13 +168,6 @@ mod tests {
         let mut r1 = seeded_rng(6);
         let mut r2 = seeded_rng(6);
         assert_eq!(c.requests(100, 3.0, &mut r1), c.requests(100, 3.0, &mut r2));
-    }
-
-    #[test]
-    fn paper_default_shape() {
-        let cfg =
-            ClusterConfig::paper_default(ReplicationStrategy::Overlapping, 1.0, BiasCase::Uniform);
-        assert_eq!((cfg.m, cfg.k), (15, 3));
     }
 
     #[test]

@@ -15,11 +15,6 @@ pub fn load_distribution(lambda: f64, popularity: &Zipf) -> Vec<f64> {
     popularity.probs().iter().map(|&p| lambda * p).collect()
 }
 
-/// The no-replication load cap `λ ≤ 1 / maxⱼ P(Eⱼ)` (Section 7.2).
-pub fn unreplicated_max_load(popularity: &Zipf) -> f64 {
-    1.0 / popularity.max_prob()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -63,16 +58,5 @@ mod tests {
         for (x, y) in a.iter().zip(&b) {
             assert!((x - y).abs() < 1e-12);
         }
-    }
-
-    #[test]
-    fn unreplicated_cap_matches_hottest_machine() {
-        let mut rng = seeded_rng(4);
-        let pop = machine_popularity(15, 1.0, BiasCase::WorstCase, &mut rng);
-        let cap = unreplicated_max_load(&pop);
-        // λ·max P = 1 at the cap.
-        assert!((cap * pop.max_prob() - 1.0).abs() < 1e-12);
-        // With bias the cap is far below m.
-        assert!(cap < 15.0 * 0.5);
     }
 }

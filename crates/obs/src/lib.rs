@@ -54,7 +54,7 @@
 //! ## Hook sites
 //!
 //! - `flowsched_algos::engine::run_immediate` — the shared streaming
-//!   engine behind `eft_stream` and `dispatch_stream`: arrivals,
+//!   engine behind `eft_stream` and every `Run`: arrivals,
 //!   dispatches, projected completions, machine busy/idle transitions
 //!   (the engine, not the dispatcher, emits transitions — one
 //!   convention for every immediate rule).

@@ -17,17 +17,17 @@
 //!   Figure 11 curves end at the LP max-load line for the same reason).
 //!   Reports come in two shapes: batch from a materialized schedule, or
 //!   folded online by [`ReportBuilder`] while the stream runs.
-//! - [`telemetry`]: the full-telemetry convenience — one streaming pass
-//!   that produces the report, the aggregate recorder, and the
-//!   tumbling-window time series together (the engine behind
-//!   `flowsched-bench --bin timeline`).
+//!
+//! For full telemetry, run [`simulate_stream`] under a
+//! [`Tee`](flowsched_obs::Tee) of a `MemoryRecorder` (aggregates and
+//! event trace) and a `WindowedMetrics` (tumbling-window time series),
+//! as `flowsched-bench --bin timeline` does: one pass over the stream,
+//! and a report equal to an uninstrumented run's.
 
 pub mod driver;
 pub mod report;
-pub mod telemetry;
 
 pub use driver::{
     profile_trace, simulate, simulate_run, simulate_stream, simulate_with, SimConfig,
 };
 pub use report::{ReportBuilder, ReportConfig, SimReport};
-pub use telemetry::{simulate_stream_telemetry, Telemetry, TelemetryConfig};

@@ -123,36 +123,18 @@ impl SimReport {
 }
 
 /// How a [`ReportBuilder`] folds a stream into a [`SimReport`].
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, Default)]
 pub struct ReportConfig {
     /// Tasks excluded from the flow statistics, counted from the front
     /// of the stream (warmup by prefix count — the streaming analogue
     /// of [`SimConfig::warmup_fraction`](crate::SimConfig)).
     pub warmup_tasks: usize,
-    /// Flow histogram range `[lo, hi)` backing the online percentile
-    /// estimates. Flows outside it clamp to the nearest edge.
-    pub hist_range: (f64, f64),
-    /// Number of histogram bins. Percentiles are exact when flows land
-    /// on bin lower edges (e.g. quarter-integer flows with the default
-    /// quarter-width bins) and off by at most a bin width otherwise.
-    pub hist_bins: usize,
     /// Expected number of *measured* (post-warmup) tasks, when known.
     /// Sizes the drift quarters so that a hinted run reproduces the
     /// batch drift exactly; `None` falls back to a fixed 1024-task
     /// window (drift stays exact up to ~4k measured tasks, then becomes
     /// a bounded-window approximation).
     pub expected_measured: Option<usize>,
-}
-
-impl Default for ReportConfig {
-    fn default() -> Self {
-        ReportConfig {
-            warmup_tasks: 0,
-            hist_range: (0.0, 1024.0),
-            hist_bins: 4096,
-            expected_measured: None,
-        }
-    }
 }
 
 /// Streaming [`SimReport`] fold: a [`DispatchSink`] that consumes
@@ -190,6 +172,14 @@ pub struct ReportBuilder {
 }
 
 impl ReportBuilder {
+    /// Flow histogram range `[lo, hi)` backing the online percentile
+    /// estimates. Flows outside it clamp to the nearest edge.
+    const HIST_RANGE: (f64, f64) = (0.0, 1024.0);
+    /// Histogram bins, a quarter time unit wide: percentiles are exact
+    /// when flows land on bin lower edges (quarter-integer flows) and
+    /// off by at most a bin width otherwise.
+    const HIST_BINS: usize = 4096;
+
     /// Fresh fold for a run on `m` machines.
     pub fn new(m: usize, config: &ReportConfig) -> Self {
         let window = config.expected_measured.map_or(1024, |n| (n / 4).max(1));
@@ -202,7 +192,7 @@ impl ReportBuilder {
             weighted_fmax: 0.0,
             sum_stretch: 0.0,
             max_stretch: 0.0,
-            hist: Histogram::new(config.hist_range.0, config.hist_range.1, config.hist_bins),
+            hist: Histogram::new(Self::HIST_RANGE.0, Self::HIST_RANGE.1, Self::HIST_BINS),
             head: Vec::new(),
             tail: VecDeque::new(),
             window,

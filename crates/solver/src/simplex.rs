@@ -252,11 +252,6 @@ impl LinearProgram {
         self.n_vars
     }
 
-    /// Number of constraints.
-    pub fn n_constraints(&self) -> usize {
-        self.rows.len()
-    }
-
     /// Solves the program with one-shot scratch storage. Sweeps that
     /// solve many programs should hold a [`SimplexScratch`] and call
     /// [`solve_with`](Self::solve_with) instead.

@@ -318,7 +318,10 @@ impl ArrivalStream for PoissonStream {
     /// (the stream is lazy; there is nothing to classify yet).
     fn structure_hint(&self) -> Option<StructureReport> {
         let m = self.m;
-        let mut r = StructureReport::default();
+        let mut r = StructureReport {
+            max_size: m,
+            ..StructureReport::default()
+        };
         match self.structure {
             StructureKind::Unrestricted => {
                 r.inclusive = true;
@@ -326,12 +329,11 @@ impl ArrivalStream for PoissonStream {
                 r.nested = true;
                 r.interval = true;
                 r.ring_interval = true;
-                r.fixed_size = Some(m);
             }
             StructureKind::IntervalFixed(k) => {
                 r.interval = true;
                 r.ring_interval = true;
-                r.fixed_size = Some(k);
+                r.max_size = k;
                 if k == m {
                     r.inclusive = true;
                     r.disjoint = true;
@@ -340,7 +342,7 @@ impl ArrivalStream for PoissonStream {
             }
             StructureKind::RingFixed(k) => {
                 r.ring_interval = true;
-                r.fixed_size = Some(k);
+                r.max_size = k;
                 // Width-m rings degenerate to the full set; width-1 rings
                 // never wrap. Either way every set is a plain interval.
                 if k == m || k == 1 {
@@ -357,9 +359,9 @@ impl ArrivalStream for PoissonStream {
                 r.nested = true;
                 r.interval = true;
                 r.ring_interval = true;
-                // The last block is short when k ∤ m, so the family has a
-                // fixed size only for exact divisions.
-                r.fixed_size = if m.is_multiple_of(k) { Some(k) } else { None };
+                // The last block is short when k ∤ m, so k bounds the
+                // widths without being every set's.
+                r.max_size = k;
             }
             StructureKind::InclusiveChain | StructureKind::InclusivePrefix => {
                 r.inclusive = true;
@@ -585,8 +587,9 @@ mod tests {
         // The analytic hint may under-claim (a random draw can be
         // accidentally more structured than the family guarantees) but
         // must never over-claim: every predicate the hint asserts must
-        // hold on a collected sample, and a claimed fixed size must be
-        // the classifier's.
+        // hold on a collected sample, and no sampled set may be wider
+        // than the claimed maximum (the fixed-width kinds claim exactly
+        // their width).
         for (kind, m) in [
             (StructureKind::Unrestricted, 8),
             (StructureKind::IntervalFixed(3), 8),
@@ -614,8 +617,14 @@ mod tests {
             for (name, claimed, holds) in claims {
                 assert!(!claimed || holds, "{kind:?}: hint claims {name} falsely");
             }
-            if let Some(k) = hint.fixed_size {
-                assert_eq!(actual.fixed_size, Some(k), "{kind:?}: fixed size");
+            assert!(hint.max_size >= actual.max_size, "{kind:?}: max size");
+            if matches!(
+                kind,
+                StructureKind::IntervalFixed(_)
+                    | StructureKind::RingFixed(_)
+                    | StructureKind::DisjointBlocks(_)
+            ) {
+                assert_eq!(hint.max_size, actual.max_size, "{kind:?}: max size");
             }
         }
     }

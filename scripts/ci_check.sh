@@ -52,14 +52,20 @@
 #      8 MiB bank) at the million-machine scale
 #  12. performance ledger: perf_ledger is not a workspace member, so
 #      stage 3 does not reach it. Its own unit tests run first (cargo
-#      test --release --offline --manifest-path perf_ledger/Cargo.toml),
-#      which also proves the ledger still builds against the crates'
-#      public items. Then its `--smoke` mode runs every ledger workload
-#      over 20k tasks with all of its output checks (no task of
-#      faulty_m256 runs across an outage, sharded and observed runs
-#      reproduce the sequential schedule) and exits non-zero on any
-#      failure. The smoke's 20k tasks are below every workload's full
-#      size, where the ledger's pinned schedule hashes apply, so the
+#      test --release --offline --locked --manifest-path
+#      perf_ledger/Cargo.toml), which also proves the ledger still
+#      builds against the crates' public items. Every ledger build
+#      passes --locked: the ledger is a workspace of its own, so
+#      perf_ledger/Cargo.lock records the dependency edges of every
+#      crate it builds, and without --locked any change to a crate's
+#      manifest silently rewrites that lock file, which belongs to the
+#      benchmark; with it the build fails instead. Then its `--smoke`
+#      mode runs every ledger workload over 20k tasks with all of its
+#      output checks (no task of faulty_m256 runs across an outage,
+#      sharded and observed runs reproduce the sequential schedule)
+#      and exits non-zero on any failure. The smoke's 20k tasks are
+#      below every workload's full size, where the ledger's pinned
+#      schedule hashes apply, so the
 #      stage then runs each workload once at full size (`--workload W
 #      --seconds 0 --trace 0`: one child) at seeds 0x5EED and
 #      0xC0FFEE. That mode exits 0 either way, so the stage requires
@@ -161,11 +167,11 @@ FLOWSCHED_SMOKE_M=1048576 FLOWSCHED_SMOKE_N=200000 \
 
 echo
 echo "== performance-ledger unit tests, smoke and full-size pinned hashes =="
-cargo test --release --offline -q --manifest-path perf_ledger/Cargo.toml
-cargo run --release --offline --manifest-path perf_ledger/Cargo.toml -- --smoke
+cargo test --release --offline --locked -q --manifest-path perf_ledger/Cargo.toml
+cargo run --release --offline --locked --manifest-path perf_ledger/Cargo.toml -- --smoke
 for seed in 0x5EED 0xC0FFEE; do
   for workload in disjoint_m256 prefix_m4k observed_m256 faulty_m256 sharded_m256_t2; do
-    verdict="$(cargo run -q --release --offline --manifest-path perf_ledger/Cargo.toml -- \
+    verdict="$(cargo run -q --release --offline --locked --manifest-path perf_ledger/Cargo.toml -- \
       --workload "$workload" --seed "$seed" --seconds 0 --trace 0 | tail -n 1)"
     case "$verdict" in
       *'"correct":true'*) echo "  $workload at $seed: correct" ;;

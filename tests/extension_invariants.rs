@@ -7,9 +7,8 @@ use proptest::prelude::*;
 use flowsched::algos::exact::exact_fmax;
 use flowsched::algos::localsearch::improve;
 use flowsched::algos::offline::fmax_lower_bound;
-use flowsched::algos::policies::dispatch;
 use flowsched::algos::preemptive::optimal_preemptive_fmax;
-use flowsched::algos::registry::PolicyId;
+use flowsched::algos::registry::{PolicyId, PolicySpec};
 use flowsched::core::io::{
     instance_from_json, instance_to_json, schedule_from_json, schedule_to_json,
 };
@@ -83,7 +82,8 @@ proptest! {
             2 => PolicyId::Choices { d: 2, seed },
             _ => PolicyId::RoundRobin,
         };
-        let s = dispatch(&inst, rule);
+        let s = Run::new(PolicySpec::new(rule))
+            .schedule(InstanceStream::new(&inst), &mut flowsched::obs::NoopRecorder);
         prop_assert!(s.validate(&inst).is_ok());
     }
 

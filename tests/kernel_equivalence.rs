@@ -370,15 +370,15 @@ fn stream_kernels_produce_identical_schedules_and_traces() {
     }
 }
 
-/// `Auto` must agree with both forced kernels on either side of the
-/// machine-count threshold (it is a selection rule, not a third
-/// algorithm).
+/// `Auto` must agree with the forced scan on either side of the width
+/// cut (it is a selection rule, not a third algorithm): 64-wide
+/// intervals resolve to the scan, 128-wide ones to the index.
 #[test]
 fn auto_kernel_is_always_one_of_the_two_paths() {
-    use flowsched::algos::indexed::AUTO_INDEXED_MIN_MACHINES;
     use flowsched::core::stream::InstanceStream;
-    for m in [AUTO_INDEXED_MIN_MACHINES / 2, 2 * AUTO_INDEXED_MIN_MACHINES] {
-        let config = RandomInstanceConfig::unit_tasks(m, 300, StructureKind::IntervalFixed(m / 3));
+    let m = 256;
+    for k in [64, 128] {
+        let config = RandomInstanceConfig::unit_tasks(m, 300, StructureKind::IntervalFixed(k));
         let inst = random_instance(&config, 9);
         let auto = Run::new(PolicySpec::eft(TieBreak::Min, DispatchKernel::Auto)).schedule(
             InstanceStream::new(&inst),
@@ -388,7 +388,7 @@ fn auto_kernel_is_always_one_of_the_two_paths() {
             InstanceStream::new(&inst),
             &mut flowsched::obs::NoopRecorder,
         );
-        assert_eq!(auto, forced, "m = {m}");
+        assert_eq!(auto, forced, "k = {k}");
     }
 }
 
@@ -419,7 +419,7 @@ fn explicit_disjoint_blocks_take_the_member_scan() {
         .structure_hint()
         .expect("instance streams classify");
     assert!(hint.disjoint && !hint.interval && !hint.ring_interval);
-    assert_eq!(hint.fixed_size, Some(k));
+    assert_eq!(hint.max_size, k);
     assert_eq!(
         DispatchKernel::Auto.resolve_for_stream(&InstanceStream::new(&inst)),
         DispatchKernel::Scalar
@@ -456,7 +456,7 @@ fn explicit_disjoint_blocks_take_the_member_scan() {
 }
 
 /// A ring family lends its wrapping sets as compact `Ring` views, so
-/// the lane index answers every dispatch: on 64-wide ring segments of
+/// the lane index answers every dispatch: on 128-wide ring segments of
 /// 256 machines `Auto` resolves to the index, which descends once per
 /// task and never falls back to the member scan, and the schedule and
 /// recorder trace equal the forced scan's.
@@ -466,7 +466,7 @@ fn wrapping_ring_sets_reach_the_lane_index() {
     use flowsched::obs::Counter;
     let (m, n) = (256, 20_000);
     let inst = random_instance(
-        &RandomInstanceConfig::unit_tasks(m, n, StructureKind::RingFixed(64)),
+        &RandomInstanceConfig::unit_tasks(m, n, StructureKind::RingFixed(128)),
         7,
     );
     assert_eq!(
@@ -484,4 +484,35 @@ fn wrapping_ring_sets_reach_the_lane_index() {
     assert_eq!(counters.get(Counter::ScalarFallbackScans), 0);
     assert_eq!(auto.0, scalar.0, "schedules differ");
     assert_eq!(auto.1.trace().to_vec(), scalar.1.trace().to_vec());
+}
+
+/// A narrow interval family whose sets are not all one width — 3-wide
+/// blocks on 256 machines, the last of which holds one machine — takes
+/// the member scan, where the lane index reads about twice the scan's
+/// time per task. Its widest set decides, whether the instance's
+/// classification or the generator's promise reports it, and `Auto`
+/// schedules as the forced index does.
+#[test]
+fn narrow_families_without_a_fixed_width_take_the_scan() {
+    use flowsched::core::stream::InstanceStream;
+    use flowsched::workloads::random::{PoissonStream, PoissonStreamConfig};
+    let (m, n) = (256, 20_000);
+    let kind = StructureKind::DisjointBlocks(3);
+    let inst = random_instance(&RandomInstanceConfig::unit_tasks(m, n, kind), 7);
+    assert_eq!(
+        DispatchKernel::Auto.resolve_for_stream(&InstanceStream::new(&inst)),
+        DispatchKernel::Scalar
+    );
+    let poisson = PoissonStream::new(&PoissonStreamConfig::unit_tasks(m, n, 200.0, kind), 7);
+    assert_eq!(
+        DispatchKernel::Auto.resolve_for_stream(&poisson),
+        DispatchKernel::Scalar
+    );
+    let [auto, indexed] = [DispatchKernel::Auto, DispatchKernel::Indexed].map(|kernel| {
+        Run::new(PolicySpec::eft(TieBreak::Min, kernel)).schedule(
+            InstanceStream::new(&inst),
+            &mut flowsched::obs::NoopRecorder,
+        )
+    });
+    assert_eq!(auto, indexed, "schedules differ");
 }

@@ -245,32 +245,40 @@ fn instance_stream_hull_plan_round_trips() {
     }
 }
 
-/// Each shard resolves `Auto` once, against the stream's promise at its
-/// own width: 64-wide disjoint blocks at m = 256 make four 64-machine
-/// shards that run the index (one descent per task), and 16-wide blocks
-/// make shards below `AUTO_INDEXED_MIN_MACHINES` that scan.
+/// `Auto` resolves once per run, against the stream's promise, and
+/// every shard runs that kernel: 128-wide disjoint blocks at m = 512
+/// make four shards that descend the lane index once per task, 16-wide
+/// blocks at m = 256 make sixteen that never descend, and either way
+/// the kernel counters equal the sequential run's.
 #[test]
-fn shards_resolve_auto_at_their_own_width() {
+fn sharded_and_sequential_runs_resolve_auto_alike() {
     use flowsched::algos::engine::NullSink;
     use flowsched::obs::Counter;
 
-    const M: usize = 256;
     const N: usize = 1_000;
-    for (block, descents) in [(64, N as u64), (16, 0)] {
-        let stream = stream_for(StructureKind::DisjointBlocks(block), M, N, 7);
-        let plan = stream.shard_plan(DEFAULT_MAX_SHARDS);
-        assert_eq!(plan.shards(), M / block);
-        let mut rec = MemoryRecorder::with_defaults(M);
-        Run::new(PolicySpec::eft(TieBreak::Min, DispatchKernel::Auto))
-            .sharded(&plan, &ShardedConfig::with_threads(2))
-            .execute(stream, &mut rec, &mut NullSink);
-        let counters = rec.counters();
-        assert_eq!(counters.get(Counter::TasksDispatched), N as u64);
-        assert_eq!(
-            counters.get(Counter::IndexedDescents),
-            descents,
-            "blocks of {block}"
-        );
-        assert_eq!(counters.get(Counter::ScalarFallbackScans), 0);
+    for (m, block, descents) in [(512, 128, N as u64), (256, 16, 0)] {
+        let counters = |sharded: bool| {
+            let stream = stream_for(StructureKind::DisjointBlocks(block), m, N, 7);
+            let plan = stream.shard_plan(DEFAULT_MAX_SHARDS);
+            assert_eq!(plan.shards(), m / block);
+            let cfg = ShardedConfig::with_threads(2);
+            let run = Run::new(PolicySpec::eft(TieBreak::Min, DispatchKernel::Auto));
+            let run = if sharded {
+                run.sharded(&plan, &cfg)
+            } else {
+                run
+            };
+            let mut rec = MemoryRecorder::with_defaults(m);
+            run.execute(stream, &mut rec, &mut NullSink);
+            [
+                Counter::TasksDispatched,
+                Counter::IndexedDescents,
+                Counter::ScalarFallbackScans,
+            ]
+            .map(|c| rec.counters().get(c))
+        };
+        let sequential = counters(false);
+        assert_eq!(sequential, [N as u64, descents, 0], "blocks of {block}");
+        assert_eq!(counters(true), sequential, "blocks of {block}");
     }
 }

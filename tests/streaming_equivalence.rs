@@ -9,11 +9,11 @@
 use proptest::prelude::*;
 
 use flowsched::algos::eft::{eft, eft_stream};
+use flowsched::algos::engine::Run;
 use flowsched::algos::fifo::{fifo, fifo_stream};
-use flowsched::algos::policies::{dispatch, dispatch_stream};
-use flowsched::algos::registry::PolicyId;
+use flowsched::algos::registry::{PolicyId, PolicySpec};
 use flowsched::algos::tiebreak::TieBreak;
-use flowsched::core::stream::collect_stream;
+use flowsched::core::stream::{collect_stream, InstanceStream};
 use flowsched::obs::NoopRecorder;
 use flowsched::sim::driver::{simulate, simulate_stream, SimConfig};
 use flowsched::sim::report::ReportConfig;
@@ -105,8 +105,9 @@ proptest! {
         let k = structure_bound(structure, m);
         let cfg = stream_config(m, n, k, lambda, true);
         let inst = collect_stream(PoissonStream::new(&cfg, seed)).unwrap();
-        let batch = dispatch(&inst, rule);
-        let streamed = dispatch_stream(PoissonStream::new(&cfg, seed), rule, &mut NoopRecorder);
+        let run = Run::new(PolicySpec::new(rule));
+        let batch = run.schedule(InstanceStream::new(&inst), &mut NoopRecorder);
+        let streamed = run.schedule(PoissonStream::new(&cfg, seed), &mut NoopRecorder);
         prop_assert_eq!(&streamed, &batch);
         streamed.validate(&inst).unwrap();
     }

@@ -7,10 +7,11 @@
 #![cfg(target_os = "linux")]
 
 use flowsched::algos::tiebreak::TieBreak;
-use flowsched::obs::NoopRecorder;
+use flowsched::obs::{
+    Counter, MemoryRecorder, NoopRecorder, ObsConfig, Tee, WindowConfig, WindowedMetrics,
+};
 use flowsched::sim::driver::simulate_stream;
 use flowsched::sim::report::ReportConfig;
-use flowsched::sim::telemetry::{simulate_stream_telemetry, TelemetryConfig};
 use flowsched::workloads::random::{PoissonStream, PoissonStreamConfig, StructureKind};
 
 /// Peak resident set size of this process, in kibibytes, from
@@ -83,24 +84,23 @@ fn million_task_stream_with_windowed_telemetry_stays_bounded() {
     };
 
     let before = peak_rss_kib();
-    let telemetry = simulate_stream_telemetry(
+    let mut rec = Tee(
+        MemoryRecorder::new(&ObsConfig::defaults(16)),
+        WindowedMetrics::new(WindowConfig::defaults(16, 16.0)),
+    );
+    let report = simulate_stream(
         PoissonStream::new(&cfg, 404),
         TieBreak::Min,
         &ReportConfig::default(),
-        &TelemetryConfig::defaults(16, 16.0),
+        &mut rec,
     );
     let after = peak_rss_kib();
 
-    assert_eq!(telemetry.report.n_measured, 1_000_000);
-    let starts: u64 = telemetry.windows.windows().iter().map(|w| w.starts).sum();
+    let Tee(recorder, windows) = rec;
+    assert_eq!(report.n_measured, 1_000_000);
+    let starts: u64 = windows.windows().iter().map(|w| w.starts).sum();
     assert_eq!(starts, 1_000_000, "every dispatch lands in some window");
-    assert_eq!(
-        telemetry
-            .recorder
-            .counters()
-            .get(flowsched::obs::Counter::TasksDispatched),
-        1_000_000
-    );
+    assert_eq!(recorder.counters().get(Counter::TasksDispatched), 1_000_000);
 
     let grown_kib = after.saturating_sub(before);
     assert!(

@@ -7,17 +7,18 @@
 use flowsched::algos::tiebreak::TieBreak;
 use flowsched::obs::{
     chrome_trace, machine_spans, prometheus_text, task_spans, windows_to_csv, Counter,
+    MemoryRecorder, NoopRecorder, ObsConfig, Tee, WindowConfig, WindowedMetrics,
 };
-use flowsched::sim::report::ReportConfig;
-use flowsched::sim::telemetry::{simulate_stream_telemetry, Telemetry, TelemetryConfig};
+use flowsched::sim::driver::simulate_stream;
+use flowsched::sim::report::{ReportConfig, SimReport};
 use flowsched::workloads::random::{PoissonStream, PoissonStreamConfig, StructureKind};
 use serde_json::Value;
 
 const M: usize = 8;
 const N: usize = 400;
 
-/// One deterministic instrumented run shared by every check below.
-fn pipeline_run() -> Telemetry {
+/// The deterministic stream every check below runs.
+fn stream() -> PoissonStream {
     let cfg = PoissonStreamConfig {
         m: M,
         n: N,
@@ -26,14 +27,38 @@ fn pipeline_run() -> Telemetry {
         unit: false,
         ptime_steps: 5,
     };
-    let mut telemetry_cfg = TelemetryConfig::defaults(M, 2.0);
-    telemetry_cfg.obs.trace_capacity = 8 * N; // lossless, like `timeline`
-    simulate_stream_telemetry(
-        PoissonStream::new(&cfg, 1234),
+    PoissonStream::new(&cfg, 1234)
+}
+
+/// One instrumented run shared by every check below: its report, and
+/// the aggregate recorder and time series teed over the one pass.
+fn pipeline_run() -> (SimReport, MemoryRecorder, WindowedMetrics) {
+    let mut obs = ObsConfig::defaults(M);
+    obs.trace_capacity = 8 * N; // lossless, like `timeline`
+    let mut rec = Tee(
+        MemoryRecorder::new(&obs),
+        WindowedMetrics::new(WindowConfig::defaults(M, 2.0)),
+    );
+    let report = simulate_stream(stream(), TieBreak::Min, &ReportConfig::default(), &mut rec);
+    let Tee(recorder, windows) = rec;
+    (report, recorder, windows)
+}
+
+/// Recording both layers in one pass changes nothing the run reports,
+/// and the windows count every dispatch.
+#[test]
+fn teed_recorders_leave_the_report_unchanged() {
+    let (report, recorder, windows) = pipeline_run();
+    let plain = simulate_stream(
+        stream(),
         TieBreak::Min,
         &ReportConfig::default(),
-        &telemetry_cfg,
-    )
+        &mut NoopRecorder,
+    );
+    assert_eq!(report, plain);
+    assert_eq!(recorder.counters().get(Counter::TasksDispatched), N as u64);
+    let starts: u64 = windows.windows().iter().map(|w| w.starts).sum();
+    assert_eq!(starts, N as u64);
 }
 
 fn as_array(v: &Value) -> &[Value] {
@@ -45,10 +70,10 @@ fn as_array(v: &Value) -> &[Value] {
 
 #[test]
 fn chrome_trace_is_structurally_valid_and_complete() {
-    let t = pipeline_run();
-    assert_eq!(t.recorder.trace().dropped(), 0, "ring sized to be lossless");
-    let tasks = task_spans(t.recorder.trace().iter());
-    let machines = machine_spans(t.recorder.trace().iter(), t.recorder.makespan_seen());
+    let (_, recorder, _) = pipeline_run();
+    assert_eq!(recorder.trace().dropped(), 0, "ring sized to be lossless");
+    let tasks = task_spans(recorder.trace().iter());
+    let machines = machine_spans(recorder.trace().iter(), recorder.makespan_seen());
     assert_eq!(tasks.len(), N, "one lifecycle span per task");
 
     let json = chrome_trace(&tasks, &machines);
@@ -122,8 +147,8 @@ fn chrome_trace_is_structurally_valid_and_complete() {
 
 #[test]
 fn prometheus_exposition_matches_the_recorder() {
-    let t = pipeline_run();
-    let text = prometheus_text(&t.recorder);
+    let (_, recorder, _) = pipeline_run();
+    let text = prometheus_text(&recorder);
 
     // Every counter appears with its exact value.
     for (c, v) in [
@@ -131,7 +156,7 @@ fn prometheus_exposition_matches_the_recorder() {
         (Counter::TasksDispatched, N as u64),
         (Counter::TasksCompleted, N as u64),
     ] {
-        assert_eq!(t.recorder.counters().get(c), v);
+        assert_eq!(recorder.counters().get(c), v);
         let line = format!("flowsched_{}_total {v}", c.name());
         assert!(text.contains(&line), "missing {line:?} in exposition");
     }
@@ -143,7 +168,7 @@ fn prometheus_exposition_matches_the_recorder() {
     }
     let count_line = format!(
         "flowsched_flow_time_count {}",
-        t.recorder.flow_histogram().total()
+        recorder.flow_histogram().total()
     );
     assert!(text.contains(&count_line), "missing {count_line:?}");
     let buckets: Vec<f64> = text
@@ -159,14 +184,14 @@ fn prometheus_exposition_matches_the_recorder() {
     assert!(text.contains("le=\"+Inf\""));
     assert_eq!(
         *buckets.last().unwrap() as u64,
-        t.recorder.flow_histogram().total()
+        recorder.flow_histogram().total()
     );
 }
 
 #[test]
 fn csv_time_series_conserves_the_run() {
-    let t = pipeline_run();
-    let csv = windows_to_csv(&t.windows);
+    let (_, _, windows) = pipeline_run();
+    let csv = windows_to_csv(&windows);
     let mut lines = csv.lines();
     let header = lines.next().expect("header row");
     assert!(header.starts_with(
@@ -185,7 +210,7 @@ fn csv_time_series_conserves_the_run() {
         completions += fields[5].parse::<u64>().expect("completions column");
         rows += 1;
     }
-    assert_eq!(rows, t.windows.windows().len());
+    assert_eq!(rows, windows.windows().len());
     assert_eq!(
         arrivals, N as u64,
         "every arrival lands in exactly one window"
@@ -195,13 +220,13 @@ fn csv_time_series_conserves_the_run() {
 
 #[test]
 fn spans_agree_with_the_aggregate_recorder() {
-    let t = pipeline_run();
-    let tasks = task_spans(t.recorder.trace().iter());
-    let machines = machine_spans(t.recorder.trace().iter(), t.recorder.makespan_seen());
+    let (report, recorder, _) = pipeline_run();
+    let tasks = task_spans(recorder.trace().iter());
+    let machines = machine_spans(recorder.trace().iter(), recorder.makespan_seen());
 
     // Total busy time from machine spans == the recorder's busy vector.
     let span_busy: f64 = machines.iter().map(|s| s.end - s.start).sum();
-    let rec_busy: f64 = t.recorder.busy_time().iter().sum();
+    let rec_busy: f64 = recorder.busy_time().iter().sum();
     assert!(
         (span_busy - rec_busy).abs() < 1e-6,
         "busy spans {span_busy} vs recorder {rec_busy}"
@@ -209,5 +234,5 @@ fn spans_agree_with_the_aggregate_recorder() {
 
     // Flow recomputed from spans matches the report's maximum exactly.
     let span_fmax = tasks.iter().map(|s| s.flow()).fold(0.0, f64::max);
-    assert!((span_fmax - t.report.fmax).abs() < 1e-9);
+    assert!((span_fmax - report.fmax).abs() < 1e-9);
 }
