@@ -20,16 +20,18 @@
 //!   utilization, flow percentiles per window).
 //! - `snapshot.json` — the ordinary observability snapshot.
 //!
-//! The trace ring is sized to the task count so the timeline is
-//! lossless; if the ring still dropped events (it cannot at the sizes
-//! this binary produces), the summary printed at the end says so.
+//! The source is built first and the trace ring is sized from its own
+//! task count (the adversary builds an instance of its own size, not of
+//! the scale's task count), so the timeline is lossless. The summary
+//! printed at the end reports any dropped event; `scripts/ci_check.sh`
+//! runs every workload and fails unless it reads `0 dropped`.
 
 use std::path::PathBuf;
 
 use flowsched_algos::indexed::DispatchKernel;
 use flowsched_algos::registry::PolicySpec;
 use flowsched_algos::tiebreak::TieBreak;
-use flowsched_core::stream::InstanceStream;
+use flowsched_core::stream::{ArrivalStream, InstanceStream};
 use flowsched_kvstore::cluster::{ClusterConfig, KvCluster};
 use flowsched_kvstore::replication::ReplicationStrategy;
 use flowsched_obs::{
@@ -37,7 +39,7 @@ use flowsched_obs::{
     ExtraGauge, MemoryRecorder, ObsConfig, PromOptions, Tee, WindowConfig, WindowedMetrics,
 };
 use flowsched_sim::driver::simulate_stream;
-use flowsched_sim::report::ReportConfig;
+use flowsched_sim::report::{ReportConfig, SimReport};
 use flowsched_stats::zipf::BiasCase;
 use flowsched_workloads::adversary::interval::interval_adversary_instance;
 use flowsched_workloads::random::{PoissonStream, PoissonStreamConfig, StructureKind};
@@ -78,17 +80,7 @@ fn main() {
         .timeline
         .unwrap_or_else(|| PathBuf::from("target/timeline"));
 
-    // Lossless trace: ~5 events per task (arrival, dispatch, projected
-    // completion, amortized busy/idle) plus slack.
-    let mut obs = ObsConfig::defaults(scale.m);
-    obs.trace_capacity = 6 * scale.tasks + 64;
-    let mut rec = Tee(
-        MemoryRecorder::new(&obs),
-        WindowedMetrics::new(WindowConfig::defaults(scale.m, width)),
-    );
-
-    let report_cfg = ReportConfig::default();
-    let report = match workload.as_str() {
+    let (report, rec, n) = match workload.as_str() {
         "kv" => {
             let mut rng = rand::rngs::StdRng::seed_from_u64(scale.seed);
             let cluster = KvCluster::new(
@@ -104,7 +96,7 @@ fn main() {
             // 70% offered load: busy enough for visible queueing, stable
             // enough that the timeline has an end.
             let inst = cluster.requests(scale.tasks, 0.7 * scale.m as f64, &mut rng);
-            simulate_stream(InstanceStream::new(&inst), policy, &report_cfg, &mut rec)
+            observe(InstanceStream::new(&inst), policy, width)
         }
         "poisson" => {
             let cfg = PoissonStreamConfig {
@@ -115,16 +107,11 @@ fn main() {
                 unit: true,
                 ptime_steps: 4,
             };
-            simulate_stream(
-                PoissonStream::new(&cfg, scale.seed),
-                policy,
-                &report_cfg,
-                &mut rec,
-            )
+            observe(PoissonStream::new(&cfg, scale.seed), policy, width)
         }
         "adversary" => {
             let inst = interval_adversary_instance(scale.m, scale.k, scale.m * scale.m);
-            simulate_stream(InstanceStream::new(&inst), policy, &report_cfg, &mut rec)
+            observe(InstanceStream::new(&inst), policy, width)
         }
         other => panic!("unknown --workload {other:?}; supported: kv, poisson, adversary"),
     };
@@ -157,8 +144,8 @@ fn main() {
     write("snapshot.json", rec.snapshot().to_json());
 
     println!(
-        "timeline: {workload}/{policy:?} — m={}, n={}, window width {width}, seed={:#x}",
-        scale.m, scale.tasks, scale.seed
+        "timeline: {workload}/{policy:?} — m={}, n={n}, window width {width}, seed={:#x}",
+        scale.m, scale.seed
     );
     println!(
         "SimReport: fmax={:.4} mean_flow={:.4} p95={:.4} p99={:.4}",
@@ -171,4 +158,28 @@ fn main() {
         windows.windows().len()
     );
     print!("{}", render_summary(rec));
+}
+
+/// Runs `source` under a `Tee` of a `MemoryRecorder` and a
+/// `WindowedMetrics`, and returns the report, the recorders and the
+/// task count. The trace ring is sized from the source's own length, so
+/// it keeps every event: ~5 per task (arrival, dispatch, projected
+/// completion, amortized busy/idle) plus slack.
+fn observe<S: ArrivalStream>(
+    source: S,
+    policy: TieBreak,
+    width: f64,
+) -> (SimReport, Tee<MemoryRecorder, WindowedMetrics>, usize) {
+    let m = source.machines();
+    let n = source
+        .len_hint()
+        .expect("timeline sources know their length");
+    let mut obs = ObsConfig::defaults(m);
+    obs.trace_capacity = 6 * n + 64;
+    let mut rec = Tee(
+        MemoryRecorder::new(&obs),
+        WindowedMetrics::new(WindowConfig::defaults(m, width)),
+    );
+    let report = simulate_stream(source, policy, &ReportConfig::default(), &mut rec);
+    (report, rec, n)
 }

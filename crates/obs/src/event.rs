@@ -181,7 +181,8 @@ impl EventRing {
             false
         } else {
             self.buf[self.head] = ev;
-            self.head = (self.head + 1) % self.capacity;
+            let next = self.head + 1;
+            self.head = if next == self.capacity { 0 } else { next };
             self.dropped += 1;
             true
         }
@@ -285,17 +286,25 @@ mod tests {
 
     #[test]
     fn wraps_repeatedly_in_order() {
-        let mut r = EventRing::new(2);
-        for i in 0..100 {
-            r.push(arrival(i));
-            let v = r.to_vec();
-            let last = match v.last().unwrap() {
-                Event::TaskArrival { task, .. } => *task,
-                _ => unreachable!(),
-            };
-            assert_eq!(last, i, "newest event is always last");
+        for capacity in [1, 2, 3] {
+            let mut r = EventRing::new(capacity);
+            for i in 0..100 {
+                r.push(arrival(i));
+                let tasks: Vec<u64> = r
+                    .iter()
+                    .map(|e| match e {
+                        Event::TaskArrival { task, .. } => *task,
+                        _ => unreachable!(),
+                    })
+                    .collect();
+                let newest: Vec<u64> = ((i + 1).saturating_sub(capacity as u64)..=i).collect();
+                assert_eq!(
+                    tasks, newest,
+                    "capacity {capacity}: the newest events, oldest first"
+                );
+            }
+            assert_eq!(r.dropped(), 100 - capacity as u64);
         }
-        assert_eq!(r.dropped(), 98);
     }
 
     #[test]

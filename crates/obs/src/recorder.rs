@@ -6,8 +6,9 @@
 //! compile-time `false`, so monomorphization deletes both the calls and
 //! the guarded argument computation — the instrumented code is the
 //! uninstrumented code. `tests/obs_invariants.rs` pins the behavioural
-//! half of that claim (identical schedules); the PR 1 bench baselines
-//! (`BENCH_PR1.json`) guard the performance half.
+//! half of that claim (identical schedules). On the performance ledger,
+//! `observed_m256` minus `disjoint_m256` (the same inputs under a real
+//! recorder and under `NoopRecorder`) is the recorder's cost.
 
 use crate::counters::Counter;
 use crate::event::ProbeKind;

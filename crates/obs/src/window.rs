@@ -178,42 +178,42 @@ impl WindowedMetrics {
     /// Folds another series into this one window-by-window.
     ///
     /// # Panics
-    /// Panics when the two series disagree on width, machine count, or
-    /// flow-histogram shape.
+    /// Panics when the two series disagree on width, machine count,
+    /// window cap, or flow-histogram shape.
     pub fn merge(&mut self, other: &WindowedMetrics) {
+        let shape = |w: &Self| (w.cfg.width.to_bits(), w.cfg.machines, w.cfg.max_windows);
         assert_eq!(
-            (self.cfg.width.to_bits(), self.cfg.machines),
-            (other.cfg.width.to_bits(), other.cfg.machines),
-            "windowed merge requires identical width and machine count"
+            shape(self),
+            shape(other),
+            "windowed merge requires identical width, machine count and window cap"
         );
-        while self.windows.len() < other.windows.len() {
-            self.windows.push(WindowStats::new(&self.cfg));
+        if let Some(last) = other.windows.len().checked_sub(1) {
+            self.ensure(last);
         }
         for (w, o) in self.windows.iter_mut().zip(&other.windows) {
             w.merge(o);
         }
     }
 
-    fn at(&mut self, t: f64) -> &mut WindowStats {
-        let k = self.index_of(t);
+    /// Materialises every window up to `k`.
+    fn ensure(&mut self, k: usize) {
         while self.windows.len() <= k {
             self.windows.push(WindowStats::new(&self.cfg));
         }
-        &mut self.windows[k]
     }
 
-    /// Distributes the interval `[from, to)` over the windows it
-    /// overlaps, handing each window its overlap length. The capped
-    /// final window absorbs everything past the cap.
-    fn spread(&mut self, from: f64, to: f64, mut f: impl FnMut(&mut WindowStats, f64)) {
+    /// Hands each window that `[from, to)` overlaps, from `k =
+    /// index_of(from)` on, its overlap length; the capped final window
+    /// absorbs everything past the cap. Windows up to `index_of(to)`
+    /// must exist: a positive overlap needs `to > k·width`.
+    fn spread(&mut self, k: usize, from: f64, to: f64, mut f: impl FnMut(&mut WindowStats, f64)) {
         // `partial_cmp` so NaN endpoints bail out instead of looping.
         if to.partial_cmp(&from) != Some(std::cmp::Ordering::Greater) {
             return;
         }
         let width = self.cfg.width;
         let last = self.cfg.max_windows - 1;
-        let mut k = self.index_of(from);
-        loop {
+        for k in k..=last {
             let win_start = k as f64 * width;
             let win_end = if k == last {
                 f64::INFINITY
@@ -222,13 +222,11 @@ impl WindowedMetrics {
             };
             let overlap = to.min(win_end) - from.max(win_start);
             if overlap > 0.0 {
-                self.at(win_start.max(from)); // materialize window k
                 f(&mut self.windows[k], overlap);
             }
-            if to <= win_end || k == last {
+            if to <= win_end {
                 break;
             }
-            k += 1;
         }
     }
 }
@@ -236,21 +234,26 @@ impl WindowedMetrics {
 impl Recorder for WindowedMetrics {
     #[inline]
     fn task_arrival(&mut self, _task: u64, at: f64) {
-        self.at(at).arrivals += 1;
+        let k = self.index_of(at);
+        self.ensure(k);
+        self.windows[k].arrivals += 1;
     }
 
+    #[inline]
     fn task_dispatch(&mut self, _task: u64, machine: u32, release: f64, start: f64, ptime: f64) {
         let completion = start + ptime;
-        let flow = completion - release;
-        self.at(start).starts += 1;
-        {
-            let w = self.at(completion);
-            w.completions += 1;
-            w.flow_hist.record(flow);
+        let (ks, kc) = (self.index_of(start), self.index_of(completion));
+        self.ensure(ks.max(kc));
+        self.windows[ks].starts += 1;
+        let w = &mut self.windows[kc];
+        w.completions += 1;
+        w.flow_hist.record(completion - release);
+        if start > release {
+            let kr = self.index_of(release);
+            self.spread(kr, release, start, |w, dt| w.queue_time += dt);
         }
-        self.spread(release, start, |w, dt| w.queue_time += dt);
         let m = machine as usize;
-        self.spread(start, completion, |w, dt| {
+        self.spread(ks, start, completion, |w, dt| {
             if let Some(b) = w.busy.get_mut(m) {
                 *b += dt;
             }
@@ -391,9 +394,170 @@ mod tests {
         a.merge(&b);
     }
 
+    /// `index_of` rounds one ulp below `5·0.7` up into window 5; the
+    /// overlap still starts at that window's edge, so the service is not
+    /// added to it whole.
+    #[test]
+    fn service_rounded_into_a_window_starts_at_its_edge() {
+        let mut w = series(0.7);
+        let edge = 5.0 * 0.7_f64;
+        let start = f64::from_bits(edge.to_bits() - 1);
+        assert_eq!(w.index_of(start), 5);
+        w.task_dispatch(0, 0, start, start, 0.5);
+        assert_eq!(w.windows()[4].busy[0], 0.0);
+        assert_eq!(w.windows()[5].busy[0], (start + 0.5) - edge);
+        assert_ne!(w.windows()[5].busy[0], (start + 0.5) - start);
+    }
+
+    /// A cap-2 series must not take in a cap-8 one's later windows: its
+    /// own later tasks would clamp into window 1 while the merged ones
+    /// sat past the cap.
+    #[test]
+    #[should_panic(expected = "window cap")]
+    fn merge_rejects_mismatched_caps() {
+        let capped = |max_windows| {
+            WindowedMetrics::new(WindowConfig {
+                max_windows,
+                ..WindowConfig::defaults(1, 1.0)
+            })
+        };
+        let mut a = capped(2);
+        let mut b = capped(8);
+        b.task_dispatch(0, 0, 5.0, 5.0, 1.0);
+        a.merge(&b);
+    }
+
     #[test]
     #[should_panic(expected = "positive")]
     fn zero_width_rejected() {
         let _ = series(0.0);
+    }
+
+    /// The per-hook reference fold: every hook, and every window
+    /// `spread` visits, finds its window through `at`.
+    /// `WindowedMetrics`, which places each timestamp once, must match
+    /// it bit for bit.
+    struct PerHookFold(WindowedMetrics);
+
+    impl PerHookFold {
+        fn at(&mut self, t: f64) -> &mut WindowStats {
+            let k = self.0.index_of(t);
+            while self.0.windows.len() <= k {
+                self.0.windows.push(WindowStats::new(&self.0.cfg));
+            }
+            &mut self.0.windows[k]
+        }
+
+        fn spread(&mut self, from: f64, to: f64, mut f: impl FnMut(&mut WindowStats, f64)) {
+            if to.partial_cmp(&from) != Some(std::cmp::Ordering::Greater) {
+                return;
+            }
+            let (width, last) = (self.0.cfg.width, self.0.cfg.max_windows - 1);
+            let mut k = self.0.index_of(from);
+            loop {
+                let win_start = k as f64 * width;
+                let win_end = if k == last {
+                    f64::INFINITY
+                } else {
+                    win_start + width
+                };
+                let overlap = to.min(win_end) - from.max(win_start);
+                if overlap > 0.0 {
+                    self.at(win_start.max(from));
+                    f(&mut self.0.windows[k], overlap);
+                }
+                if to <= win_end || k == last {
+                    break;
+                }
+                k += 1;
+            }
+        }
+
+        fn task_dispatch(&mut self, machine: u32, release: f64, start: f64, ptime: f64) {
+            let completion = start + ptime;
+            let flow = completion - release;
+            self.at(start).starts += 1;
+            let w = self.at(completion);
+            w.completions += 1;
+            w.flow_hist.record(flow);
+            self.spread(release, start, |w, dt| w.queue_time += dt);
+            let m = machine as usize;
+            self.spread(start, completion, |w, dt| {
+                if let Some(b) = w.busy.get_mut(m) {
+                    *b += dt;
+                }
+            });
+        }
+    }
+
+    /// A timestamp on a window edge `k·width`, one ulp either side of
+    /// it, or on the quarter grid the services step by.
+    fn stamp(code: u32, k: u32, width: f64) -> f64 {
+        let edge = k as f64 * width;
+        match code {
+            0 => edge,
+            1 if edge > 0.0 => f64::from_bits(edge.to_bits() - 1),
+            2 => f64::from_bits(edge.to_bits() + 1),
+            _ => k as f64 * 0.25,
+        }
+    }
+
+    /// Every field of every window, floats by their bits. The flow
+    /// histogram compares by its `Debug` text, which prints each float
+    /// in the shortest form that reads back to the same bits.
+    fn window_bits(w: &WindowedMetrics) -> Vec<(Vec<u64>, String)> {
+        w.windows()
+            .iter()
+            .map(|s| {
+                let mut v = vec![s.arrivals, s.starts, s.completions, s.queue_time.to_bits()];
+                v.extend(s.busy.iter().map(|b| b.to_bits()));
+                (v, format!("{:?}", s.flow_hist))
+            })
+            .collect()
+    }
+
+    use proptest::prelude::*;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(300))]
+
+        /// Placing each timestamp once and spreading from a known index
+        /// folds every hook sequence into the same windows as the
+        /// per-hook fold: widths that are and are not dyadic, caps of 1
+        /// to 8 windows, `start == release`, zero-length services and
+        /// services across many windows.
+        #[test]
+        fn one_placement_fold_matches_the_per_hook_fold(
+            width in prop_oneof![Just(0.1), Just(0.7), Just(1.0), Just(3.0), Just(64.0)],
+            max_windows in 1usize..=8,
+            hooks in prop::collection::vec(
+                ((0u32..4, 0u32..12), (0u32..5, 0u32..12), (0u32..4, 0u32..12), 0u32..3),
+                1..30,
+            ),
+        ) {
+            let cfg = WindowConfig { max_windows, ..WindowConfig::defaults(2, width) };
+            let mut fold = WindowedMetrics::new(cfg.clone());
+            let mut reference = PerHookFold(WindowedMetrics::new(cfg));
+            for (task, ((rc, rk), (sc, sk), (pc, pk), machine)) in hooks.into_iter().enumerate() {
+                let release = stamp(rc, rk, width);
+                // Code 4 starts on release; the others wait until a stamp.
+                let start = if sc == 4 { release } else { release.max(stamp(sc, sk, width)) };
+                let ptime = match pc {
+                    0 => 0.0,
+                    1 => pk as f64 * 0.25,
+                    2 => (stamp(0, pk, width) - start).max(0.0),
+                    _ => pk as f64 * width,
+                };
+                fold.task_arrival(task as u64, release);
+                reference.at(release).arrivals += 1;
+                fold.task_dispatch(task as u64, machine, release, start, ptime);
+                reference.task_dispatch(machine, release, start, ptime);
+            }
+            let (got, want) = (window_bits(&fold), window_bits(&reference.0));
+            prop_assert_eq!(got.len(), want.len());
+            for (k, (g, w)) in got.iter().zip(&want).enumerate() {
+                prop_assert_eq!(g, w, "window {}: {:?} != {:?}", k, g, w);
+            }
+        }
     }
 }

@@ -16,6 +16,8 @@
 pub struct Histogram {
     lo: f64,
     hi: f64,
+    /// Bin width `(hi − lo) / bins`, computed once.
+    width: f64,
     counts: Vec<u64>,
     /// Smallest value recorded in each bin (meaningless where count 0).
     mins: Vec<f64>,
@@ -42,6 +44,7 @@ impl Histogram {
         Histogram {
             lo,
             hi,
+            width: (hi - lo) / bins as f64,
             counts: vec![0; bins],
             mins: vec![f64::INFINITY; bins],
             maxs: vec![f64::NEG_INFINITY; bins],
@@ -68,8 +71,7 @@ impl Histogram {
             self.over_range = (self.over_range.0.min(x), self.over_range.1.max(x));
             return;
         }
-        let width = (self.hi - self.lo) / self.counts.len() as f64;
-        let idx = (((x - self.lo) / width) as usize).min(self.counts.len() - 1);
+        let idx = (((x - self.lo) / self.width) as usize).min(self.counts.len() - 1);
         self.counts[idx] += 1;
         self.mins[idx] = self.mins[idx].min(x);
         self.maxs[idx] = self.maxs[idx].max(x);
@@ -141,7 +143,7 @@ impl Histogram {
 
     /// `(low_edge, high_edge)` of bin `i`.
     pub fn bin_edges(&self, i: usize) -> (f64, f64) {
-        let width = (self.hi - self.lo) / self.counts.len() as f64;
+        let width = self.width;
         (self.lo + i as f64 * width, self.lo + (i + 1) as f64 * width)
     }
 
@@ -295,6 +297,46 @@ mod tests {
         assert_eq!(h.total(), 3);
         assert_eq!(h.min_value(), Some(-5.0));
         assert_eq!(h.max_value(), Some(99.0));
+    }
+
+    /// One division by the stored width bins every value as the rule
+    /// that divided twice, `(x − lo) / ((hi − lo) / bins)`, did: on and
+    /// up to two ulps beside each edge of ranges whose width 0.1 is not
+    /// dyadic, and out of range. The edges stay bit for bit.
+    #[test]
+    fn record_bins_like_the_two_division_rule() {
+        let beside =
+            |x: f64| (-2i64..=2).map(move |d| f64::from_bits(x.to_bits().wrapping_add_signed(d)));
+        for (lo, hi, bins) in [(0.0, 1.0, 10), (-0.3, 0.4, 7)] {
+            let width = (hi - lo) / bins as f64;
+            let two_divisions = |x: f64| -> Option<usize> {
+                if x < lo || x >= hi {
+                    return None;
+                }
+                let width = (hi - lo) / bins as f64;
+                Some((((x - lo) / width) as usize).min(bins - 1))
+            };
+            let h = Histogram::new(lo, hi, bins);
+            let mut xs = vec![-1.0, -f64::MIN_POSITIVE, 2.5, f64::INFINITY, f64::NAN];
+            for i in 0..=bins {
+                xs.extend(beside(lo + i as f64 * width));
+                xs.extend(beside(lo + i as f64 / 10.0));
+            }
+            for i in 0..bins {
+                let edges = (lo + i as f64 * width, lo + (i + 1) as f64 * width);
+                assert_eq!(h.bin_edges(i), edges);
+            }
+            for x in xs {
+                let mut h = h.clone();
+                h.record(x);
+                let bin = h.counts().iter().position(|&c| c == 1);
+                assert_eq!(
+                    bin,
+                    two_divisions(x),
+                    "[{lo}, {hi}) in {bins} bins, x = {x:e}"
+                );
+            }
+        }
     }
 
     #[test]

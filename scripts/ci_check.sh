@@ -41,11 +41,16 @@
 #      registry policy (eft / weft / setup variants) over its
 #      adversarial stream and asserts the measured ratios stay inside
 #      the envelopes recorded in EXPERIMENTS.md
-#  10. pipeline-profile smoke: the pipeline_profile bin runs a bounded
-#      trace through the sequential and the probe-instrumented sharded
-#      engine, asserting in-process that the two schedules hash
-#      identically (the wall-clock probe must never perturb dispatch)
-#      and printing the per-stage ns/task table
+#  10. pipeline-profile and timeline smokes: the pipeline_profile bin
+#      runs a bounded trace through the sequential and the
+#      probe-instrumented sharded engine, asserting in-process that the
+#      two schedules hash identically (the wall-clock probe must never
+#      perturb dispatch) and printing the per-stage ns/task table; then
+#      the timeline bin runs each of its workloads (kv, poisson,
+#      adversary) at window width 0.7 into a temporary directory, and
+#      the stage fails unless its summary's trace line reads `0
+#      dropped` (the bin sizes its ring from the source's task count,
+#      so its trace and span exports are lossless)
 #  11. hardware-limit smoke: the same smoke_scale bin re-run at
 #      m = 2^20 via FLOWSCHED_SMOKE_M/N — the SoA completion bank,
 #      SIMD tie scan, and the seven-level lane index (1.1 MiB above an
@@ -159,6 +164,21 @@ cargo run -q --release -p flowsched-bench --bin ratio_ladder
 echo
 echo "== pipeline-profile smoke (probe transparency + stage table) =="
 cargo run -q --release -p flowsched-bench --bin pipeline_profile -- --tasks 20000 --threads 4
+
+echo
+echo "== timeline smoke (lossless trace on every workload) =="
+timeline_dir="$(mktemp -d)"
+trap 'rm -rf "$timeline_dir"' EXIT
+for workload in kv poisson adversary; do
+  out="$(cargo run -q --release -p flowsched-bench --bin timeline -- \
+    --workload "$workload" --window 0.7 --timeline "$timeline_dir/$workload")"
+  dropped="$(sed -n 's/^ *trace: .* retained, \([0-9]*\) dropped$/\1/p' <<<"$out")"
+  if [ "$dropped" != 0 ]; then
+    echo "ci_check: timeline --workload $workload dropped '${dropped:-?}' trace events" >&2
+    exit 1
+  fi
+  echo "  $workload: 0 dropped"
+done
 
 echo
 echo "== 2^20-machine smoke run (SoA bank + lane index) =="

@@ -6,8 +6,9 @@
 
 use flowsched::algos::tiebreak::TieBreak;
 use flowsched::obs::{
-    chrome_trace, machine_spans, prometheus_text, task_spans, windows_to_csv, Counter,
-    MemoryRecorder, NoopRecorder, ObsConfig, Tee, WindowConfig, WindowedMetrics,
+    breach_marks, chrome_trace, chrome_trace_full, machine_spans, outage_spans, prometheus_text,
+    prometheus_text_with, task_spans, windows_to_csv, Counter, MemoryRecorder, NoopRecorder,
+    ObsConfig, PromOptions, Tee, WindowConfig, WindowedMetrics,
 };
 use flowsched::sim::driver::simulate_stream;
 use flowsched::sim::report::{ReportConfig, SimReport};
@@ -33,12 +34,14 @@ fn stream() -> PoissonStream {
 /// One instrumented run shared by every check below: its report, and
 /// the aggregate recorder and time series teed over the one pass.
 fn pipeline_run() -> (SimReport, MemoryRecorder, WindowedMetrics) {
+    run_with_windows(WindowConfig::defaults(M, 2.0))
+}
+
+/// [`pipeline_run`] with the time series cut by `windows`.
+fn run_with_windows(windows: WindowConfig) -> (SimReport, MemoryRecorder, WindowedMetrics) {
     let mut obs = ObsConfig::defaults(M);
     obs.trace_capacity = 8 * N; // lossless, like `timeline`
-    let mut rec = Tee(
-        MemoryRecorder::new(&obs),
-        WindowedMetrics::new(WindowConfig::defaults(M, 2.0)),
-    );
+    let mut rec = Tee(MemoryRecorder::new(&obs), WindowedMetrics::new(windows));
     let report = simulate_stream(stream(), TieBreak::Min, &ReportConfig::default(), &mut rec);
     let Tee(recorder, windows) = rec;
     (report, recorder, windows)
@@ -236,3 +239,89 @@ fn spans_agree_with_the_aggregate_recorder() {
     let span_fmax = tasks.iter().map(|s| s.flow()).fold(0.0, f64::max);
     assert!((span_fmax - report.fmax).abs() < 1e-9);
 }
+
+/// 64-bit FNV-1a. Pinned digests need a hash that is fixed across Rust
+/// releases, which `DefaultHasher` is not.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// Every export of one run, byte for byte, and the report's `Debug`
+/// text, as FNV-1a digests: Prometheus, windowed CSV, snapshot JSON,
+/// Chrome trace, report.
+fn export_digests(windows: WindowConfig) -> [u64; 5] {
+    let (report, rec, series) = run_with_windows(windows);
+    let horizon = rec.makespan_seen();
+    let prom = prometheus_text_with(
+        &rec,
+        &PromOptions {
+            policy: Some("eft:min"),
+            ..PromOptions::default()
+        },
+    );
+    let chrome = chrome_trace_full(
+        &task_spans(rec.trace().iter()),
+        &machine_spans(rec.trace().iter(), horizon),
+        &outage_spans(rec.trace().iter(), horizon),
+        &breach_marks(rec.trace().iter()),
+    );
+    [
+        prom,
+        windows_to_csv(&series),
+        rec.snapshot().to_json(),
+        chrome,
+        format!("{report:?}"),
+    ]
+    .map(|text| fnv1a(text.as_bytes()))
+}
+
+/// The exports are pinned byte for byte, so a change to the recording
+/// or folding arithmetic that moves any exported bit fails here: the
+/// pipeline run's width 2, a width of 0.7 that is not dyadic and that
+/// the quarter-step services cross, and a cap of 3 windows whose last
+/// one absorbs every later span.
+#[test]
+fn exports_are_byte_stable() {
+    let capped = WindowConfig {
+        max_windows: 3,
+        ..WindowConfig::defaults(M, 2.0)
+    };
+    let runs = [
+        ("width 2", WindowConfig::defaults(M, 2.0), WIDTH_2),
+        ("width 0.7", WindowConfig::defaults(M, 0.7), WIDTH_0_7),
+        ("3 windows", capped, CAPPED),
+    ];
+    let exports = ["prometheus", "csv", "snapshot", "chrome trace", "report"];
+    for (run, cfg, pinned) in runs {
+        let got = export_digests(cfg);
+        for ((name, got), want) in exports.iter().zip(got).zip(pinned) {
+            assert_eq!(got, want, "{run}: {name} digest {got:#018x} moved");
+        }
+    }
+}
+
+// The window cut reaches only the CSV, so the other four digests are
+// the same in every run.
+const WIDTH_2: [u64; 5] = [
+    0xbaa7_e9ff_f843_450f,
+    0xf0c6_e087_58e8_714e,
+    0x7565_f1c9_26c7_9a17,
+    0xa757_9d58_bd5e_497c,
+    0x5395_568e_bb6c_7764,
+];
+const WIDTH_0_7: [u64; 5] = [
+    0xbaa7_e9ff_f843_450f,
+    0x3b6a_6f21_8504_6d59,
+    0x7565_f1c9_26c7_9a17,
+    0xa757_9d58_bd5e_497c,
+    0x5395_568e_bb6c_7764,
+];
+const CAPPED: [u64; 5] = [
+    0xbaa7_e9ff_f843_450f,
+    0x883f_1bc1_558f_937c,
+    0x7565_f1c9_26c7_9a17,
+    0xa757_9d58_bd5e_497c,
+    0x5395_568e_bb6c_7764,
+];
