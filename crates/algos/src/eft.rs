@@ -109,7 +109,7 @@ pub struct EftState {
     rule: StartRule,
     /// The outages every start skips; queries at `max(rᵢ, C_j)` and
     /// above mostly advance per machine.
-    faults: Option<FaultCursor<FaultPlan>>,
+    faults: Option<FaultCursor>,
     /// Scratch buffer for the tie set, reused across dispatches.
     ties: Vec<usize>,
     stats: KernelStats,
@@ -395,7 +395,7 @@ fn collect_ranges(
 /// fault plan's earliest fit when there is a plan.
 struct StartKeys<'a> {
     bank: &'a CompletionBank,
-    faults: Option<&'a mut FaultCursor<FaultPlan>>,
+    faults: Option<&'a mut FaultCursor>,
     /// Each machine's configured cluster, the task's cluster, the cost.
     setup: Option<(&'a [u64], u64, Time)>,
     task: Task,

@@ -44,7 +44,7 @@ pub struct Dispatcher {
     completions: Vec<Time>,
     kind: RuleState,
     /// Outages the picked machine's start skips.
-    faults: Option<FaultCursor<FaultPlan>>,
+    faults: Option<FaultCursor>,
 }
 
 #[derive(Debug)]

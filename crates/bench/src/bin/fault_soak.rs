@@ -3,12 +3,12 @@
 //! crash-rate fault plan and prints an FNV-1a hash of the full schedule
 //! plus the run's peak-RSS growth.
 //!
-//! `ci_check.sh` runs this twice — `FLOWSCHED_THREADS=1` and `=4` — and
-//! asserts the printed `schedule_hash` lines are identical, pinning the
-//! faulty engine's thread-count invariance end-to-end on a real workload
-//! (the proptests in `tests/fault_injection.rs` pin it on small shapes),
-//! and equal to the hash pinned there, so a schedule change fails even
-//! when it is the same at both thread counts.
+//! `ci_check.sh` runs this three times — `FLOWSCHED_THREADS=1`, `=2` and
+//! `=4` — and asserts the printed `schedule_hash` lines are identical,
+//! pinning the faulty engine's thread-count invariance end-to-end on a
+//! real workload (the proptests in `tests/fault_injection.rs` pin it on
+//! small shapes), and equal to the hash pinned there, so a schedule
+//! change fails even when it is the same at every thread count.
 //! The bin itself asserts bounded memory: the faulty stream's deferral
 //! heap and the fault plan must not grow the footprint past 32 MiB on a
 //! workload whose materialized form would be ≳ 80 MiB (the

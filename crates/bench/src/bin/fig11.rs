@@ -8,11 +8,14 @@
 //! (`metrics.prom`), the JSON snapshot (`snapshot.json`), and a Chrome
 //! trace of the retained span tail (`trace.json`; see EXPERIMENTS.md
 //! for how to read it in Perfetto — jobs are concatenated, so machine
-//! tracks interleave spans from different load points).
+//! tracks interleave spans from different load points). It then prints
+//! the recorder's summary, whose `trace:` line counts the events the
+//! ring retained and dropped.
 
 use flowsched_experiments::fig11;
 use flowsched_obs::{
-    chrome_trace, machine_spans, task_spans, windows_to_csv, ObsConfig, WindowConfig,
+    chrome_trace, machine_spans, render_summary, task_spans, windows_to_csv, ObsConfig,
+    WindowConfig,
 };
 
 fn main() {
@@ -25,8 +28,10 @@ fn main() {
 
     let scale = args.scale;
     let mut obs = ObsConfig::defaults(scale.m);
-    // Room for the full span record of a quick sweep; the paper scale
-    // keeps the most recent tail and says so in the summary.
+    // The ring keeps the sweep's most recent 2^18 events. The default
+    // scale records about 2.6M (a lossless ring would take ~100 MiB),
+    // so the span exports cover the tail, and the summary printed last
+    // counts the dropped events and warns.
     obs.trace_capacity = obs.trace_capacity.max(1 << 18);
     let window = WindowConfig::defaults(scale.m, 8.0);
     let telemetry = fig11::run_instrumented(&scale, &obs, &window);
@@ -49,4 +54,5 @@ fn main() {
     }
 
     print!("{}", fig11::render(&telemetry.output));
+    print!("{}", render_summary(rec));
 }

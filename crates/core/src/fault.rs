@@ -36,11 +36,11 @@
 //! existing engine, bitwise" property in `tests/fault_injection.rs`
 //! possible.
 
-use std::borrow::Borrow;
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
+use std::ops::Range;
 
-use crate::compact::{CompactProcSet, ProcSetRef};
+use crate::compact::{CompactProcSet, ProcSetRef, ProcSetRefIter};
 use crate::shard::ShardPlan;
 use crate::stream::ArrivalStream;
 use crate::structure::StructureReport;
@@ -310,26 +310,6 @@ impl FaultPlan {
             .min_by(|a, b| a.total_cmp(b))
     }
 
-    /// Restricts `set` to the machines alive at `t`.
-    ///
-    /// Returns the original view unchanged when every member is alive
-    /// (the common fast path, preserving compact shapes); otherwise
-    /// fills `scratch` with the alive members in ascending order and
-    /// returns an [`ProcSetRef::Explicit`] view of it — possibly empty,
-    /// meaning the task is stranded.
-    pub fn restrict_alive<'a>(
-        &self,
-        set: ProcSetRef<'a>,
-        t: Time,
-        scratch: &'a mut Vec<usize>,
-    ) -> ProcSetRef<'a> {
-        if restrict(set, scratch, |j| self.is_alive(j, t)) {
-            set
-        } else {
-            ProcSetRef::Explicit(scratch)
-        }
-    }
-
     /// All crash/recover transitions of the plan, sorted by time (ties
     /// broken by machine index, recover before crash — so exactly-
     /// touching outages `[a, b) + [b, c)` replay as a well-nested
@@ -387,59 +367,32 @@ fn fit(ahead: &[Outage], mut s: Time, duration: Time) -> Time {
     s
 }
 
-/// Restricts `set` to the members `alive` accepts: `true` when all pass,
-/// else `false` with the passing members in `scratch`, ascending —
-/// possibly none, meaning the task is stranded.
-fn restrict(
-    set: ProcSetRef<'_>,
-    scratch: &mut Vec<usize>,
-    mut alive: impl FnMut(usize) -> bool,
-) -> bool {
-    if set.iter().all(&mut alive) {
-        return true;
-    }
-    scratch.clear();
-    scratch.extend(set.iter().filter(|&j| alive(j)));
-    false
-}
-
-/// Availability queries over a [`FaultPlan`] (owned or borrowed), in
-/// amortized O(1) when each machine's query times never decrease.
+/// Availability queries over an owned [`FaultPlan`], in amortized O(1)
+/// when each machine's query times never decrease — the EFT core's
+/// start fit.
 ///
 /// Per machine it keeps the index of the first outage with `up > t` for
 /// the last query `t`, and lanes hold the alive window `[floor,
 /// next_down)` before it: a query inside costs two loads. In any call
 /// order, answers are bitwise the stateless ones (for non-NaN `t`).
 #[derive(Debug)]
-pub struct FaultCursor<P> {
-    plan: P,
+pub struct FaultCursor {
+    plan: FaultPlan,
     next: Vec<usize>,
     floor: Vec<Time>,
     next_down: Vec<Time>,
 }
 
-impl<P: Borrow<FaultPlan>> FaultCursor<P> {
+impl FaultCursor {
     /// A cursor over `plan`.
-    pub fn new(plan: P) -> Self {
-        let m = plan.borrow().machines();
+    pub fn new(plan: FaultPlan) -> Self {
+        let m = plan.machines();
         FaultCursor {
             plan,
             next: vec![0; m],
             floor: vec![Time::INFINITY; m],
             next_down: vec![Time::NEG_INFINITY; m],
         }
-    }
-
-    /// The plan the cursor answers for.
-    #[inline]
-    pub fn plan(&self) -> &FaultPlan {
-        self.plan.borrow()
-    }
-
-    /// [`FaultPlan::is_alive`]: whether a zero-length task fits at `t`.
-    #[inline]
-    pub fn is_alive(&mut self, j: usize, t: Time) -> bool {
-        self.earliest_fit(j, t, 0.0) == t
     }
 
     /// [`FaultPlan::earliest_fit`]; a task fits at `t` in the window
@@ -458,7 +411,7 @@ impl<P: Borrow<FaultPlan>> FaultCursor<P> {
     /// the list's ends) and fits; out of line, so the fast path inlines.
     #[inline(never)]
     fn refit(&mut self, j: usize, t: Time, duration: Time) -> Time {
-        let list = &self.plan.borrow().machines[j].outages;
+        let list = &self.plan.machines[j].outages;
         let mut pos = self.next[j];
         if t < self.floor[j] {
             pos = list.partition_point(|o| o.up <= t);
@@ -470,6 +423,115 @@ impl<P: Borrow<FaultPlan>> FaultCursor<P> {
         self.floor[j] = list[..pos].last().map_or(Time::NEG_INFINITY, |o| o.up);
         self.next_down[j] = list.get(pos).map_or(Time::INFINITY, |o| o.down);
         fit(&list[pos..], t, duration)
+    }
+}
+
+/// The machines down at a sweep time that never decreases: one bit per
+/// machine, flipped only when the sweep passes its next crash or
+/// recovery, so a run of members costs one masked test per 64 machines.
+#[derive(Debug)]
+struct DownSet {
+    /// The last sweep time.
+    now: Time,
+    /// Per machine, its first outage with `up > now`.
+    next: Vec<usize>,
+    /// Bit `j % 64` of word `j / 64` is set iff machine `j` is down at
+    /// `now` (`FaultPlan::is_alive`'s closed-open rule).
+    down: Vec<u64>,
+    /// Each machine's next crash or recovery after `now`, if any.
+    due: BinaryHeap<Due>,
+}
+
+/// A machine's next transition `(at, machine)`, earliest on top.
+#[derive(Debug, PartialEq)]
+struct Due(Time, usize);
+
+impl Eq for Due {}
+impl PartialOrd for Due {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+impl Ord for Due {
+    fn cmp(&self, other: &Self) -> Ordering {
+        // Reversed, as for `Deferred`; `total_cmp` puts an outage at
+        // `-0.0` (which `Outage::new` accepts) first.
+        other.0.total_cmp(&self.0).then(other.1.cmp(&self.1))
+    }
+}
+
+impl DownSet {
+    /// Every machine up, each due at its first crash.
+    fn new(plan: &FaultPlan) -> Self {
+        let m = plan.machines();
+        let first = |j: usize| Some(Due(plan.machines[j].outages.first()?.down, j));
+        DownSet {
+            now: Time::NEG_INFINITY,
+            next: vec![0; m],
+            down: vec![0; m.div_ceil(64)],
+            due: (0..m).filter_map(first).collect(),
+        }
+    }
+
+    /// Moves the sweep to `t`, flipping the machines whose transitions
+    /// it passes. A NaN `t` passes none. A `t` before the last sweep (a
+    /// stream out of release order) restarts the sweep from the top, so
+    /// the answers stay `is_alive`'s in any order.
+    fn advance(&mut self, plan: &FaultPlan, t: Time) {
+        if t < self.now {
+            *self = DownSet::new(plan);
+        }
+        self.now = t;
+        while self.due.peek().is_some_and(|d| d.0 <= t) {
+            let Due(_, j) = self.due.pop().expect("peeked above");
+            let list = &plan.machines[j].outages;
+            while list.get(self.next[j]).is_some_and(|o| o.up <= t) {
+                self.next[j] += 1;
+            }
+            let next = list.get(self.next[j]);
+            let down = next.is_some_and(|o| o.down <= t);
+            let word = self.down[j / 64] & !(1 << (j % 64));
+            self.down[j / 64] = word | u64::from(down) << (j % 64);
+            if let Some(o) = next {
+                let at = if down { o.up } else { o.down };
+                debug_assert!(at > t, "transition {at} of {j} is not after {t}");
+                self.due.push(Due(at, j));
+            }
+        }
+    }
+
+    #[inline]
+    fn is_up(&self, j: usize) -> bool {
+        self.down[j / 64] >> (j % 64) & 1 == 0
+    }
+
+    /// Whether no machine of `run` is down: one masked test per word,
+    /// the first and last words masked to the run.
+    #[inline]
+    fn run_is_up(&self, run: Range<usize>) -> bool {
+        (run.start / 64..run.end.div_ceil(64)).all(|w| {
+            let below = run.start.saturating_sub(w * 64);
+            let above = (w * 64 + 64).saturating_sub(run.end);
+            self.down[w] & (!0 << below) & (!0 >> above) == 0
+        })
+    }
+
+    /// `true` when every member of `set` is up; otherwise `false` with
+    /// the up members in `scratch`, ascending — possibly none, meaning
+    /// the task is stranded. Interval, prefix and ring sets are one or
+    /// two runs of machines; an explicit set tests one bit per member.
+    fn restrict(&self, set: ProcSetRef<'_>, scratch: &mut Vec<usize>) -> bool {
+        let all_up = match set.iter() {
+            ProcSetRefIter::Ranges { first, second } => {
+                self.run_is_up(first) && self.run_is_up(second)
+            }
+            ProcSetRefIter::Slice(mut members) => members.all(|&j| self.is_up(j)),
+        };
+        if !all_up {
+            scratch.clear();
+            scratch.extend(set.iter().filter(|&j| self.is_up(j)));
+        }
+        all_up
     }
 }
 
@@ -520,11 +582,13 @@ impl Ord for Deferred {
 /// deferred to the earliest recovery of any member and merged back in
 /// `(release, arrival rank)` order, so displaced tasks re-enter under
 /// the engine's existing arrival-order convention. Releases remain
-/// non-decreasing (the engines assert this).
+/// non-decreasing (the engines assert this), so one sweep of the plan
+/// answers every restriction.
 pub struct FaultyStream<'p, S> {
     inner: S,
-    /// Alive queries at the shifted releases, which never decrease.
-    cursor: FaultCursor<&'p FaultPlan>,
+    plan: &'p FaultPlan,
+    /// The machines down at the shifted release, which never decreases.
+    down: DownSet,
     fault_free: bool,
     /// Some machine runs below full speed; otherwise `p / 1.0 == p` and
     /// the per-member speed scan is skipped.
@@ -555,7 +619,8 @@ impl<'p, S: ArrivalStream> FaultyStream<'p, S> {
             fault_free: plan.is_fault_free(),
             degraded: plan.machines.iter().any(|f| f.speed < 1.0),
             inner,
-            cursor: FaultCursor::new(plan),
+            plan,
+            down: DownSet::new(plan),
             lookahead: None,
             inner_done: false,
             deferred: BinaryHeap::new(),
@@ -570,7 +635,7 @@ impl<'p, S: ArrivalStream> FaultyStream<'p, S> {
         if self.lookahead.is_none() && !self.inner_done {
             match self.inner.next_arrival() {
                 Some((t, set)) => {
-                    let release = t.release + self.cursor.plan().latency();
+                    let release = t.release + self.plan.latency();
                     let shifted = Task { release, ..t };
                     self.lookahead = Some((shifted, CompactProcSet::from(set)));
                 }
@@ -618,18 +683,23 @@ impl<S: ArrivalStream> ArrivalStream for FaultyStream<'_, S> {
                 (t, seq)
             };
             // Restrict to the machines alive at the (shifted) release.
-            let cursor = &mut self.cursor;
-            let all_alive = restrict(self.current.as_view(), &mut self.scratch, |j| {
-                cursor.is_alive(j, task.release)
-            });
+            self.down.advance(self.plan, task.release);
+            let all_alive = self
+                .down
+                .restrict(self.current.as_view(), &mut self.scratch);
             if !all_alive && self.scratch.is_empty() {
                 // Stranded: every member is down. Park until the first
                 // recovery of any member; at that instant the
                 // restriction is non-empty by construction, so a
-                // deferred task is never re-deferred.
+                // deferred task is never re-deferred (a NaN release,
+                // which no recovery follows, panics here instead).
+                assert!(
+                    !take_deferred,
+                    "a re-entering task is stranded again at {}",
+                    task.release
+                );
                 let ready = self
-                    .cursor
-                    .plan()
+                    .plan
                     .next_alive_in(self.current.as_view(), task.release)
                     .expect("processing sets are non-empty");
                 let set = std::mem::replace(&mut self.current, CompactProcSet::Prefix { len: 1 });
@@ -649,8 +719,7 @@ impl<S: ArrivalStream> ArrivalStream for FaultyStream<'_, S> {
             let mut ptime = task.ptime;
             if self.degraded {
                 ptime /= self
-                    .cursor
-                    .plan()
+                    .plan
                     .min_speed_in(view)
                     .expect("restricted set is non-empty");
             }
@@ -830,14 +899,18 @@ mod tests {
     }
 
     #[test]
-    fn restrict_alive_keeps_view_when_all_alive() {
+    fn faulty_stream_keeps_view_when_all_alive() {
         let p = plan3();
-        let mut scratch = Vec::new();
-        let set = ProcSetRef::interval(0, 2);
-        let restricted = p.restrict_alive(set, 1.0, &mut scratch);
-        assert!(matches!(restricted, ProcSetRef::Interval { .. }));
-        let restricted = p.restrict_alive(set, 3.0, &mut scratch);
-        assert_eq!(restricted.iter().collect::<Vec<_>>(), vec![0, 2]);
+        let tasks = vec![
+            (Task::new(1.0, 1.0), ProcSet::interval(0, 2)),
+            (Task::new(3.0, 1.0), ProcSet::interval(0, 2)),
+        ];
+        let mut it = tasks.into_iter();
+        let mut s = FaultyStream::new(FnStream::new(3, move || it.next()), &p);
+        let (_, set) = s.next_arrival().unwrap();
+        assert!(matches!(set, ProcSetRef::Interval { lo: 0, hi: 2 }));
+        let (_, set) = s.next_arrival().unwrap();
+        assert!(matches!(set, ProcSetRef::Explicit(&[0, 2])));
     }
 
     #[test]

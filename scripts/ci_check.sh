@@ -50,7 +50,11 @@
 #      adversary) at window width 0.7 into a temporary directory, and
 #      the stage fails unless its summary's trace line reads `0
 #      dropped` (the bin sizes its ring from the source's task count,
-#      so its trace and span exports are lossless)
+#      so its trace and span exports are lossless); last, fig11
+#      --timeline runs the quick sweep, whose 2^18-event ring keeps
+#      only the tail, and the stage fails unless the retained and
+#      dropped counts its summary prints equal snapshot.json's
+#      trace_len and trace_dropped (a truncated trace must say so)
 #  11. hardware-limit smoke: the same smoke_scale bin re-run at
 #      m = 2^20 via FLOWSCHED_SMOKE_M/N — the SoA completion bank,
 #      SIMD tie scan, and the seven-level lane index (1.1 MiB above an
@@ -166,7 +170,7 @@ echo "== pipeline-profile smoke (probe transparency + stage table) =="
 cargo run -q --release -p flowsched-bench --bin pipeline_profile -- --tasks 20000 --threads 4
 
 echo
-echo "== timeline smoke (lossless trace on every workload) =="
+echo "== timeline smoke (lossless trace on every workload; fig11 counts its drops) =="
 timeline_dir="$(mktemp -d)"
 trap 'rm -rf "$timeline_dir"' EXIT
 for workload in kv poisson adversary; do
@@ -179,6 +183,17 @@ for workload in kv poisson adversary; do
   fi
   echo "  $workload: 0 dropped"
 done
+fig11_dir="$timeline_dir/fig11"
+out="$(cargo run -q --release -p flowsched-bench --bin fig11 -- --timeline "$fig11_dir")"
+printed="$(sed -n 's/^ *trace: \([0-9]*\) events retained, \([0-9]*\) dropped$/\1 \2/p' <<<"$out")"
+snapshot="$(sed -n 's/^ *"trace_\(len\|dropped\)": \([0-9]*\),\{0,1\}$/\2/p' "$fig11_dir/snapshot.json" \
+  | paste -sd' ')"
+if [ -z "$printed" ] || [ "$printed" != "$snapshot" ]; then
+  echo "ci_check: fig11 --timeline printed trace counts '${printed:-none}'," \
+    "snapshot.json holds '${snapshot:-none}'" >&2
+  exit 1
+fi
+echo "  fig11: ${printed% *} retained, ${printed#* } dropped, as snapshot.json reads"
 
 echo
 echo "== 2^20-machine smoke run (SoA bank + lane index) =="

@@ -32,11 +32,18 @@
 //! run, not the unavoidable wait while every eligible machine is down —
 //! which no online algorithm can beat either.
 //!
-//! The suite also carries ISSUE 7's satellite tests: the
-//! `restrict_alive` compact-view oracle equivalence, the re-queue
-//! arrival-order regression, and the report-balance invariant — plus
-//! `fault_cursor_matches_stateless_queries`, which holds the outage
-//! cursor of the hot paths to the stateless binary searches.
+//! The suite also holds the fault layer's two sweeps to the stateless
+//! `FaultPlan` queries: `faulty_stream_matches_stateless_reference`
+//! replays `FaultyStream` (shift, down-set restriction, deferral,
+//! stretch, re-entry order) against a reference built from per-member
+//! queries, bit for bit; `restrict_alive_matches_explicit_oracle` checks
+//! one arrival's restricted view, shape by shape, across several words
+//! of machines; and `fault_cursor_matches_stateless_queries` holds the
+//! EFT core's outage cursor to the stateless `earliest_fit`. Beside
+//! them sit the re-queue arrival-order regression, the report-balance
+//! invariant, an out-of-order release the down-set must restart for,
+//! and two NaN-release tests: under a plan such a release aborts the
+//! run as it does without one, never hangs it.
 
 use proptest::prelude::*;
 use rand::Rng;
@@ -47,7 +54,8 @@ use flowsched::algos::offline::optimal_unit_fmax;
 use flowsched::algos::registry::{PolicyId, PolicySpec};
 use flowsched::algos::tiebreak::TieBreak;
 use flowsched::core::compact::ProcSetRef;
-use flowsched::core::fault::{FaultCursor, FaultPlan};
+use flowsched::core::fault::{FaultCursor, FaultPlan, FaultyStream};
+use flowsched::core::instance::Instance;
 use flowsched::core::procset::ProcSet;
 use flowsched::core::schedule::Assignment;
 use flowsched::core::shard::DEFAULT_MAX_SHARDS;
@@ -317,8 +325,8 @@ proptest! {
         );
     }
 
-    /// Satellite: `FaultCursor` answers `is_alive` and `earliest_fit`
-    /// bitwise like the stateless `FaultPlan` searches — on sampled plans
+    /// Satellite: `FaultCursor` answers `earliest_fit` bitwise like the
+    /// stateless `FaultPlan` search — on sampled plans
     /// (which include touching chains) and on hand-built `[a,b)+[b,c)`
     /// chains, at outage endpoints, inside outages and between them,
     /// with zero, tiny and positive durations and durations that end
@@ -370,7 +378,7 @@ proptest! {
             })
             .collect();
         let mut at = vec![0usize; m];
-        let mut cursor = FaultCursor::new(&plan);
+        let mut cursor = FaultCursor::new(plan.clone());
         for _ in 0..steps {
             let j = rng.random_range(0..m);
             at[j] = if rng.random_bool(0.125) {
@@ -382,9 +390,6 @@ proptest! {
             let outages = plan.faults(j).outages();
             let to_next_down = outages.iter().find(|o| o.down > t).map_or(1.0, |o| o.down - t);
             let d = [0.0, f64::MIN_POSITIVE, 0.5, 2.5, to_next_down][rng.random_range(0..5usize)];
-            if rng.random_bool(0.5) {
-                prop_assert_eq!(cursor.is_alive(j, t), plan.is_alive(j, t), "is_alive({j}, {t})");
-            }
             prop_assert_eq!(
                 cursor.earliest_fit(j, t, d).to_bits(),
                 plan.earliest_fit(j, t, d).to_bits(),
@@ -393,30 +398,36 @@ proptest! {
         }
     }
 
-    /// Satellite: `FaultPlan::restrict_alive` over every compact view
-    /// shape agrees with the explicit-set oracle, and the restricted
-    /// view honours the O(1) `contains`/`nth`/`len` contracts.
+    /// Satellite: a one-arrival `FaultyStream` restricts every compact
+    /// view shape as the explicit-set oracle does, keeps the shape when
+    /// every member is alive, and its restricted view honours the O(1)
+    /// `contains`/`nth`/`len` contracts. Down machines spread over up to
+    /// four words of the down-set, at densities from one half to one
+    /// sixteenth.
     #[test]
     fn restrict_alive_matches_explicit_oracle(
-        m in 1usize..40,
-        shape in 0usize..5,
+        m in 1usize..200,
+        shape_idx in 0usize..5,
         a64 in any::<u64>(),
         b64 in any::<u64>(),
-        down_mask in any::<u64>(),
+        down_words in proptest::collection::vec(any::<u64>(), 0..5),
+        thin in 0usize..4,
         probe_dead in any::<bool>(),
     ) {
         let (a_raw, b_raw) = (a64 as usize, b64 as usize);
-        // A plan where machine j is down over [0, 2) iff bit j is set.
+        // A plan where machine j is down over [0, 2) iff its bit is set
+        // and j is a multiple of 2^thin.
         let mut plan = FaultPlan::none(m);
-        for j in 0..m.min(64) {
-            if down_mask >> j & 1 == 1 {
+        for j in 0..m {
+            let word = down_words.get(j / 64).copied().unwrap_or(0);
+            if word >> (j % 64) & 1 == 1 && j % (1 << thin) == 0 {
                 plan = plan.with_outage(j, 0.0, 2.0);
             }
         }
         let t = if probe_dead { 1.0 } else { 2.0 };
 
         let explicit: Vec<usize>;
-        let view = match shape {
+        let view = match shape_idx {
             0 => {
                 let lo = a_raw % m;
                 ProcSetRef::interval(lo, lo + b_raw % (m - lo))
@@ -427,7 +438,7 @@ proptest! {
             _ => {
                 // Arbitrary sorted subset of 0..m (never empty).
                 let mut v: Vec<usize> =
-                    (0..m).filter(|j| (a_raw ^ (b_raw >> j)) >> (j % 17) & 1 == 1).collect();
+                    (0..m).filter(|j| (a_raw ^ (b_raw >> (j % 64))) >> (j % 17) & 1 == 1).collect();
                 if v.is_empty() {
                     v.push(a_raw % m);
                 }
@@ -437,11 +448,21 @@ proptest! {
         };
 
         let oracle: Vec<usize> = view.iter().filter(|&j| plan.is_alive(j, t)).collect();
-        let mut scratch = Vec::new();
-        let restricted = plan.restrict_alive(view, t, &mut scratch);
-
+        let arrival = Some((Task::new(t, 1.0), view));
+        let mut stream = FaultyStream::new(OneArrival { m, arrival }, &plan);
+        let (task, restricted) = stream.next_arrival().expect("one arrival");
+        if oracle.is_empty() {
+            // Stranded: the task re-enters whole when its machines recover.
+            prop_assert_eq!(task.release, 2.0);
+            prop_assert_eq!(restricted, view);
+            return Ok(());
+        }
+        prop_assert_eq!(task.release, t);
         prop_assert_eq!(restricted.len(), oracle.len());
         prop_assert_eq!(restricted.iter().collect::<Vec<_>>(), oracle.clone());
+        if oracle.len() == view.len() {
+            prop_assert_eq!(shape(restricted), shape(view), "an all-alive set keeps its shape");
+        }
         for j in 0..m {
             prop_assert_eq!(
                 restricted.contains(j),
@@ -513,6 +534,277 @@ fn displaced_tasks_reenter_in_arrival_order() {
     // the recovered machine: 10, 11, 13, then the fresh task at 16.
     let starts: Vec<f64> = sink.pairs[1..].iter().map(|(_, a)| a.start).collect();
     assert_eq!(starts, vec![10.0, 11.0, 13.0, 16.0]);
+}
+
+/// Lends one arrival's view as given, so every compact shape reaches
+/// the stream (an `FnStream` re-derives the shape from members).
+struct OneArrival<'v> {
+    m: usize,
+    arrival: Option<(Task, ProcSetRef<'v>)>,
+}
+
+impl ArrivalStream for OneArrival<'_> {
+    fn machines(&self) -> usize {
+        self.m
+    }
+
+    fn next_arrival(&mut self) -> Option<(Task, ProcSetRef<'_>)> {
+        self.arrival.take()
+    }
+}
+
+/// The compact shape a view leaves in: interval, ring, prefix, explicit.
+fn shape(view: ProcSetRef<'_>) -> u8 {
+    match view {
+        ProcSetRef::Interval { .. } => 0,
+        ProcSetRef::Ring { .. } => 1,
+        ProcSetRef::Prefix { .. } => 2,
+        ProcSetRef::Explicit(_) => 3,
+    }
+}
+
+/// One arrival, owned: the task, its members and its shape.
+type Arrival = (Task, Vec<usize>, u8);
+
+fn drain<S: ArrivalStream>(mut stream: S) -> Vec<Arrival> {
+    let mut out = Vec::new();
+    while let Some((task, set)) = stream.next_arrival() {
+        out.push((task, set.iter().collect(), shape(set)));
+    }
+    out
+}
+
+/// `FaultyStream` spelled out with stateless `FaultPlan` queries: shift
+/// each release by the latency, restrict the set to the members alive
+/// at it, park a stranded task at its set's first recovery, re-enter
+/// parked tasks in (ready, arrival rank) order ahead of a fresh arrival
+/// at the same instant, and stretch by the slowest alive member. A set
+/// with every member alive keeps its shape; any other is explicit.
+fn reference_faulty_stream(plan: &FaultPlan, inner: Vec<Arrival>) -> Vec<Arrival> {
+    let mut parked: Vec<(f64, usize, Arrival)> = Vec::new();
+    let mut fresh = inner.into_iter().enumerate().peekable();
+    let mut out = Vec::new();
+    loop {
+        let fresh_release = fresh.peek().map(|(_, a)| a.0.release + plan.latency());
+        let (release, rank, (task, set, kind)) = match (parked.first(), fresh_release) {
+            (Some(p), Some(r)) if p.0 <= r => parked.remove(0),
+            (Some(_), None) => parked.remove(0),
+            (_, Some(r)) => {
+                let (rank, arrival) = fresh.next().expect("peeked above");
+                (r, rank, arrival)
+            }
+            (None, None) => return out,
+        };
+        let alive: Vec<usize> = set
+            .iter()
+            .copied()
+            .filter(|&j| plan.is_alive(j, release))
+            .collect();
+        if alive.is_empty() {
+            let ready = plan
+                .next_alive_in(ProcSetRef::Explicit(&set), release)
+                .expect("sets are non-empty");
+            let at = parked.partition_point(|p| p.0.total_cmp(&ready).then(p.1.cmp(&rank)).is_lt());
+            parked.insert(at, (ready, rank, (task, set, kind)));
+            continue;
+        }
+        let speed = plan
+            .min_speed_in(ProcSetRef::Explicit(&alive))
+            .expect("alive is non-empty");
+        let kind = if alive.len() == set.len() { kind } else { 3 };
+        let ptime = task.ptime / speed;
+        out.push((
+            Task {
+                release,
+                ptime,
+                ..task
+            },
+            alive,
+            kind,
+        ));
+    }
+}
+
+/// Holds `FaultyStream` over `inner` to the stateless reference, bit
+/// for bit, arrival by arrival.
+fn assert_matches_reference<S: ArrivalStream>(plan: &FaultPlan, make: impl Fn() -> S, case: &str) {
+    let got = drain(FaultyStream::new(make(), plan));
+    let want = reference_faulty_stream(plan, drain(make()));
+    assert_eq!(got.len(), want.len(), "{case}: arrival counts differ");
+    for (i, (g, w)) in got.iter().zip(&want).enumerate() {
+        let bits = |t: &Task| (t.release.to_bits(), t.ptime.to_bits(), t.weight.to_bits());
+        assert_eq!(
+            bits(&g.0),
+            bits(&w.0),
+            "{case}: arrival {i}: {:?} vs {:?}",
+            g.0,
+            w.0
+        );
+        assert_eq!(g.1, w.1, "{case}: arrival {i} at {}: members", w.0.release);
+        assert_eq!(g.2, w.2, "{case}: arrival {i} at {}: shape", w.0.release);
+    }
+}
+
+/// `FaultyStream` emits exactly what per-member stateless queries say:
+/// under sampled plans (touching chains included) over every structure
+/// kind, across one to four words of machines, and under hand-built
+/// dyadic plans whose releases land exactly on outage endpoints.
+#[test]
+fn faulty_stream_matches_stateless_reference() {
+    const N: usize = 150;
+    const SPAN: f64 = 30.0;
+    let kinds = |m: usize, seed: u64| {
+        let k = 1 + (seed as usize) % m;
+        [
+            StructureKind::Unrestricted,
+            StructureKind::IntervalFixed(k),
+            StructureKind::RingFixed((m / 2).max(1)),
+            StructureKind::DisjointBlocks(k.min(16)),
+            StructureKind::InclusiveChain,
+            StructureKind::InclusivePrefix,
+            StructureKind::NestedLaminar,
+            StructureKind::General,
+        ]
+    };
+    let mut seed = 0u64;
+    for m in [1usize, 7, 63, 64, 65, 130, 200] {
+        for rate in [0.01, 0.2, 1.0, 3.0] {
+            for (latency, degraded) in [(0.0, false), (0.5, false), (0.25, true)] {
+                for kind in kinds(m, seed) {
+                    seed += 1;
+                    let cfg = FaultPlanConfig {
+                        horizon: SPAN,
+                        crash_rate: rate,
+                        mean_downtime: 2.0,
+                        degraded_fraction: if degraded { 0.5 } else { 0.0 },
+                        min_speed: 0.25,
+                        dispatch_latency: latency,
+                    };
+                    let plan = random_fault_plan(m, &cfg, seed);
+                    let stream = PoissonStreamConfig {
+                        ptime_steps: 8,
+                        unit: false,
+                        ..PoissonStreamConfig::unit_tasks(m, N, N as f64 / SPAN, kind)
+                    };
+                    let case = format!("m={m} rate={rate} latency={latency} {kind:?} seed={seed}");
+                    assert_matches_reference(&plan, || PoissonStream::new(&stream, seed), &case);
+                }
+            }
+        }
+    }
+
+    for seed in 0..100u64 {
+        let mut rng = derive_rng(seed, 0xD7);
+        let m = [1usize, 2, 5, 64, 65, 130][seed as usize % 6];
+        // Dyadic lengths keep every endpoint exact. Each machine's first
+        // group may start at 0; a zero gap joins a group to the last.
+        let mut plan = FaultPlan::none(m);
+        let mut endpoints = vec![0.0];
+        for j in 0..m {
+            let mut t = 0.0;
+            for _ in 0..rng.random_range(0..8usize) {
+                t += [0.0, 0.5, 1.0, 3.0][rng.random_range(0..4usize)];
+                for _ in 0..rng.random_range(1..4usize) {
+                    let len = [0.25, 0.5, 1.0, 2.0][rng.random_range(0..4usize)];
+                    plan = plan.with_outage(j, t, t + len);
+                    endpoints.extend([t, t + len]);
+                    t += len;
+                }
+            }
+        }
+        if seed % 3 == 1 {
+            plan = plan.with_speed(rng.random_range(0..m), 0.5);
+        }
+        let latency = [0.0, 0.25][seed as usize % 2];
+        plan = plan.with_latency(latency);
+        // Shifted releases land on endpoints, with a few in between.
+        let mut releases: Vec<f64> = (0..N)
+            .map(|_| {
+                let e = endpoints[rng.random_range(0..endpoints.len())];
+                let e = if rng.random_bool(0.2) { e + 0.125 } else { e };
+                (e - latency).max(0.0)
+            })
+            .collect();
+        releases.sort_by(f64::total_cmp);
+        let sets: Vec<ProcSet> = (0..N)
+            .map(|_| {
+                let (a, b) = (rng.random_range(0..m), rng.random_range(0..m));
+                match rng.random_range(0..4usize) {
+                    0 => ProcSet::interval(a.min(b), a.max(b)),
+                    1 => ProcSet::ring_interval(a, 1 + b, m),
+                    2 => ProcSet::interval(0, a),
+                    _ => {
+                        let v: Vec<usize> = (0..m).filter(|_| rng.random_bool(0.3)).collect();
+                        if v.is_empty() {
+                            ProcSet::singleton(a)
+                        } else {
+                            ProcSet::new(v)
+                        }
+                    }
+                }
+            })
+            .collect();
+        let tasks = releases
+            .iter()
+            .map(|&r| Task::weighted(r, 0.25 * rng.random_range(1..8u32) as f64, 1.5))
+            .collect();
+        let inst = Instance::new(m, tasks, sets).expect("valid instance");
+        let case = format!("hand-built m={m} latency={latency} seed={seed}");
+        assert_matches_reference(&plan, || InstanceStream::new(&inst), &case);
+    }
+}
+
+/// A release before one the stream already swept past — possible when
+/// the later task was stranded, so the engine's order check never saw
+/// it — is still restricted at its own instant: the down-set restarts
+/// its sweep, and the stream matches the stateless reference.
+#[test]
+fn out_of_order_release_is_restricted_at_its_own_time() {
+    let plan = FaultPlan::none(2)
+        .with_outage(0, 4.0, 6.0)
+        .with_outage(1, 5.0, 6.0);
+    let tasks = vec![
+        (Task::new(1.0, 1.0), ProcSet::new(vec![0, 1])),
+        (Task::new(5.0, 1.0), ProcSet::singleton(0)), // stranded until 6
+        (Task::new(3.0, 1.0), ProcSet::new(vec![0, 1])), // both alive at 3
+        (Task::new(5.5, 1.0), ProcSet::new(vec![0, 1])), // stranded until 6
+    ];
+    let make = || {
+        let mut it = tasks.clone().into_iter();
+        FnStream::new(2, move || it.next())
+    };
+    assert_matches_reference(&plan, make, "out of order");
+    assert_eq!(drain(FaultyStream::new(make(), &plan))[1].1, vec![0, 1]);
+}
+
+/// A NaN release under a fault plan aborts as it does without one: when
+/// its members were up at the last release, it passes restriction and
+/// reaches the engine's release-order check.
+#[test]
+#[should_panic(expected = "non-decreasing release order")]
+fn nan_release_with_live_members_aborts_at_the_release_order_check() {
+    let plan = FaultPlan::none(2).with_outage(0, 5.0, 6.0);
+    let tasks = vec![
+        (Task::new(1.0, 1.0), ProcSet::singleton(0)),
+        (Task::new(f64::NAN, 1.0), ProcSet::singleton(0)),
+    ];
+    let mut it = tasks.into_iter();
+    faulty(&plan, TieBreak::Min).schedule(FnStream::new(2, move || it.next()), &mut NoopRecorder);
+}
+
+/// A NaN release whose members an earlier arrival swept down is
+/// stranded, and no recovery instant lies at or after NaN: it re-enters
+/// stranded and panics rather than re-deferring forever.
+#[test]
+#[should_panic(expected = "re-entering task is stranded again")]
+fn nan_release_with_down_members_panics_instead_of_re_deferring_forever() {
+    let plan = FaultPlan::none(2).with_outage(0, 1.0, 10.0);
+    let tasks = vec![
+        (Task::new(2.0, 1.0), ProcSet::singleton(1)),
+        (Task::new(f64::NAN, 1.0), ProcSet::singleton(0)),
+    ];
+    let mut it = tasks.into_iter();
+    faulty(&plan, TieBreak::Min).schedule(FnStream::new(2, move || it.next()), &mut NoopRecorder);
 }
 
 /// `Auto` decides once, from the stream's structure promise. Outages
