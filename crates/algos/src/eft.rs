@@ -239,24 +239,18 @@ impl EftState {
     }
 
     /// Plain EFT's pick on the indexed kernel: `Min` and `Max` over
-    /// compact ranges take the extreme tie by one descent and never
-    /// build the tie set; everything else picks from the tie set. Out of
-    /// line, so the scan's path inlines.
+    /// compact ranges take the extreme tie by one walk per range and one
+    /// descent ([`LaneIndex::pick`]) and never build the tie set;
+    /// everything else picks from the tie set. Out of line, so the
+    /// scan's path inlines.
     #[inline(never)]
     fn index_pick(&mut self, release: Time, set: ProcSetRef<'_>) -> usize {
         if let (Some((low, high)), Breaker::Min | Breaker::Max) = (ranges(set), &self.breaker) {
             self.stats.indexed_descents += 1;
-            let index = &self.index;
-            let t_min = release.max(range_min(index, low, high));
-            let hit = if matches!(self.breaker, Breaker::Min) {
-                low.and_then(|(lo, hi)| index.find_le::<false>(lo, hi, t_min))
-                    .or_else(|| index.find_le::<false>(high.0, high.1, t_min))
-            } else {
-                index
-                    .find_le::<true>(high.0, high.1, t_min)
-                    .or_else(|| low.and_then(|(lo, hi)| index.find_le::<true>(lo, hi, t_min)))
+            return match self.breaker {
+                Breaker::Min => self.index.pick::<false>(low, high, release),
+                _ => self.index.pick::<true>(low, high, release),
             };
-            return hit.expect("tie set is nonempty by construction");
         }
         self.tie_set(release, set);
         self.breaker.pick(&self.ties)

@@ -11,11 +11,12 @@
 //! - **Interval / prefix / ring sets** are one or two index ranges, so a
 //!   *lane index* over the machine completion times — the
 //!   [`CompletionBank`] as its leaf level, and above it one level of
-//!   8-wide lane minima after another — answers `min_{j∈Mᵢ} C_j` with a
-//!   range-min walk and finds the picked machine by a bitmask descent:
-//!   O(log₈ m) lanes per task for plain `Min`/`Max` EFT, O(|U'ᵢ| log₈ m)
-//!   when the whole tie set is needed (`Rand`, whose `Breaker::pick`
-//!   draws `random_range(0..|U'ᵢ|)`, and every start rule).
+//!   8-wide lane minima after another — finds plain `Min`/`Max` EFT's
+//!   machine by one bottom-up walk and a bitmask descent, O(log₈ m)
+//!   lanes per task. When the whole tie set is needed (`Rand`, whose
+//!   `Breaker::pick` draws `random_range(0..|U'ᵢ|)`, and every start
+//!   rule), a range-min walk gives `t'min` and a collect the tie set,
+//!   O(|U'ᵢ| log₈ m).
 //! - **Explicit sets** are not ranges, so the member scan answers them
 //!   on this kernel too. Per-set heaps once served them, and measured
 //!   2–16× slower than the scan on their own disjoint-block traffic
@@ -154,10 +155,11 @@ impl DispatchKernel {
 /// above an 8 MiB bank.
 ///
 /// Every query walks the levels bottom-up ([`walk`](Self::walk)). At
-/// each level the range has two edge lanes, read under slot masks, and
-/// the lanes strictly between them are the range one level up. The lane
-/// addresses depend only on `lo` and `hi`, so the loads of all levels
-/// issue at once and no branch depends on their bits.
+/// each level the range has two edge lanes, each read under one window
+/// of [`WINDOWS`], and the lanes strictly between them are the range
+/// one level up. The lane addresses depend only on `lo` and `hi`, so the
+/// loads of all levels issue at once and no branch depends on their
+/// bits.
 #[derive(Debug, Clone)]
 pub(crate) struct LaneIndex {
     levels: Vec<CompletionBank>,
@@ -186,84 +188,161 @@ impl LaneIndex {
     }
 
     /// Sets machine `j`'s completion to `v` and refreshes one slot per
-    /// level, with no early exit. Each lane is read before its slot is
-    /// written, so no load waits on the store, and the minimum of the
-    /// other seven slots does not wait for `v`.
+    /// level, with no early exit.
+    ///
+    /// A bank with no levels (the member scan's) takes one scalar store:
+    /// a whole-lane store there read slower (EXPERIMENTS.md, "Lane index
+    /// without store-forwarding stalls"). Above that, each level loads
+    /// its lane and raises the updated slot to `+∞` by a `max` against a
+    /// constant `±∞` window of [`ONE_SLOT`], which gives the minimum of
+    /// the other seven slots. A `min` of that lane against `v` under the
+    /// opposite window puts `v` in the slot, exactly for every non-NaN
+    /// value, and the lane is stored whole. So no load of the commit
+    /// reads one of its own stores, and the next query's lane loads, as
+    /// wide as these stores, forward from them. A store into the lane's
+    /// slot, or into a copy of the lane that is then reloaded, is
+    /// narrower than the loads after it, and they wait until it retires.
+    /// The minimum of the other seven slots does not wait for `v`, so the
+    /// chain across levels is one `min` per level.
     #[inline]
     pub(crate) fn set(&mut self, j: usize, v: Time) {
-        let (top, below) = self.levels.split_last_mut().expect("a bank level");
+        if let [bank] = &mut self.levels[..] {
+            return bank.set(j, v);
+        }
+        let len = self.bank().len();
+        assert!(j < len, "machine index {j} out of range for {len} machines");
         let (mut pos, mut v) = (j, v);
-        for level in below {
-            let mut lane = *level.lane(pos / LANE);
-            level.set(pos, v);
-            lane[pos % LANE] = f64::INFINITY;
-            v = fmin(v, lane_min(lane));
-            pos /= LANE;
+        for level in &mut self.levels {
+            let (lane, slot) = (pos / LANE, pos % LANE);
+            let hide = &ONE_SLOT[LANE - 1 - slot..][..LANE];
+            let old = *level.lane(lane);
+            let others: [Time; LANE] = std::array::from_fn(|s| fmax(old[s], hide[s]));
+            *level.lane_mut(lane) = std::array::from_fn(|s| fmin(others[s], fmax(v, -hide[s])));
+            v = fmin(v, lane_min(others));
+            pos = lane;
         }
-        top.set(pos, v);
     }
 
-    /// The bottom-up walk over `[lo, hi]` that `range_min` and `find_le`
-    /// share: calls `visit` with each level's number and [`Span`].
+    /// The bottom-up walk over `[lo, hi]` that every query shares: each
+    /// level's [`Span`], level 0 first. The loop body stays in the
+    /// caller, so nothing of it goes out of line.
     #[inline(always)]
-    fn walk<'a>(&'a self, lo: usize, hi: usize, mut visit: impl FnMut(usize, Span<'a>)) {
+    fn walk(&self, lo: usize, hi: usize) -> impl Iterator<Item = Span<'_>> {
         let (mut l, mut h) = (lo, hi);
-        for (k, level) in self.levels.iter().enumerate() {
+        self.levels.iter().map(move |level| {
             let span = Span::new(level, l, h);
-            visit(k, span);
             (l, h) = (span.a + 1, span.b.saturating_sub(1));
-        }
+            span
+        })
     }
 
-    /// `min_{lo ≤ j ≤ hi} C_j` (inclusive bounds).
+    /// `min_{lo ≤ j ≤ hi} C_j` (inclusive bounds): each level's two
+    /// windowed edge lanes fold pairwise into one accumulator lane,
+    /// reduced once at the end.
     pub(crate) fn range_min(&self, lo: usize, hi: usize) -> Time {
         let mut acc = [f64::INFINITY; LANE];
-        self.walk(lo, hi, |_, span| {
-            let (left, right) = (span.masked(span.a), span.masked(span.b));
+        for span in self.walk(lo, hi) {
+            let (left, right) = (span.clipped(span.a), span.clipped(span.b));
             for ((m, &l), &r) in acc.iter_mut().zip(&left).zip(&right) {
                 *m = fmin(*m, fmin(l, r));
             }
-        });
+        }
         lane_min(acc)
     }
 
-    /// Smallest `j ∈ [lo, hi]` with `C_j ≤ bound` (largest with `RIGHT`).
-    /// In position order the edge lanes run left lanes bottom-up, then
-    /// right lanes top-down: the leftmost hit lies in the lowest left lane
-    /// with one, else in the highest right lane with one (mirrored for
-    /// `RIGHT`). The walk only marks which edge lanes hold a hit, one bit
-    /// per level; the descent starts from the winning lane.
-    pub(crate) fn find_le<const RIGHT: bool>(
+    /// EFT-Min's machine over one range, or two ascending ones (a
+    /// wrapping ring): the first `j` in ascending member order with
+    /// `C_j ≤ t'min = max(release, min C_j)`; with `RIGHT`, EFT-Max's,
+    /// the last. One walk per range marks its edge lanes
+    /// ([`marks`](Self::marks)). Whether `t'min` is the release or the
+    /// minimum decides which marks name the tie set's lanes, and the
+    /// descent starts from the first (last) of them. A range whose own
+    /// minimum is above the pair's holds no tie at `t'min`, so its
+    /// `= min` marks are dropped. The tie set is never empty, so neither
+    /// is the pick.
+    pub(crate) fn pick<const RIGHT: bool>(
         &self,
-        lo: usize,
-        hi: usize,
-        bound: Time,
-    ) -> Option<usize> {
-        // Bit k set iff level k's near (far) edge lane holds a hit; the
-        // near edge is the left one unless `RIGHT`.
-        let (mut near, mut far) = (0u32, 0u32);
-        self.walk(lo, hi, |k, span| {
-            let hit = |lane| (lane_min(span.masked(lane)) <= bound) as u32;
-            let (n, f) = if RIGHT {
-                (span.b, span.a)
-            } else {
-                (span.a, span.b)
-            };
-            near |= hit(n) << k;
-            far |= hit(f) << k;
-        });
-        let (k, left) = match (near, far) {
-            (0, 0) => return None,
-            (0, _) => (31 - far.leading_zeros() as usize, RIGHT),
-            _ => (near.trailing_zeros() as usize, !RIGHT),
+        low: Option<IndexRange>,
+        high: IndexRange,
+        release: Time,
+    ) -> usize {
+        let high_marks = self.marks(high, release);
+        let low_marks = low.map(|range| (range, self.marks(range, release)));
+        let min = low_marks.map_or(high_marks.min, |(_, m)| fmin(m.min, high_marks.min));
+        let released = min <= release;
+        let ties = |marks: Marks| match (released, marks.min == min) {
+            (true, _) => marks.le,
+            (false, true) => marks.eq,
+            (false, false) => [0; 2],
         };
-        let mut edge = None;
-        self.walk(lo, hi, |j, span| {
-            if j == k {
-                edge = Some((span, if left { span.a } else { span.b }));
+        let high = (high, ties(high_marks));
+        let any = |(_, [left, right]): (IndexRange, [u32; 2])| left | right != 0;
+        // In ascending member order the low range comes first: EFT-Min
+        // picks in it if it holds a tie, EFT-Max only if the high one
+        // holds none.
+        let (range, marks) = match low_marks.map(|(range, marks)| (range, ties(marks))) {
+            Some(low) if (if RIGHT { !any(high) } else { any(low) }) => low,
+            _ => high,
+        };
+        self.descend::<RIGHT>(range, marks, release.max(min))
+    }
+
+    /// One walk over `[lo, hi]` for a pick at `release`: the range's
+    /// minimum, and two bits per level and edge lane. The `≤ release`
+    /// bit is set iff the lane holds a value `≤ release`; the `= min`
+    /// bit iff the lane holds the running minimum, and every `= min` bit
+    /// is cleared when a higher level lowers it, so at the end they mark
+    /// the lanes that hold the range's minimum. Each level shifts its
+    /// bits in from below, so level `k`'s bit is bit `top − k` (`top`
+    /// the highest level; a `u32` holds the 22 levels of 2⁶⁴ machines).
+    #[inline(always)]
+    fn marks(&self, (lo, hi): IndexRange, release: Time) -> Marks {
+        let mut marks = Marks {
+            min: f64::INFINITY,
+            le: [0; 2],
+            eq: [0; 2],
+        };
+        for span in self.walk(lo, hi) {
+            let edges = [
+                lane_min(span.clipped(span.a)),
+                lane_min(span.clipped(span.b)),
+            ];
+            let level_min = fmin(edges[0], edges[1]);
+            let lowered = level_min < marks.min;
+            marks.min = fmin(marks.min, level_min);
+            let sides = edges.iter().zip(&mut marks.le).zip(&mut marks.eq);
+            for ((&edge, le), eq) in sides {
+                *le = *le << 1 | (edge <= release) as u32;
+                *eq = if lowered { 0 } else { *eq } << 1 | (edge == marks.min) as u32;
             }
-        });
-        let (span, lane) = edge.expect("level k is on the walk");
+        }
+        marks
+    }
+
+    /// The smallest `j ∈ [lo, hi]` with `C_j ≤ bound` (largest with
+    /// `RIGHT`), given which edge lanes of the walk over `[lo, hi]` hold
+    /// one, as [`marks`](Self::marks) numbers them: bit `top − k` of
+    /// `marks[0]` (`marks[1]`) for level `k`'s left (right) edge lane, at
+    /// least one bit set. In position order the edge lanes run left lanes
+    /// bottom-up, then right lanes top-down: the leftmost hit lies in the
+    /// lowest marked left lane, else in the highest marked right lane
+    /// (mirrored for `RIGHT`). The descent builds a lane's `≤ bound`
+    /// bitmask only in that lane and below it.
+    fn descend<const RIGHT: bool>(
+        &self,
+        (lo, hi): IndexRange,
+        [left, right]: [u32; 2],
+        bound: Time,
+    ) -> usize {
+        let (near, far) = if RIGHT { (right, left) } else { (left, right) };
+        debug_assert_ne!(near | far, 0, "a tie set is never empty");
+        let top = self.levels.len() - 1;
+        let (k, on_left) = match near {
+            0 => (top - far.trailing_zeros() as usize, RIGHT),
+            _ => (top - near.ilog2() as usize, !RIGHT),
+        };
+        let span = self.walk(lo, hi).nth(k).expect("level k is on the walk");
+        let lane = if on_left { span.a } else { span.b };
         // Slot of the first hit in a nonempty lane mask.
         let pick =
             |mask: u32| [mask.trailing_zeros(), 31 ^ mask.leading_zeros()][RIGHT as usize] as usize;
@@ -271,7 +350,7 @@ impl LaneIndex {
         for level in self.levels[..k].iter().rev() {
             pos = pos * LANE + pick(le_mask(level.lane(pos), bound));
         }
-        Some(pos)
+        pos
     }
 
     /// Appends every `j ∈ [l, h]` of level `k` (level 0 from callers) with
@@ -309,6 +388,16 @@ impl LaneIndex {
     }
 }
 
+/// What one walk learns about a range for [`LaneIndex::pick`]: its
+/// minimum, and per side (left, right edge lanes) one bit per level for
+/// `≤ release` and one for `= min` ([`LaneIndex::marks`]).
+#[derive(Clone, Copy)]
+struct Marks {
+    min: Time,
+    le: [u32; 2],
+    eq: [u32; 2],
+}
+
 /// One level of the bottom-up walk: the level, its share `[l, h]` of the
 /// query range (empty once `l > h`), and the edge lanes `a ≤ b` holding
 /// `l` and `h`, which stay valid lanes when the range is empty.
@@ -337,16 +426,15 @@ impl<'a> Span<'a> {
         (from, (self.h - base).min(LANE - 1))
     }
 
-    /// `lane` with every slot outside `[l, h]` set to `+∞`, by two
-    /// branch-free `max`es against windows of [`SLOT_MASKS`].
+    /// `lane` with every slot outside `[l, h]` raised to `+∞`, by one
+    /// branch-free `max` against a window of [`WINDOWS`].
     #[inline(always)]
-    fn masked(&self, lane: usize) -> [Time; LANE] {
+    fn clipped(&self, lane: usize) -> [Time; LANE] {
         let (from, to) = self.slots(lane);
-        let below = &SLOT_MASKS[LANE - from..][..LANE];
-        let above = &SLOT_MASKS[2 * LANE - 1 - to..][..LANE];
+        let window = &WINDOWS[(to + 1).saturating_sub(from)][LANE - from..][..LANE];
         let mut vals = *self.level.lane(lane);
-        for ((v, &b), &a) in vals.iter_mut().zip(below).zip(above) {
-            *v = fmax(fmax(*v, b), a);
+        for (v, &w) in vals.iter_mut().zip(window) {
+            *v = fmax(*v, w);
         }
         vals
     }
@@ -360,18 +448,35 @@ impl<'a> Span<'a> {
     }
 }
 
-/// `+∞` × 8, `−∞` × 8, `+∞` × 8: the 8-wide windows at `8 − from` and
-/// `15 − to` are `+∞` exactly on the slots below `from` and above `to`.
-const SLOT_MASKS: [Time; 3 * LANE] = {
-    let (i, n) = (f64::INFINITY, f64::NEG_INFINITY);
-    [
-        i, i, i, i, i, i, i, i, n, n, n, n, n, n, n, n, i, i, i, i, i, i, i, i,
-    ]
+/// Row `n` is `+∞` × 8, `−∞` × `n`, then `+∞`: its 8-wide window at
+/// `8 − from` is `−∞` exactly on the `n` slots from `from` on, so one
+/// window keeps slots `from ..= to` with `n = to + 1 − from`, and row 0
+/// keeps none.
+const WINDOWS: [[Time; 2 * LANE]; LANE + 1] = {
+    let mut rows = [[f64::INFINITY; 2 * LANE]; LANE + 1];
+    let mut n = 1;
+    while n <= LANE {
+        let mut i = LANE;
+        while i < LANE + n {
+            rows[n][i] = f64::NEG_INFINITY;
+            i += 1;
+        }
+        n += 1;
+    }
+    rows
+};
+
+/// `−∞` × 7, `+∞`, `−∞` × 7: the 8-wide window at `7 − slot` is `+∞` on
+/// `slot` alone. A commit hides its slot under it.
+const ONE_SLOT: [Time; 2 * LANE - 1] = {
+    let mut window = [f64::NEG_INFINITY; 2 * LANE - 1];
+    window[LANE - 1] = f64::INFINITY;
+    window
 };
 
 /// Bit `s` set iff `lane[s] ≤ bound`. LLVM compiles the fold to one
-/// scalar compare per slot, so [`find_le`](LaneIndex::find_le) tests
-/// lanes by their minimum and builds a mask only where it descends.
+/// scalar compare per slot, so a pick tests lanes by their minimum and
+/// builds a mask only where it descends.
 #[inline(always)]
 fn le_mask(lane: &[Time; LANE], bound: Time) -> u32 {
     (0..LANE).fold(0, |mask, s| mask | ((lane[s] <= bound) as u32) << s)
@@ -494,10 +599,43 @@ mod tests {
         [random, one_lane, (start, end.min(m) - 1), (0, m - 1)]
     }
 
+    /// EFT's pick over ascending `members` by a scan of `vals`: the first
+    /// (`RIGHT`: last) member with `C_j ≤ max(release, min C_j)`.
+    fn scan_pick<const RIGHT: bool>(vals: &[Time], members: &[usize], release: Time) -> usize {
+        let min = members
+            .iter()
+            .map(|&j| vals[j])
+            .fold(f64::INFINITY, f64::min);
+        let mut ties = members
+            .iter()
+            .copied()
+            .filter(|&j| vals[j] <= release.max(min));
+        let pick = if RIGHT { ties.next_back() } else { ties.next() };
+        pick.expect("a tie set is never empty")
+    }
+
+    /// Every level above the bank holds the lane minima of the level
+    /// below, and `+∞` past them; the top level is one lane.
+    fn assert_lane_minima(index: &LaneIndex, at: &str) {
+        let top = index.levels.last().map(|top| top.padded().len());
+        assert_eq!(top, Some(LANE), "{at}");
+        for pair in index.levels.windows(2) {
+            let mins: Vec<Time> = pair[0].padded().chunks(LANE).map(min_in).collect();
+            assert_eq!(pair[1].values(), &mins[..], "{at}");
+            assert!(
+                pair[1].padded()[mins.len()..]
+                    .iter()
+                    .all(|&v| v == f64::INFINITY),
+                "{at}"
+            );
+        }
+    }
+
     /// The lane index against plain scans of its own bank, after rounds
-    /// of random non-decreasing updates: `range_min`, the leftmost and
-    /// rightmost `≤ bound`, and the ascending collect, at bounds below,
-    /// at and between the completions.
+    /// of random non-decreasing updates: `range_min`; EFT-Min's and
+    /// EFT-Max's pick over one range and over a wrapping ring's two, at
+    /// releases below, at and above the minimum; and the ascending
+    /// collect at bounds below, at and between the completions.
     #[test]
     fn lane_index_matches_scans_after_updates() {
         let mut rng = rand::rngs::StdRng::seed_from_u64(7);
@@ -510,8 +648,44 @@ mod tests {
                     index.set(j, v);
                 }
                 let vals = index.bank().values();
-                for (lo, hi) in index_ranges(&mut rng, m) {
-                    let min = vals[lo..=hi].iter().copied().fold(f64::INFINITY, f64::min);
+                let mut picks: Vec<(Option<IndexRange>, IndexRange)> = index_ranges(&mut rng, m)
+                    .into_iter()
+                    .map(|range| (None, range))
+                    .collect();
+                if m > 2 {
+                    let start = rng.random_range(2..m);
+                    let len = rng.random_range(m - start + 1..m);
+                    let set = ProcSetRef::ring(start, len, m);
+                    picks.extend(ranges(set).filter(|(low, _)| low.is_some()));
+                }
+                for (low, high) in picks {
+                    let members: Vec<usize> = low
+                        .into_iter()
+                        .chain([high])
+                        .flat_map(|(lo, hi)| lo..=hi)
+                        .collect();
+                    let min = members
+                        .iter()
+                        .map(|&j| vals[j])
+                        .fold(f64::INFINITY, f64::min);
+                    let above = min + rng.random_range(0..4) as f64 + 0.5;
+                    for release in [min - 0.5, min, above] {
+                        let at = format!("m={m} round {round} {low:?} {high:?} r={release}");
+                        assert_eq!(
+                            index.pick::<false>(low, high, release),
+                            scan_pick::<false>(vals, &members, release),
+                            "EFT-Min {at}"
+                        );
+                        assert_eq!(
+                            index.pick::<true>(low, high, release),
+                            scan_pick::<true>(vals, &members, release),
+                            "EFT-Max {at}"
+                        );
+                    }
+                    if low.is_some() {
+                        continue;
+                    }
+                    let (lo, hi) = high;
                     assert_eq!(
                         index.range_min(lo, hi),
                         min,
@@ -519,20 +693,13 @@ mod tests {
                     );
                     for bound in [min, min - 0.5, min + rng.random_range(0..4) as f64 + 0.5] {
                         let expect: Vec<usize> = (lo..=hi).filter(|&j| vals[j] <= bound).collect();
-                        let at = format!("m={m} round {round} [{lo},{hi}] ≤{bound}");
-                        assert_eq!(
-                            index.find_le::<false>(lo, hi, bound),
-                            expect.first().copied(),
-                            "leftmost {at}"
-                        );
-                        assert_eq!(
-                            index.find_le::<true>(lo, hi, bound),
-                            expect.last().copied(),
-                            "rightmost {at}"
-                        );
                         let mut got = vec![usize::MAX];
                         index.collect_le(0, lo, hi, bound, &mut got);
-                        assert_eq!(got[1..], expect[..], "collect {at}");
+                        assert_eq!(
+                            got[1..],
+                            expect[..],
+                            "collect m={m} round {round} [{lo},{hi}] ≤{bound}"
+                        );
                     }
                 }
             }
@@ -552,18 +719,42 @@ mod tests {
             for (j, &v) in vals.iter().enumerate() {
                 updated.set(j, v);
             }
-            for index in [&seeded, &updated] {
-                let top = index.levels.last().map(|top| top.padded().len());
-                assert_eq!(top, Some(LANE), "m={m}");
-                for pair in index.levels.windows(2) {
-                    let mins: Vec<Time> = pair[0].padded().chunks(LANE).map(min_in).collect();
-                    assert_eq!(pair[1].values(), &mins[..], "m={m}");
-                    assert!(pair[1].padded()[mins.len()..]
-                        .iter()
-                        .all(|&v| v == f64::INFINITY));
+            assert_lane_minima(&seeded, &format!("seeded m={m}"));
+            assert_lane_minima(&updated, &format!("updated m={m}"));
+            assert_eq!(updated.bank().values(), &vals[..]);
+        }
+    }
+
+    /// A commit writes one whole lane per level. Setting every slot of
+    /// one lane of every level in turn, to values below and above the
+    /// rest, must keep each level the lane minima of the one below and
+    /// the bank the values set.
+    #[test]
+    fn commits_to_every_slot_of_a_lane_keep_the_lane_minima() {
+        let mut rng = rand::rngs::StdRng::seed_from_u64(9);
+        for m in INDEX_SIZES {
+            let mut index = built(CompletionBank::new(m));
+            let mut vals = vec![0.0; m];
+            for k in 0..index.levels.len() {
+                // Machines `(LANE·lane + slot)·under ..` lie under `slot` of
+                // `lane` on level k; a slot with none is padding.
+                let under = LANE.pow(k as u32);
+                let lane = rng.random_range(0..index.levels[k].padded().len() / LANE);
+                for slot in 0..LANE {
+                    let first = (lane * LANE + slot) * under;
+                    if first >= m {
+                        continue;
+                    }
+                    for _ in 0..3 {
+                        let j = rng.random_range(first..(first + under).min(m));
+                        let v = rng.random_range(-20..40) as f64;
+                        index.set(j, v);
+                        vals[j] = v;
+                        assert_lane_minima(&index, &format!("m={m} level {k} slot {slot} j={j}"));
+                        assert_eq!(index.bank().values(), &vals[..], "m={m} j={j}");
+                    }
                 }
             }
-            assert_eq!(updated.bank().values(), &vals[..]);
         }
     }
 

@@ -156,6 +156,12 @@ impl CompletionBank {
     pub(crate) fn lane(&self, i: usize) -> &[Time; LANE] {
         &self.lanes[i].0
     }
+
+    /// Mutable lane `i` of the padded view (panics past the last lane).
+    #[inline]
+    pub(crate) fn lane_mut(&mut self, i: usize) -> &mut [Time; LANE] {
+        &mut self.lanes[i].0
+    }
 }
 
 /// `min` over a completion slice, 8-wide: independent per-position

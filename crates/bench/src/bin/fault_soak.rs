@@ -19,55 +19,17 @@ use flowsched_algos::indexed::DispatchKernel;
 use flowsched_algos::registry::PolicySpec;
 use flowsched_algos::tiebreak::TieBreak;
 use flowsched_algos::ShardedConfig;
-use flowsched_core::schedule::Assignment;
+use flowsched_bench::HashSink;
 use flowsched_core::stream::ArrivalStream;
-use flowsched_core::task::Task;
 use flowsched_obs::NoopRecorder;
 use flowsched_workloads::faults::{random_fault_plan, FaultPlanConfig};
 use flowsched_workloads::random::{PoissonStream, PoissonStreamConfig, StructureKind};
-
-use flowsched_algos::engine::DispatchSink;
 
 const MACHINES: usize = 256;
 const BLOCK: usize = 16;
 const TASKS: usize = 1_000_000;
 const CRASH_RATE: f64 = 0.01;
 const MEM_BOUND_KIB: u64 = 32 * 1024;
-
-/// FNV-1a over the dispatch stream: order-sensitive, so the hash also
-/// certifies that commits arrive in arrival order even when crashes
-/// re-queue stranded tasks.
-struct HashSink {
-    hash: u64,
-    count: u64,
-}
-
-impl HashSink {
-    fn new() -> Self {
-        HashSink {
-            hash: 0xcbf2_9ce4_8422_2325,
-            count: 0,
-        }
-    }
-
-    fn fold(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.hash ^= b as u64;
-            self.hash = self.hash.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
-}
-
-impl DispatchSink for HashSink {
-    fn accept(&mut self, seq: u64, task: Task, a: Assignment) {
-        self.fold(&seq.to_le_bytes());
-        self.fold(&task.release.to_bits().to_le_bytes());
-        self.fold(&task.ptime.to_bits().to_le_bytes());
-        self.fold(&(a.machine.index() as u64).to_le_bytes());
-        self.fold(&a.start.to_bits().to_le_bytes());
-        self.count += 1;
-    }
-}
 
 /// Peak resident set size of this process, in kibibytes, from
 /// `/proc/self/status` (`VmHWM` is a monotonic high-water mark).

@@ -29,51 +29,15 @@
 
 use std::time::Instant;
 
-use flowsched_algos::engine::{DispatchSink, Run, ShardedConfig};
+use flowsched_algos::engine::{Run, ShardedConfig};
 use flowsched_algos::registry::PolicySpec;
-use flowsched_core::schedule::Assignment;
+use flowsched_bench::HashSink;
 use flowsched_core::stream::ArrivalStream;
-use flowsched_core::task::Task;
 use flowsched_obs::{NoopRecorder, PipelineMetrics};
 use flowsched_workloads::random::{PoissonStream, PoissonStreamConfig, StructureKind};
 
 const MACHINES: usize = 256;
 const BLOCK: usize = 16;
-
-/// FNV-1a over the dispatch stream, same folding as `sharded_smoke`:
-/// order-sensitive, so equal hashes certify identical schedules in
-/// identical commit order.
-struct HashSink {
-    hash: u64,
-    count: u64,
-}
-
-impl HashSink {
-    fn new() -> Self {
-        HashSink {
-            hash: 0xcbf2_9ce4_8422_2325,
-            count: 0,
-        }
-    }
-
-    fn fold(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.hash ^= b as u64;
-            self.hash = self.hash.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
-}
-
-impl DispatchSink for HashSink {
-    fn accept(&mut self, seq: u64, task: Task, a: Assignment) {
-        self.fold(&seq.to_le_bytes());
-        self.fold(&task.release.to_bits().to_le_bytes());
-        self.fold(&task.ptime.to_bits().to_le_bytes());
-        self.fold(&(a.machine.index() as u64).to_le_bytes());
-        self.fold(&a.start.to_bits().to_le_bytes());
-        self.count += 1;
-    }
-}
 
 fn main() {
     let mut tasks: usize = 500_000;

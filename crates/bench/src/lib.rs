@@ -24,7 +24,57 @@
 //! to a quick scale that finishes in seconds. `--seed <u64>` overrides
 //! the root seed; `--csv` switches tabular output to CSV where supported.
 
+use flowsched_algos::engine::DispatchSink;
+use flowsched_core::schedule::Assignment;
+use flowsched_core::task::Task;
 use flowsched_experiments::Scale;
+
+/// FNV-1a over the dispatch stream (sequence, release, ptime, machine
+/// and start of every task): order-sensitive, so equal hashes certify
+/// identical schedules committed in identical order. The smoke bins
+/// print it as `schedule_hash=0x…`, and `scripts/ci_check.sh` compares
+/// the printed hashes with pinned ones.
+#[derive(Debug, Clone)]
+pub struct HashSink {
+    /// The running hash.
+    pub hash: u64,
+    /// Tasks folded so far.
+    pub count: u64,
+}
+
+impl HashSink {
+    /// The FNV-1a offset basis, no task folded.
+    pub fn new() -> Self {
+        HashSink {
+            hash: 0xcbf2_9ce4_8422_2325,
+            count: 0,
+        }
+    }
+
+    fn fold(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.hash ^= b as u64;
+            self.hash = self.hash.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+}
+
+impl Default for HashSink {
+    fn default() -> Self {
+        HashSink::new()
+    }
+}
+
+impl DispatchSink for HashSink {
+    fn accept(&mut self, seq: u64, task: Task, a: Assignment) {
+        self.fold(&seq.to_le_bytes());
+        self.fold(&task.release.to_bits().to_le_bytes());
+        self.fold(&task.ptime.to_bits().to_le_bytes());
+        self.fold(&(a.machine.index() as u64).to_le_bytes());
+        self.fold(&a.start.to_bits().to_le_bytes());
+        self.count += 1;
+    }
+}
 
 /// Command-line options shared by the harness binaries.
 #[derive(Debug, Clone)]

@@ -23,7 +23,10 @@
 #      stay out of the stage
 #   6. large-m smoke run: 100k-machine streams through the indexed
 #      dispatch kernel (cargo run --release -p flowsched-bench --bin
-#      smoke_scale), panicking on any degenerate report
+#      smoke_scale), panicking on any degenerate report; the schedule
+#      hash it prints per run (four families under EFT-Min, the
+#      prefixes under EFT-Max) must equal the pinned list, which holds
+#      the six-level lane index schedule for schedule
 #   7. sharded determinism smoke: the sharded_smoke bin runs under
 #      FLOWSCHED_THREADS=1, =2 and =4 (inline, 16 shards dealt 8 per
 #      worker, and 4 per worker); every printed schedule hash must equal
@@ -58,7 +61,8 @@
 #  11. hardware-limit smoke: the same smoke_scale bin re-run at
 #      m = 2^20 via FLOWSCHED_SMOKE_M/N — the SoA completion bank,
 #      SIMD tie scan, and the seven-level lane index (1.1 MiB above an
-#      8 MiB bank) at the million-machine scale
+#      8 MiB bank) at the million-machine scale, its schedule hashes
+#      held to a second pinned list as in stage 6
 #  12. performance ledger: perf_ledger is not a workspace member, so
 #      stage 3 does not reach it. Its own unit tests run first (cargo
 #      test --release --offline --locked --manifest-path
@@ -135,8 +139,24 @@ echo "== RUSTDOCFLAGS=\"-D warnings\" cargo doc --no-deps --document-private-ite
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --document-private-items -q "${DOC_PACKAGES[@]}"
 
 echo
-echo "== 100k-machine smoke run (indexed dispatch) =="
-cargo run -q --release -p flowsched-bench --bin smoke_scale
+# Runs smoke_scale under the given environment assignments and
+# requires the schedule hashes it prints, one per run in print order,
+# to equal the pinned list.
+check_smoke_hashes() {
+  local pinned="$1" out got
+  shift
+  out="$(env "$@" cargo run -q --release -p flowsched-bench --bin smoke_scale)"
+  echo "$out"
+  got="$(sed -n 's/.* schedule_hash=\(0x[0-9a-f]*\)$/\1/p' <<<"$out" | paste -sd' ')"
+  if [ "$got" != "$pinned" ]; then
+    echo "ci_check: smoke_scale${*:+ $*} printed schedule hashes '$got', pinned '$pinned'" >&2
+    exit 1
+  fi
+}
+
+echo "== 100k-machine smoke run (indexed dispatch, pinned schedule hashes) =="
+check_smoke_hashes "0x3190caea2c8c2901 0x22de2e39c8ecab00 0x7218e3a9bd53d767 \
+0x87c680ff0903d6f3 0x17e2d45356ee1a24"
 
 echo
 # Runs one bench bin under each thread count and requires every
@@ -196,9 +216,9 @@ fi
 echo "  fig11: ${printed% *} retained, ${printed#* } dropped, as snapshot.json reads"
 
 echo
-echo "== 2^20-machine smoke run (SoA bank + lane index) =="
-FLOWSCHED_SMOKE_M=1048576 FLOWSCHED_SMOKE_N=200000 \
-  cargo run -q --release -p flowsched-bench --bin smoke_scale
+echo "== 2^20-machine smoke run (SoA bank + lane index, pinned schedule hashes) =="
+check_smoke_hashes "0x79aabc1541609ffc 0x97f2d62b8cada828 0x43f913ba42763784 \
+0x240c5bb5cb57d196 0xfbe9b910b8b10f8a" FLOWSCHED_SMOKE_M=1048576 FLOWSCHED_SMOKE_N=200000
 
 echo
 echo "== performance-ledger unit tests, smoke and full-size pinned hashes =="

@@ -342,10 +342,12 @@ fn stream_kernels_produce_identical_schedules_and_traces() {
         (24, 400, 4, 1),
         (24, 400, 5, 1),
         (24, 400, 6, 1),
-        // Four-level lane indexes: inclusive prefixes and wide intervals
-        // at the ledger's prefix_m4k machine count.
+        // Four-level lane indexes: inclusive prefixes, wide intervals and
+        // wrapping rings (two ranges per pick) at the ledger's prefix_m4k
+        // machine count.
         (4096, 4000, 3, 1),
         (4096, 4000, 0, 1500),
+        (4096, 4000, 1, 512),
     ] {
         for tb in [TieBreak::Min, TieBreak::Max, TieBreak::Rand { seed: 42 }] {
             let mut config = RandomInstanceConfig::unit_tasks(m, n, kind_for(family, k));
