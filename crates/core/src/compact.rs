@@ -245,10 +245,10 @@ impl<'a> ProcSetRef<'a> {
 ///
 /// `ProcSetRef` borrows from its stream and dies at the next pull,
 /// which is exactly right on the hot dispatch path but useless for
-/// handing a set to another thread. `CompactProcSet` is the `Send`
-/// counterpart the sharded engine puts in its routing messages: compact
-/// shapes stay allocation-free `Copy`-sized payloads, and only explicit
-/// sets pay for a boxed slice. Equality is semantic, matching
+/// keeping a set past it. `CompactProcSet` is the owned counterpart the
+/// fault-injection stream holds its lookahead and deferred arrivals in:
+/// compact shapes stay allocation-free `Copy`-sized payloads, and only
+/// explicit sets pay for a boxed slice. Equality is semantic, matching
 /// [`ProcSetRef`].
 #[derive(Debug, Clone)]
 pub enum CompactProcSet {

@@ -30,10 +30,14 @@
 //!   sequentially, in the same order — and EFT's decision for a task
 //!   depends only on its own shard's completion state (the paper's
 //!   Equation (2) restricted to `Mᵢ`).
-//! - The merge closure runs on the calling thread in global `seq`
-//!   order, gated by a reorder buffer, so order-sensitive folds
-//!   (float summation in `SimReport`, recorder traces) observe the
-//!   sequential event order.
+//! - The merge closure runs on the calling thread in arrival order, so
+//!   order-sensitive folds (float summation in `SimReport`, recorder
+//!   traces) observe the sequential event order. No message carries a
+//!   sequence number: the router logs each routed task's worker in a
+//!   FIFO, each worker returns its batches in send order with their
+//!   results in task order, so the FIFO's front names the worker whose
+//!   next unmerged result is the next in arrival order, and the merge
+//!   passes the count of results merged so far as `seq`.
 //!
 //! # Backpressure and deadlock-freedom
 //!
@@ -41,7 +45,13 @@
 //! each way per worker. A batch makes a round trip: the worker turns
 //! its tasks into results in place and sends it back, the router
 //! merges straight out of it and recycles it through a free list, so
-//! steady-state transport neither allocates nor copies. The router
+//! steady-state transport neither allocates nor copies. A task travels
+//! as a 48-byte message whose set is `u32` fields (an explicit set is a
+//! range of a member pool the batch carries and the worker lends from)
+//! and comes back as a 40-byte result holding its task and assignment.
+//! The round trip, not the bytes, is the cost: a worker that drains
+//! its queue parks, and the router pays to wake it, so the default
+//! sends 1024 tasks a trip over depth-1 queues. The router
 //! polls for results once per batch it sends, and only ever *blocks*
 //! on a worker that provably has work in flight (its input queue is
 //! full, or the merge head was already flushed to it), so every
@@ -51,9 +61,11 @@
 //! scope: on return and on unwind alike it drops before the scope
 //! joins, which closes every queue, so the workers exit, and the scope
 //! then re-raises the router's own panic. In-flight state is capped at
-//! O(workers × queue × batch), and the free list holds only batches
-//! that were once in flight — the constant-memory property of the
-//! streaming core survives.
+//! the high-water mark of `(queue_cap + 2) · batch · workers` unmerged
+//! tasks, 88 bytes each plus any explicit members — 6,144 tasks
+//! (~0.5 MiB) at the default on two workers — and the free list holds
+//! only batches that were once in flight, so the constant-memory
+//! property of the streaming core survives.
 //!
 //! # Wall-clock observability
 //!
@@ -72,7 +84,7 @@
 use std::collections::VecDeque;
 use std::sync::mpsc::{sync_channel, Receiver, SyncSender, TrySendError};
 
-use flowsched_core::compact::{CompactProcSet, ProcSetRef};
+use flowsched_core::compact::ProcSetRef;
 use flowsched_core::machine::MachineId;
 use flowsched_core::schedule::Assignment;
 use flowsched_core::shard::ShardPlan;
@@ -87,11 +99,13 @@ pub struct ShardedConfig {
     /// Worker thread budget; the engine uses `min(threads, shards)`
     /// and runs inline (no threads at all) when that is ≤ 1.
     pub threads: usize,
-    /// Tasks per routed batch. The router sends a batch with one queue
-    /// operation and polls the result queues once per batch sent, so
-    /// queue operations per task fall as 1/batch; dispatch per task is
-    /// ~100 ns, so 256 keeps queue overhead a small fraction without
-    /// hurting pipelining.
+    /// Tasks per routed batch. A batch's cost is its round trip, not its
+    /// queue operations: a worker that empties its queue parks, and the
+    /// router pays to wake it for the next batch, ~12 µs of CPU a trip on
+    /// a 2-core host. On `sharded_m256_t2`, 1024 tasks a trip over
+    /// depth-1 queues ran ~1.3× as fast as 256 × 4; 2048 grew peak RSS
+    /// by ~19 % and ran no faster (EXPERIMENTS.md, "Fewer shard round
+    /// trips", the sweep).
     pub batch: usize,
     /// Batches each bounded queue holds before its producer blocks.
     pub queue_cap: usize,
@@ -101,8 +115,8 @@ impl Default for ShardedConfig {
     fn default() -> Self {
         ShardedConfig {
             threads: crate::default_threads(),
-            batch: 256,
-            queue_cap: 4,
+            batch: 1024,
+            queue_cap: 1,
         }
     }
 }
@@ -117,56 +131,100 @@ impl ShardedConfig {
     }
 }
 
-/// One routed arrival: the set is pre-rebased to the shard's local
-/// machine numbering so the worker does no plan arithmetic.
-struct TaskMsg {
-    seq: u64,
-    shard: u32,
-    task: Task,
-    set: CompactProcSet,
+/// A routed arrival's set, pre-rebased to its shard's local machine
+/// numbering so the worker does no plan arithmetic. Machine numbers
+/// fit `u32` (checked once per run); an explicit set is the range
+/// `from..to` of its batch's `members` pool.
+#[derive(Clone, Copy)]
+enum LocalSet {
+    Interval { lo: u32, hi: u32 },
+    Ring { start: u32, len: u32, m: u32 },
+    Prefix { len: u32 },
+    Explicit { from: u32, to: u32 },
 }
 
-/// One dispatch decision, already rebased back to global machine ids.
+impl LocalSet {
+    /// `set` renumbered to the shard starting at `base`; an explicit
+    /// set's members are appended to `members`.
+    ///
+    /// Only intervals and explicit sets can live in a shard with
+    /// `base > 0`: prefixes and wrapping rings both contain machine 0,
+    /// so they always route to the first shard.
+    fn rebase(set: &ProcSetRef<'_>, base: usize, members: &mut Vec<usize>) -> LocalSet {
+        match *set {
+            ProcSetRef::Interval { lo, hi } => LocalSet::Interval {
+                lo: (lo - base) as u32,
+                hi: (hi - base) as u32,
+            },
+            ProcSetRef::Explicit(s) => {
+                let from = members.len() as u32;
+                members.extend(s.iter().map(|&j| j - base));
+                let to = u32::try_from(members.len()).expect("a batch's explicit members fit u32");
+                LocalSet::Explicit { from, to }
+            }
+            ProcSetRef::Prefix { len } if base == 0 => LocalSet::Prefix { len: len as u32 },
+            ProcSetRef::Ring { start, len, m } if base == 0 => LocalSet::Ring {
+                start: start as u32,
+                len: len as u32,
+                m: m as u32,
+            },
+            ProcSetRef::Prefix { .. } | ProcSetRef::Ring { .. } => {
+                unreachable!("prefix/ring sets contain machine 0 and route to the base-0 shard")
+            }
+        }
+    }
+
+    /// Lends the set as a view, explicit members borrowed from `members`.
+    fn view(self, members: &[usize]) -> ProcSetRef<'_> {
+        match self {
+            LocalSet::Interval { lo, hi } => ProcSetRef::Interval {
+                lo: lo as usize,
+                hi: hi as usize,
+            },
+            LocalSet::Ring { start, len, m } => ProcSetRef::Ring {
+                start: start as usize,
+                len: len as usize,
+                m: m as usize,
+            },
+            LocalSet::Prefix { len } => ProcSetRef::Prefix { len: len as usize },
+            LocalSet::Explicit { from, to } => {
+                ProcSetRef::Explicit(&members[from as usize..to as usize])
+            }
+        }
+    }
+}
+
+/// One routed arrival, 48 bytes. It carries no sequence number: the
+/// router's `pending` FIFO and per-worker cursors fix where its result
+/// merges.
+struct TaskMsg {
+    shard: u32,
+    task: Task,
+    set: LocalSet,
+}
+
+/// One dispatch decision, already rebased back to global machine ids,
+/// with its task, so the merge reads one stream: 40 bytes.
 struct ResultMsg {
-    seq: u64,
     task: Task,
     assignment: Assignment,
 }
 
 /// The unit of transport, sent on a round trip: the router fills
-/// `tasks`, the worker drains them into `results` in place and sends
-/// the same batch back, and the router merges straight out of
-/// `results` before it recycles the batch through its free list.
+/// `tasks` and, for explicit sets, `members`; the worker drains the
+/// tasks into `results` in place, clears `members` and sends the same
+/// batch back; and the router merges straight out of `results` before
+/// it recycles the batch through its free list.
 #[derive(Default)]
 struct Batch {
     tasks: Vec<TaskMsg>,
+    members: Vec<usize>,
     results: Vec<ResultMsg>,
 }
 
 /// Rebases a shard-local assignment to global machine numbering.
 fn globalize(a: Assignment, base: usize) -> Assignment {
     Assignment::new(MachineId(a.machine.index() + base), a.start)
-}
-
-/// Owned copy of `set` renumbered to the shard starting at `base`.
-///
-/// Only intervals and explicit sets can live in a shard with
-/// `base > 0`: prefixes and wrapping rings both contain machine 0, so
-/// they always route to the first shard.
-fn rebase_owned(set: &ProcSetRef<'_>, base: usize) -> CompactProcSet {
-    if base == 0 {
-        return CompactProcSet::from(*set);
-    }
-    match *set {
-        ProcSetRef::Interval { lo, hi } => CompactProcSet::Interval {
-            lo: lo - base,
-            hi: hi - base,
-        },
-        ProcSetRef::Explicit(s) => CompactProcSet::Explicit(s.iter().map(|&j| j - base).collect()),
-        ProcSetRef::Prefix { .. } | ProcSetRef::Ring { .. } => {
-            unreachable!("prefix/ring sets contain machine 0 and route to the base-0 shard")
-        }
-    }
 }
 
 /// [`ShardPlan::route`] through a machine → shard table: two loads in
@@ -181,7 +239,7 @@ fn route_by_table(table: &[u32], plan: &ShardPlan, set: &ProcSetRef<'_>) -> usiz
     }
 }
 
-/// Borrowed counterpart of [`rebase_owned`] for the inline path, using
+/// Borrowed counterpart of [`LocalSet::rebase`] for the inline path, using
 /// `scratch` to renumber explicit sets without allocating per task.
 fn rebase_view<'a>(
     set: ProcSetRef<'a>,
@@ -299,6 +357,11 @@ pub fn run_sharded_probed<S, D, M, P>(
     for (s, disp) in dispatchers.iter_mut().enumerate() {
         per_worker[s % workers].push((plan.start_of(s), disp));
     }
+    // Shard indices, and the machine numbers in a `LocalSet`, are `u32`.
+    assert!(
+        u32::try_from(plan.machines()).is_ok(),
+        "the threaded path numbers machines in u32"
+    );
     let shard_of: Vec<u32> = (0..plan.machines())
         .map(|j| plan.shard_of(j) as u32)
         .collect();
@@ -328,15 +391,20 @@ pub fn run_sharded_probed<S, D, M, P>(
                 t.stop(&wprobe, Stage::DequeueWait, 0);
                 let t = StageTimer::start(&wprobe);
                 let items = batch.tasks.len() as u64;
-                for msg in batch.tasks.drain(..) {
+                let Batch {
+                    tasks,
+                    members,
+                    results,
+                } = &mut batch;
+                for msg in tasks.drain(..) {
                     let (base, disp) = &mut dispatchers[msg.shard as usize / workers];
-                    let a = disp(msg.task, msg.set.as_view());
-                    batch.results.push(ResultMsg {
-                        seq: msg.seq,
+                    let a = disp(msg.task, msg.set.view(members));
+                    results.push(ResultMsg {
                         task: msg.task,
                         assignment: globalize(a, *base),
                     });
                 }
+                members.clear();
                 t.stop(&wprobe, Stage::Dispatch, items);
                 if out_tx.send(batch).is_err() {
                     // Router gone (it panicked and dropped the receiver) —
@@ -347,7 +415,6 @@ pub fn run_sharded_probed<S, D, M, P>(
         }
 
         let mut last_release = f64::NEG_INFINITY;
-        let mut seq: u64 = 0;
         while let Some((task, set)) = stream.next_arrival() {
             assert!(
                 task.release >= last_release,
@@ -359,15 +426,15 @@ pub fn run_sharded_probed<S, D, M, P>(
             let t = StageTimer::start(&probe);
             let s = route_by_table(&shard_of, plan, &set);
             let w = s % workers;
-            router.fill[w].tasks.push(TaskMsg {
-                seq,
+            let fill = &mut router.fill[w];
+            let set = LocalSet::rebase(&set, plan.start_of(s), &mut fill.members);
+            fill.tasks.push(TaskMsg {
                 shard: s as u32,
                 task,
-                set: rebase_owned(&set, plan.start_of(s)),
+                set,
             });
             t.stop(&probe, Stage::Route, 1);
             router.pending.push_back(w as u32);
-            seq += 1;
             if P::ENABLED {
                 probe.queue_depth(router.pending.len() as u64);
             }
@@ -408,8 +475,9 @@ struct Router {
     cursor: Vec<usize>,
     /// Merged batches, emptied for refilling.
     free: Vec<Batch>,
-    /// The worker owning each unmerged seq, in seq order.
+    /// The worker owning each unmerged task, in arrival order.
     pending: VecDeque<u32>,
+    /// The arrival index of `pending`'s front, which the merge passes on.
     next_merge: u64,
 }
 
@@ -461,8 +529,11 @@ impl Router {
     }
 
     /// Polls every worker for returned batches without blocking, then
-    /// merges every result that is next in seq order straight out of
-    /// them; a batch whose last result is merged goes to the free list.
+    /// merges every result that is next in arrival order straight out
+    /// of them; a batch whose last result is merged goes to the free
+    /// list. A worker returns its batches in send order, and each batch
+    /// holds its results in its tasks' order, so `pending`'s front
+    /// names the worker whose cursor points at the next result.
     fn merge_ready<M, P>(&mut self, merge: &mut M, probe: &P)
     where
         M: FnMut(u64, Task, Assignment),
@@ -479,8 +550,7 @@ impl Router {
             let w = w as usize;
             let Some(b) = self.back[w].front() else { break };
             let r = &b.results[self.cursor[w]];
-            debug_assert_eq!(r.seq, self.next_merge, "results arrive in seq order");
-            merge(r.seq, r.task, r.assignment);
+            merge(self.next_merge, r.task, r.assignment);
             self.next_merge += 1;
             self.pending.pop_front();
             self.cursor[w] += 1;
@@ -532,60 +602,93 @@ mod tests {
 
     /// A deterministic blocked workload: `n` tasks round-robining over
     /// `m / block` disjoint blocks with drifting releases and varied
-    /// processing times.
-    fn blocked_stream(m: usize, block: usize, n: usize) -> impl ArrivalStream + use<> {
-        struct Blocked {
-            m: usize,
-            block: usize,
-            n: usize,
-            next: usize,
+    /// processing times. With `explicit`, every odd block's sets arrive
+    /// as explicit subsets of the block (always holding one member, the
+    /// rest varying with the task), so shards past the first rebase
+    /// explicit sets.
+    struct Blocked {
+        m: usize,
+        block: usize,
+        n: usize,
+        next: usize,
+        explicit: bool,
+        members: Vec<usize>,
+    }
+
+    impl ArrivalStream for Blocked {
+        fn machines(&self) -> usize {
+            self.m
         }
-        impl ArrivalStream for Blocked {
-            fn machines(&self) -> usize {
-                self.m
+        fn next_arrival(&mut self) -> Option<(Task, ProcSetRef<'_>)> {
+            if self.next >= self.n {
+                return None;
             }
-            fn next_arrival(&mut self) -> Option<(Task, ProcSetRef<'_>)> {
-                if self.next >= self.n {
-                    return None;
-                }
-                let i = self.next;
-                self.next += 1;
-                let blocks = self.m / self.block;
-                let b = (i * 7 + i / 3) % blocks;
-                let task = Task::new(i as f64 * 0.25, 1.0 + (i % 5) as f64 * 0.5);
-                let lo = b * self.block;
-                Some((task, ProcSetRef::interval(lo, lo + self.block - 1)))
+            let i = self.next;
+            self.next += 1;
+            let blocks = self.m / self.block;
+            let b = (i * 7 + i / 3) % blocks;
+            let task = Task::new(i as f64 * 0.25, 1.0 + (i % 5) as f64 * 0.5);
+            let lo = b * self.block;
+            if self.explicit && b % 2 == 1 {
+                let keep = lo + i % self.block;
+                self.members.clear();
+                self.members.extend(
+                    (lo..lo + self.block).filter(|&j| j == keep || !(i + j).is_multiple_of(3)),
+                );
+                return Some((task, ProcSetRef::Explicit(&self.members)));
             }
-            fn len_hint(&self) -> Option<usize> {
-                Some(self.n - self.next)
-            }
+            Some((task, ProcSetRef::interval(lo, lo + self.block - 1)))
         }
+        fn len_hint(&self) -> Option<usize> {
+            Some(self.n - self.next)
+        }
+    }
+
+    fn blocked_stream(m: usize, block: usize, n: usize) -> Blocked {
         Blocked {
             m,
             block,
             n,
             next: 0,
+            explicit: false,
+            members: Vec::new(),
         }
     }
 
+    /// [`blocked_stream`] with explicit sets in every odd block.
+    fn mixed_stream(m: usize, block: usize, n: usize) -> Blocked {
+        Blocked {
+            explicit: true,
+            ..blocked_stream(m, block, n)
+        }
+    }
+
+    /// Every `(seq, task, assignment)` the merge sees, in merge order.
     fn run_collect(
         plan: &ShardPlan,
         cfg: &ShardedConfig,
-        m: usize,
-        block: usize,
-        n: usize,
-    ) -> Vec<Assignment> {
-        let mut out: Vec<(u64, Assignment)> = Vec::new();
+        stream: impl ArrivalStream,
+    ) -> Vec<(u64, Task, Assignment)> {
+        let mut out = Vec::new();
         run_sharded_probed(
-            blocked_stream(m, block, n),
+            stream,
             plan,
             cfg,
             &mut mini_efts(plan),
-            |seq, _task, a| out.push((seq, a)),
+            |seq, task, a| out.push((seq, task, a)),
             NoopPipeline,
         );
-        assert!(out.windows(2).all(|w| w[0].0 + 1 == w[1].0), "merge order");
-        out.into_iter().map(|(_, a)| a).collect()
+        out
+    }
+
+    /// `cfg` with one thread: the inline path, which merges each task
+    /// as it dispatches it, so its output is in arrival order by
+    /// construction. A threaded run holds its merge order by equalling it.
+    fn inline(cfg: &ShardedConfig) -> ShardedConfig {
+        ShardedConfig {
+            threads: 1,
+            ..cfg.clone()
+        }
     }
 
     #[test]
@@ -593,12 +696,16 @@ mod tests {
         let (m, block, n) = (16, 4, 4000);
         let plan = ShardPlan::blocks(m, block, 16);
         assert_eq!(plan.shards(), 4);
-        let baseline = run_collect(&plan, &ShardedConfig::with_threads(1), m, block, n);
+        let baseline = run_collect(
+            &plan,
+            &ShardedConfig::with_threads(1),
+            blocked_stream(m, block, n),
+        );
         assert_eq!(baseline.len(), n);
         for threads in [2, 3, 4, 7] {
             let cfg = ShardedConfig::with_threads(threads);
             assert_eq!(
-                run_collect(&plan, &cfg, m, block, n),
+                run_collect(&plan, &cfg, blocked_stream(m, block, n)),
                 baseline,
                 "threads={threads}"
             );
@@ -609,13 +716,38 @@ mod tests {
     fn tiny_batches_exercise_backpressure_without_reordering() {
         let (m, block, n) = (8, 2, 2000);
         let plan = ShardPlan::blocks(m, block, 16);
-        let baseline = run_collect(&plan, &ShardedConfig::with_threads(1), m, block, n);
         let cfg = ShardedConfig {
             threads: 4,
             batch: 3,
             queue_cap: 1,
         };
-        assert_eq!(run_collect(&plan, &cfg, m, block, n), baseline);
+        assert_eq!(
+            run_collect(&plan, &cfg, mixed_stream(m, block, n)),
+            run_collect(&plan, &inline(&cfg), mixed_stream(m, block, n)),
+        );
+    }
+
+    #[test]
+    fn default_config_matches_inline_around_batch_boundaries() {
+        // Eight shards of four machines; the odd ones take explicit
+        // sets. The last length runs one task past the high water of
+        // the default transport.
+        let (m, block) = (32, 4);
+        let plan = ShardPlan::blocks(m, block, 16);
+        assert_eq!(plan.shards(), 8);
+        let batch = ShardedConfig::default().batch;
+        for workers in [2, 3] {
+            let cfg = ShardedConfig::with_threads(workers);
+            for n in [batch - 1, batch, batch + 1, 3 * batch * workers + 1] {
+                let merged = run_collect(&plan, &cfg, mixed_stream(m, block, n));
+                assert_eq!(merged.len(), n);
+                assert_eq!(
+                    merged,
+                    run_collect(&plan, &inline(&cfg), mixed_stream(m, block, n)),
+                    "workers={workers} n={n}"
+                );
+            }
+        }
     }
 
     #[test]
@@ -648,25 +780,29 @@ mod tests {
             queue_cap: 1,
         };
         let metrics = flowsched_obs::pipeline::PipelineMetrics::new();
-        let mut seen: u64 = 0;
+        let mut merged = Vec::new();
         run_sharded_probed(
             Skew { next: 0 },
             &plan,
             &cfg,
             &mut mini_efts(&plan),
-            |seq, _t, _a| {
-                assert_eq!(seq, seen);
-                seen += 1;
-            },
+            |seq, task, a| merged.push((seq, task, a)),
             metrics.clone(),
         );
-        assert_eq!(seen, 5000);
+        assert_eq!(merged.len(), 5000);
+        assert_eq!(merged, run_collect(&plan, &inline(&cfg), Skew { next: 0 }));
         // Task 0's batch for shard 1 never fills, so `pending` reaches
         // the high water (1 + 2) · 4 · 2 = 24 whatever the timing.
         assert!(
             metrics.forced_flushes() >= 1,
             "the high-water flush never ran"
         );
+    }
+
+    #[test]
+    fn messages_stay_lean() {
+        assert!(std::mem::size_of::<TaskMsg>() <= 48);
+        assert!(std::mem::size_of::<ResultMsg>() <= 40);
     }
 
     #[test]
@@ -822,15 +958,19 @@ mod tests {
         use flowsched_obs::pipeline::PipelineMetrics;
         let (m, block, n) = (16, 4, 4000);
         let plan = ShardPlan::blocks(m, block, 16);
-        let baseline = run_collect(&plan, &ShardedConfig::with_threads(4), m, block, n);
+        let baseline = run_collect(
+            &plan,
+            &ShardedConfig::with_threads(4),
+            blocked_stream(m, block, n),
+        );
         let metrics = PipelineMetrics::new();
-        let mut probed: Vec<Assignment> = Vec::new();
+        let mut probed = Vec::new();
         run_sharded_probed(
             blocked_stream(m, block, n),
             &plan,
             &ShardedConfig::with_threads(4),
             &mut mini_efts(&plan),
-            |_seq, _t, a| probed.push(a),
+            |seq, task, a| probed.push((seq, task, a)),
             metrics.clone(),
         );
         assert_eq!(probed, baseline, "the probe must not perturb the schedule");

@@ -29,9 +29,12 @@
 #      the six-level lane index schedule for schedule
 #   7. sharded determinism smoke: the sharded_smoke bin runs under
 #      FLOWSCHED_THREADS=1, =2 and =4 (inline, 16 shards dealt 8 per
-#      worker, and 4 per worker); every printed schedule hash must equal
-#      the pinned SHARDED_SMOKE_HASH (thread-count invariance, end to
-#      end), so a schedule change that is the same at every thread
+#      worker, and 4 per worker); each run dispatches its trace at two
+#      transport sizes (the default batches, and 3-task batches over
+#      depth-1 queues) and asserts in-process that the two hashes are
+#      equal; every printed schedule hash must equal the pinned
+#      SHARDED_SMOKE_HASH (thread-count and batch-size invariance, end
+#      to end), so a schedule change that is the same at every thread
 #      count still fails
 #   8. fault-injection soak: the fault_soak bin dispatches a 1M-task
 #      Poisson stream under a 1% crash-rate fault plan, asserting

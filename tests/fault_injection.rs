@@ -114,8 +114,11 @@ fn policy_for(idx: usize, tie: TieBreak, seed: u64) -> PolicySpec {
 }
 
 /// `(batch, queue_cap)` from one task per batch over depth-1 queues up
-/// to the default 256 × 4 (as in `tests/sharded_equivalence.rs`): small
-/// batches send every worker recycled batches even on a short stream.
+/// to 256 × 4 and the default batch of 1024 (as in
+/// `tests/sharded_equivalence.rs`): small batches send every worker
+/// recycled batches even on a short stream, and at the two large sizes
+/// the tasks go out in partial batches that the tail's `force_head`
+/// flushes.
 fn transport_config() -> impl Strategy<Value = (usize, usize)> {
     (
         prop_oneof![
@@ -123,7 +126,8 @@ fn transport_config() -> impl Strategy<Value = (usize, usize)> {
             Just(2usize),
             Just(3usize),
             Just(7usize),
-            Just(256usize)
+            Just(256usize),
+            Just(1024usize)
         ],
         prop_oneof![Just(1usize), Just(2usize), Just(4usize)],
     )

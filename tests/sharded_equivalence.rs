@@ -43,9 +43,11 @@ fn kind_for(idx: usize, k: usize) -> StructureKind {
 }
 
 /// `(batch, queue_cap)` from one task per batch over depth-1 queues up
-/// to the default 256 × 4. The small batches send every worker many
-/// recycled batches even on a short stream, and force the full-queue
-/// and high-water paths.
+/// to 256 × 4 and the default batch of 1024. The small batches send
+/// every worker many recycled batches even on a short stream, and force
+/// the full-queue and high-water paths; at the two large sizes these
+/// short streams rarely fill a batch, so the tasks go out in partial
+/// batches that the tail's `force_head` flushes.
 fn transport_config() -> impl Strategy<Value = (usize, usize)> {
     (
         prop_oneof![
@@ -53,7 +55,8 @@ fn transport_config() -> impl Strategy<Value = (usize, usize)> {
             Just(2usize),
             Just(3usize),
             Just(7usize),
-            Just(256usize)
+            Just(256usize),
+            Just(1024usize)
         ],
         prop_oneof![Just(1usize), Just(2usize), Just(4usize)],
     )

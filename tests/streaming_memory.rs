@@ -114,12 +114,14 @@ fn million_task_stream_with_windowed_telemetry_stays_bounded() {
 fn ten_million_task_sharded_run_stays_bounded() {
     // The PR-6 regime: the 10M-task cluster-partitioned trace from
     // BENCH_PR6 runs through the sharded engine with real worker
-    // threads and bounded SPSC queues. Memory must stay O(machines +
-    // queues + report fold): in-flight tasks are capped at
-    // (queue_cap + 2) × batch × workers messages (≈ 6k × ~50 B), so a
-    // 10× longer trace than the sequential tests still fits the same
-    // 32 MiB envelope — if the router buffered the stream (or a worker
-    // stopped draining), 10M × ~50 B ≈ 500 MiB would blow it instantly.
+    // threads and bounded `std::sync::mpsc::sync_channel` queues. Memory
+    // must stay O(machines + queues + report fold): in-flight tasks are
+    // capped at (queue_cap + 2) × batch × workers (12,288 at the default
+    // on four workers), 88 bytes each (a 48-byte task message and a
+    // 40-byte result; ≈ 1.1 MiB), so a 10× longer trace than the
+    // sequential tests still fits the same 32 MiB envelope — if the
+    // router buffered the stream (or a worker stopped draining),
+    // 10M × 88 B ≈ 880 MiB would blow it instantly.
     // The drift window is pinned to the fixed 1024-task fallback
     // (`expected_measured: None` is overridden below): auto-sizing it
     // from the 10M-task hint would alone hold n/4-entry head and tail
